@@ -12,9 +12,10 @@ auxiliary P >= 0 splits the minimum-degree constraint. Each iteration does a
 gradient step projected onto S_A, a closed-form clipped P update, and a dual
 ascent step on Lam.
 
-The fit part of f follows the gradient mode: `exact_mask` differentiates the
-entrywise-masked least squares, `count_weighted` the per-slice count-weighted
-surrogate whose gradient is affine with an identity-scaled linear part.
+The fit part of f is the weighted least squares of :class:`FitData`, whose
+gradient in A_r is A_r o Omega_r + B_r. Omega_r, B_r and the smoothness,
+sparsity and overlap gradients do not depend on A_r, so each solve builds
+them once (:func:`a_gradient_terms`) instead of once per inner step.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 
 from .model import NumericalAbort, project_sa
 from .priors import xi_matrix
-from .tensors import stack_latents, vec_mat
 
 
 @dataclass
@@ -67,69 +67,55 @@ def build_a_workspace(d, r, zeta, rng=None):
     return AWorkspace(r=r, phi_r=phi, gamma_r=gamma, p=p, lam_r=lam)
 
 
-def _rest_vec(d, r):
-    # sum over rbar != r of vec(A_rbar) c_rbar', shape (N^2, T)
+def a_gradient_terms(d, r, fit, cache, h):
+    """Parts of the A_r gradient that stay fixed over the K inner steps.
+
+    Returns (omega, linear) such that the gradient of everything but the
+    ADMM coupling is A_r o omega + linear. omega = sum_t C[t,r]^2 W_t + eta;
+    linear = B_r + delta Xi_r + gamma + 2 beta sum_{k != r} A_k, with
+    B_r = sum_t C[t,r] W_t o (rest_t - Y_t) and rest_t = sum_{k != r} C[t,k] A_k.
+    """
+    c_r = d.signatures[:, r]
     keep = [k for k in range(d.n_latents) if k != r]
-    if not keep:
-        n = d.n_nodes
-        return np.zeros((n * n, d.n_steps))
-    a0 = stack_latents(d.latents[keep])
-    return a0 @ d.signatures[:, keep].T
+    resid = np.tensordot(d.signatures[:, keep], d.latents[keep], axes=1)
+    resid -= fit.target
+    resid *= fit.weight
+    linear = np.tensordot(c_r, resid, axes=1)
+    omega = np.tensordot(c_r**2, fit.weight, axes=1) + h.eta
+    if h.delta != 0.0:
+        linear += h.delta * xi_matrix(cache, c_r)
+    if h.gamma != 0.0:
+        linear += h.gamma
+    if h.beta != 0.0:
+        linear += 2.0 * h.beta * (d.latents.sum(axis=0) - d.latents[r])
+    return omega, linear
 
 
-def _fit_grad_vec(c_r, raw, m0, w, mode):
-    # raw = vec(a) c_r' + rest - a_vec, shape (N^2, T)
-    if mode == "exact_mask":
-        return (m0 * raw) @ c_r
-    if mode == "count_weighted":
-        return raw @ (c_r * w)
-    raise ValueError(f"unknown gradient_mode {mode!r}")
-
-
-def grad_a_lagrangian(a_r, ws, d, flat, cache, h, rest=None):
+def grad_a_lagrangian(a_r, ws, d, fit, cache, h, terms=None):
     """Gradient of the augmented Lagrangian at a_r, other blocks fixed.
 
-    `rest` may carry the precomputed (N^2, T) contribution of the other
-    latents; it is recomputed from d when omitted.
+    `terms` may carry the (omega, linear) pair of :func:`a_gradient_terms`;
+    it is rebuilt from d when omitted.
     """
     a_r = np.asarray(a_r, dtype=np.float64)
-    n = a_r.shape[0]
-    r = ws.r
-    c_r = d.signatures[:, r]
-    if rest is None:
-        rest = _rest_vec(d, r)
-    raw = np.outer(vec_mat(a_r), c_r) + rest - flat.a_vec
-    w = flat.f_diag.astype(np.float64)
-    g = _fit_grad_vec(c_r, raw, flat.m0, w, h.gradient_mode).reshape(n, n, order="F")
-    if h.delta != 0.0:
-        g = g + h.delta * xi_matrix(cache, c_r).T
-    if h.gamma != 0.0:
-        g = g + h.gamma
-    if h.beta != 0.0:
-        others = d.latents.sum(axis=0) - d.latents[r]
-        g = g + 2.0 * h.beta * others
-    if h.eta != 0.0:
-        g = g + h.eta * a_r
+    if terms is None:
+        terms = a_gradient_terms(d, ws.r, fit, cache, h)
+    omega, linear = terms
+    g = a_r * omega + linear
     resid = a_r @ ws.phi_r + ws.gamma_r - ws.p
     g = g + ws.lam_r.T @ ws.phi_r.T + h.lambda_a * (resid @ ws.phi_r.T)
     return g
 
 
-def a_lagrangian_value(a_r, ws, d, flat, cache, h, rest=None):
+def a_lagrangian_value(a_r, ws, d, fit, cache, h):
     """Value of the augmented Lagrangian that grad_a_lagrangian differentiates."""
     a_r = np.asarray(a_r, dtype=np.float64)
     r = ws.r
     c_r = d.signatures[:, r]
-    if rest is None:
-        rest = _rest_vec(d, r)
-    raw = np.outer(vec_mat(a_r), c_r) + rest - flat.a_vec
-    if h.gradient_mode == "exact_mask":
-        val = 0.5 * float(np.sum((flat.m0 * raw) ** 2))
-    elif h.gradient_mode == "count_weighted":
-        w = flat.f_diag.astype(np.float64)
-        val = 0.5 * float(np.sum(raw * raw, axis=0) @ w)
-    else:
-        raise ValueError(f"unknown gradient_mode {h.gradient_mode!r}")
+    latents = d.latents.copy()
+    latents[r] = a_r
+    recon = np.einsum("tk,kij->tij", d.signatures, latents)
+    val = 0.5 * float(np.sum(fit.weight * (recon - fit.target) ** 2))
     if h.delta != 0.0:
         val += h.delta * float(np.sum(a_r * xi_matrix(cache, c_r).T))
     val += h.gamma * float(a_r.sum())
@@ -144,27 +130,23 @@ def a_lagrangian_value(a_r, ws, d, flat, cache, h, rest=None):
     return val
 
 
-def default_step_a(d, r, flat, h):
+def default_step_a(d, r, fit, h):
     """Inverse curvature bound for the A_r gradient step.
 
-    count_weighted mode: fit curvature sum_t C[t,r]^2 1'm_t; exact_mask mode:
-    the masked fit curvature is bounded entrywise by sum_t C[t,r]^2. Both add
-    eta and the augmented term lambda_a ||Phi_r||_2^2 = lambda_a N ||c_r||^2.
+    The fit curvature sum_t C[t,r]^2 W_t is bounded entrywise by
+    sum_t C[t,r]^2 w_t, w_t = max W_t. Add eta and the augmented term
+    lambda_a ||Phi_r||_2^2 = lambda_a N ||c_r||^2.
     """
     if h.penalty_as_step:
         return h.lambda_a
     if h.step_a is not None:
         return h.step_a
-    c_r = d.signatures[:, r]
-    if h.gradient_mode == "count_weighted":
-        curv = float(c_r**2 @ flat.f_diag.astype(np.float64))
-    else:
-        curv = float(np.sum(c_r**2))
-    lip = curv + h.eta + h.lambda_a * d.n_nodes * float(np.sum(c_r**2))
+    c2 = d.signatures[:, r] ** 2
+    lip = float(c2 @ fit.slice_max) + h.eta + h.lambda_a * d.n_nodes * float(np.sum(c2))
     return 1.0 / max(lip, 1e-8)
 
 
-def solve_a_subproblem(d, r, flat, cache, h, rng):
+def solve_a_subproblem(d, r, fit, cache, h, rng):
     """Run K ADMM iterations on latent r; returns (new A_r, workspace, residuals).
 
     The update order per iteration is gradient step + projection onto S_A,
@@ -174,13 +156,13 @@ def solve_a_subproblem(d, r, flat, cache, h, rng):
     if h.inner_iters < 1:
         raise ValueError(f"inner_iters must be >= 1, got {h.inner_iters}")
     ws = build_a_workspace(d, r, h.zeta, rng=rng)
-    rest = _rest_vec(d, r)
-    step = default_step_a(d, r, flat, h)
+    terms = a_gradient_terms(d, r, fit, cache, h)
+    step = default_step_a(d, r, fit, h)
     a = d.latents[r].copy()
     gamma_scale = float(np.linalg.norm(ws.gamma_r))
     residuals = []
     for _ in range(h.inner_iters):
-        g = grad_a_lagrangian(a, ws, d, flat, cache, h, rest=rest)
+        g = grad_a_lagrangian(a, ws, d, fit, cache, h, terms=terms)
         a = project_sa(a - step * g)
         if not np.all(np.isfinite(a)):
             raise NumericalAbort(

@@ -8,8 +8,11 @@ ADMM on
 
 where Ups stacks the latent degree vectors A_r 1 as columns, so row t of
 C Ups' is the reconstructed degree vector at step t, and Q >= 0 splits the
-minimum-degree constraint. f adds the mode-dependent fit, the signal
-smoothness coupling, the squared forward-difference penalty and a ridge.
+minimum-degree constraint. f adds the weighted least-squares fit of
+:class:`FitData`, the signal smoothness coupling, the squared forward-difference
+penalty and a ridge. The fit gradient of row t is G_t c_t - b_t with per-slice
+R x R Grams G_t; the Grams, b_t and the smoothness coupling do not depend on C,
+so each solve builds them once (:func:`c_gradient_terms`).
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NumericalAbort, project_sc
-from .priors import diff_operator
-from .tensors import stack_latents
+from .priors import diff_operator, smoothness_traces, temporal_pi
+from .tensors import weighted_grams
 
 
 @dataclass
@@ -58,35 +61,39 @@ def build_c_workspace(latents, n_steps, rng=None):
     return CWorkspace(upsilon=ups, q=q, lam_c=lam)
 
 
-def _fit_raw(c, a0, flat):
-    # residual A0 C' - a_vec, shape (N^2, T)
-    return a0 @ c.T - flat.a_vec
+def c_gradient_terms(latents, fit, cache, h):
+    """Parts of the C gradient that stay fixed over the K inner steps.
+
+    Returns (grams, linear) such that row t of the fit plus smoothness
+    gradient is G_t c_t + linear_t, with G_t = sum_ij W_t A_r A_s (T, R, R)
+    and linear_t = -b_t + delta <Z_t, A_r>, b_t = sum_ij W_t Y_t A_r.
+    """
+    grams = weighted_grams(fit.weight, latents)
+    linear = -np.tensordot(fit.weight * fit.target, latents, axes=([1, 2], [1, 2]))
+    if h.delta != 0.0:
+        linear += h.delta * smoothness_traces(latents, cache)
+    return grams, linear
 
 
-def grad_c_lagrangian(c, ws, a0, flat, cache, h, zbar_a0=None, dtd=None):
+def _dtd(n_steps):
+    dop = diff_operator(n_steps)
+    return dop.T @ dop
+
+
+def grad_c_lagrangian(c, ws, latents, fit, cache, h, terms=None, dtd=None):
     """Gradient of the augmented Lagrangian at c, latents fixed.
 
-    zbar_a0 (T, R) and dtd (T, T) may carry precomputed products of the
-    smoothness and difference operators; both are rebuilt when omitted.
+    `terms` may carry the (grams, linear) pair of :func:`c_gradient_terms`
+    and dtd the (T, T) product D'D; both are rebuilt when omitted.
     """
     c = np.asarray(c, dtype=np.float64)
-    t = c.shape[0]
-    raw = _fit_raw(c, a0, flat)
-    if h.gradient_mode == "exact_mask":
-        g = (flat.m0 * raw).T @ a0
-    elif h.gradient_mode == "count_weighted":
-        w = flat.f_diag.astype(np.float64)
-        g = w[:, None] * (raw.T @ a0)
-    else:
-        raise ValueError(f"unknown gradient_mode {h.gradient_mode!r}")
-    if h.delta != 0.0:
-        if zbar_a0 is None:
-            zbar_a0 = cache.z_bar @ a0
-        g = g + h.delta * zbar_a0
+    if terms is None:
+        terms = c_gradient_terms(latents, fit, cache, h)
+    grams, linear = terms
+    g = np.einsum("trs,ts->tr", grams, c) + linear
     if h.mu != 0.0:
         if dtd is None:
-            dop = diff_operator(t)
-            dtd = dop.T @ dop
+            dtd = _dtd(c.shape[0])
         g = g + h.mu * (dtd @ c)
     if h.rho != 0.0:
         g = g + h.rho * c
@@ -95,27 +102,15 @@ def grad_c_lagrangian(c, ws, a0, flat, cache, h, zbar_a0=None, dtd=None):
     return g
 
 
-def c_lagrangian_value(c, ws, a0, flat, cache, h, zbar_a0=None, dtd=None):
+def c_lagrangian_value(c, ws, latents, fit, cache, h):
     """Value of the augmented Lagrangian that grad_c_lagrangian differentiates."""
     c = np.asarray(c, dtype=np.float64)
-    t = c.shape[0]
-    raw = _fit_raw(c, a0, flat)
-    if h.gradient_mode == "exact_mask":
-        val = 0.5 * float(np.sum((flat.m0 * raw) ** 2))
-    elif h.gradient_mode == "count_weighted":
-        w = flat.f_diag.astype(np.float64)
-        val = 0.5 * float(np.sum(raw * raw, axis=0) @ w)
-    else:
-        raise ValueError(f"unknown gradient_mode {h.gradient_mode!r}")
+    recon = np.einsum("tr,rij->tij", c, latents)
+    val = 0.5 * float(np.sum(fit.weight * (recon - fit.target) ** 2))
     if h.delta != 0.0:
-        if zbar_a0 is None:
-            zbar_a0 = cache.z_bar @ a0
-        val += h.delta * float(np.sum(c * zbar_a0))
+        val += h.delta * float(np.sum(c * smoothness_traces(latents, cache)))
     if h.mu != 0.0:
-        if dtd is None:
-            dop = diff_operator(t)
-            dtd = dop.T @ dop
-        val += 0.5 * h.mu * float(np.sum(c * (dtd @ c)))
+        val += 0.5 * h.mu * temporal_pi(c)
     if h.rho != 0.0:
         val += 0.5 * h.rho * float(np.sum(c**2))
     resid = c @ ws.upsilon.T - h.zeta - ws.q
@@ -124,23 +119,19 @@ def c_lagrangian_value(c, ws, a0, flat, cache, h, zbar_a0=None, dtd=None):
     return val
 
 
-def default_step_c(ws, a0, flat, h, dtd):
+def default_step_c(ws, latents, fit, h, dtd):
     """Inverse curvature bound for the C gradient step.
 
-    count_weighted mode scales the fit Gram by the largest per-slice
-    observation count; exact_mask is bounded by the unweighted Gram.
+    The fit Gram G_t is bounded by the unweighted latent Gram times
+    w_t = max W_t, so the largest w_t scales its spectral norm.
     """
     if h.penalty_as_step:
         return h.lambda_c
     if h.step_c is not None:
         return h.step_c
-    gram_norm = float(np.linalg.norm(a0.T @ a0, 2))
-    if h.gradient_mode == "count_weighted":
-        wmax = float(flat.f_diag.max()) if flat.f_diag.size else 0.0
-        curv = gram_norm * wmax
-    else:
-        curv = gram_norm
-    lip = curv + h.rho
+    stacked = latents.reshape(len(latents), -1)
+    gram_norm = float(np.linalg.norm(stacked @ stacked.T, 2))
+    lip = gram_norm * float(fit.slice_max.max()) + h.rho
     if h.mu != 0.0:
         lip += h.mu * float(np.linalg.norm(dtd, 2))
     ups_norm = float(np.linalg.norm(ws.upsilon, 2))
@@ -148,7 +139,7 @@ def default_step_c(ws, a0, flat, h, dtd):
     return 1.0 / max(lip, 1e-8)
 
 
-def solve_c_subproblem(d, flat, cache, h, rng):
+def solve_c_subproblem(d, fit, cache, h, rng):
     """Run K ADMM iterations on the signatures; returns (new C, ws, residuals).
 
     Update order per iteration: gradient step + projection onto the
@@ -159,15 +150,13 @@ def solve_c_subproblem(d, flat, cache, h, rng):
         raise ValueError(f"inner_iters must be >= 1, got {h.inner_iters}")
     t = d.n_steps
     ws = build_c_workspace(d.latents, t, rng=rng)
-    a0 = stack_latents(d.latents)
-    zbar_a0 = cache.z_bar @ a0 if h.delta != 0.0 else None
-    dop = diff_operator(t)
-    dtd = dop.T @ dop
-    step = default_step_c(ws, a0, flat, h, dtd)
+    terms = c_gradient_terms(d.latents, fit, cache, h)
+    dtd = _dtd(t)
+    step = default_step_c(ws, d.latents, fit, h, dtd)
     c = d.signatures.copy()
     residuals = []
     for _ in range(h.inner_iters):
-        g = grad_c_lagrangian(c, ws, a0, flat, cache, h, zbar_a0=zbar_a0, dtd=dtd)
+        g = grad_c_lagrangian(c, ws, d.latents, fit, cache, h, terms=terms, dtd=dtd)
         c = project_sc(c - step * g)
         if not np.all(np.isfinite(c)):
             raise NumericalAbort(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .driver import run_dgd
 from .model import Decomposition, NumericalAbort, reconstruct
-from .tensors import build_flattenings, unstack_latents
+from .tensors import masked_target, weighted_grams
 
 RIDGE = 1e-8
 
@@ -39,32 +39,33 @@ def unc_solve(adj, mask, n_latents, iters=50, seed=0):
     """Alternating masked least squares without constraints or priors.
 
     Returns (Decomposition, fit history); the history records
-    0.5 ||M0 * (A0 C' - a_vec)||_F^2 after every half-step, so it is
-    non-increasing up to the ridge added on degenerate blocks.
+    0.5 ||M o (recon - A)||_F^2 after every half-step, so it is
+    non-increasing up to the ridge added on degenerate blocks. Adjacency
+    entries where the mask is 0 are never read.
     """
-    adj = np.asarray(adj, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
-    flat = build_flattenings(mask * adj, mask)
-    n = adj.shape[1]
+    target = masked_target(adj, mask)
+    t, n = target.shape[:2]
     rng = np.random.default_rng(seed)
-    a0 = rng.random((n * n, n_latents))
-    c = rng.random((adj.shape[0], n_latents))
-    target = flat.m0 * flat.a_vec
+    # the draw's column r is A_r stacked column by column
+    latents = rng.random((n * n, n_latents)).reshape(n, n, n_latents).transpose(2, 1, 0)
+    c = rng.random((t, n_latents))
     fits = []
 
     def fit():
-        return 0.5 * float(np.sum((flat.m0 * (a0 @ c.T) - target) ** 2))
+        recon = np.einsum("tr,rij->tij", c, latents)
+        return 0.5 * float(np.sum((mask * recon - target) ** 2))
 
     for _ in range(iters):
-        grams = np.einsum("kt,kr,ks->trs", flat.m0, a0, a0)
-        rhs = np.einsum("kt,kr->tr", target, a0)
+        grams = weighted_grams(mask, latents)
+        rhs = np.tensordot(target, latents, axes=([1, 2], [1, 2]))
         c = _ridged_solve(grams, rhs, "signature")
         fits.append(fit())
-        grams = np.einsum("kt,tr,ts->krs", flat.m0, c, c)
-        rhs = np.einsum("kt,tr->kr", target, c)
-        a0 = _ridged_solve(grams, rhs, "latent")
+        grams = np.tensordot(mask, c[:, :, None] * c[:, None, :], axes=(0, 0))
+        rhs = np.tensordot(target, c, axes=(0, 0))
+        latents = _ridged_solve(grams, rhs, "latent").transpose(2, 0, 1)
         fits.append(fit())
-    return Decomposition(unstack_latents(a0, n), c), fits
+    return Decomposition(latents, c), fits
 
 
 def nsdgd(adj, mask, signals, h, seed):
@@ -157,10 +158,9 @@ def _unc_est(adj, mask, signals, h, seed):
 
 
 def _cpd_est(adj, mask, signals, h, seed):
-    adj = np.asarray(adj, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    rank = cpd_rank_for(adj.shape[1], adj.shape[0], h.n_latents)
-    (u, v, w), _ = cpd_als(mask * adj, rank, seed=seed)
+    observed = masked_target(adj, mask)
+    rank = cpd_rank_for(observed.shape[1], observed.shape[0], h.n_latents)
+    (u, v, w), _ = cpd_als(observed, rank, seed=seed)
     return reconstruct(cpd_to_decomposition(u, v, w))
 
 

@@ -13,10 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .baselines import METHODS, cpd_als, cpd_rank_for, cpd_to_decomposition, nsdgd, unc_solve
-from .datagen import SwDynSpec, sample_mask, swdyn
+from .datagen import SwDynSpec, mask_seed, sample_mask, swdyn
 from .driver import run_dgd
 from .evaluation import (
     UndefinedMetricError,
@@ -25,6 +23,7 @@ from .evaluation import (
 )
 from .io_dgt import DgtError, load_dgt, save_dgt
 from .model import Decomposition, Hyperparams, NumericalAbort
+from .tensors import masked_target
 
 HISTORY_HEADER = "iter,total,fit,sparsity,smoothness,temporal,overlap,ridge_c"
 
@@ -47,10 +46,6 @@ def _load_kind(path, kind):
     if found != kind:
         raise DgtError(f"{path}: expected kind {kind!r}, found {found!r}")
     return arr
-
-
-def _mask_seed(seed, observed_frac):
-    return np.random.SeedSequence([int(seed), 0x6D61736B, round(observed_frac * 10**9)])
 
 
 def _write_history_csv(path, rows):
@@ -80,7 +75,7 @@ def _cmd_generate(args):
     cfg["seed"] = args.seed
     spec = SwDynSpec.from_dict(cfg)
     adj, signals, truth = swdyn(spec)
-    mask = sample_mask(spec.n_nodes, spec.n_steps, observed_frac, _mask_seed(args.seed, observed_frac))
+    mask = sample_mask(spec.n_nodes, spec.n_steps, observed_frac, mask_seed(args.seed, observed_frac))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, arr, kind in (
@@ -111,7 +106,7 @@ def _cmd_decompose(args):
         rows = _fit_only_rows(fits)
     else:  # cpd
         rank = cpd_rank_for(adj.shape[1], adj.shape[0], h.n_latents)
-        (u, v, w), fits = cpd_als(mask * adj, rank, seed=args.seed)
+        (u, v, w), fits = cpd_als(masked_target(adj, mask), rank, seed=args.seed)
         d = cpd_to_decomposition(u, v, w)
         rows = _fit_only_rows(fits)
     out = Path(args.out_dir)

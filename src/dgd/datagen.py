@@ -123,6 +123,15 @@ def sample_mask(n_nodes, n_steps, observed_frac, seed):
     return mask
 
 
+def mask_seed(seed, observed_frac):
+    """Seed of the observation mask drawn for a dataset seed and fraction.
+
+    Decouples the mask stream from the data stream, and stays stable across
+    ranks so sweeps over n_latents see the same masks.
+    """
+    return np.random.SeedSequence([int(seed), 0x6D61736B, round(observed_frac * 10**9)])
+
+
 def swdyn(spec):
     """Generate one dataset: (adjacency, signals, truth).
 

@@ -18,8 +18,8 @@ import numpy as np
 from .admm_a import solve_a_subproblem
 from .admm_c import solve_c_subproblem
 from .model import Decomposition, NumericalAbort, objective, project_sa
-from .priors import build_cache, zero_cache
-from .tensors import build_flattenings, check_mask
+from .priors import build_cache
+from .tensors import FitData, check_mask
 
 
 @dataclass
@@ -54,15 +54,15 @@ def initialize(seed, n_nodes, n_steps, n_latents):
     return Decomposition(latents, signatures)
 
 
-def positive_fit_curvature(signatures, flat):
-    """Per-latent check that the fit term curves upward: sum_t C[t,r]^2 1'm_t > 0.
+def positive_fit_curvature(signatures, fit):
+    """Per-latent check that the fit term curves upward: sum_t C[t,r]^2 w_t > 0.
 
-    A False entry means that latent only ever multiplies unobserved slices,
-    so the count-weighted fit cannot pin it down.
+    w_t = max W_t is positive exactly when slice t has an observation, so a
+    False entry means that latent only ever multiplies unobserved slices and
+    the fit cannot pin it down.
     """
     c = np.asarray(signatures, dtype=np.float64)
-    w = flat.f_diag.astype(np.float64)
-    return (c**2).T @ w > 0.0
+    return (c**2).T @ fit.slice_max > 0.0
 
 
 def run_dgd(adj, mask, signals, h, seed):
@@ -71,7 +71,7 @@ def run_dgd(adj, mask, signals, h, seed):
     Parameters
     ----------
     adj : (T, N, N) observed adjacency values; entries where mask is 0 are
-        ignored (the driver works on mask * adj throughout).
+        never read and may hold anything, NaN included.
     mask : (T, N, N) binary symmetric observation mask.
     signals : (T, N, Q) node signals, or None when h.delta == 0.
     h : Hyperparams.
@@ -83,19 +83,12 @@ def run_dgd(adj, mask, signals, h, seed):
     the partial trace) if an iterate diverges or nothing is observed.
     """
     h.validate()
-    adj = np.asarray(adj, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    if adj.ndim != 3 or adj.shape[1] != adj.shape[2]:
-        raise ValueError(f"expected (T, N, N) adjacency, got {adj.shape}")
-    if mask.shape != adj.shape:
-        raise ValueError(f"mask shape {mask.shape} != adjacency shape {adj.shape}")
+    fit = FitData.build(adj, mask, h)
     check_mask(mask)
-    n_steps, n = adj.shape[0], adj.shape[1]
+    n_steps, n = fit.target.shape[:2]
 
-    observed = mask * adj
-    flat = build_flattenings(observed, mask)
     history = RunHistory()
-    zero_steps = np.flatnonzero(flat.f_diag == 0)
+    zero_steps = np.flatnonzero(fit.slice_max == 0)
     history.zero_observation_steps = [int(s) for s in zero_steps]
     if zero_steps.size == n_steps:
         err = NumericalAbort("no observed entries in any time step")
@@ -109,9 +102,8 @@ def run_dgd(adj, mask, signals, h, seed):
             file=sys.stderr,
         )
 
-    if h.delta == 0.0:
-        cache = zero_cache(n_steps, n)
-    else:
+    cache = None
+    if h.delta != 0.0:
         if signals is None:
             raise ValueError("signals are required when delta > 0")
         signals = np.asarray(signals, dtype=np.float64)
@@ -128,10 +120,10 @@ def run_dgd(adj, mask, signals, h, seed):
         try:
             a_res = []
             for r in range(h.n_latents):
-                a_new, _, res = solve_a_subproblem(d, r, flat, cache, h, rng)
+                a_new, _, res = solve_a_subproblem(d, r, fit, cache, h, rng)
                 d.latents[r] = a_new
                 a_res.append(res[-1])
-            c_new, _, c_res = solve_c_subproblem(d, flat, cache, h, rng)
+            c_new, _, c_res = solve_c_subproblem(d, fit, cache, h, rng)
             d.signatures = c_new
         except NumericalAbort as err:
             history.status = "aborted"

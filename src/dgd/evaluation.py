@@ -12,7 +12,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .datagen import sample_mask, swdyn
+from .datagen import mask_seed, sample_mask, swdyn
 from .model import NumericalAbort, reconstruct
 
 
@@ -128,11 +128,6 @@ def component_analysis(d, truth, mask, threshold=None):
 SWEEP_HEADER = "method,param,seed,re,f1,precision,recall,seconds"
 
 
-def _mask_seed(seed, observed_frac):
-    # decouple the mask stream from the data stream, stable across ranks
-    return np.random.SeedSequence([int(seed), 0x6D61736B, round(observed_frac * 10**9)])
-
-
 def sweep(
     kind,
     grid,
@@ -175,7 +170,7 @@ def sweep(
             s = int(seed) + rep
             adj, signals, truth = swdyn(dc_replace(spec, seed=s))
             truth_tensor = reconstruct(truth)
-            mask = sample_mask(spec.n_nodes, spec.n_steps, frac, _mask_seed(s, frac))
+            mask = sample_mask(spec.n_nodes, spec.n_steps, frac, mask_seed(s, frac))
             threshold = default_edge_threshold(truth_tensor, mask)
             for name in methods:
                 t0 = perf_counter()

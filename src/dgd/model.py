@@ -6,24 +6,32 @@ A dynamic network is modeled as a weighted combination of R latent graphs,
 
 with each A_r in S_A (symmetric, entrywise nonnegative, zero diagonal) and the
 signature matrix C in S_C (entrywise nonnegative). The objective combines a
-masked least-squares fit with sparsity, signal-smoothness, temporal-variation
-and overlap priors.
+least-squares fit on the observed entries with sparsity, signal-smoothness,
+temporal-variation and overlap priors.
 
-Two fit conventions are supported. `exact_mask` (the default) scores only the
-observed entries, fit = 1/2 ||M o (A - sum_r A_r x c_r)||_F^2. `count_weighted`
-replaces the entrywise mask by the per-slice observation count 1'm_t, fit =
-1/2 sum_t (1'm_t) ||(M o A)_t - sum_r C[t,r] A_r||_F^2, which is the loss the
-closed-form subproblem gradients differentiate. Gradient code in admm_a/admm_c
-follows the same pair of conventions so each gradient matches its objective.
+The fit is one weighted least squares,
+fit = 1/2 sum_t sum_ij W_t,ij (recon_t,ij - Y_t,ij)^2, with target Y = M o A
+(see tensors.FitData). The gradient mode only picks the weight: `exact_mask`
+(the default) uses W = M and scores exactly the observed entries;
+`count_weighted` uses the per-slice observation count 1'm_t on every entry of
+slice t. The subproblems in admm_a/admm_c differentiate the same loss.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
+from numbers import Real
 
 import numpy as np
 
+from .tensors import FitData
+
 GRADIENT_MODES = ("exact_mask", "count_weighted")
+FLOAT_FIELDS = (
+    "gamma", "delta", "beta", "mu", "rho", "zeta", "eta",
+    "lambda_a", "lambda_c", "step_a", "step_c", "tol_outer",
+)
 
 
 class NumericalAbort(RuntimeError):
@@ -109,6 +117,12 @@ class Hyperparams:
     admm_early_exit: bool = False
 
     def validate(self):
+        for name in FLOAT_FIELDS:
+            v = getattr(self, name)
+            if v is None and name in ("step_a", "step_c"):
+                continue
+            if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
         nonneg = ("gamma", "delta", "beta", "mu", "rho", "eta", "tol_outer")
         for name in nonneg:
             if getattr(self, name) < 0:
@@ -146,12 +160,10 @@ class Hyperparams:
             raise ValueError(f"unknown config key: {sorted(unknown)[0]}")
         h = cls(**cfg)
         # json numbers may arrive as ints where floats are meant
-        for f in fields(cls):
-            v = getattr(h, f.name)
-            if isinstance(v, bool):
-                continue
-            if f.name not in ("n_latents", "inner_iters", "outer_iters", "gradient_mode") and isinstance(v, int):
-                setattr(h, f.name, float(v))
+        for name in FLOAT_FIELDS:
+            v = getattr(h, name)
+            if isinstance(v, int) and not isinstance(v, bool):
+                setattr(h, name, float(v))
         return h.validate()
 
     def to_dict(self):
@@ -196,26 +208,16 @@ def reconstruct(d, t=None):
 def objective(d, adj, mask, cache, h):
     """Evaluate the full objective, split by term.
 
-    The fit sees only observed data: adjacency entries are multiplied by the
-    mask before use, in both gradient modes.
+    The fit sees only observed data: adjacency entries where the mask is 0
+    are never read, so they may be NaN. `cache` may be None when h.delta == 0.
     """
     adj = np.asarray(adj, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    if adj.shape != mask.shape:
-        raise ValueError(f"adjacency {adj.shape} and mask {mask.shape} differ in shape")
-    if adj.shape[1] != d.n_nodes or adj.shape[0] != d.n_steps:
+    if adj.shape[1:] != (d.n_nodes, d.n_nodes) or adj.shape[0] != d.n_steps:
         raise ValueError(
             f"decomposition ({d.n_steps},{d.n_nodes},{d.n_nodes}) does not match data {adj.shape}"
         )
-    recon = reconstruct(d)
-    observed = mask * adj
-    if h.gradient_mode == "exact_mask":
-        fit = 0.5 * float(np.sum((mask * (adj - recon)) ** 2))
-    elif h.gradient_mode == "count_weighted":
-        w = mask.reshape(mask.shape[0], -1).sum(axis=1)
-        fit = 0.5 * float(w @ np.sum((observed - recon) ** 2, axis=(1, 2)))
-    else:
-        raise ValueError(f"unknown gradient_mode {h.gradient_mode!r}")
+    fit_data = FitData.build(adj, mask, h)
+    fit = 0.5 * float(np.sum(fit_data.weight * (reconstruct(d) - fit_data.target) ** 2))
 
     from . import priors  # local import to keep module load order simple
 

@@ -2,8 +2,10 @@
 
 The smoothness prior couples node signals to the recovered topology through
 the pairwise squared-distance matrices Z_t: an edge (i, j) is cheap when the
-signals at i and j are close. The temporal prior penalizes successive
-differences of the signature matrix C.
+signals at i and j are close. Its value is 1/2 sum_t sum_r C[t,r] <Z_t, A_r>,
+so both subproblems differentiate the one (T, R) table of inner products
+<Z_t, A_r>. The temporal prior penalizes successive differences of the
+signature matrix C. Runs without signals (delta = 0) carry no cache at all.
 """
 
 from __future__ import annotations
@@ -18,11 +20,9 @@ class SmoothCache:
     """Precomputed smoothness structures for one signal tensor.
 
     z_slices : (T, N, N), Z_t[i, j] = ||X_t[i, :] - X_t[j, :]||_2^2
-    z_bar    : (T, N^2), row t = vec(Z_t')'
     """
 
     z_slices: np.ndarray
-    z_bar: np.ndarray
 
     @property
     def n_steps(self):
@@ -43,17 +43,9 @@ def build_cache(x):
     z = sq[:, :, None] + sq[:, None, :] - 2.0 * gram
     # exact invariants: symmetric, nonnegative, zero diagonal
     z = np.maximum(0.5 * (z + z.transpose(0, 2, 1)), 0.0)
-    t, n, _ = z.shape
+    n = z.shape[1]
     z[:, np.arange(n), np.arange(n)] = 0.0
-    # vec(Z_t') equals the row-major raveling of Z_t
-    z_bar = z.reshape(t, n * n).copy()
-    return SmoothCache(z_slices=z, z_bar=z_bar)
-
-
-def zero_cache(n_steps, n_nodes):
-    """All-zero cache, for runs that do not use signals."""
-    z = np.zeros((n_steps, n_nodes, n_nodes))
-    return SmoothCache(z_slices=z, z_bar=np.zeros((n_steps, n_nodes * n_nodes)))
+    return SmoothCache(z_slices=z)
 
 
 def diff_operator(n_steps):
@@ -73,11 +65,14 @@ def xi_matrix(cache, c_r):
     return 0.5 * np.tensordot(c_r, cache.z_slices, axes=1)
 
 
+def smoothness_traces(latents, cache):
+    """(T, R) table of tr(A_r Z_t) = <Z_t, A_r> (Z_t is symmetric)."""
+    return np.einsum("rij,tij->tr", latents, cache.z_slices)
+
+
 def smoothness_g(d, cache):
     """Unweighted smoothness value sum_t sum_r C[t,r] tr(A_r Z_t)/2."""
-    # tr(A_r Z_t) = <A_r, Z_t'> = <A_r, Z_t> for symmetric Z_t
-    traces = np.einsum("rij,tij->tr", d.latents, cache.z_slices)
-    return 0.5 * float(np.sum(d.signatures * traces))
+    return 0.5 * float(np.sum(d.signatures * smoothness_traces(d.latents, cache)))
 
 
 def overlap_h(latents):

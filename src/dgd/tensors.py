@@ -1,4 +1,4 @@
-"""Dense containers and flattenings for dynamic-network tensors.
+"""Dense containers for dynamic-network tensors and the weighted fit data.
 
 Conventions used throughout the package:
 
@@ -7,109 +7,71 @@ Conventions used throughout the package:
 * a signal tensor is float64 of shape (T, N, Q), ``x[t]`` holding Q features
   per node at time t
 * a stack of latent adjacency matrices is float64 of shape (R, N, N)
-* vectorization is column-major (columns stacked), so flattened matrices can
-  be compared entry-for-entry with the math
 
-Everything is dense; the target problems have N up to a couple hundred.
+The fit is one weighted least-squares loss on that layout,
+1/2 sum_t sum_ij W_t,ij (recon_t,ij - Y_t,ij)^2, whose weight W and target Y
+are held by :class:`FitData`. Everything is dense; the target problems have N
+up to a couple hundred.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
-def vec_mat(m):
-    """Stack the columns of a matrix into one vector.
-
-    vec([[1,3],[2,4]]) = [1,2,3,4].
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"vec_mat expects a matrix, got ndim={m.ndim}")
-    return m.reshape(-1, order="F")
-
-
-def unvec(v, n):
-    """Inverse of :func:`vec_mat` for an n x n matrix."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size != n * n:
-        raise ValueError(f"unvec expects a length-{n * n} vector, got shape {v.shape}")
-    return v.reshape(n, n, order="F")
-
-
 @dataclass
-class Flattenings:
-    """Matricized views of an adjacency tensor and its mask.
+class FitData:
+    """Weight and target of the weighted least-squares fit.
 
-    m0      : (N^2, T) binary, column t = vec(M_t)
-    a_vec   : (N^2, T), column t = vec(A_t)
-    f_diag  : (T,) int64, f_diag[t] = 1' m_t, the observation count at time t
+    weight    : (T, N, N), W_t,ij >= 0, zero wherever the entry is unobserved
+    target    : (T, N, N), Y = M o A, the adjacency with unobserved entries zeroed
+    slice_max : (T,), w_t = max_ij W_t,ij, which bounds the fit curvature of slice t
     """
 
-    m0: np.ndarray
-    a_vec: np.ndarray
-    f_diag: np.ndarray
+    weight: np.ndarray
+    target: np.ndarray
+    slice_max: np.ndarray = field(init=False)
 
-    @property
-    def n_nodes(self):
-        return int(round(np.sqrt(self.m0.shape[0])))
+    def __post_init__(self):
+        self.slice_max = self.weight.max(axis=(1, 2))
 
-    @property
-    def n_steps(self):
-        return self.m0.shape[1]
+    @classmethod
+    def build(cls, adj, mask, h):
+        """Fit data for the gradient mode of Hyperparams h.
+
+        `exact_mask` weighs each entry by the mask; `count_weighted` weighs
+        every entry of slice t by the observation count 1'm_t. Adjacency
+        values where the mask is 0 are never read, so they may be NaN.
+        """
+        target = masked_target(adj, mask)
+        mask = np.asarray(mask, dtype=np.float64)
+        if h.gradient_mode == "exact_mask":
+            weight = mask
+        elif h.gradient_mode == "count_weighted":
+            counts = mask.sum(axis=(1, 2))
+            weight = np.broadcast_to(counts[:, None, None], mask.shape)
+        else:
+            raise ValueError(f"unknown gradient_mode {h.gradient_mode!r}")
+        return cls(weight=weight, target=target)
 
 
-def _flatten_slices(tensor):
-    # (T, N, N) -> (N^2, T) with column-major vec per slice:
-    # entry [i + N*j, t] = tensor[t, i, j]
-    t, n, n2 = tensor.shape
-    return tensor.transpose(2, 1, 0).reshape(n * n, t)
-
-
-def build_flattenings(adj, mask):
-    """Build M_0, A_vec and the per-time observation counts.
-
-    Parameters
-    ----------
-    adj : (T, N, N) adjacency tensor
-    mask : (T, N, N) binary mask, 1 = entry observed
-
-    Returns
-    -------
-    Flattenings
-    """
+def masked_target(adj, mask):
+    """Y = M o A, with entries where the mask is 0 set to 0 unread (NaN there is harmless)."""
     adj = np.asarray(adj, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
+    mask = np.asarray(mask)
     if adj.ndim != 3 or adj.shape[1] != adj.shape[2]:
         raise ValueError(f"adjacency tensor must be (T, N, N), got {adj.shape}")
     if adj.shape != mask.shape:
         raise ValueError(f"adjacency {adj.shape} and mask {mask.shape} differ in shape")
-    m0 = _flatten_slices(mask)
-    a_vec = _flatten_slices(adj)
-    f_diag = m0.sum(axis=0).astype(np.int64)
-    return Flattenings(m0=m0, a_vec=a_vec, f_diag=f_diag)
+    return np.where(mask > 0, adj, 0.0)
 
 
-def unstack_latents(a0, n_nodes):
-    """Invert stack_latents: (N^2, R) columns of vec(A_r) back to (R, N, N)."""
-    a0 = np.asarray(a0, dtype=np.float64)
-    if a0.ndim != 2 or a0.shape[0] != n_nodes * n_nodes:
-        raise ValueError(f"expected ({n_nodes * n_nodes}, R) stack, got {a0.shape}")
-    return a0.reshape(n_nodes, n_nodes, -1).transpose(2, 1, 0).copy()
-
-
-def stack_latents(latents):
-    """Stack R latent adjacency matrices into the (N^2, R) matrix A_0.
-
-    Column r is vec(A_r).
-    """
-    latents = np.asarray(latents, dtype=np.float64)
-    if latents.ndim != 3 or latents.shape[1] != latents.shape[2]:
-        raise ValueError(f"latents must be (R, N, N), got {latents.shape}")
-    r, n, _ = latents.shape
-    return latents.transpose(2, 1, 0).reshape(n * n, r)
+def weighted_grams(weight, latents):
+    """Per-slice Grams G[t, r, s] = sum_ij W_t,ij A_r,ij A_s,ij, shape (T, R, R)."""
+    pairs = latents[:, None] * latents[None, :]
+    return np.tensordot(weight, pairs, axes=([1, 2], [2, 3]))
 
 
 def is_symmetric(m, tol=0.0):

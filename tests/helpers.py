@@ -6,7 +6,7 @@ import numpy as np
 
 from dgd.model import Decomposition, Hyperparams, project_sa
 from dgd.priors import build_cache
-from dgd.tensors import build_flattenings
+from dgd.tensors import FitData
 
 
 def central_diff(f, x, eps=1e-6):
@@ -42,7 +42,6 @@ def random_instance(seed, mode):
     adj = rng.random((t, n, n))
     mask = (rng.random((t, n, n)) < 0.7).astype(np.float64)
     mask = np.maximum(mask, mask.transpose(0, 2, 1))
-    flat = build_flattenings(mask * adj, mask)
     cache = build_cache(rng.standard_normal((t, n, 2)))
     h = Hyperparams(
         n_latents=r,
@@ -57,7 +56,7 @@ def random_instance(seed, mode):
         lambda_c=0.9,
         gradient_mode=mode,
     )
-    return rng, d, flat, cache, h
+    return rng, d, FitData.build(adj, mask, h), cache, h
 
 
 def planted_decomposition(seed, n=8, t=10, r=2):

@@ -26,7 +26,6 @@ from dgd.evaluation import (
 )
 from dgd.io_dgt import load_dgt, save_dgt
 from dgd.model import Hyperparams, project_sa, reconstruct
-from dgd.tensors import stack_latents
 
 from helpers import central_diff, corr_after_match, random_instance, rel_grad_error
 
@@ -51,20 +50,19 @@ def test_criterion_01_gradients_match_finite_differences():
     worst = 0.0
     for trial in range(20):
         mode = "exact_mask" if trial % 2 == 0 else "count_weighted"
-        rng, d, flat, cache, h = random_instance(100 + trial, mode)
+        rng, d, fit, cache, h = random_instance(100 + trial, mode)
         r = trial % d.n_latents
 
         ws_a = build_a_workspace(d, r, h.zeta, rng=rng)
         a = rng.standard_normal((d.n_nodes, d.n_nodes))
-        g_a = grad_a_lagrangian(a, ws_a, d, flat, cache, h)
-        fd_a = central_diff(lambda x: a_lagrangian_value(x, ws_a, d, flat, cache, h), a)
+        g_a = grad_a_lagrangian(a, ws_a, d, fit, cache, h)
+        fd_a = central_diff(lambda x: a_lagrangian_value(x, ws_a, d, fit, cache, h), a)
         worst = max(worst, rel_grad_error(g_a, fd_a))
 
         ws_c = build_c_workspace(d.latents, d.n_steps, rng=rng)
-        a0 = stack_latents(d.latents)
         c = rng.standard_normal((d.n_steps, d.n_latents))
-        g_c = grad_c_lagrangian(c, ws_c, a0, flat, cache, h)
-        fd_c = central_diff(lambda x: c_lagrangian_value(x, ws_c, a0, flat, cache, h), c)
+        g_c = grad_c_lagrangian(c, ws_c, d.latents, fit, cache, h)
+        fd_c = central_diff(lambda x: c_lagrangian_value(x, ws_c, d.latents, fit, cache, h), c)
         worst = max(worst, rel_grad_error(g_c, fd_c))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-5 and elapsed < 10.0
@@ -74,31 +72,30 @@ def test_criterion_01_gradients_match_finite_differences():
 def test_criterion_02_hessian_structure():
     # count_weighted A-gradient is affine with an identity-scaled linear part;
     # the coupling is switched off by a vanishing penalty weight
-    rng, d, flat, cache, h = random_instance(200, "count_weighted")
+    rng, d, fit, cache, h = random_instance(200, "count_weighted")
     h = h.replace(lambda_a=1e-12)
     ws = build_a_workspace(d, 0, h.zeta, rng=rng)
-    coef = float(d.signatures[:, 0] ** 2 @ flat.f_diag.astype(float)) + h.eta
+    coef = float(d.signatures[:, 0] ** 2 @ fit.slice_max) + h.eta
     a1 = rng.standard_normal((d.n_nodes, d.n_nodes))
     a2 = rng.standard_normal((d.n_nodes, d.n_nodes))
-    diff_g = grad_a_lagrangian(a2, ws, d, flat, cache, h) - grad_a_lagrangian(
-        a1, ws, d, flat, cache, h
+    diff_g = grad_a_lagrangian(a2, ws, d, fit, cache, h) - grad_a_lagrangian(
+        a1, ws, d, fit, cache, h
     )
     identity_err = float(
         np.linalg.norm(diff_g - coef * (a2 - a1)) / max(np.linalg.norm(coef * (a2 - a1)), 1.0)
     )
 
-    rng2, d2, flat2, cache2, h2 = random_instance(201, "exact_mask")
+    rng2, d2, fit2, cache2, h2 = random_instance(201, "exact_mask")
     ws_c = build_c_workspace(d2.latents, d2.n_steps, rng=rng2)
-    a0 = stack_latents(d2.latents)
     c = rng2.standard_normal((d2.n_steps, d2.n_latents))
-    f0 = c_lagrangian_value(c, ws_c, a0, flat2, cache2, h2)
+    f0 = c_lagrangian_value(c, ws_c, d2.latents, fit2, cache2, h2)
     s = 1e-3
     min_quotient = np.inf
     for _ in range(50):
         v = rng2.standard_normal(c.shape)
         v /= np.linalg.norm(v)
-        fp = c_lagrangian_value(c + s * v, ws_c, a0, flat2, cache2, h2)
-        fm = c_lagrangian_value(c - s * v, ws_c, a0, flat2, cache2, h2)
+        fp = c_lagrangian_value(c + s * v, ws_c, d2.latents, fit2, cache2, h2)
+        fm = c_lagrangian_value(c - s * v, ws_c, d2.latents, fit2, cache2, h2)
         min_quotient = min(min_quotient, (fp + fm - 2.0 * f0) / s**2)
     ok = identity_err < 1e-10 and min_quotient >= h2.rho - 1e-8
     assert _verdict(

@@ -11,8 +11,8 @@ from dgd.admm_a import (
     solve_a_subproblem,
 )
 from dgd.model import Decomposition, Hyperparams, NumericalAbort, in_sa
-from dgd.priors import build_cache, xi_matrix, zero_cache
-from dgd.tensors import build_flattenings
+from dgd.priors import xi_matrix
+from dgd.tensors import FitData
 
 from helpers import central_diff, random_instance, rel_grad_error
 
@@ -20,15 +20,15 @@ from helpers import central_diff, random_instance, rel_grad_error
 @pytest.mark.parametrize("mode", ["exact_mask", "count_weighted"])
 def test_gradient_matches_central_differences(mode):
     for trial in range(6):
-        rng, d, flat, cache, h = random_instance(300 + trial, mode)
+        rng, d, fit, cache, h = random_instance(300 + trial, mode)
         r = trial % d.n_latents
         ws = build_a_workspace(d, r, h.zeta, rng=rng)
         a = rng.standard_normal((d.n_nodes, d.n_nodes))
 
         def f(x):
-            return a_lagrangian_value(x, ws, d, flat, cache, h)
+            return a_lagrangian_value(x, ws, d, fit, cache, h)
 
-        g = grad_a_lagrangian(a, ws, d, flat, cache, h)
+        g = grad_a_lagrangian(a, ws, d, fit, cache, h)
         fd = central_diff(f, a)
         assert rel_grad_error(g, fd) < 1e-6
 
@@ -36,18 +36,17 @@ def test_gradient_matches_central_differences(mode):
 def test_lagrangian_penalty_vanishes_at_feasible_split():
     # lam = 0 and p = A Phi + Gamma kill both coupling terms, leaving the
     # plain objective restricted to latent 0
-    _, d, flat, cache, h = random_instance(42, "exact_mask")
+    _, d, fit_data, cache, h = random_instance(42, "exact_mask")
     ws = build_a_workspace(d, 0, h.zeta)
     a = d.latents[0]
     ws.p = a @ ws.phi_r + ws.gamma_r
-    val = a_lagrangian_value(a, ws, d, flat, cache, h)
+    val = a_lagrangian_value(a, ws, d, fit_data, cache, h)
     c_r = d.signatures[:, 0]
-    n = d.n_nodes
     fit = 0.0
     for t in range(d.n_steps):
         recon = sum(d.signatures[t, k] * d.latents[k] for k in range(d.n_latents))
-        obs = flat.a_vec[:, t].reshape(n, n, order="F")
-        m = flat.m0[:, t].reshape(n, n, order="F")
+        obs = fit_data.target[t]
+        m = fit_data.weight[t]
         fit += 0.5 * np.sum((m * (recon - obs)) ** 2)
     want = (
         fit
@@ -90,39 +89,39 @@ def test_workspace_rejects_bad_index():
 
 
 def test_default_step_selection():
-    _, d, flat, _, h = random_instance(50, "count_weighted")
-    assert default_step_a(d, 0, flat, h.replace(penalty_as_step=True)) == h.lambda_a
-    assert default_step_a(d, 0, flat, h.replace(step_a=0.25)) == 0.25
+    _, d, fit, _, h = random_instance(50, "count_weighted")
+    assert default_step_a(d, 0, fit, h.replace(penalty_as_step=True)) == h.lambda_a
+    assert default_step_a(d, 0, fit, h.replace(step_a=0.25)) == 0.25
     c0 = d.signatures[:, 0]
-    w = flat.f_diag.astype(float)
+    w = fit.slice_max
     want = 1.0 / (c0**2 @ w + h.eta + h.lambda_a * d.n_nodes * np.sum(c0**2))
-    assert np.isclose(default_step_a(d, 0, flat, h), want)
-    h2 = h.replace(gradient_mode="exact_mask")
+    assert np.isclose(default_step_a(d, 0, fit, h), want)
+    _, _, fit2, _, h2 = random_instance(50, "exact_mask")
     want2 = 1.0 / (np.sum(c0**2) + h.eta + h.lambda_a * d.n_nodes * np.sum(c0**2))
-    assert np.isclose(default_step_a(d, 0, flat, h2), want2)
+    assert np.isclose(default_step_a(d, 0, fit2, h2), want2)
 
 
 def test_count_weighted_gradient_is_affine_identity():
     # linear part sums to (sum_t C[t,r]^2 1'm_t + eta) * I once the ADMM
     # coupling is negligible
-    rng, d, flat, cache, h = random_instance(77, "count_weighted")
+    rng, d, fit, cache, h = random_instance(77, "count_weighted")
     h = h.replace(lambda_a=1e-12)
     r = 0
     ws = build_a_workspace(d, r, h.zeta, rng=rng)
-    coef = float(d.signatures[:, r] ** 2 @ flat.f_diag.astype(float)) + h.eta
+    coef = float(d.signatures[:, r] ** 2 @ fit.slice_max) + h.eta
     a1 = rng.standard_normal((d.n_nodes, d.n_nodes))
     a2 = rng.standard_normal((d.n_nodes, d.n_nodes))
-    g1 = grad_a_lagrangian(a1, ws, d, flat, cache, h)
-    g2 = grad_a_lagrangian(a2, ws, d, flat, cache, h)
+    g1 = grad_a_lagrangian(a1, ws, d, fit, cache, h)
+    g2 = grad_a_lagrangian(a2, ws, d, fit, cache, h)
     lhs = g2 - g1
     rhs = coef * (a2 - a1)
     assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(np.linalg.norm(rhs), 1.0)
 
 
 def test_solve_output_feasible_and_deterministic():
-    _, d, flat, cache, h = random_instance(81, "exact_mask")
-    a1, _, res1 = solve_a_subproblem(d, 0, flat, cache, h, np.random.default_rng(5))
-    a2, _, res2 = solve_a_subproblem(d, 0, flat, cache, h, np.random.default_rng(5))
+    _, d, fit, cache, h = random_instance(81, "exact_mask")
+    a1, _, res1 = solve_a_subproblem(d, 0, fit, cache, h, np.random.default_rng(5))
+    a2, _, res2 = solve_a_subproblem(d, 0, fit, cache, h, np.random.default_rng(5))
     assert np.array_equal(a1, a2)
     assert res1 == res2
     assert in_sa(a1)
@@ -135,15 +134,15 @@ def test_solve_aborts_on_nonfinite_data():
     adj = np.zeros((t, n, n))
     adj[0, 0, 1] = adj[0, 1, 0] = np.inf
     mask = np.ones((t, n, n))
-    flat = build_flattenings(mask * adj, mask)
-    d = Decomposition(np.zeros((1, n, n)), np.ones((t, 1)))
     h = Hyperparams(n_latents=1, delta=0.0)
+    fit = FitData.build(adj, mask, h)
+    d = Decomposition(np.zeros((1, n, n)), np.ones((t, 1)))
     with pytest.raises(NumericalAbort):
-        solve_a_subproblem(d, 0, flat, zero_cache(t, n), h, np.random.default_rng(0))
+        solve_a_subproblem(d, 0, fit, None, h, np.random.default_rng(0))
 
 
 def test_early_exit_never_exceeds_budget():
-    _, d, flat, cache, h = random_instance(90, "exact_mask")
+    _, d, fit, cache, h = random_instance(90, "exact_mask")
     h = h.replace(admm_early_exit=True, inner_iters=30)
-    _, _, res = solve_a_subproblem(d, 0, flat, cache, h, np.random.default_rng(2))
+    _, _, res = solve_a_subproblem(d, 0, fit, cache, h, np.random.default_rng(2))
     assert 1 <= len(res) <= 30

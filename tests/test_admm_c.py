@@ -12,8 +12,8 @@ from dgd.admm_c import (
     solve_c_subproblem,
 )
 from dgd.model import Decomposition, Hyperparams, NumericalAbort
-from dgd.priors import diff_operator, zero_cache
-from dgd.tensors import build_flattenings, stack_latents
+from dgd.priors import diff_operator
+from dgd.tensors import FitData
 
 from helpers import central_diff, random_instance, rel_grad_error
 
@@ -21,15 +21,14 @@ from helpers import central_diff, random_instance, rel_grad_error
 @pytest.mark.parametrize("mode", ["exact_mask", "count_weighted"])
 def test_gradient_matches_central_differences(mode):
     for trial in range(6):
-        rng, d, flat, cache, h = random_instance(400 + trial, mode)
+        rng, d, fit, cache, h = random_instance(400 + trial, mode)
         ws = build_c_workspace(d.latents, d.n_steps, rng=rng)
-        a0 = stack_latents(d.latents)
         c = rng.standard_normal((d.n_steps, d.n_latents))
 
         def f(x):
-            return c_lagrangian_value(x, ws, a0, flat, cache, h)
+            return c_lagrangian_value(x, ws, d.latents, fit, cache, h)
 
-        g = grad_c_lagrangian(c, ws, a0, flat, cache, h)
+        g = grad_c_lagrangian(c, ws, d.latents, fit, cache, h)
         fd = central_diff(f, c)
         assert rel_grad_error(g, fd) < 1e-6
 
@@ -59,43 +58,41 @@ def test_workspace_draws_from_given_stream():
 def test_second_differences_stay_above_ridge():
     # the Lagrangian is quadratic in C, so second differences recover exact
     # Rayleigh quotients; every one must clear rho
-    rng, d, flat, cache, h = random_instance(55, "exact_mask")
+    rng, d, fit, cache, h = random_instance(55, "exact_mask")
     ws = build_c_workspace(d.latents, d.n_steps, rng=rng)
-    a0 = stack_latents(d.latents)
     c = rng.standard_normal((d.n_steps, d.n_latents))
-    f0 = c_lagrangian_value(c, ws, a0, flat, cache, h)
+    f0 = c_lagrangian_value(c, ws, d.latents, fit, cache, h)
     s = 1e-3
     for _ in range(25):
         v = rng.standard_normal(c.shape)
         v /= np.linalg.norm(v)
-        fp = c_lagrangian_value(c + s * v, ws, a0, flat, cache, h)
-        fm = c_lagrangian_value(c - s * v, ws, a0, flat, cache, h)
+        fp = c_lagrangian_value(c + s * v, ws, d.latents, fit, cache, h)
+        fm = c_lagrangian_value(c - s * v, ws, d.latents, fit, cache, h)
         quotient = (fp + fm - 2.0 * f0) / s**2
         assert quotient >= h.rho - 1e-8
 
 
 def test_default_step_selection():
-    _, d, flat, cache, h = random_instance(60, "count_weighted")
+    _, d, fit, cache, h = random_instance(60, "count_weighted")
     ws = build_c_workspace(d.latents, d.n_steps)
-    a0 = stack_latents(d.latents)
     dop = diff_operator(d.n_steps)
     dtd = dop.T @ dop
-    assert default_step_c(ws, a0, flat, h.replace(penalty_as_step=True), dtd) == h.lambda_c
-    assert default_step_c(ws, a0, flat, h.replace(step_c=0.125), dtd) == 0.125
-    gram = float(np.linalg.norm(a0.T @ a0, 2))
+    assert default_step_c(ws, d.latents, fit, h.replace(penalty_as_step=True), dtd) == h.lambda_c
+    assert default_step_c(ws, d.latents, fit, h.replace(step_c=0.125), dtd) == 0.125
+    gram = float(np.linalg.norm(np.einsum("rij,sij->rs", d.latents, d.latents), 2))
     lip = (
-        gram * float(flat.f_diag.max())
+        gram * float(fit.slice_max.max())
         + h.rho
         + h.mu * float(np.linalg.norm(dtd, 2))
         + h.lambda_c * float(np.linalg.norm(ws.upsilon, 2)) ** 2
     )
-    assert np.isclose(default_step_c(ws, a0, flat, h, dtd), 1.0 / lip)
+    assert np.isclose(default_step_c(ws, d.latents, fit, h, dtd), 1.0 / lip)
 
 
 def test_solve_output_nonnegative_and_deterministic():
-    _, d, flat, cache, h = random_instance(65, "exact_mask")
-    c1, _, res1 = solve_c_subproblem(d, flat, cache, h, np.random.default_rng(3))
-    c2, _, res2 = solve_c_subproblem(d, flat, cache, h, np.random.default_rng(3))
+    _, d, fit, cache, h = random_instance(65, "exact_mask")
+    c1, _, res1 = solve_c_subproblem(d, fit, cache, h, np.random.default_rng(3))
+    c2, _, res2 = solve_c_subproblem(d, fit, cache, h, np.random.default_rng(3))
     assert np.array_equal(c1, c2)
     assert res1 == res2
     assert np.all(c1 >= 0.0)
@@ -108,10 +105,10 @@ def test_solve_aborts_on_nonfinite_data():
     adj = np.zeros((t, n, n))
     adj[0, 0, 1] = adj[0, 1, 0] = np.inf
     mask = np.ones((t, n, n))
-    flat = build_flattenings(mask * adj, mask)
+    h = Hyperparams(n_latents=1, delta=0.0)
+    fit = FitData.build(adj, mask, h)
     latents = np.zeros((1, n, n))
     latents[0, 0, 1] = latents[0, 1, 0] = 1.0
     d = Decomposition(latents, np.ones((t, 1)))
-    h = Hyperparams(n_latents=1, delta=0.0)
     with pytest.raises(NumericalAbort):
-        solve_c_subproblem(d, flat, cache=zero_cache(t, n), h=h, rng=np.random.default_rng(0))
+        solve_c_subproblem(d, fit, cache=None, h=h, rng=np.random.default_rng(0))

@@ -7,7 +7,7 @@ import pytest
 
 from dgd.driver import initialize, positive_fit_curvature, run_dgd
 from dgd.model import Hyperparams, NumericalAbort, in_sa, reconstruct
-from dgd.tensors import build_flattenings
+from dgd.tensors import FitData
 
 from helpers import planted_decomposition
 
@@ -142,7 +142,7 @@ def test_input_shape_validation():
 
 def test_positive_fit_curvature_flags_dead_latents():
     mask = np.ones((3, 2, 2))
-    flat = build_flattenings(np.zeros((3, 2, 2)), mask)
+    fit = FitData.build(np.zeros((3, 2, 2)), mask, Hyperparams())
     signatures = np.array([[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]])
-    flags = positive_fit_curvature(signatures, flat)
+    flags = positive_fit_curvature(signatures, fit)
     assert flags.tolist() == [True, False]

@@ -251,6 +251,53 @@ def test_decompose_negative_delta_names_the_key(tmp_path, capsys):
     assert "delta" in capsys.readouterr().err
 
 
+def test_decompose_nan_gamma_names_the_key(tmp_path, capsys):
+    data = _generate(tmp_path)
+    cfg = _write_json(tmp_path / "bad.json", {"gamma": float("nan")})
+    code = main(
+        [
+            "decompose",
+            "--adj", str(data / "adjacency.dgt"),
+            "--mask", str(data / "mask.dgt"),
+            "--config", cfg,
+            "--out-dir", str(tmp_path / "out"),
+            "--seed", "0",
+        ]
+    )
+    assert code == 1
+    assert "gamma" in capsys.readouterr().err
+
+
+def test_nan_at_unobserved_entries_matches_zeros(tmp_path):
+    # NaN is the usual encoding of "missing"; entries where the mask is 0 are never read
+    data = _generate(tmp_path)
+    adj, _ = load_dgt(data / "adjacency.dgt")
+    mask, _ = load_dgt(data / "mask.dgt")
+    assert not mask.all()
+    for fill in (0.0, np.nan):
+        save_dgt(tmp_path / f"adj_{fill}.dgt", np.where(mask > 0, adj, fill), "adjacency")
+    cfg = _write_json(tmp_path / "cfg.json", {"inner_iters": 3, "outer_iters": 3})
+    for method in ("dgd", "unc", "cpd"):
+        outputs = []
+        for fill in (0.0, np.nan):
+            out = tmp_path / f"fit_{method}_{fill}"
+            code = main(
+                [
+                    "decompose",
+                    "--adj", str(tmp_path / f"adj_{fill}.dgt"),
+                    "--mask", str(data / "mask.dgt"),
+                    "--signals", str(data / "signals.dgt"),
+                    "--method", method,
+                    "--config", cfg,
+                    "--out-dir", str(out),
+                    "--seed", "0",
+                ]
+            )
+            assert code == 0
+            outputs.append([(out / name).read_bytes() for name in ("latents.dgt", "signatures.dgt")])
+        assert outputs[0] == outputs[1], method
+
+
 def test_unknown_config_key_named(tmp_path, capsys):
     data = _generate(tmp_path)
     cfg = _write_json(tmp_path / "bad.json", {"bogus_knob": 1})

@@ -14,7 +14,7 @@ from dgd.model import (
     project_sc,
     reconstruct,
 )
-from dgd.priors import build_cache, zero_cache
+from dgd.priors import build_cache
 
 from helpers import planted_decomposition, symmetric_binary_mask
 
@@ -91,6 +91,9 @@ def test_hyperparams_defaults_validate():
         {"n_latents": 1.5},
         {"n_latents": True},
         {"gradient_mode": "bogus"},
+        {"gamma": float("nan")},
+        {"zeta": float("inf")},
+        {"gamma": True},
     ],
 )
 def test_hyperparams_rejects_bad_values(kw):
@@ -136,7 +139,7 @@ def test_objective_zero_at_perfect_fit():
     adj = reconstruct(d)
     mask = np.ones_like(adj)
     h = Hyperparams(gamma=0.0, delta=0.0, beta=0.0, mu=0.0, rho=0.0)
-    bd = objective(d, adj, mask, zero_cache(4, 5), h)
+    bd = objective(d, adj, mask, None, h)
     assert bd.fit < 1e-20
     assert bd.total < 1e-20
 
@@ -174,11 +177,13 @@ def test_objective_ignores_unobserved_adjacency(mode):
     adj = rng.random((t, n, n))
     mask = symmetric_binary_mask(6, t, n, frac=0.5)
     h = Hyperparams(gradient_mode=mode)
-    cache = zero_cache(t, n)
+    cache = build_cache(np.zeros((t, n, 1)))
     bd = objective(d, adj, mask, cache, h)
     tampered = adj + 100.0 * (1.0 - mask) * rng.random((t, n, n))
     bd2 = objective(d, tampered, mask, cache, h)
     assert bd2.total == bd.total
+    bd3 = objective(d, np.where(mask > 0, adj, np.nan), mask, cache, h)
+    assert bd3.total == bd.total
 
 
 def test_objective_isolates_each_term():
@@ -207,9 +212,9 @@ def test_objective_isolates_each_term():
 def test_objective_shape_mismatch_errors():
     d = planted_decomposition(1, n=3, t=2, r=1)
     with pytest.raises(ValueError):
-        objective(d, np.zeros((2, 3, 3)), np.zeros((2, 4, 4)), zero_cache(2, 3), Hyperparams())
+        objective(d, np.zeros((2, 3, 3)), np.zeros((2, 4, 4)), None, Hyperparams())
     with pytest.raises(ValueError):
-        objective(d, np.zeros((2, 4, 4)), np.zeros((2, 4, 4)), zero_cache(2, 4), Hyperparams())
+        objective(d, np.zeros((2, 4, 4)), np.zeros((2, 4, 4)), None, Hyperparams())
 
 
 def test_project_sa_clips_symmetrizes_and_zeroes_diagonal():

@@ -11,7 +11,6 @@ from dgd.priors import (
     smoothness_g,
     temporal_pi,
     xi_matrix,
-    zero_cache,
 )
 
 from helpers import planted_decomposition
@@ -35,7 +34,7 @@ def test_cache_single_channel_example():
     assert np.allclose(cache.z_slices[0], [[0.0, 1.0], [1.0, 0.0]])
 
 
-def test_cache_invariants_and_zbar_layout():
+def test_cache_invariants():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2, 5, 3)) * 4.0
     cache = build_cache(x)
@@ -43,22 +42,12 @@ def test_cache_invariants_and_zbar_layout():
     assert np.array_equal(z, z.transpose(0, 2, 1))
     assert np.all(z >= 0.0)
     assert np.all(np.diagonal(z, axis1=1, axis2=2) == 0.0)
-    # row t of z_bar is vec(Z_t'), i.e. Z_t raveled row-major
-    for t in range(2):
-        assert np.array_equal(cache.z_bar[t], z[t].ravel())
     assert (cache.n_steps, cache.n_nodes) == (2, 5)
 
 
 def test_cache_rejects_non_tensor_input():
     with pytest.raises(ValueError):
         build_cache(np.zeros((4, 4)))
-
-
-def test_zero_cache_shapes():
-    cache = zero_cache(3, 4)
-    assert cache.z_slices.shape == (3, 4, 4)
-    assert cache.z_bar.shape == (3, 16)
-    assert not cache.z_slices.any()
 
 
 def test_diff_operator_matches_np_diff():
@@ -92,7 +81,7 @@ def test_xi_matrix_weighted_sum():
 
 
 def test_xi_matrix_length_check():
-    cache = zero_cache(3, 2)
+    cache = build_cache(np.zeros((3, 2, 1)))
     with pytest.raises(ValueError):
         xi_matrix(cache, np.ones(4))
 

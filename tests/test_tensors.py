@@ -1,84 +1,38 @@
-"""Vectorization, flattenings and mask validation."""
+"""Fit data and mask validation."""
 
 import numpy as np
 import pytest
 
 from dgd import tensors
+from dgd.model import Hyperparams
 
 from helpers import symmetric_binary_mask
 
 
-def test_vec_mat_is_column_major():
-    m = np.array([[1.0, 3.0], [2.0, 4.0]])
-    assert np.array_equal(tensors.vec_mat(m), [1.0, 2.0, 3.0, 4.0])
-
-
-def test_vec_unvec_round_trip():
-    rng = np.random.default_rng(0)
-    for n in (1, 2, 5):
-        m = rng.standard_normal((n, n))
-        assert np.array_equal(tensors.unvec(tensors.vec_mat(m), n), m)
-
-
-def test_vec_mat_rejects_non_matrix():
-    with pytest.raises(ValueError):
-        tensors.vec_mat(np.zeros(4))
-    with pytest.raises(ValueError):
-        tensors.vec_mat(np.zeros((2, 2, 2)))
-
-
-def test_unvec_rejects_bad_length():
-    with pytest.raises(ValueError):
-        tensors.unvec(np.zeros(5), 2)
-    with pytest.raises(ValueError):
-        tensors.unvec(np.zeros((2, 2)), 2)
-
-
-def test_flattening_columns_match_slices():
+def test_fit_data_matches_slices():
     rng = np.random.default_rng(3)
     t, n = 4, 3
     adj = rng.random((t, n, n))
     mask = symmetric_binary_mask(7, t, n)
-    flat = tensors.build_flattenings(adj, mask)
-    assert flat.m0.shape == (n * n, t)
-    assert flat.a_vec.shape == (n * n, t)
+    exact = tensors.FitData.build(adj, mask, Hyperparams())
+    counted = tensors.FitData.build(adj, mask, Hyperparams(gradient_mode="count_weighted"))
+    assert exact.weight.shape == exact.target.shape == (t, n, n)
     for k in range(t):
-        assert np.array_equal(flat.a_vec[:, k], tensors.vec_mat(adj[k]))
-        assert np.array_equal(flat.m0[:, k], tensors.vec_mat(mask[k]))
-        assert flat.f_diag[k] == mask[k].sum()
-    assert flat.f_diag.dtype == np.int64
-    assert flat.n_nodes == n
-    assert flat.n_steps == t
+        assert np.array_equal(exact.target[k], mask[k] * adj[k])
+        assert np.array_equal(exact.weight[k], mask[k])
+        assert np.all(counted.weight[k] == mask[k].sum())
+        assert counted.slice_max[k] == mask[k].sum()
+    assert np.array_equal(counted.target, exact.target)
 
 
-def test_build_flattenings_shape_errors():
+def test_fit_data_shape_errors():
     with pytest.raises(ValueError):
-        tensors.build_flattenings(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)))
+        tensors.FitData.build(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)), Hyperparams())
     with pytest.raises(ValueError):
-        tensors.build_flattenings(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)))
-
-
-def test_stack_latents_columns():
-    rng = np.random.default_rng(1)
-    latents = rng.random((3, 4, 4))
-    a0 = tensors.stack_latents(latents)
-    assert a0.shape == (16, 3)
-    for r in range(3):
-        assert np.array_equal(a0[:, r], tensors.vec_mat(latents[r]))
-
-
-def test_stack_unstack_round_trip():
-    rng = np.random.default_rng(2)
-    latents = rng.standard_normal((2, 5, 5))
-    back = tensors.unstack_latents(tensors.stack_latents(latents), 5)
-    assert np.array_equal(back, latents)
-
-
-def test_stack_and_unstack_reject_bad_shapes():
-    with pytest.raises(ValueError):
-        tensors.stack_latents(np.zeros((2, 3, 4)))
-    with pytest.raises(ValueError):
-        tensors.unstack_latents(np.zeros((10, 2)), 3)
+        tensors.FitData.build(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)), Hyperparams())
+    with pytest.raises(ValueError, match="bogus"):
+        bogus = Hyperparams(gradient_mode="bogus")
+        tensors.FitData.build(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)), bogus)
 
 
 def test_symmetry_and_hollow_checks():
