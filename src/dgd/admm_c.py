@@ -66,12 +66,13 @@ def c_gradient_terms(latents, fit, cache, h):
 
     Returns (grams, linear) such that row t of the fit plus smoothness
     gradient is G_t c_t + linear_t, with G_t = sum_ij W_t A_r A_s (T, R, R)
-    and linear_t = -b_t + delta <Z_t, A_r>, b_t = sum_ij W_t Y_t A_r.
+    and linear_t = -b_t + delta/2 <Z_t, A_r>, b_t = sum_ij W_t Y_t A_r. The
+    smoothness part is the derivative of the objective's 1/2 sum C[t,r] <Z_t, A_r>.
     """
     grams = weighted_grams(fit.weight, latents)
     linear = -np.tensordot(fit.weight * fit.target, latents, axes=([1, 2], [1, 2]))
     if h.delta != 0.0:
-        linear += h.delta * smoothness_traces(latents, cache)
+        linear += 0.5 * h.delta * smoothness_traces(latents, cache)
     return grams, linear
 
 
@@ -108,7 +109,7 @@ def c_lagrangian_value(c, ws, latents, fit, cache, h):
     recon = np.einsum("tr,rij->tij", c, latents)
     val = 0.5 * float(np.sum(fit.weight * (recon - fit.target) ** 2))
     if h.delta != 0.0:
-        val += h.delta * float(np.sum(c * smoothness_traces(latents, cache)))
+        val += 0.5 * h.delta * float(np.sum(c * smoothness_traces(latents, cache)))
     if h.mu != 0.0:
         val += 0.5 * h.mu * temporal_pi(c)
     if h.rho != 0.0:

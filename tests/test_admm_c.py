@@ -11,7 +11,7 @@ from dgd.admm_c import (
     grad_c_lagrangian,
     solve_c_subproblem,
 )
-from dgd.model import Decomposition, Hyperparams, NumericalAbort
+from dgd.model import Decomposition, Hyperparams, NumericalAbort, objective
 from dgd.priors import diff_operator
 from dgd.tensors import FitData
 
@@ -31,6 +31,22 @@ def test_gradient_matches_central_differences(mode):
         g = grad_c_lagrangian(c, ws, d.latents, fit, cache, h)
         fd = central_diff(f, c)
         assert rel_grad_error(g, fd) < 1e-6
+
+
+def test_smoothness_gradient_matches_objective():
+    # the smoothness part of the C gradient differentiates objective().smoothness
+    rng, d, fit, cache, h = random_instance(70, "exact_mask")
+    ws = build_c_workspace(d.latents, d.n_steps)
+    c = rng.random((d.n_steps, d.n_latents))
+    part = grad_c_lagrangian(c, ws, d.latents, fit, cache, h) - grad_c_lagrangian(
+        c, ws, d.latents, fit, cache, h.replace(delta=0.0)
+    )
+    zeros = np.zeros_like(fit.target)
+
+    def smoothness(x):
+        return objective(Decomposition(d.latents, x), zeros, zeros, cache, h).smoothness
+
+    assert rel_grad_error(part, central_diff(smoothness, c)) < 1e-6
 
 
 def test_upsilon_stacks_degree_columns():
