@@ -114,10 +114,9 @@ def a_lagrangian_value(a_r, ws, d, fit, cache, h):
     c_r = d.signatures[:, r]
     latents = d.latents.copy()
     latents[r] = a_r
-    recon = np.einsum("tk,kij->tij", d.signatures, latents)
-    val = 0.5 * float(np.sum(fit.weight * (recon - fit.target) ** 2))
+    val = fit.loss(np.einsum("tk,kij->tij", d.signatures, latents))
     if h.delta != 0.0:
-        val += h.delta * float(np.sum(a_r * xi_matrix(cache, c_r).T))
+        val += h.delta * float(np.sum(a_r * xi_matrix(cache, c_r)))
     val += h.gamma * float(a_r.sum())
     if h.beta != 0.0:
         others = d.latents.sum(axis=0) - d.latents[r]

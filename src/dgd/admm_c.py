@@ -106,8 +106,7 @@ def grad_c_lagrangian(c, ws, latents, fit, cache, h, terms=None, dtd=None):
 def c_lagrangian_value(c, ws, latents, fit, cache, h):
     """Value of the augmented Lagrangian that grad_c_lagrangian differentiates."""
     c = np.asarray(c, dtype=np.float64)
-    recon = np.einsum("tr,rij->tij", c, latents)
-    val = 0.5 * float(np.sum(fit.weight * (recon - fit.target) ** 2))
+    val = fit.loss(np.einsum("tr,rij->tij", c, latents))
     if h.delta != 0.0:
         val += 0.5 * h.delta * float(np.sum(c * smoothness_traces(latents, cache)))
     if h.mu != 0.0:

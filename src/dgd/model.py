@@ -212,12 +212,11 @@ def objective(d, adj, mask, cache, h):
     are never read, so they may be NaN. `cache` may be None when h.delta == 0.
     """
     adj = np.asarray(adj, dtype=np.float64)
-    if adj.shape[1:] != (d.n_nodes, d.n_nodes) or adj.shape[0] != d.n_steps:
+    if adj.shape != (d.n_steps, d.n_nodes, d.n_nodes):
         raise ValueError(
             f"decomposition ({d.n_steps},{d.n_nodes},{d.n_nodes}) does not match data {adj.shape}"
         )
-    fit_data = FitData.build(adj, mask, h)
-    fit = 0.5 * float(np.sum(fit_data.weight * (reconstruct(d) - fit_data.target) ** 2))
+    fit = FitData.build(adj, mask, h).loss(reconstruct(d))
 
     from . import priors  # local import to keep module load order simple
 

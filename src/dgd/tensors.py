@@ -56,6 +56,10 @@ class FitData:
             raise ValueError(f"unknown gradient_mode {h.gradient_mode!r}")
         return cls(weight=weight, target=target)
 
+    def loss(self, recon):
+        """The fit value 1/2 sum W (recon - Y)^2 of a (T, N, N) reconstruction."""
+        return 0.5 * float(np.sum(self.weight * (recon - self.target) ** 2))
+
 
 def masked_target(adj, mask):
     """Y = M o A, with entries where the mask is 0 set to 0 unread (NaN there is harmless)."""

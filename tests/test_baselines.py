@@ -27,6 +27,19 @@ def test_unc_exact_on_planted_full_mask():
     assert np.allclose(reconstruct(est), adj, atol=1e-4)
 
 
+def test_unc_starts_from_column_major_draw():
+    # with no iterations the start comes back: column r of the (N^2, R) draw
+    # holds A_r stacked column by column, then C is drawn
+    adj = np.zeros((3, 4, 4))
+    est, fits = unc_solve(adj, np.ones_like(adj), n_latents=2, iters=0, seed=7)
+    rng = np.random.default_rng(7)
+    draw = rng.random((16, 2))
+    assert fits == []
+    for r in range(2):
+        assert np.array_equal(est.latents[r], draw[:, r].reshape(4, 4, order="F"))
+    assert np.array_equal(est.signatures, rng.random((3, 2)))
+
+
 def test_unc_fit_non_increasing_per_half_step():
     rng = np.random.default_rng(1)
     adj = rng.random((6, 5, 5))
