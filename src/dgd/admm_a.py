@@ -3,14 +3,14 @@
 With the signatures C and the other latents fixed, A_r is updated by K
 iterations of a projected-gradient ADMM on the augmented Lagrangian
 
-    L(A_r, P, Lam) = f(A_r) + tr(Lam (A_r Phi_r + Gamma_r - P))
-                     + lambda_a/2 ||A_r Phi_r + Gamma_r - P||_F^2,
+    L(A_r, P, Lam) = f(A_r) + <Lam, M_r(A_r) - P> + lambda_a/2 ||M_r(A_r) - P||_F^2,
 
-where Phi_r = 1_N c_r' carries the signature weights, Gamma_r collects the
-degree contribution of the other latents minus the degree floor zeta, and the
-auxiliary P >= 0 splits the minimum-degree constraint. Each iteration does a
-gradient step projected onto S_A, a closed-form clipped P update, and a dual
-ascent step on Lam.
+where M_r(A_r) = outer(c_r, A_r 1) + offset_r is the (T, N) degree margin
+with A_r in place of latent r, offset_r = C_{-r} Ups_{-r}' - zeta collects the
+degrees of the other latents minus the floor, and the auxiliary P >= 0 splits
+the minimum-degree constraint (:class:`model.DegreeSplit`). Each iteration
+does a gradient step projected onto S_A, a closed-form clipped P update, and a
+dual ascent step on Lam.
 
 The fit part of f is the weighted least squares of :class:`FitData`, whose
 gradient in A_r is A_r o Omega_r + B_r. Omega_r, B_r and the smoothness,
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NumericalAbort, project_sa
+from .model import DegreeSplit, project_sa, run_admm
 from .priors import xi_matrix
 
 
@@ -32,39 +32,38 @@ from .priors import xi_matrix
 class AWorkspace:
     """Per-solve state for one latent index r.
 
-    phi_r   : (N, T), column t = C[t, r] * 1_N
-    gamma_r : (N, T), degree contribution of the other latents minus zeta
-    p       : (N, T) auxiliary split of the degree constraint
-    lam_r   : (T, N) dual variable
+    c_r    : (T,), signature column r
+    offset : (T, N), degree contribution of the other latents minus zeta
+    split  : the degree-constraint split, P and Lam both (T, N)
     """
 
     r: int
-    phi_r: np.ndarray
-    gamma_r: np.ndarray
-    p: np.ndarray
-    lam_r: np.ndarray
+    c_r: np.ndarray
+    offset: np.ndarray
+    split: DegreeSplit
+
+    def margin(self, a_r):
+        """(T, N) degree margin outer(c_r, A_r 1) + offset_r."""
+        return np.outer(self.c_r, a_r.sum(axis=1)) + self.offset
 
 
-def build_a_workspace(d, r, zeta, rng=None):
-    """Assemble Phi_r and Gamma_r; draw P/Lam as N(0,1) when an rng is given."""
+def build_a_workspace(d, r, h, rng=None):
+    """Assemble c_r and offset_r; draw P/Lam as N(0,1) when an rng is given."""
     n_lat, n, _ = d.latents.shape
     if not 0 <= r < n_lat:
         raise IndexError(f"latent index {r} out of range for R={n_lat}")
     t = d.n_steps
-    c = d.signatures
-    phi = np.ones((n, 1)) @ c[:, r][None, :]
-    gamma = -zeta * np.ones((n, t))
-    for k in range(n_lat):
-        if k == r:
-            continue
-        gamma += np.outer(d.latents[k].sum(axis=1), c[:, k])
+    keep = [k for k in range(n_lat) if k != r]
+    offset = d.signatures[:, keep] @ d.latents[keep].sum(axis=2) - h.zeta
     if rng is not None:
-        p = rng.standard_normal((n, t))
+        # P is drawn (N, T) so that runs keep their random stream
+        p = rng.standard_normal((n, t)).T
         lam = rng.standard_normal((t, n))
     else:
-        p = np.zeros((n, t))
+        p = np.zeros((t, n))
         lam = np.zeros((t, n))
-    return AWorkspace(r=r, phi_r=phi, gamma_r=gamma, p=p, lam_r=lam)
+    split = DegreeSplit(aux=p, dual=lam, penalty=h.lambda_a)
+    return AWorkspace(r=r, c_r=d.signatures[:, r].copy(), offset=offset, split=split)
 
 
 def a_gradient_terms(d, r, fit, cache, h):
@@ -101,10 +100,8 @@ def grad_a_lagrangian(a_r, ws, d, fit, cache, h, terms=None):
     if terms is None:
         terms = a_gradient_terms(d, ws.r, fit, cache, h)
     omega, linear = terms
-    g = a_r * omega + linear
-    resid = a_r @ ws.phi_r + ws.gamma_r - ws.p
-    g = g + ws.lam_r.T @ ws.phi_r.T + h.lambda_a * (resid @ ws.phi_r.T)
-    return g
+    wd = ws.split.weighted_residual(ws.margin(a_r))
+    return a_r * omega + linear + (wd.T @ ws.c_r)[:, None]
 
 
 def a_lagrangian_value(a_r, ws, d, fit, cache, h):
@@ -123,21 +120,16 @@ def a_lagrangian_value(a_r, ws, d, fit, cache, h):
         val += 2.0 * h.beta * float(np.sum(a_r * others))
     if h.eta != 0.0:
         val += 0.5 * h.eta * float(np.sum(a_r**2))
-    resid = a_r @ ws.phi_r + ws.gamma_r - ws.p
-    val += float(np.sum(ws.lam_r * resid.T))
-    val += 0.5 * h.lambda_a * float(np.sum(resid**2))
-    return val
+    return val + ws.split.coupling(ws.margin(a_r))
 
 
 def default_step_a(d, r, fit, h):
     """Inverse curvature bound for the A_r gradient step.
 
     The fit curvature sum_t C[t,r]^2 W_t is bounded entrywise by
-    sum_t C[t,r]^2 w_t, w_t = max W_t. Add eta and the augmented term
-    lambda_a ||Phi_r||_2^2 = lambda_a N ||c_r||^2.
+    sum_t C[t,r]^2 w_t, w_t = max W_t. Add eta and lambda_a N ||c_r||^2, which
+    bounds the augmented term: ||outer(c_r, A 1)||_F^2 <= N ||c_r||^2 ||A||_F^2.
     """
-    if h.penalty_as_step:
-        return h.lambda_a
     if h.step_a is not None:
         return h.step_a
     c2 = d.signatures[:, r] ** 2
@@ -149,29 +141,13 @@ def solve_a_subproblem(d, r, fit, cache, h, rng):
     """Run K ADMM iterations on latent r; returns (new A_r, workspace, residuals).
 
     The update order per iteration is gradient step + projection onto S_A,
-    clipped closed-form P update, then dual ascent. Residuals record
-    ||A Phi_r + Gamma_r - P||_F after each iteration.
+    clipped closed-form P update, then dual ascent (:func:`model.run_admm`).
     """
-    if h.inner_iters < 1:
-        raise ValueError(f"inner_iters must be >= 1, got {h.inner_iters}")
-    ws = build_a_workspace(d, r, h.zeta, rng=rng)
+    ws = build_a_workspace(d, r, h, rng=rng)
     terms = a_gradient_terms(d, r, fit, cache, h)
+
+    def grad(a):
+        return grad_a_lagrangian(a, ws, d, fit, cache, h, terms=terms)
+
     step = default_step_a(d, r, fit, h)
-    a = d.latents[r].copy()
-    gamma_scale = float(np.linalg.norm(ws.gamma_r))
-    residuals = []
-    for _ in range(h.inner_iters):
-        g = grad_a_lagrangian(a, ws, d, fit, cache, h, terms=terms)
-        a = project_sa(a - step * g)
-        if not np.all(np.isfinite(a)):
-            raise NumericalAbort(
-                f"latent {r}: iterate went non-finite (step {step:.3e} too large)"
-            )
-        ap = a @ ws.phi_r + ws.gamma_r
-        ws.p = np.maximum(ws.lam_r.T / h.lambda_a + ap, 0.0)
-        resid = ap - ws.p
-        ws.lam_r = ws.lam_r + h.lambda_a * resid.T
-        residuals.append(float(np.linalg.norm(resid)))
-        if h.admm_early_exit and residuals[-1] < 1e-6 * gamma_scale:
-            break
-    return a, ws, residuals
+    return run_admm(d.latents[r].copy(), ws, grad, project_sa, step, h.inner_iters, f"latent {r}")

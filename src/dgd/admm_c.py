@@ -3,12 +3,12 @@
 With the latents fixed, C is updated by K iterations of projected-gradient
 ADMM on
 
-    L(C, Q, Lam) = f(C) + tr(Lam (C Ups' - zeta 11' - Q))
-                   + lambda_c/2 ||C Ups' - zeta 11' - Q||_F^2,
+    L(C, P, Lam) = f(C) + <Lam, C Ups' - zeta - P> + lambda_c/2 ||C Ups' - zeta - P||_F^2,
 
 where Ups stacks the latent degree vectors A_r 1 as columns, so row t of
-C Ups' is the reconstructed degree vector at step t, and Q >= 0 splits the
-minimum-degree constraint. f adds the weighted least-squares fit of
+C Ups' is the reconstructed degree vector at step t; C Ups' - zeta is the
+(T, N) degree margin and the auxiliary P >= 0 splits the minimum-degree
+constraint (:class:`model.DegreeSplit`). f adds the weighted least-squares fit of
 :class:`FitData`, the signal smoothness coupling, the squared forward-difference
 penalty and a ridge. The fit gradient of row t is G_t c_t - b_t with per-slice
 R x R Grams G_t; the Grams, b_t and the smoothness coupling do not depend on C,
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NumericalAbort, project_sc
+from .model import DegreeSplit, project_sc, run_admm
 from .priors import diff_operator, smoothness_traces, temporal_pi
 from .tensors import weighted_grams
 
@@ -31,13 +31,17 @@ class CWorkspace:
     """Per-solve state for the signature update.
 
     upsilon : (N, R), column r = A_r 1
-    q       : (T, N) auxiliary split of the degree constraint
-    lam_c   : (N, T) dual variable
+    zeta    : the degree floor
+    split   : the degree-constraint split, P and Lam both (T, N)
     """
 
     upsilon: np.ndarray
-    q: np.ndarray
-    lam_c: np.ndarray
+    zeta: float
+    split: DegreeSplit
+
+    def margin(self, c):
+        """(T, N) degree margin C Ups' - zeta."""
+        return c @ self.upsilon.T - self.zeta
 
 
 def build_upsilon(latents):
@@ -48,17 +52,19 @@ def build_upsilon(latents):
     return latents.sum(axis=2).T
 
 
-def build_c_workspace(latents, n_steps, rng=None):
-    """Assemble Upsilon; draw Q/Lam as N(0,1) when an rng is given."""
+def build_c_workspace(latents, n_steps, h, rng=None):
+    """Assemble Upsilon; draw P/Lam as N(0,1) when an rng is given."""
     ups = build_upsilon(latents)
     n = ups.shape[0]
     if rng is not None:
-        q = rng.standard_normal((n_steps, n))
-        lam = rng.standard_normal((n, n_steps))
+        p = rng.standard_normal((n_steps, n))
+        # Lam is drawn (N, T) so that runs keep their random stream
+        lam = rng.standard_normal((n, n_steps)).T
     else:
-        q = np.zeros((n_steps, n))
-        lam = np.zeros((n, n_steps))
-    return CWorkspace(upsilon=ups, q=q, lam_c=lam)
+        p = np.zeros((n_steps, n))
+        lam = np.zeros((n_steps, n))
+    split = DegreeSplit(aux=p, dual=lam, penalty=h.lambda_c)
+    return CWorkspace(upsilon=ups, zeta=h.zeta, split=split)
 
 
 def c_gradient_terms(latents, fit, cache, h):
@@ -98,9 +104,7 @@ def grad_c_lagrangian(c, ws, latents, fit, cache, h, terms=None, dtd=None):
         g = g + h.mu * (dtd @ c)
     if h.rho != 0.0:
         g = g + h.rho * c
-    resid = c @ ws.upsilon.T - h.zeta - ws.q
-    g = g + ws.lam_c.T @ ws.upsilon + h.lambda_c * (resid @ ws.upsilon)
-    return g
+    return g + ws.split.weighted_residual(ws.margin(c)) @ ws.upsilon
 
 
 def c_lagrangian_value(c, ws, latents, fit, cache, h):
@@ -113,10 +117,7 @@ def c_lagrangian_value(c, ws, latents, fit, cache, h):
         val += 0.5 * h.mu * temporal_pi(c)
     if h.rho != 0.0:
         val += 0.5 * h.rho * float(np.sum(c**2))
-    resid = c @ ws.upsilon.T - h.zeta - ws.q
-    val += float(np.sum(ws.lam_c * resid.T))
-    val += 0.5 * h.lambda_c * float(np.sum(resid**2))
-    return val
+    return val + ws.split.coupling(ws.margin(c))
 
 
 def default_step_c(ws, latents, fit, h, dtd):
@@ -125,8 +126,6 @@ def default_step_c(ws, latents, fit, h, dtd):
     The fit Gram G_t is bounded by the unweighted latent Gram times
     w_t = max W_t, so the largest w_t scales its spectral norm.
     """
-    if h.penalty_as_step:
-        return h.lambda_c
     if h.step_c is not None:
         return h.step_c
     stacked = latents.reshape(len(latents), -1)
@@ -143,32 +142,15 @@ def solve_c_subproblem(d, fit, cache, h, rng):
     """Run K ADMM iterations on the signatures; returns (new C, ws, residuals).
 
     Update order per iteration: gradient step + projection onto the
-    nonnegative orthant, clipped closed-form Q update, dual ascent on Lam.
-    Residuals record ||C Ups' - zeta 11' - Q||_F after each iteration.
+    nonnegative orthant, clipped closed-form P update, dual ascent on Lam
+    (:func:`model.run_admm`).
     """
-    if h.inner_iters < 1:
-        raise ValueError(f"inner_iters must be >= 1, got {h.inner_iters}")
-    t = d.n_steps
-    ws = build_c_workspace(d.latents, t, rng=rng)
+    ws = build_c_workspace(d.latents, d.n_steps, h, rng=rng)
     terms = c_gradient_terms(d.latents, fit, cache, h)
-    dtd = _dtd(t)
+    dtd = _dtd(d.n_steps)
+
+    def grad(c):
+        return grad_c_lagrangian(c, ws, d.latents, fit, cache, h, terms=terms, dtd=dtd)
+
     step = default_step_c(ws, d.latents, fit, h, dtd)
-    c = d.signatures.copy()
-    residuals = []
-    for _ in range(h.inner_iters):
-        g = grad_c_lagrangian(c, ws, d.latents, fit, cache, h, terms=terms, dtd=dtd)
-        c = project_sc(c - step * g)
-        if not np.all(np.isfinite(c)):
-            raise NumericalAbort(
-                f"signatures: iterate went non-finite (step {step:.3e} too large)"
-            )
-        cu = c @ ws.upsilon.T
-        ws.q = np.maximum(ws.lam_c.T / h.lambda_c + cu - h.zeta, 0.0)
-        resid = cu - h.zeta - ws.q
-        ws.lam_c = ws.lam_c + h.lambda_c * resid.T
-        residuals.append(float(np.linalg.norm(resid)))
-        if h.admm_early_exit and residuals[-1] < 1e-6 * max(
-            h.zeta * np.sqrt(c.shape[0] * ws.q.shape[1]), 1.0
-        ):
-            break
-    return c, ws, residuals
+    return run_admm(d.signatures.copy(), ws, grad, project_sc, step, h.inner_iters, "signatures")

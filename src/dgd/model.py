@@ -14,7 +14,8 @@ fit = 1/2 sum_t sum_ij W_t,ij (recon_t,ij - Y_t,ij)^2, with target Y = M o A
 (see tensors.FitData). The gradient mode only picks the weight: `exact_mask`
 (the default) uses W = M and scores exactly the observed entries;
 `count_weighted` uses the per-slice observation count 1'm_t on every entry of
-slice t. The subproblems in admm_a/admm_c differentiate the same loss.
+slice t. The subproblems in admm_a/admm_c differentiate the same loss and
+share one split of the minimum-degree constraint (DegreeSplit, run_admm).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from numbers import Real
 
 import numpy as np
 
+from . import priors
 from .tensors import FitData
 
 GRADIENT_MODES = ("exact_mask", "count_weighted")
@@ -93,8 +95,6 @@ class Hyperparams:
     outer_iters   : I, alternating passes over all blocks
     gradient_mode : 'exact_mask' or 'count_weighted'
     tol_outer     : relative objective change declaring outer convergence
-    penalty_as_step : use lambda_a/lambda_c directly as step sizes
-    admm_early_exit : stop inner iterations once the primal residual is tiny
     """
 
     n_latents: int = 2
@@ -113,8 +113,6 @@ class Hyperparams:
     outer_iters: int = 50
     gradient_mode: str = "exact_mask"
     tol_outer: float = 1e-5
-    penalty_as_step: bool = False
-    admm_early_exit: bool = False
 
     def validate(self):
         for name in FLOAT_FIELDS:
@@ -217,9 +215,6 @@ def objective(d, adj, mask, cache, h):
             f"decomposition ({d.n_steps},{d.n_nodes},{d.n_nodes}) does not match data {adj.shape}"
         )
     fit = FitData.build(adj, mask, h).loss(reconstruct(d))
-
-    from . import priors  # local import to keep module load order simple
-
     sparsity = h.gamma * float(d.latents.sum())
     smoothness = h.delta * priors.smoothness_g(d, cache) if h.delta != 0.0 else 0.0
     temporal = h.mu * priors.temporal_pi(d.signatures)
@@ -265,3 +260,51 @@ def degree_margin(d, zeta):
     the constraint holds iff all entries are nonnegative.
     """
     return reconstruct(d).sum(axis=2) - zeta
+
+
+@dataclass
+class DegreeSplit:
+    """ADMM split margin = P, P >= 0, of the minimum-degree constraint.
+
+    aux P and dual Lam are (T, N), the layout of :func:`degree_margin`; the
+    coupling is <Lam, margin - P> + penalty/2 ||margin - P||_F^2.
+    """
+
+    aux: np.ndarray
+    dual: np.ndarray
+    penalty: float
+
+    def weighted_residual(self, margin):
+        """Wd = Lam + penalty (margin - P), the coupling's gradient in the margin."""
+        return self.dual + self.penalty * (margin - self.aux)
+
+    def coupling(self, margin):
+        """Value of the coupling term at a given margin."""
+        resid = margin - self.aux
+        return float(np.sum(self.dual * resid)) + 0.5 * self.penalty * float(np.sum(resid**2))
+
+    def update(self, margin):
+        """Closed-form clipped P update, then dual ascent; returns ||margin - P||_F."""
+        self.aux = np.maximum(self.dual / self.penalty + margin, 0.0)
+        resid = margin - self.aux
+        self.dual = self.dual + self.penalty * resid
+        return float(np.linalg.norm(resid))
+
+
+def run_admm(x, ws, grad, project, step, iters, label):
+    """K projected-gradient ADMM iterations on one block; returns (x, ws, residuals).
+
+    Each iteration takes a gradient step on the augmented Lagrangian,
+    projects onto the block's feasible set, then updates ws.split at the new
+    degree margin ws.margin(x). Residuals record ||margin - P||_F after
+    each iteration.
+    """
+    if iters < 1:
+        raise ValueError(f"inner_iters must be >= 1, got {iters}")
+    residuals = []
+    for _ in range(iters):
+        x = project(x - step * grad(x))
+        if not np.all(np.isfinite(x)):
+            raise NumericalAbort(f"{label}: iterate went non-finite (step {step:.3e} too large)")
+        residuals.append(ws.split.update(ws.margin(x)))
+    return x, ws, residuals

@@ -53,13 +53,13 @@ def test_criterion_01_gradients_match_finite_differences():
         rng, d, fit, cache, h = random_instance(100 + trial, mode)
         r = trial % d.n_latents
 
-        ws_a = build_a_workspace(d, r, h.zeta, rng=rng)
+        ws_a = build_a_workspace(d, r, h, rng=rng)
         a = rng.standard_normal((d.n_nodes, d.n_nodes))
         g_a = grad_a_lagrangian(a, ws_a, d, fit, cache, h)
         fd_a = central_diff(lambda x: a_lagrangian_value(x, ws_a, d, fit, cache, h), a)
         worst = max(worst, rel_grad_error(g_a, fd_a))
 
-        ws_c = build_c_workspace(d.latents, d.n_steps, rng=rng)
+        ws_c = build_c_workspace(d.latents, d.n_steps, h, rng=rng)
         c = rng.standard_normal((d.n_steps, d.n_latents))
         g_c = grad_c_lagrangian(c, ws_c, d.latents, fit, cache, h)
         fd_c = central_diff(lambda x: c_lagrangian_value(x, ws_c, d.latents, fit, cache, h), c)
@@ -74,7 +74,7 @@ def test_criterion_02_hessian_structure():
     # the coupling is switched off by a vanishing penalty weight
     rng, d, fit, cache, h = random_instance(200, "count_weighted")
     h = h.replace(lambda_a=1e-12)
-    ws = build_a_workspace(d, 0, h.zeta, rng=rng)
+    ws = build_a_workspace(d, 0, h, rng=rng)
     coef = float(d.signatures[:, 0] ** 2 @ fit.slice_max) + h.eta
     a1 = rng.standard_normal((d.n_nodes, d.n_nodes))
     a2 = rng.standard_normal((d.n_nodes, d.n_nodes))
@@ -86,7 +86,7 @@ def test_criterion_02_hessian_structure():
     )
 
     rng2, d2, fit2, cache2, h2 = random_instance(201, "exact_mask")
-    ws_c = build_c_workspace(d2.latents, d2.n_steps, rng=rng2)
+    ws_c = build_c_workspace(d2.latents, d2.n_steps, h2, rng=rng2)
     c = rng2.standard_normal((d2.n_steps, d2.n_latents))
     f0 = c_lagrangian_value(c, ws_c, d2.latents, fit2, cache2, h2)
     s = 1e-3

@@ -22,7 +22,7 @@ def test_gradient_matches_central_differences(mode):
     for trial in range(6):
         rng, d, fit, cache, h = random_instance(300 + trial, mode)
         r = trial % d.n_latents
-        ws = build_a_workspace(d, r, h.zeta, rng=rng)
+        ws = build_a_workspace(d, r, h, rng=rng)
         a = rng.standard_normal((d.n_nodes, d.n_nodes))
 
         def f(x):
@@ -34,12 +34,12 @@ def test_gradient_matches_central_differences(mode):
 
 
 def test_lagrangian_penalty_vanishes_at_feasible_split():
-    # lam = 0 and p = A Phi + Gamma kill both coupling terms, leaving the
+    # Lam = 0 and P = the degree margin kill both coupling terms, leaving the
     # plain objective restricted to latent 0
     _, d, fit_data, cache, h = random_instance(42, "exact_mask")
-    ws = build_a_workspace(d, 0, h.zeta)
+    ws = build_a_workspace(d, 0, h)
     a = d.latents[0]
-    ws.p = a @ ws.phi_r + ws.gamma_r
+    ws.split.aux = ws.margin(a)
     val = a_lagrangian_value(a, ws, d, fit_data, cache, h)
     c_r = d.signatures[:, 0]
     fit = 0.0
@@ -63,34 +63,35 @@ def test_workspace_gamma_collects_other_degrees():
     latents[1, 0, 1] = latents[1, 1, 0] = 2.0
     signatures = np.array([[1.0, 0.5], [2.0, 1.5]])
     d = Decomposition(latents, signatures)
-    ws = build_a_workspace(d, 0, zeta=0.1)
-    # Gamma_0[i, t] = C[t, 1] * deg_1(i) - zeta
+    ws = build_a_workspace(d, 0, Hyperparams(zeta=0.1))
+    # offset_0[t, i] = C[t, 1] * deg_1(i) - zeta
     deg1 = latents[1].sum(axis=1)
-    want = np.outer(deg1, signatures[:, 1]) - 0.1
-    assert np.allclose(ws.gamma_r, want)
-    assert np.allclose(ws.phi_r, np.outer(np.ones(3), signatures[:, 0]))
-    assert not ws.p.any() and not ws.lam_r.any()
+    want = np.outer(signatures[:, 1], deg1) - 0.1
+    assert np.allclose(ws.offset, want)
+    assert np.array_equal(ws.c_r, signatures[:, 0])
+    assert ws.split.aux.shape == ws.split.dual.shape == (2, 3)
+    assert not ws.split.aux.any() and not ws.split.dual.any()
 
 
 def test_workspace_draws_from_given_stream():
     d = Decomposition(np.zeros((1, 3, 3)), np.ones((2, 1)))
-    ws = build_a_workspace(d, 0, 0.1, rng=np.random.default_rng(9))
+    ws = build_a_workspace(d, 0, Hyperparams(zeta=0.1), rng=np.random.default_rng(9))
     ref = np.random.default_rng(9)
-    assert np.array_equal(ws.p, ref.standard_normal((3, 2)))
-    assert np.array_equal(ws.lam_r, ref.standard_normal((2, 3)))
+    # P is drawn (N, T), then Lam (T, N); both are held (T, N)
+    assert np.array_equal(ws.split.aux, ref.standard_normal((3, 2)).T)
+    assert np.array_equal(ws.split.dual, ref.standard_normal((2, 3)))
 
 
 def test_workspace_rejects_bad_index():
     d = Decomposition(np.zeros((2, 3, 3)), np.ones((2, 2)))
     with pytest.raises(IndexError):
-        build_a_workspace(d, 2, 0.1)
+        build_a_workspace(d, 2, Hyperparams())
     with pytest.raises(IndexError):
-        build_a_workspace(d, -1, 0.1)
+        build_a_workspace(d, -1, Hyperparams())
 
 
 def test_default_step_selection():
     _, d, fit, _, h = random_instance(50, "count_weighted")
-    assert default_step_a(d, 0, fit, h.replace(penalty_as_step=True)) == h.lambda_a
     assert default_step_a(d, 0, fit, h.replace(step_a=0.25)) == 0.25
     c0 = d.signatures[:, 0]
     w = fit.slice_max
@@ -107,7 +108,7 @@ def test_count_weighted_gradient_is_affine_identity():
     rng, d, fit, cache, h = random_instance(77, "count_weighted")
     h = h.replace(lambda_a=1e-12)
     r = 0
-    ws = build_a_workspace(d, r, h.zeta, rng=rng)
+    ws = build_a_workspace(d, r, h, rng=rng)
     coef = float(d.signatures[:, r] ** 2 @ fit.slice_max) + h.eta
     a1 = rng.standard_normal((d.n_nodes, d.n_nodes))
     a2 = rng.standard_normal((d.n_nodes, d.n_nodes))
@@ -140,9 +141,3 @@ def test_solve_aborts_on_nonfinite_data():
     with pytest.raises(NumericalAbort):
         solve_a_subproblem(d, 0, fit, None, h, np.random.default_rng(0))
 
-
-def test_early_exit_never_exceeds_budget():
-    _, d, fit, cache, h = random_instance(90, "exact_mask")
-    h = h.replace(admm_early_exit=True, inner_iters=30)
-    _, _, res = solve_a_subproblem(d, 0, fit, cache, h, np.random.default_rng(2))
-    assert 1 <= len(res) <= 30

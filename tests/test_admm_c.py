@@ -22,7 +22,7 @@ from helpers import central_diff, random_instance, rel_grad_error
 def test_gradient_matches_central_differences(mode):
     for trial in range(6):
         rng, d, fit, cache, h = random_instance(400 + trial, mode)
-        ws = build_c_workspace(d.latents, d.n_steps, rng=rng)
+        ws = build_c_workspace(d.latents, d.n_steps, h, rng=rng)
         c = rng.standard_normal((d.n_steps, d.n_latents))
 
         def f(x):
@@ -36,7 +36,7 @@ def test_gradient_matches_central_differences(mode):
 def test_smoothness_gradient_matches_objective():
     # the smoothness part of the C gradient differentiates objective().smoothness
     rng, d, fit, cache, h = random_instance(70, "exact_mask")
-    ws = build_c_workspace(d.latents, d.n_steps)
+    ws = build_c_workspace(d.latents, d.n_steps, h)
     c = rng.random((d.n_steps, d.n_latents))
     part = grad_c_lagrangian(c, ws, d.latents, fit, cache, h) - grad_c_lagrangian(
         c, ws, d.latents, fit, cache, h.replace(delta=0.0)
@@ -63,19 +63,22 @@ def test_upsilon_stacks_degree_columns():
 
 def test_workspace_draws_from_given_stream():
     latents = np.zeros((1, 3, 3))
-    ws = build_c_workspace(latents, 4, rng=np.random.default_rng(11))
+    h = Hyperparams()
+    ws = build_c_workspace(latents, 4, h, rng=np.random.default_rng(11))
     ref = np.random.default_rng(11)
-    assert np.array_equal(ws.q, ref.standard_normal((4, 3)))
-    assert np.array_equal(ws.lam_c, ref.standard_normal((3, 4)))
-    ws0 = build_c_workspace(latents, 4)
-    assert not ws0.q.any() and not ws0.lam_c.any()
+    # P is drawn (T, N), then Lam (N, T); both are held (T, N)
+    assert np.array_equal(ws.split.aux, ref.standard_normal((4, 3)))
+    assert np.array_equal(ws.split.dual, ref.standard_normal((3, 4)).T)
+    ws0 = build_c_workspace(latents, 4, h)
+    assert ws0.split.dual.shape == (4, 3)
+    assert not ws0.split.aux.any() and not ws0.split.dual.any()
 
 
 def test_second_differences_stay_above_ridge():
     # the Lagrangian is quadratic in C, so second differences recover exact
     # Rayleigh quotients; every one must clear rho
     rng, d, fit, cache, h = random_instance(55, "exact_mask")
-    ws = build_c_workspace(d.latents, d.n_steps, rng=rng)
+    ws = build_c_workspace(d.latents, d.n_steps, h, rng=rng)
     c = rng.standard_normal((d.n_steps, d.n_latents))
     f0 = c_lagrangian_value(c, ws, d.latents, fit, cache, h)
     s = 1e-3
@@ -90,10 +93,9 @@ def test_second_differences_stay_above_ridge():
 
 def test_default_step_selection():
     _, d, fit, cache, h = random_instance(60, "count_weighted")
-    ws = build_c_workspace(d.latents, d.n_steps)
+    ws = build_c_workspace(d.latents, d.n_steps, h)
     dop = diff_operator(d.n_steps)
     dtd = dop.T @ dop
-    assert default_step_c(ws, d.latents, fit, h.replace(penalty_as_step=True), dtd) == h.lambda_c
     assert default_step_c(ws, d.latents, fit, h.replace(step_c=0.125), dtd) == 0.125
     gram = float(np.linalg.norm(np.einsum("rij,sij->rs", d.latents, d.latents), 2))
     lip = (
