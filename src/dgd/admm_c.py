@@ -10,7 +10,7 @@ C Ups' is the reconstructed degree vector at step t; C Ups' - zeta is the
 (T, N) degree margin and the auxiliary P >= 0 splits the minimum-degree
 constraint (:class:`model.DegreeSplit`). f adds the weighted least-squares fit of
 :class:`FitData`, the signal smoothness coupling, the squared forward-difference
-penalty and a ridge. The fit gradient of row t is G_t c_t - b_t with per-slice
+penalty mu ||DC||_F^2 and a ridge. The fit gradient of row t is G_t c_t - b_t with per-slice
 R x R Grams G_t; the Grams, b_t and the smoothness coupling do not depend on C,
 so each solve builds them once (:func:`c_gradient_terms`).
 """
@@ -101,7 +101,7 @@ def grad_c_lagrangian(c, ws, latents, fit, cache, h, terms=None, dtd=None):
     if h.mu != 0.0:
         if dtd is None:
             dtd = _dtd(c.shape[0])
-        g = g + h.mu * (dtd @ c)
+        g = g + 2.0 * h.mu * (dtd @ c)
     if h.rho != 0.0:
         g = g + h.rho * c
     return g + ws.split.weighted_residual(ws.margin(c)) @ ws.upsilon
@@ -114,7 +114,7 @@ def c_lagrangian_value(c, ws, latents, fit, cache, h):
     if h.delta != 0.0:
         val += 0.5 * h.delta * float(np.sum(c * smoothness_traces(latents, cache)))
     if h.mu != 0.0:
-        val += 0.5 * h.mu * temporal_pi(c)
+        val += h.mu * temporal_pi(c)
     if h.rho != 0.0:
         val += 0.5 * h.rho * float(np.sum(c**2))
     return val + ws.split.coupling(ws.margin(c))
@@ -124,7 +124,8 @@ def default_step_c(ws, latents, fit, h, dtd):
     """Inverse curvature bound for the C gradient step.
 
     The fit Gram G_t is bounded by the unweighted latent Gram times
-    w_t = max W_t, so the largest w_t scales its spectral norm.
+    w_t = max W_t, so the largest w_t scales its spectral norm. The temporal
+    term mu ||DC||_F^2 adds 2 mu ||D'D||_2.
     """
     if h.step_c is not None:
         return h.step_c
@@ -132,7 +133,7 @@ def default_step_c(ws, latents, fit, h, dtd):
     gram_norm = float(np.linalg.norm(stacked @ stacked.T, 2))
     lip = gram_norm * float(fit.slice_max.max()) + h.rho
     if h.mu != 0.0:
-        lip += h.mu * float(np.linalg.norm(dtd, 2))
+        lip += 2.0 * h.mu * float(np.linalg.norm(dtd, 2))
     ups_norm = float(np.linalg.norm(ws.upsilon, 2))
     lip += h.lambda_c * ups_norm**2
     return 1.0 / max(lip, 1e-8)

@@ -49,6 +49,22 @@ def test_smoothness_gradient_matches_objective():
     assert rel_grad_error(part, central_diff(smoothness, c)) < 1e-6
 
 
+def test_temporal_gradient_matches_objective():
+    # the temporal part of the C gradient differentiates objective().temporal
+    rng, d, fit, cache, h = random_instance(71, "exact_mask")
+    ws = build_c_workspace(d.latents, d.n_steps, h)
+    c = rng.random((d.n_steps, d.n_latents))
+    part = grad_c_lagrangian(c, ws, d.latents, fit, cache, h) - grad_c_lagrangian(
+        c, ws, d.latents, fit, cache, h.replace(mu=0.0)
+    )
+    zeros = np.zeros_like(fit.target)
+
+    def temporal(x):
+        return objective(Decomposition(d.latents, x), zeros, zeros, cache, h).temporal
+
+    assert rel_grad_error(part, central_diff(temporal, c)) < 1e-6
+
+
 def test_upsilon_stacks_degree_columns():
     latents = np.zeros((2, 3, 3))
     latents[0, 0, 1] = latents[0, 1, 0] = 1.0
@@ -101,7 +117,7 @@ def test_default_step_selection():
     lip = (
         gram * float(fit.slice_max.max())
         + h.rho
-        + h.mu * float(np.linalg.norm(dtd, 2))
+        + 2.0 * h.mu * float(np.linalg.norm(dtd, 2))
         + h.lambda_c * float(np.linalg.norm(ws.upsilon, 2)) ** 2
     )
     assert np.isclose(default_step_c(ws, d.latents, fit, h, dtd), 1.0 / lip)
