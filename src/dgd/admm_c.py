@@ -134,8 +134,9 @@ def default_step_c(ws, latents, fit, h, dtd):
     lip = gram_norm * float(fit.slice_max.max()) + h.rho
     if h.mu != 0.0:
         lip += 2.0 * h.mu * float(np.linalg.norm(dtd, 2))
-    ups_norm = float(np.linalg.norm(ws.upsilon, 2))
-    lip += h.lambda_c * ups_norm**2
+    # a numpy scalar, so that an overflowing square gives inf, not OverflowError
+    ups_norm = np.linalg.norm(ws.upsilon, 2)
+    lip += h.lambda_c * float(ups_norm**2)
     return 1.0 / max(lip, 1e-8)
 
 

@@ -19,7 +19,7 @@ from .admm_a import solve_a_subproblem
 from .admm_c import solve_c_subproblem
 from .model import Decomposition, NumericalAbort, objective, project_sa
 from .priors import build_cache
-from .tensors import FitData, check_mask
+from .tensors import FitData, check_finite, check_mask
 
 
 @dataclass
@@ -71,7 +71,8 @@ def run_dgd(adj, mask, signals, h, seed):
     Parameters
     ----------
     adj : (T, N, N) observed adjacency values; entries where mask is 0 are
-        never read and may hold anything, NaN included.
+        never read and may hold anything, NaN included. Observed entries and
+        signals must be finite (ValueError otherwise).
     mask : (T, N, N) binary symmetric observation mask.
     signals : (T, N, Q) node signals, or None when h.delta == 0.
     h : Hyperparams.
@@ -109,6 +110,7 @@ def run_dgd(adj, mask, signals, h, seed):
         signals = np.asarray(signals, dtype=np.float64)
         if signals.ndim != 3 or signals.shape[0] != n_steps or signals.shape[1] != n:
             raise ValueError(f"expected ({n_steps}, {n}, Q) signals, got {signals.shape}")
+        check_finite(signals, "signal", "t, i, q")
         cache = build_cache(signals)
 
     rng = np.random.default_rng(seed)

@@ -62,14 +62,27 @@ class FitData:
 
 
 def masked_target(adj, mask):
-    """Y = M o A, with entries where the mask is 0 set to 0 unread (NaN there is harmless)."""
+    """Y = M o A, with entries where the mask is 0 set to 0 unread (NaN there is harmless).
+
+    A non-finite observed entry raises ValueError naming its (t, i, j).
+    """
     adj = np.asarray(adj, dtype=np.float64)
     mask = np.asarray(mask)
     if adj.ndim != 3 or adj.shape[1] != adj.shape[2]:
         raise ValueError(f"adjacency tensor must be (T, N, N), got {adj.shape}")
     if adj.shape != mask.shape:
         raise ValueError(f"adjacency {adj.shape} and mask {mask.shape} differ in shape")
-    return np.where(mask > 0, adj, 0.0)
+    target = np.where(mask > 0, adj, 0.0)
+    check_finite(target, "observed adjacency", "t, i, j")
+    return target
+
+
+def check_finite(x, name, labels):
+    """Raise ValueError naming the first non-finite entry of x by its index."""
+    bad = np.argwhere(~np.isfinite(x))
+    if len(bad):
+        idx = tuple(int(k) for k in bad[0])
+        raise ValueError(f"{name} entry ({labels}) = {idx} is not finite: {x[idx]}")
 
 
 def weighted_grams(weight, latents):

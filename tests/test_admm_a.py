@@ -136,7 +136,8 @@ def test_solve_aborts_on_nonfinite_data():
     adj[0, 0, 1] = adj[0, 1, 0] = np.inf
     mask = np.ones((t, n, n))
     h = Hyperparams(n_latents=1, delta=0.0)
-    fit = FitData.build(adj, mask, h)
+    # built directly: FitData.build rejects non-finite observed entries
+    fit = FitData(weight=mask, target=adj)
     d = Decomposition(np.zeros((1, n, n)), np.ones((t, 1)))
     with pytest.raises(NumericalAbort):
         solve_a_subproblem(d, 0, fit, None, h, np.random.default_rng(0))

@@ -140,7 +140,8 @@ def test_solve_aborts_on_nonfinite_data():
     adj[0, 0, 1] = adj[0, 1, 0] = np.inf
     mask = np.ones((t, n, n))
     h = Hyperparams(n_latents=1, delta=0.0)
-    fit = FitData.build(adj, mask, h)
+    # built directly: FitData.build rejects non-finite observed entries
+    fit = FitData(weight=mask, target=adj)
     latents = np.zeros((1, n, n))
     latents[0, 0, 1] = latents[0, 1, 0] = 1.0
     d = Decomposition(latents, np.ones((t, 1)))

@@ -115,12 +115,27 @@ def test_all_unobserved_aborts_with_history():
 
 
 def test_nonfinite_data_aborts_with_partial_history():
+    # finite, but its square overflows, so the iterates go non-finite
     adj, mask = _small_problem(7)
     adj = adj.copy()
-    adj[0, 0, 1] = adj[0, 1, 0] = np.inf
+    adj[0, 0, 1] = adj[0, 1, 0] = 1e308
     with pytest.raises(NumericalAbort) as excinfo:
         run_dgd(adj, mask, None, Hyperparams(delta=0.0, outer_iters=3), seed=0)
     assert excinfo.value.history.status == "aborted"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_input_names_the_entry(bad):
+    adj, mask = _small_problem(7)
+    adj = adj.copy()
+    adj[2, 3, 1] = adj[2, 1, 3] = bad
+    with pytest.raises(ValueError, match=r"adjacency entry \(t, i, j\) = \(2, 1, 3\)"):
+        run_dgd(adj, mask, None, Hyperparams(delta=0.0), seed=0)
+    adj, mask = _small_problem(7)
+    signals = np.zeros((6, 6, 2))
+    signals[4, 0, 1] = bad
+    with pytest.raises(ValueError, match=r"signal entry \(t, i, q\) = \(4, 0, 1\)"):
+        run_dgd(adj, mask, signals, Hyperparams(delta=0.1), seed=0)
 
 
 def test_delta_requires_signals():

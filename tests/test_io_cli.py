@@ -298,6 +298,29 @@ def test_nan_at_unobserved_entries_matches_zeros(tmp_path):
         assert outputs[0] == outputs[1], method
 
 
+def test_nonfinite_observed_entry_exits_one(tmp_path, capsys):
+    data = _generate(tmp_path)
+    adj, _ = load_dgt(data / "adjacency.dgt")
+    mask, _ = load_dgt(data / "mask.dgt")
+    t, i, j = np.argwhere(mask > 0)[0]
+    adj[t, i, j] = adj[t, j, i] = np.nan
+    save_dgt(tmp_path / "bad.dgt", adj, "adjacency")
+    for method in ("dgd", "nsdgd", "unc", "cpd"):
+        code = main(
+            [
+                "decompose",
+                "--adj", str(tmp_path / "bad.dgt"),
+                "--mask", str(data / "mask.dgt"),
+                "--signals", str(data / "signals.dgt"),
+                "--method", method,
+                "--out-dir", str(tmp_path / "out"),
+                "--seed", "0",
+            ]
+        )
+        assert code == 1, method
+        assert f"(t, i, j) = ({t}, {i}, {j})" in capsys.readouterr().err, method
+
+
 def test_unknown_config_key_named(tmp_path, capsys):
     data = _generate(tmp_path)
     cfg = _write_json(tmp_path / "bad.json", {"bogus_knob": 1})
