@@ -4,7 +4,8 @@ unc drops every constraint and prior and alternates exact masked least
 squares on the same factorization. cpd fits an unconstrained three-way
 canonical decomposition to the zero-imputed tensor at a rank matched by
 parameter count. nsdgd is the full solver with the signal coupling turned
-off. METHODS exposes all of them behind one adapter signature.
+off. METHODS exposes all of them behind one adapter signature, returning
+the decomposition and one ObjectiveBreakdown per recorded iteration.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import warnings
 import numpy as np
 
 from .driver import run_dgd
-from .model import Decomposition, NumericalAbort, reconstruct
+from .model import Decomposition, NumericalAbort, ObjectiveBreakdown
 from .tensors import masked_target, weighted_grams
 
 RIDGE = 1e-8
@@ -142,31 +143,38 @@ def cpd_to_decomposition(u, v, w):
     return Decomposition(latents, w.copy())
 
 
-def _dgd_est(adj, mask, signals, h, seed):
-    d, _ = run_dgd(adj, mask, signals, h, seed)
-    return reconstruct(d)
+def _fit_only(fits):
+    """One breakdown per fit value, with every prior term 0."""
+    zero = dict.fromkeys(("sparsity", "smoothness", "temporal", "overlap", "ridge_c"), 0.0)
+    return [ObjectiveBreakdown.build(fit=f, **zero) for f in fits]
 
 
-def _nsdgd_est(adj, mask, signals, h, seed):
-    d, _ = nsdgd(adj, mask, signals, h, seed)
-    return reconstruct(d)
+def _dgd(adj, mask, signals, h, seed):
+    d, hist = run_dgd(adj, mask, signals, h, seed)
+    return d, hist.breakdowns
 
 
-def _unc_est(adj, mask, signals, h, seed):
-    d, _ = unc_solve(adj, mask, h.n_latents, seed=seed)
-    return reconstruct(d)
+def _nsdgd(adj, mask, signals, h, seed):
+    d, hist = nsdgd(adj, mask, signals, h, seed)
+    return d, hist.breakdowns
 
 
-def _cpd_est(adj, mask, signals, h, seed):
+def _unc(adj, mask, signals, h, seed):
+    d, fits = unc_solve(adj, mask, h.n_latents, seed=seed)
+    return d, _fit_only(fits)
+
+
+def _cpd(adj, mask, signals, h, seed):
     observed = masked_target(adj, mask)
     rank = cpd_rank_for(observed.shape[1], observed.shape[0], h.n_latents)
-    (u, v, w), _ = cpd_als(observed, rank, seed=seed)
-    return reconstruct(cpd_to_decomposition(u, v, w))
+    (u, v, w), fits = cpd_als(observed, rank, seed=seed)
+    return cpd_to_decomposition(u, v, w), _fit_only(fits)
 
 
+# adapter(adj, mask, signals, h, seed) -> (Decomposition, [ObjectiveBreakdown])
 METHODS = {
-    "dgd": _dgd_est,
-    "nsdgd": _nsdgd_est,
-    "unc": _unc_est,
-    "cpd": _cpd_est,
+    "dgd": _dgd,
+    "nsdgd": _nsdgd,
+    "unc": _unc,
+    "cpd": _cpd,
 }

@@ -13,9 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-from .baselines import METHODS, cpd_als, cpd_rank_for, cpd_to_decomposition, nsdgd, unc_solve
+from .baselines import METHODS
 from .datagen import SwDynSpec, mask_seed, sample_mask, swdyn
-from .driver import run_dgd
 from .evaluation import (
     UndefinedMetricError,
     component_analysis,
@@ -23,7 +22,6 @@ from .evaluation import (
 )
 from .io_dgt import DgtError, load_dgt, save_dgt
 from .model import Decomposition, Hyperparams, NumericalAbort
-from .tensors import masked_target
 
 HISTORY_HEADER = "iter,total,fit,sparsity,smoothness,temporal,overlap,ridge_c"
 
@@ -62,10 +60,6 @@ def _breakdown_rows(breakdowns):
     ]
 
 
-def _fit_only_rows(fits):
-    return [(i, f, f, 0.0, 0.0, 0.0, 0.0, 0.0) for i, f in enumerate(fits)]
-
-
 def _cmd_generate(args):
     cfg = _load_json(args.spec) if args.spec else {}
     observed_frac = float(cfg.pop("observed_frac", 1.0))
@@ -95,25 +89,12 @@ def _cmd_decompose(args):
     mask = _load_kind(args.mask, "mask")
     signals = _load_kind(args.signals, "signals") if args.signals else None
     h = Hyperparams.from_dict(_load_json(args.config) if args.config else {})
-    if args.method == "dgd":
-        d, hist = run_dgd(adj, mask, signals, h, args.seed)
-        rows = _breakdown_rows(hist.breakdowns)
-    elif args.method == "nsdgd":
-        d, hist = nsdgd(adj, mask, signals, h, args.seed)
-        rows = _breakdown_rows(hist.breakdowns)
-    elif args.method == "unc":
-        d, fits = unc_solve(adj, mask, h.n_latents, seed=args.seed)
-        rows = _fit_only_rows(fits)
-    else:  # cpd
-        rank = cpd_rank_for(adj.shape[1], adj.shape[0], h.n_latents)
-        (u, v, w), fits = cpd_als(masked_target(adj, mask), rank, seed=args.seed)
-        d = cpd_to_decomposition(u, v, w)
-        rows = _fit_only_rows(fits)
+    d, breakdowns = METHODS[args.method](adj, mask, signals, h, args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_dgt(out / "latents.dgt", d.latents, "latents")
     save_dgt(out / "signatures.dgt", d.signatures, "signatures")
-    _write_history_csv(out / "history.csv", rows)
+    _write_history_csv(out / "history.csv", _breakdown_rows(breakdowns))
     for name in ("latents.dgt", "signatures.dgt", "history.csv"):
         print(f"wrote {out / name}")
     return 0

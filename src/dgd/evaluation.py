@@ -175,7 +175,7 @@ def sweep(
             for name in methods:
                 t0 = perf_counter()
                 try:
-                    est = METHODS[name](adj, mask, signals, h_cell, s)
+                    est = reconstruct(METHODS[name](adj, mask, signals, h_cell, s)[0])
                     report = evaluate(est, truth_tensor, mask, threshold=threshold)
                     metrics = (report.re, report.f1, report.precision, report.recall)
                 except (NumericalAbort, UndefinedMetricError, np.linalg.LinAlgError):

@@ -206,7 +206,9 @@ def test_criterion_08_baseline_ordering():
         re_dgd = relative_error(reconstruct(d), truth_tensor, holdout)
         du, _ = unc_solve(adj, mask, n_latents=2, seed=s)
         re_unc = relative_error(reconstruct(du), truth_tensor, holdout)
-        re_cpd = relative_error(METHODS["cpd"](adj, mask, signals, h, s), truth_tensor, holdout)
+        re_cpd = relative_error(
+            reconstruct(METHODS["cpd"](adj, mask, signals, h, s)[0]), truth_tensor, holdout
+        )
         unc_worse.append(re_unc > re_dgd)
         cpd_worse.append(re_cpd > re_dgd)
     ok = all(unc_worse) and all(cpd_worse)

@@ -13,7 +13,7 @@ from dgd.baselines import (
 )
 from dgd.datagen import SwDynSpec, sample_mask, swdyn
 from dgd.driver import run_dgd
-from dgd.model import Hyperparams, NumericalAbort, reconstruct
+from dgd.model import Hyperparams, NumericalAbort, ObjectiveBreakdown, reconstruct
 
 from helpers import planted_decomposition
 
@@ -129,6 +129,8 @@ def test_method_registry_adapters_return_tensors():
     mask = sample_mask(8, 6, 0.9, seed=10)
     h = Hyperparams(inner_iters=2, outer_iters=2)
     for name, fn in METHODS.items():
-        est = fn(adj, mask, signals, h, 0)
+        d, breakdowns = fn(adj, mask, signals, h, 0)
+        est = reconstruct(d)
         assert est.shape == adj.shape, name
         assert np.all(np.isfinite(est)), name
+        assert breakdowns and all(isinstance(b, ObjectiveBreakdown) for b in breakdowns), name
