@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DegreeSplit, project_sa, run_admm
+from .model import DegreeSplit, normal_or_zeros, project_sa, run_admm
 from .priors import xi_matrix
 
 
@@ -55,14 +55,9 @@ def build_a_workspace(d, r, h, rng=None):
     t = d.n_steps
     keep = [k for k in range(n_lat) if k != r]
     offset = d.signatures[:, keep] @ d.latents[keep].sum(axis=2) - h.zeta
-    if rng is not None:
-        # P is drawn (N, T) so that runs keep their random stream
-        p = rng.standard_normal((n, t)).T
-        lam = rng.standard_normal((t, n))
-    else:
-        p = np.zeros((t, n))
-        lam = np.zeros((t, n))
-    split = DegreeSplit(aux=p, dual=lam, penalty=h.lambda_a)
+    # P is drawn (N, T) so that runs keep their random stream
+    p = normal_or_zeros(rng, (n, t)).T
+    split = DegreeSplit(aux=p, dual=normal_or_zeros(rng, (t, n)), penalty=h.lambda_a)
     return AWorkspace(r=r, c_r=d.signatures[:, r].copy(), offset=offset, split=split)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DegreeSplit, project_sc, run_admm
+from .model import DegreeSplit, normal_or_zeros, project_sc, run_admm
 from .priors import diff_operator, smoothness_traces, temporal_pi
 from .tensors import weighted_grams
 
@@ -56,14 +56,9 @@ def build_c_workspace(latents, n_steps, h, rng=None):
     """Assemble Upsilon; draw P/Lam as N(0,1) when an rng is given."""
     ups = build_upsilon(latents)
     n = ups.shape[0]
-    if rng is not None:
-        p = rng.standard_normal((n_steps, n))
-        # Lam is drawn (N, T) so that runs keep their random stream
-        lam = rng.standard_normal((n, n_steps)).T
-    else:
-        p = np.zeros((n_steps, n))
-        lam = np.zeros((n_steps, n))
-    split = DegreeSplit(aux=p, dual=lam, penalty=h.lambda_c)
+    p = normal_or_zeros(rng, (n_steps, n))
+    # Lam is drawn (N, T) so that runs keep their random stream
+    split = DegreeSplit(aux=p, dual=normal_or_zeros(rng, (n, n_steps)).T, penalty=h.lambda_c)
     return CWorkspace(upsilon=ups, zeta=h.zeta, split=split)
 
 

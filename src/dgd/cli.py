@@ -46,18 +46,12 @@ def _load_kind(path, kind):
     return arr
 
 
-def _write_history_csv(path, rows):
+def _write_history_csv(path, breakdowns):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(HISTORY_HEADER + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if i else str(v) for i, v in enumerate(row)) + "\n")
-
-
-def _breakdown_rows(breakdowns):
-    return [
-        (i, b.total, b.fit, b.sparsity, b.smoothness, b.temporal, b.overlap, b.ridge_c)
-        for i, b in enumerate(breakdowns)
-    ]
+        for i, b in enumerate(breakdowns):
+            terms = (b.total, b.fit, b.sparsity, b.smoothness, b.temporal, b.overlap, b.ridge_c)
+            fh.write(",".join([str(i), *(repr(float(v)) for v in terms)]) + "\n")
 
 
 def _cmd_generate(args):
@@ -94,7 +88,7 @@ def _cmd_decompose(args):
     out.mkdir(parents=True, exist_ok=True)
     save_dgt(out / "latents.dgt", d.latents, "latents")
     save_dgt(out / "signatures.dgt", d.signatures, "signatures")
-    _write_history_csv(out / "history.csv", _breakdown_rows(breakdowns))
+    _write_history_csv(out / "history.csv", breakdowns)
     for name in ("latents.dgt", "signatures.dgt", "history.csv"):
         print(f"wrote {out / name}")
     return 0

@@ -291,13 +291,17 @@ class DegreeSplit:
         return float(np.linalg.norm(resid))
 
 
+def normal_or_zeros(rng, shape):
+    """N(0, 1) draws from rng, or zeros when rng is None."""
+    return np.zeros(shape) if rng is None else rng.standard_normal(shape)
+
+
 def run_admm(x, ws, grad, project, step, iters, label):
     """K projected-gradient ADMM iterations on one block; returns (x, ws, residuals).
 
-    Each iteration takes a gradient step on the augmented Lagrangian,
-    projects onto the block's feasible set, then updates ws.split at the new
-    degree margin ws.margin(x). Residuals record ||margin - P||_F after
-    each iteration.
+    Each iteration projects a gradient step on the augmented Lagrangian, then
+    updates ws.split at the new degree margin ws.margin(x) and records the
+    residual ||margin - P||_F.
     """
     if iters < 1:
         raise ValueError(f"inner_iters must be >= 1, got {iters}")
