@@ -8,11 +8,12 @@ ADMM on
 where Ups stacks the latent degree vectors A_r 1 as columns, so row t of
 C Ups' is the reconstructed degree vector at step t; C Ups' - zeta is the
 (T, N) degree margin and the auxiliary P >= 0 splits the minimum-degree
-constraint (:class:`model.DegreeSplit`). f adds the weighted least-squares fit of
-:class:`FitData`, the signal smoothness coupling, the squared forward-difference
-penalty mu ||DC||_F^2 and a ridge. The fit gradient of row t is G_t c_t - b_t with per-slice
-R x R Grams G_t; the Grams, b_t and the smoothness coupling do not depend on C,
-so each solve builds them once (:func:`c_gradient_terms`).
+constraint (:class:`model.DegreeSplit`). f adds the weighted least-squares
+fit of :class:`FitData`, the signal smoothness coupling, the squared
+forward-difference penalty mu ||DC||_F^2 and a ridge. The fit gradient of
+row t is G_t c_t - b_t with per-slice R x R Grams G_t; the Grams, b_t and
+the smoothness coupling do not depend on C, so each solve builds them once
+(:func:`c_gradient_terms`).
 """
 
 from __future__ import annotations

@@ -79,9 +79,9 @@ def masked_target(adj, mask):
 
 def check_finite(x, name, labels):
     """Raise ValueError naming the first non-finite entry of x by its index."""
-    bad = np.argwhere(~np.isfinite(x))
-    if len(bad):
-        idx = tuple(int(k) for k in bad[0])
+    finite = np.isfinite(x)
+    if not finite.all():
+        idx = tuple(int(k) for k in np.unravel_index(np.argmin(finite), x.shape))
         raise ValueError(f"{name} entry ({labels}) = {idx} is not finite: {x[idx]}")
 
 
