@@ -41,8 +41,10 @@ def unc_solve(adj, mask, n_latents, iters=50, seed=0):
 
     Returns (Decomposition, fit history); the history records
     0.5 ||M o (recon - A)||_F^2 after every half-step, so it is
-    non-increasing up to the ridge added on degenerate blocks. Adjacency
-    entries where the mask is 0 are never read.
+    non-increasing up to the ridge added on degenerate blocks. The
+    reconstruction sum_r c_r A_r is one matrix product, C (R, N^2), on the
+    latents laid out contiguously. Adjacency entries where the mask is 0 are
+    never read.
     """
     mask = np.asarray(mask, dtype=np.float64)
     target = masked_target(adj, mask)
@@ -54,7 +56,7 @@ def unc_solve(adj, mask, n_latents, iters=50, seed=0):
     fits = []
 
     def fit():
-        recon = np.einsum("tr,rij->tij", c, latents)
+        recon = np.tensordot(c, latents, axes=1)
         return 0.5 * float(np.sum((mask * recon - target) ** 2))
 
     for _ in range(iters):
@@ -84,8 +86,40 @@ def cpd_rank_for(n_nodes, n_steps, n_latents):
     return max(1, int(np.rint(free / (2.0 * n_nodes + n_steps))))
 
 
+def _khatri_rao(u, v):
+    """Column-wise Kronecker product: row (i, j) of the (N_u N_v, F) result is u[i] * v[j]."""
+    return (u[:, None, :] * v[None, :, :]).reshape(-1, u.shape[1])
+
+
+def _mttkrp_rows(x, v, w):
+    """Row-mode MTTKRP sum_tj X[t, i, j] v[j, f] w[t, f]: batched X_t v, contracted with w.
+
+    The column mode is the row mode of x.transpose(0, 2, 1).
+    """
+    return np.einsum("tif,tf->if", x @ v, w)
+
+
+def _mttkrp_time(x, u, v):
+    """Temporal MTTKRP sum_ij X[t, i, j] u[i, f] v[j, f] = X_(T) (u kr v).
+
+    X_(T) is the (T, N^2) reshape of x and kr the Khatri-Rao product.
+    """
+    return x.reshape(len(x), -1) @ _khatri_rao(u, v)
+
+
+def _cp_reconstruct(u, v, w):
+    """The (T, N, N) stack sum_f w[t, f] u[i, f] v[j, f] = w (u kr v)', reshaped."""
+    return (w @ _khatri_rao(u, v).T).reshape(len(w), len(u), len(v))
+
+
 def cpd_als(tensor, rank, iters=60, seed=0, _retry=True):
     """Unconstrained CP decomposition of a (T, N, N) stack by ALS.
+
+    Every contraction is a matrix product on a matricization of X (Kolda &
+    Bader 2009, sec. 3.4): the temporal MTTKRP is X_(T) (u kr v), with X_(T)
+    the (T, N^2) reshape and kr the Khatri-Rao product; the node-mode MTTKRPs
+    contract the batched products X_t v and X_t' u with w over t; the
+    reconstruction is w (u kr v)', reshaped to (T, N, N).
 
     Factor columns of the two node modes are renormalized each iteration with
     the scale pushed into the temporal mode. A non-finite iterate triggers one
@@ -98,6 +132,8 @@ def cpd_als(tensor, rank, iters=60, seed=0, _retry=True):
     u = rng.random((n, rank))
     v = rng.random((n, rank))
     w = rng.random((t, rank))
+    xt = x.transpose(0, 2, 1)
+
     def _solve(g, rhs, like):
         # lstsq chokes on non-finite input (and can fail to converge even on
         # finite input); either way the iterate is dead, signal with NaN
@@ -111,9 +147,9 @@ def cpd_als(tensor, rank, iters=60, seed=0, _retry=True):
     fits = []
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(iters):
-            u = _solve((v.T @ v) * (w.T @ w), np.einsum("tij,jf,tf->if", x, v, w), u)
-            v = _solve((u.T @ u) * (w.T @ w), np.einsum("tij,if,tf->jf", x, u, w), v)
-            w = _solve((u.T @ u) * (v.T @ v), np.einsum("tij,if,jf->tf", x, u, v), w)
+            u = _solve((v.T @ v) * (w.T @ w), _mttkrp_rows(x, v, w), u)
+            v = _solve((u.T @ u) * (w.T @ w), _mttkrp_rows(xt, u, w), v)
+            w = _solve((u.T @ u) * (v.T @ v), _mttkrp_time(x, u, v), w)
             nu = np.linalg.norm(u, axis=0)
             nv = np.linalg.norm(v, axis=0)
             scale_u = np.where(nu > 0, nu, 1.0)
@@ -127,7 +163,7 @@ def cpd_als(tensor, rank, iters=60, seed=0, _retry=True):
                 if _retry:
                     return cpd_als(tensor, rank, iters=iters, seed=seed + 1, _retry=False)
                 raise NumericalAbort("cpd: factors went non-finite twice")
-            recon = np.einsum("if,jf,tf->tij", u, v, w)
+            recon = _cp_reconstruct(u, v, w)
             fits.append(0.5 * float(np.sum((x - recon) ** 2)))
     return (u, v, w), fits
 
