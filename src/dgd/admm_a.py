@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DegreeSplit, normal_or_zeros, project_sa, run_admm
+from .model import DegreeSplit, normal_or_zeros, project_sa, run_admm, step_from_bound
 from .priors import xi_matrix
 
 
@@ -129,7 +129,7 @@ def default_step_a(d, r, fit, h):
         return h.step_a
     c2 = d.signatures[:, r] ** 2
     lip = float(c2 @ fit.slice_max) + h.eta + h.lambda_a * d.n_nodes * float(np.sum(c2))
-    return 1.0 / max(lip, 1e-8)
+    return step_from_bound(lip, f"latent {r}")
 
 
 def solve_a_subproblem(d, r, fit, cache, h, rng):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DegreeSplit, normal_or_zeros, project_sc, run_admm
+from .model import DegreeSplit, normal_or_zeros, project_sc, run_admm, step_from_bound
 from .priors import diff_operator, smoothness_traces, temporal_pi
 from .tensors import weighted_grams
 
@@ -133,7 +133,7 @@ def default_step_c(ws, latents, fit, h, dtd):
     # a numpy scalar, so that an overflowing square gives inf, not OverflowError
     ups_norm = np.linalg.norm(ws.upsilon, 2)
     lip += h.lambda_c * float(ups_norm**2)
-    return 1.0 / max(lip, 1e-8)
+    return step_from_bound(lip, "signatures")
 
 
 def solve_c_subproblem(d, fit, cache, h, rng):

@@ -131,7 +131,7 @@ def run_dgd(adj, mask, signals, h, seed):
             history.status = "aborted"
             err.history = history
             raise
-        bd = objective(d, adj, mask, cache, h)
+        bd = objective(d, fit, cache, h)
         history.breakdowns.append(bd)
         history.a_residuals.append(a_res)
         history.c_residuals.append(c_res[-1])

@@ -27,7 +27,6 @@ from numbers import Real
 import numpy as np
 
 from . import priors
-from .tensors import FitData
 
 GRADIENT_MODES = ("exact_mask", "count_weighted")
 FLOAT_FIELDS = (
@@ -203,18 +202,17 @@ def reconstruct(d, t=None):
     return np.tensordot(d.signatures[t], d.latents, axes=1)
 
 
-def objective(d, adj, mask, cache, h):
+def objective(d, fit, cache, h):
     """Evaluate the full objective, split by term.
 
-    The fit sees only observed data: adjacency entries where the mask is 0
-    are never read, so they may be NaN. `cache` may be None when h.delta == 0.
+    `fit` is the tensors.FitData of the observed stack, so the fit term sees
+    only observed entries. `cache` may be None when h.delta == 0.
     """
-    adj = np.asarray(adj, dtype=np.float64)
-    if adj.shape != (d.n_steps, d.n_nodes, d.n_nodes):
+    if fit.target.shape != (d.n_steps, d.n_nodes, d.n_nodes):
         raise ValueError(
-            f"decomposition ({d.n_steps},{d.n_nodes},{d.n_nodes}) does not match data {adj.shape}"
+            f"decomposition ({d.n_steps},{d.n_nodes},{d.n_nodes}) does not match data "
+            f"{fit.target.shape}"
         )
-    fit = FitData.build(adj, mask, h).loss(reconstruct(d))
     sparsity = h.gamma * float(d.latents.sum())
     smoothness = h.delta * priors.smoothness_g(d, cache) if h.delta != 0.0 else 0.0
     temporal = h.mu * priors.temporal_pi(d.signatures)
@@ -222,7 +220,7 @@ def objective(d, adj, mask, cache, h):
     ridge_c = 0.5 * h.rho * float(np.sum(d.signatures**2))
     ridge_a = 0.5 * h.eta * float(np.sum(d.latents**2)) if h.eta else 0.0
     return ObjectiveBreakdown.build(
-        fit=fit,
+        fit=fit.loss(reconstruct(d)),
         sparsity=sparsity,
         smoothness=smoothness,
         temporal=temporal,
@@ -294,6 +292,20 @@ class DegreeSplit:
 def normal_or_zeros(rng, shape):
     """N(0, 1) draws from rng, or zeros when rng is None."""
     return np.zeros(shape) if rng is None else rng.standard_normal(shape)
+
+
+def step_from_bound(lip, label):
+    """Gradient step 1 / lip for a curvature bound lip, floored at 1e-8.
+
+    A non-finite bound means the data's scale overflowed float64 before any
+    iterate did, so it aborts naming that rather than a step size.
+    """
+    if not math.isfinite(lip):
+        raise NumericalAbort(
+            f"{label}: curvature bound overflowed ({lip}); "
+            "the data scale is too large for float64"
+        )
+    return 1.0 / max(lip, 1e-8)
 
 
 def run_admm(x, ws, grad, project, step, iters, label):

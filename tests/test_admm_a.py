@@ -102,6 +102,13 @@ def test_default_step_selection():
     assert np.isclose(default_step_a(d, 0, fit2, h2), want2)
 
 
+def test_default_step_aborts_on_overflowing_bound():
+    _, d, fit, _, h = random_instance(50, "exact_mask")
+    d.signatures[:, 0] = 1e200
+    with pytest.raises(NumericalAbort, match="latent 0: curvature bound overflowed"):
+        default_step_a(d, 0, fit, h)
+
+
 def test_count_weighted_gradient_is_affine_identity():
     # linear part sums to (sum_t C[t,r]^2 1'm_t + eta) * I once the ADMM
     # coupling is negligible

@@ -42,9 +42,10 @@ def test_smoothness_gradient_matches_objective():
         c, ws, d.latents, fit, cache, h.replace(delta=0.0)
     )
     zeros = np.zeros_like(fit.target)
+    blank = FitData.build(zeros, zeros, h)
 
     def smoothness(x):
-        return objective(Decomposition(d.latents, x), zeros, zeros, cache, h).smoothness
+        return objective(Decomposition(d.latents, x), blank, cache, h).smoothness
 
     assert rel_grad_error(part, central_diff(smoothness, c)) < 1e-6
 
@@ -58,9 +59,10 @@ def test_temporal_gradient_matches_objective():
         c, ws, d.latents, fit, cache, h.replace(mu=0.0)
     )
     zeros = np.zeros_like(fit.target)
+    blank = FitData.build(zeros, zeros, h)
 
     def temporal(x):
-        return objective(Decomposition(d.latents, x), zeros, zeros, cache, h).temporal
+        return objective(Decomposition(d.latents, x), blank, cache, h).temporal
 
     assert rel_grad_error(part, central_diff(temporal, c)) < 1e-6
 

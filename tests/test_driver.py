@@ -115,11 +115,11 @@ def test_all_unobserved_aborts_with_history():
 
 
 def test_nonfinite_data_aborts_with_partial_history():
-    # finite, but its square overflows, so the iterates go non-finite
+    # finite, but its square overflows the signature step's curvature bound
     adj, mask = _small_problem(7)
     adj = adj.copy()
     adj[0, 0, 1] = adj[0, 1, 0] = 1e308
-    with pytest.raises(NumericalAbort) as excinfo:
+    with pytest.raises(NumericalAbort, match="curvature bound overflowed") as excinfo:
         run_dgd(adj, mask, None, Hyperparams(delta=0.0, outer_iters=3), seed=0)
     assert excinfo.value.history.status == "aborted"
 

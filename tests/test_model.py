@@ -1,7 +1,9 @@
 """Value types, objective terms, projections."""
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgd.model import (
     Decomposition,
@@ -15,6 +17,7 @@ from dgd.model import (
     reconstruct,
 )
 from dgd.priors import build_cache
+from dgd.tensors import FitData
 
 from helpers import planted_decomposition, symmetric_binary_mask
 
@@ -139,7 +142,7 @@ def test_objective_zero_at_perfect_fit():
     adj = reconstruct(d)
     mask = np.ones_like(adj)
     h = Hyperparams(gamma=0.0, delta=0.0, beta=0.0, mu=0.0, rho=0.0)
-    bd = objective(d, adj, mask, None, h)
+    bd = objective(d, FitData.build(adj, mask, h), None, h)
     assert bd.fit < 1e-20
     assert bd.total < 1e-20
 
@@ -163,7 +166,7 @@ def test_objective_matches_loop_oracle(mode):
         eta=0.5,
         gradient_mode=mode,
     )
-    bd = objective(d, adj, mask, cache, h)
+    bd = objective(d, FitData.build(adj, mask, h), cache, h)
     want = _loop_objective(d, adj, mask, cache.z_slices, h)
     assert abs(bd.total - want) <= 1e-10 * max(abs(want), 1.0)
 
@@ -178,11 +181,11 @@ def test_objective_ignores_unobserved_adjacency(mode):
     mask = symmetric_binary_mask(6, t, n, frac=0.5)
     h = Hyperparams(gradient_mode=mode)
     cache = build_cache(np.zeros((t, n, 1)))
-    bd = objective(d, adj, mask, cache, h)
+    bd = objective(d, FitData.build(adj, mask, h), cache, h)
     tampered = adj + 100.0 * (1.0 - mask) * rng.random((t, n, n))
-    bd2 = objective(d, tampered, mask, cache, h)
+    bd2 = objective(d, FitData.build(tampered, mask, h), cache, h)
     assert bd2.total == bd.total
-    bd3 = objective(d, np.where(mask > 0, adj, np.nan), mask, cache, h)
+    bd3 = objective(d, FitData.build(np.where(mask > 0, adj, np.nan), mask, h), cache, h)
     assert bd3.total == bd.total
 
 
@@ -194,27 +197,29 @@ def test_objective_isolates_each_term():
     mask = np.zeros((t, n, n))
     cache = build_cache(rng.standard_normal((t, n, 3)))
     zero = Hyperparams(gamma=0.0, delta=0.0, beta=0.0, mu=0.0, rho=0.0)
+    fit = FitData.build(adj, mask, zero)
 
-    bd = objective(d, adj, mask, cache, zero.replace(gamma=2.0))
+    bd = objective(d, fit, cache, zero.replace(gamma=2.0))
     assert np.isclose(bd.sparsity, 2.0 * d.latents.sum())
     assert bd.smoothness == bd.temporal == bd.overlap == bd.ridge_c == 0.0
 
-    bd = objective(d, adj, mask, cache, zero.replace(mu=3.0))
+    bd = objective(d, fit, cache, zero.replace(mu=3.0))
     assert np.isclose(bd.temporal, 3.0 * np.sum(np.diff(d.signatures, axis=0) ** 2))
 
-    bd = objective(d, adj, mask, cache, zero.replace(rho=4.0))
+    bd = objective(d, fit, cache, zero.replace(rho=4.0))
     assert np.isclose(bd.ridge_c, 2.0 * np.sum(d.signatures**2))
 
-    bd = objective(d, adj, mask, cache, zero.replace(eta=2.0))
+    bd = objective(d, fit, cache, zero.replace(eta=2.0))
     assert np.isclose(bd.ridge_a, np.sum(d.latents**2))
 
 
 def test_objective_shape_mismatch_errors():
     d = planted_decomposition(1, n=3, t=2, r=1)
+    h = Hyperparams()
     with pytest.raises(ValueError):
-        objective(d, np.zeros((2, 3, 3)), np.zeros((2, 4, 4)), None, Hyperparams())
+        objective(d, FitData.build(np.zeros((2, 3, 3)), np.zeros((2, 4, 4)), h), None, h)
     with pytest.raises(ValueError):
-        objective(d, np.zeros((2, 4, 4)), np.zeros((2, 4, 4)), None, Hyperparams())
+        objective(d, FitData.build(np.zeros((2, 4, 4)), np.zeros((2, 4, 4)), h), None, h)
 
 
 def test_project_sa_clips_symmetrizes_and_zeroes_diagonal():
@@ -223,12 +228,16 @@ def test_project_sa_clips_symmetrizes_and_zeroes_diagonal():
     assert np.array_equal(project_sa(-np.ones((3, 3))), np.zeros((3, 3)))
 
 
-def test_project_sa_idempotent_exactly():
-    rng = np.random.default_rng(14)
-    for _ in range(10):
-        p = project_sa(rng.standard_normal((5, 5)))
-        assert in_sa(p)
-        assert np.array_equal(project_sa(p), p)
+# finite values whose pairwise sums cannot overflow, subnormals and -0.0 included
+_FLOATS = st.floats(-1e300, 1e300, allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: hnp.arrays(np.float64, (n, n), elements=_FLOATS)))
+def test_project_sa_idempotent_exactly(x):
+    p = project_sa(x)
+    assert in_sa(p)
+    assert np.array_equal(project_sa(p), p)
 
 
 def test_project_sa_beats_random_feasible_points():
@@ -246,6 +255,14 @@ def test_project_sa_beats_random_feasible_points():
 def test_project_sc_clips_negatives():
     x = np.array([[1.0, -2.0], [-0.5, 3.0]])
     assert np.array_equal(project_sc(x), np.array([[1.0, 0.0], [0.0, 3.0]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=3), elements=st.floats(allow_nan=False)))
+def test_project_sc_idempotent_and_nonnegative(x):
+    p = project_sc(x)
+    assert np.all(p >= 0.0)
+    assert np.array_equal(project_sc(p), p)
 
 
 def test_in_sa_detects_violations():
