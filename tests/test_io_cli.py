@@ -2,8 +2,10 @@
 
 import json
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgd.cli import HISTORY_HEADER, main
 from dgd.io_dgt import KINDS, DgtError, load_dgt, save_dgt
@@ -31,6 +33,28 @@ def test_round_trip_is_bit_exact(tmp_path, kind, shape):
     arr.flat[0] = -0.0
     arr.flat[1] = 5e-324  # subnormal survives
     path = tmp_path / f"{kind}.dgt"
+    save_dgt(path, arr, kind)
+    back, found = load_dgt(path)
+    assert found == kind
+    assert back.shape == arr.shape
+    assert back.tobytes() == arr.tobytes()
+
+
+@st.composite
+def _kind_and_array(draw):
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    shape = draw(hnp.array_shapes(min_dims=KINDS[kind], max_dims=KINDS[kind], max_side=5))
+    # NaN and inf included: the payload is raw little-endian float64
+    specials = st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, np.inf, -np.inf, np.nan])
+    arr = draw(hnp.arrays(np.float64, shape, elements=specials | st.floats(allow_subnormal=True)))
+    return kind, arr
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kind_and_array())
+def test_round_trip_any_shape_and_value(tmp_path_factory, case):
+    kind, arr = case
+    path = tmp_path_factory.mktemp("dgt") / f"{kind}.dgt"
     save_dgt(path, arr, kind)
     back, found = load_dgt(path)
     assert found == kind
