@@ -41,10 +41,10 @@ def unc_solve(adj, mask, n_latents, iters=50, seed=0):
 
     Returns (Decomposition, fit history); the history records
     0.5 ||M o (recon - A)||_F^2 after every half-step, so it is
-    non-increasing up to the ridge added on degenerate blocks. The
-    reconstruction sum_r c_r A_r is one matrix product, C (R, N^2), on the
-    latents laid out contiguously. Adjacency entries where the mask is 0 are
-    never read.
+    non-increasing up to the ridge added on degenerate blocks. Its
+    reconstruction sum_r C[t, r] A_r is the product of C with the (R, N^2)
+    matricized latents, copied contiguous by tensordot. Adjacency entries
+    where the mask is 0 are never read.
     """
     mask = np.asarray(mask, dtype=np.float64)
     target = masked_target(adj, mask)
@@ -132,8 +132,6 @@ def cpd_als(tensor, rank, iters=60, seed=0, _retry=True):
     u = rng.random((n, rank))
     v = rng.random((n, rank))
     w = rng.random((t, rank))
-    xt = x.transpose(0, 2, 1)
-
     def _solve(g, rhs, like):
         # lstsq chokes on non-finite input (and can fail to converge even on
         # finite input); either way the iterate is dead, signal with NaN
@@ -148,7 +146,7 @@ def cpd_als(tensor, rank, iters=60, seed=0, _retry=True):
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(iters):
             u = _solve((v.T @ v) * (w.T @ w), _mttkrp_rows(x, v, w), u)
-            v = _solve((u.T @ u) * (w.T @ w), _mttkrp_rows(xt, u, w), v)
+            v = _solve((u.T @ u) * (w.T @ w), _mttkrp_rows(x.transpose(0, 2, 1), u, w), v)
             w = _solve((u.T @ u) * (v.T @ v), _mttkrp_time(x, u, v), w)
             nu = np.linalg.norm(u, axis=0)
             nv = np.linalg.norm(v, axis=0)

@@ -295,7 +295,7 @@ def normal_or_zeros(rng, shape):
 
 
 def step_from_bound(lip, label):
-    """Gradient step 1 / lip for a curvature bound lip, floored at 1e-8.
+    """Gradient step 1 / max(lip, 1e-8) for a curvature bound lip.
 
     A non-finite bound means the data's scale overflowed float64 before any
     iterate did, so it aborts naming that rather than a step size.
