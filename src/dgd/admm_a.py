@@ -106,7 +106,7 @@ def a_lagrangian_value(a_r, ws, d, fit, cache, h):
     c_r = d.signatures[:, r]
     latents = d.latents.copy()
     latents[r] = a_r
-    val = fit.loss(np.einsum("tk,kij->tij", d.signatures, latents))
+    val = fit.loss(d.signatures, latents)
     if h.delta != 0.0:
         val += h.delta * float(np.sum(a_r * xi_matrix(cache, c_r)))
     val += h.gamma * float(a_r.sum())
@@ -124,11 +124,14 @@ def default_step_a(d, r, fit, h):
     The fit curvature sum_t C[t,r]^2 W_t is bounded entrywise by
     sum_t C[t,r]^2 w_t, w_t = max W_t. Add eta and lambda_a N ||c_r||^2, which
     bounds the augmented term: ||outer(c_r, A 1)||_F^2 <= N ||c_r||^2 ||A||_F^2.
+    A bound that overflows aborts through :func:`model.step_from_bound`
+    without numpy warnings.
     """
     if h.step_a is not None:
         return h.step_a
-    c2 = d.signatures[:, r] ** 2
-    lip = float(c2 @ fit.slice_max) + h.eta + h.lambda_a * d.n_nodes * float(np.sum(c2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c2 = d.signatures[:, r] ** 2
+        lip = float(c2 @ fit.slice_max) + h.eta + h.lambda_a * d.n_nodes * float(np.sum(c2))
     return step_from_bound(lip, f"latent {r}")
 
 
@@ -139,10 +142,10 @@ def solve_a_subproblem(d, r, fit, cache, h, rng):
     clipped closed-form P update, then dual ascent (:func:`model.run_admm`).
     """
     ws = build_a_workspace(d, r, h, rng=rng)
+    step = default_step_a(d, r, fit, h)
     terms = a_gradient_terms(d, r, fit, cache, h)
 
     def grad(a):
         return grad_a_lagrangian(a, ws, d, fit, cache, h, terms=terms)
 
-    step = default_step_a(d, r, fit, h)
     return run_admm(d.latents[r].copy(), ws, grad, project_sa, step, h.inner_iters, f"latent {r}")

@@ -106,7 +106,7 @@ def grad_c_lagrangian(c, ws, latents, fit, cache, h, terms=None, dtd=None):
 def c_lagrangian_value(c, ws, latents, fit, cache, h):
     """Value of the augmented Lagrangian that grad_c_lagrangian differentiates."""
     c = np.asarray(c, dtype=np.float64)
-    val = fit.loss(np.einsum("tr,rij->tij", c, latents))
+    val = fit.loss(c, latents)
     if h.delta != 0.0:
         val += 0.5 * h.delta * float(np.sum(c * smoothness_traces(latents, cache)))
     if h.mu != 0.0:
@@ -121,18 +121,20 @@ def default_step_c(ws, latents, fit, h, dtd):
 
     The fit Gram G_t is bounded by the unweighted latent Gram times
     w_t = max W_t, so the largest w_t scales its spectral norm. The temporal
-    term mu ||DC||_F^2 adds 2 mu ||D'D||_2.
+    term mu ||DC||_F^2 adds 2 mu ||D'D||_2. A bound that overflows aborts
+    through :func:`model.step_from_bound` without numpy warnings.
     """
     if h.step_c is not None:
         return h.step_c
-    stacked = latents.reshape(len(latents), -1)
-    gram_norm = float(np.linalg.norm(stacked @ stacked.T, 2))
-    lip = gram_norm * float(fit.slice_max.max()) + h.rho
-    if h.mu != 0.0:
-        lip += 2.0 * h.mu * float(np.linalg.norm(dtd, 2))
-    # a numpy scalar, so that an overflowing square gives inf, not OverflowError
-    ups_norm = np.linalg.norm(ws.upsilon, 2)
-    lip += h.lambda_c * float(ups_norm**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = latents.reshape(len(latents), -1)
+        gram_norm = float(np.linalg.norm(stacked @ stacked.T, 2))
+        lip = gram_norm * float(fit.slice_max.max()) + h.rho
+        if h.mu != 0.0:
+            lip += 2.0 * h.mu * float(np.linalg.norm(dtd, 2))
+        # a numpy scalar, so that an overflowing square gives inf, not OverflowError
+        ups_norm = np.linalg.norm(ws.upsilon, 2)
+        lip += h.lambda_c * float(ups_norm**2)
     return step_from_bound(lip, "signatures")
 
 
@@ -141,14 +143,15 @@ def solve_c_subproblem(d, fit, cache, h, rng):
 
     Update order per iteration: gradient step + projection onto the
     nonnegative orthant, clipped closed-form P update, dual ascent on Lam
-    (:func:`model.run_admm`).
+    (:func:`model.run_admm`). The step bound comes first, so data too large
+    for float64 aborts before the Grams overflow.
     """
     ws = build_c_workspace(d.latents, d.n_steps, h, rng=rng)
-    terms = c_gradient_terms(d.latents, fit, cache, h)
     dtd = _dtd(d.n_steps)
+    step = default_step_c(ws, d.latents, fit, h, dtd)
+    terms = c_gradient_terms(d.latents, fit, cache, h)
 
     def grad(c):
         return grad_c_lagrangian(c, ws, d.latents, fit, cache, h, terms=terms, dtd=dtd)
 
-    step = default_step_c(ws, d.latents, fit, h, dtd)
     return run_admm(d.signatures.copy(), ws, grad, project_sc, step, h.inner_iters, "signatures")

@@ -19,7 +19,7 @@ from .admm_a import solve_a_subproblem
 from .admm_c import solve_c_subproblem
 from .model import Decomposition, NumericalAbort, objective, project_sa
 from .priors import build_cache
-from .tensors import FitData, check_finite, check_mask
+from .tensors import FitData, check_finite
 
 
 @dataclass
@@ -85,7 +85,6 @@ def run_dgd(adj, mask, signals, h, seed):
     """
     h.validate()
     fit = FitData.build(adj, mask, h)
-    check_mask(mask)
     n_steps, n = fit.target.shape[:2]
 
     history = RunHistory()

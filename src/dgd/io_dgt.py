@@ -13,6 +13,7 @@ dims [N, N, T] load as a (T, N, N) array. Round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import os
 from math import prod
 
 import numpy as np
@@ -64,18 +65,56 @@ def save_dgt(path, arr, kind):
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8"))
         fh.write(b"\n")
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
 
 
 def load_dgt(path):
-    """Read a container back; returns (array, kind) in the in-memory layout."""
+    """Read a container back; returns (array, kind) in the in-memory layout.
+
+    The header is checked and the payload length compared with the file
+    size before any payload byte is read; the payload is then read straight
+    into one writable, C-contiguous native float64 array, with no
+    intermediate bytes copy.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    nl = data.find(b"\n", 0, _HEADER_SCAN_LIMIT)
-    if nl < 0:
-        raise DgtError("header terminator newline not found", byte_offset=0)
+        head = fh.read(_HEADER_SCAN_LIMIT)
+        nl = head.find(b"\n")
+        if nl < 0:
+            raise DgtError("header terminator newline not found", byte_offset=0)
+        kind, dims = _parse_header(head[:nl])
+        start = nl + 1
+        count = prod(dims)
+        expected = count * 8
+        found = os.fstat(fh.fileno()).st_size - start
+        if found > expected:
+            raise DgtError(
+                f"trailing data: expected {expected} payload bytes, found {found}",
+                byte_offset=start + expected,
+            )
+        if found == expected:
+            flat = np.empty(count, dtype="<f8")
+            fh.seek(start)
+            # readinto stops short only at end of file, so a file that
+            # shrinks after the size check shows as a truncated payload
+            found = fh.readinto(memoryview(flat).cast("B"))
+        if found < expected:
+            raise DgtError(
+                f"payload truncated: expected {expected} bytes, found {found}",
+                byte_offset=start + found,
+            )
+    # a no-op on little-endian hosts
+    flat = flat.astype(np.float64, copy=False)
+    if KINDS[kind] == 3:
+        rows, cols, slices = dims
+        return flat.reshape(slices, rows, cols), kind
+    rows, cols = dims
+    return flat.reshape(rows, cols), kind
+
+
+def _parse_header(line):
+    """Validate one header line; returns (kind, dims)."""
     try:
-        header = json.loads(data[:nl].decode("utf-8"))
+        header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise DgtError(f"header is not valid JSON: {err}", byte_offset=0) from None
     if not isinstance(header, dict):
@@ -104,21 +143,4 @@ def load_dgt(path):
             f"dims must be {order} positive integers for kind {kind!r}, got {dims!r}",
             byte_offset=0,
         )
-    payload = data[nl + 1 :]
-    expected = prod(dims) * 8
-    if len(payload) < expected:
-        raise DgtError(
-            f"payload truncated: expected {expected} bytes, found {len(payload)}",
-            byte_offset=nl + 1 + len(payload),
-        )
-    if len(payload) > expected:
-        raise DgtError(
-            f"trailing data: expected {expected} payload bytes, found {len(payload)}",
-            byte_offset=nl + 1 + expected,
-        )
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    if order == 3:
-        rows, cols, slices = dims
-        return flat.reshape(slices, rows, cols), kind
-    rows, cols = dims
-    return flat.reshape(rows, cols), kind
+    return kind, dims

@@ -220,7 +220,7 @@ def objective(d, fit, cache, h):
     ridge_c = 0.5 * h.rho * float(np.sum(d.signatures**2))
     ridge_a = 0.5 * h.eta * float(np.sum(d.latents**2)) if h.eta else 0.0
     return ObjectiveBreakdown.build(
-        fit=fit.loss(reconstruct(d)),
+        fit=fit.loss(d.signatures, d.latents),
         sparsity=sparsity,
         smoothness=smoothness,
         temporal=temporal,

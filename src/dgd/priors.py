@@ -34,17 +34,30 @@ class SmoothCache:
 
 
 def build_cache(x):
-    """Build the pairwise squared-distance slices from a (T, N, Q) signal tensor."""
+    """Build the pairwise squared-distance slices from a (T, N, Q) signal tensor.
+
+    Z_t = sq_t 1' + 1 sq_t' - 2 X_t X_t', sq_t the squared row norms of X_t,
+    is formed in its slice of the output with one N x N scratch, so set-up
+    needs no (T, N, N) temporaries beyond Z itself.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError(f"signal tensor must be (T, N, Q), got {x.shape}")
-    sq = np.einsum("tnq,tnq->tn", x, x)
-    gram = x @ x.transpose(0, 2, 1)
-    z = sq[:, :, None] + sq[:, None, :] - 2.0 * gram
-    # exact invariants: symmetric, nonnegative, zero diagonal
-    z = np.maximum(0.5 * (z + z.transpose(0, 2, 1)), 0.0)
-    n = z.shape[1]
-    z[:, np.arange(n), np.arange(n)] = 0.0
+    t, n, _ = x.shape
+    z = np.empty((t, n, n))
+    scratch = np.empty((n, n))
+    for k in range(t):
+        xk, zk = x[k], z[k]
+        sq = np.einsum("nq,nq->n", xk, xk)
+        np.matmul(xk, xk.T, out=zk)
+        zk *= 2.0
+        np.add(sq[:, None], sq[None, :], out=scratch)
+        np.subtract(scratch, zk, out=zk)
+        # exact invariants: symmetric, nonnegative, zero diagonal
+        np.add(zk, zk.T, out=scratch)
+        scratch *= 0.5
+        np.maximum(scratch, 0.0, out=zk)
+        np.fill_diagonal(zk, 0.0)
     return SmoothCache(z_slices=z)
 
 

@@ -56,15 +56,25 @@ class FitData:
             raise ValueError(f"unknown gradient_mode {h.gradient_mode!r}")
         return cls(weight=weight, target=target)
 
-    def loss(self, recon):
-        """The fit value 1/2 sum W (recon - Y)^2 of a (T, N, N) reconstruction."""
-        return 0.5 * float(np.sum(self.weight * (recon - self.target) ** 2))
+    def loss(self, signatures, latents):
+        """The fit value 1/2 sum W (recon - Y)^2 of recon_t = sum_r C[t,r] A_r.
+
+        The reconstruction is the one (T, N, N) buffer this allocates; the
+        residual, its square and the weighting are formed in place.
+        """
+        buf = np.einsum("tr,rij->tij", signatures, latents)
+        buf -= self.target
+        np.square(buf, out=buf)
+        buf *= self.weight
+        return 0.5 * float(np.sum(buf))
 
 
 def masked_target(adj, mask):
     """Y = M o A, with entries where the mask is 0 set to 0 unread (NaN there is harmless).
 
-    A non-finite observed entry raises ValueError naming its (t, i, j).
+    This is the input boundary every method shares: a mask that is not binary
+    and symmetric (:func:`check_mask`) or a non-finite observed entry raises
+    ValueError, the latter naming its (t, i, j).
     """
     adj = np.asarray(adj, dtype=np.float64)
     mask = np.asarray(mask)
@@ -72,6 +82,7 @@ def masked_target(adj, mask):
         raise ValueError(f"adjacency tensor must be (T, N, N), got {adj.shape}")
     if adj.shape != mask.shape:
         raise ValueError(f"adjacency {adj.shape} and mask {mask.shape} differ in shape")
+    check_mask(mask)
     target = np.where(mask > 0, adj, 0.0)
     check_finite(target, "observed adjacency", "t, i, j")
     return target
@@ -101,10 +112,12 @@ def is_hollow(m, tol=0.0):
 
 
 def check_mask(mask):
-    """Validate mask invariants: binary entries, symmetric slices."""
+    """Validate mask invariants slice by slice: binary entries, symmetric slices."""
     mask = np.asarray(mask)
-    if not np.all((mask == 0.0) | (mask == 1.0)):
-        raise ValueError("mask entries must be 0 or 1")
-    if not is_symmetric(mask):
-        raise ValueError("mask slices must be symmetric")
+    for t, m in enumerate(mask.reshape((-1,) + mask.shape[-2:])):
+        if not ((m == 0.0) | (m == 1.0)).all():
+            raise ValueError(f"mask entries must be 0 or 1 (slice {t})")
+        # exact comparison: the entries are already known to be 0 or 1
+        if not (m == m.T).all():
+            raise ValueError(f"mask slices must be symmetric (slice {t})")
     return True

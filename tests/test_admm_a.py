@@ -1,5 +1,7 @@
 """Latent-adjacency subproblem: gradient oracle, workspace, solve loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -105,8 +107,10 @@ def test_default_step_selection():
 def test_default_step_aborts_on_overflowing_bound():
     _, d, fit, _, h = random_instance(50, "exact_mask")
     d.signatures[:, 0] = 1e200
-    with pytest.raises(NumericalAbort, match="latent 0: curvature bound overflowed"):
-        default_step_a(d, 0, fit, h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalAbort, match="latent 0: curvature bound overflowed"):
+            default_step_a(d, 0, fit, h)
 
 
 def test_count_weighted_gradient_is_affine_identity():

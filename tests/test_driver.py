@@ -1,6 +1,7 @@
 """Alternating driver: determinism, convergence bookkeeping, failure paths."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -115,12 +116,15 @@ def test_all_unobserved_aborts_with_history():
 
 
 def test_nonfinite_data_aborts_with_partial_history():
-    # finite, but its square overflows the signature step's curvature bound
+    # finite, but its square overflows the signature step's curvature bound;
+    # the abort is the only report, with no numpy overflow warning before it
     adj, mask = _small_problem(7)
     adj = adj.copy()
     adj[0, 0, 1] = adj[0, 1, 0] = 1e308
-    with pytest.raises(NumericalAbort, match="curvature bound overflowed") as excinfo:
-        run_dgd(adj, mask, None, Hyperparams(delta=0.0, outer_iters=3), seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalAbort, match="curvature bound overflowed") as excinfo:
+            run_dgd(adj, mask, None, Hyperparams(delta=0.0, outer_iters=3), seed=0)
     assert excinfo.value.history.status == "aborted"
 
 

@@ -1,5 +1,8 @@
 """Property tests: the cached fit gradients against the plain per-slice loop,
-and the (T, N) degree-constraint coupling against the dense Phi_r formula."""
+the (T, N) degree-constraint coupling against the dense Phi_r formula, and the
+in-place fit value against the plain weighted sum of squares."""
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -105,3 +108,37 @@ def test_coupling_matches_dense_phi_formula(case):
     terms = (np.zeros((n_steps, n_lat, n_lat)), np.zeros((n_steps, n_lat)))
     coupling = grad_c_lagrangian(c, ws, d.latents, fit, None, h, terms=terms)
     assert _close(coupling, lam.T @ ups + h.lambda_c * (resid @ ups))
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_loss_matches_plain_formula_and_leaves_inputs(case):
+    d, adj, mask, mode, _ = case
+    fit = FitData.build(adj, mask, Hyperparams(gradient_mode=mode))
+    if mode == "count_weighted":
+        assert fit.weight.strides[1:] == (0, 0)  # the broadcast per-slice count
+    inputs = (d.signatures, d.latents, fit.weight, fit.target)
+    before = [x.copy() for x in inputs]
+    recon = np.einsum("tr,rij->tij", d.signatures, d.latents)
+    want = 0.5 * float(np.sum(fit.weight * (recon - fit.target) ** 2))
+    assert fit.loss(d.signatures, d.latents) == want
+    for x, x0 in zip(inputs, before):
+        assert np.array_equal(x, x0)
+
+
+def test_loss_allocates_one_stack():
+    # numpy allocations are traced: the reconstruction is the only (T, N, N) buffer
+    rng = np.random.default_rng(11)
+    t, n, r = 16, 128, 3
+    mask = (rng.random((t, n, n)) < 0.5).astype(np.float64)
+    mask = np.maximum(mask, mask.transpose(0, 2, 1))
+    signatures, latents = rng.random((t, r)), rng.random((r, n, n))
+    for mode in GRADIENT_MODES:
+        fit = FitData.build(rng.random((t, n, n)), mask, Hyperparams(gradient_mode=mode))
+        tracemalloc.start()
+        try:
+            fit.loss(signatures, latents)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * t * n * n + 2**16, mode

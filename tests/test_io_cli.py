@@ -1,12 +1,14 @@
 """Container format and command line flows."""
 
 import json
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dgd.baselines import METHODS
 from dgd.cli import HISTORY_HEADER, main
 from dgd.io_dgt import KINDS, DgtError, load_dgt, save_dgt
 
@@ -152,6 +154,51 @@ def test_load_reports_payload_offsets(tmp_path):
         load_dgt(path)
     assert excinfo.value.byte_offset == len(header) + 1 + 8 * 8
     assert "byte offset" in str(excinfo.value)
+
+
+def test_header_scan_stops_at_64_kib(tmp_path):
+    # JSON allows leading blanks: pad the header so its newline is the
+    # last byte of the 64 KiB scan, then one byte past it
+    header = _header_bytes(kind="signatures", dims=[2, 2])
+    payload = np.arange(4.0).tobytes()
+    pad = b" " * (65535 - len(header))
+    back, _ = load_dgt(_write_raw(tmp_path, pad + header, payload))
+    assert np.array_equal(back, [[0.0, 1.0], [2.0, 3.0]])
+    with pytest.raises(DgtError, match="newline") as excinfo:
+        load_dgt(_write_raw(tmp_path, b" " + pad + header, payload))
+    assert excinfo.value.byte_offset == 0
+
+
+def test_load_and_save_hold_one_payload(tmp_path):
+    # numpy allocations are traced: a load owns the payload and little else,
+    # a save of a contiguous float64 array copies nothing
+    arr = np.random.default_rng(5).standard_normal((16, 256, 256))
+    assert arr.nbytes >= 8 * 2**20
+    path = tmp_path / "big.dgt"
+    tracemalloc.start()
+    try:
+        save_dgt(path, arr, "adjacency")
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back, _ = load_dgt(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert save_peak <= 2**20
+    assert load_peak <= arr.nbytes + 2**20
+    assert back.tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_loaded_arrays_are_writable_native_and_contiguous(tmp_path, kind):
+    shape = (3, 4, 4)[: KINDS[kind]]
+    path = tmp_path / f"{kind}.dgt"
+    save_dgt(path, np.arange(np.prod(shape), dtype=">f8").reshape(shape), kind)
+    back, _ = load_dgt(path)
+    assert back.dtype == np.float64 and back.dtype.isnative
+    assert back.flags.writeable and back.flags.c_contiguous
+    back.flat[0] = -1.0
+    assert np.array_equal(back.ravel()[1:], np.arange(1, back.size))
 
 
 def test_order3_dims_follow_rows_cols_slices(tmp_path):
@@ -343,6 +390,34 @@ def test_nonfinite_observed_entry_exits_one(tmp_path, capsys):
         )
         assert code == 1, method
         assert f"(t, i, j) = ({t}, {i}, {j})" in capsys.readouterr().err, method
+
+
+def test_bad_mask_exits_one_for_every_method(tmp_path, capsys):
+    data = _generate(tmp_path)
+    mask, _ = load_dgt(data / "mask.dgt")
+    half = mask.copy()
+    half[0, 0, 1] = half[0, 1, 0] = 0.5
+    skew = mask.copy()
+    skew[1, 2, 3] = 1.0 - skew[1, 3, 2]
+    for name, bad, message in (
+        ("half", half, "mask entries must be 0 or 1"),
+        ("skew", skew, "mask slices must be symmetric"),
+    ):
+        save_dgt(tmp_path / f"{name}.dgt", bad, "mask")
+        for method in sorted(METHODS):
+            code = main(
+                [
+                    "decompose",
+                    "--adj", str(data / "adjacency.dgt"),
+                    "--mask", str(tmp_path / f"{name}.dgt"),
+                    "--signals", str(data / "signals.dgt"),
+                    "--method", method,
+                    "--out-dir", str(tmp_path / "out"),
+                    "--seed", "0",
+                ]
+            )
+            assert code == 1, (name, method)
+            assert message in capsys.readouterr().err, (name, method)
 
 
 def test_unknown_config_key_named(tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Smoothness cache, difference operator and the standalone prior values."""
 
+import tracemalloc
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgd.model import Decomposition, reconstruct
 from dgd.priors import (
@@ -43,6 +47,42 @@ def test_cache_invariants():
     assert np.all(z >= 0.0)
     assert np.all(np.diagonal(z, axis1=1, axis2=2) == 0.0)
     assert (cache.n_steps, cache.n_nodes) == (2, 5)
+
+
+def _batched_cache(x):
+    """The batched formula: (T, N, N) temporaries for the Gram and the sums."""
+    sq = np.einsum("tnq,tnq->tn", x, x)
+    z = sq[:, :, None] + sq[:, None, :] - 2.0 * (x @ x.transpose(0, 2, 1))
+    z = np.maximum(0.5 * (z + z.transpose(0, 2, 1)), 0.0)
+    n = z.shape[1]
+    z[:, np.arange(n), np.arange(n)] = 0.0
+    return z
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=3, max_dims=3, max_side=6),
+        elements=st.floats(-1e3, 1e3, allow_subnormal=True),
+    )
+)
+def test_cache_equals_batched_formula(x):
+    # T, N and Q = 1 included; slice by slice gives the same bits
+    assert build_cache(x).z_slices.tobytes() == _batched_cache(x).tobytes()
+
+
+def test_cache_scratch_is_one_slice():
+    # numpy allocations are traced: beyond Z itself, set-up holds O(N max(N, Q))
+    t, n, q = 64, 96, 8
+    x = np.random.default_rng(9).standard_normal((t, n, q))
+    tracemalloc.start()
+    try:
+        cache = build_cache(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cache.z_slices.nbytes + 4 * 8 * n * max(n, q)
 
 
 def test_cache_rejects_non_tensor_input():
