@@ -13,9 +13,12 @@ does a gradient step projected onto S_A, a closed-form clipped P update, and a
 dual ascent step on Lam.
 
 The fit part of f is the weighted least squares of :class:`FitData`, whose
-gradient in A_r is A_r o Omega_r + B_r. Omega_r, B_r and the smoothness,
-sparsity and overlap gradients do not depend on A_r, so each solve builds
-them once (:func:`a_gradient_terms`) instead of once per inner step.
+gradient in A_r is A_r o Omega_rr + B_r with B_r = sum_{k != r} Omega_rk o A_k
+- V_r. The planes Omega_rk, V_r and the smoothness weights Xi_r depend on C
+alone, which is fixed for the whole A sweep, so they are built once per outer
+iteration (:meth:`FitData.a_stats`). Each solve then forms its (omega, linear)
+pair in O(R N^2) from them and the freshest A_k (:func:`a_gradient_terms`),
+once for its K inner steps.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DegreeSplit, normal_or_zeros, project_sa, run_admm, step_from_bound
-from .priors import xi_matrix
 
 
 @dataclass
@@ -61,23 +63,21 @@ def build_a_workspace(d, r, h, rng=None):
     return AWorkspace(r=r, c_r=d.signatures[:, r].copy(), offset=offset, split=split)
 
 
-def a_gradient_terms(d, r, fit, cache, h):
+def a_gradient_terms(d, r, fit, cache, h, stats=None):
     """Parts of the A_r gradient that stay fixed over the K inner steps.
 
     Returns (omega, linear) such that the gradient of everything but the
-    ADMM coupling is A_r o omega + linear. omega = sum_t C[t,r]^2 W_t + eta;
+    ADMM coupling is A_r o omega + linear. omega = Omega_rr + eta;
     linear = B_r + delta Xi_r + gamma + 2 beta sum_{k != r} A_k, with
     B_r = sum_t C[t,r] W_t o (rest_t - Y_t) and rest_t = sum_{k != r} C[t,k] A_k.
+    `stats` is the :class:`tensors.AStats` of d.signatures, built when omitted.
     """
-    c_r = d.signatures[:, r]
-    keep = [k for k in range(d.n_latents) if k != r]
-    resid = np.tensordot(d.signatures[:, keep], d.latents[keep], axes=1)
-    resid -= fit.target
-    resid *= fit.weight
-    linear = np.tensordot(c_r, resid, axes=1)
-    omega = np.tensordot(c_r**2, fit.weight, axes=1) + h.eta
+    if stats is None:
+        stats = fit.a_stats(d.signatures, cache)
+    omega, linear = stats.fit_terms(r, d.latents)
+    omega = omega + h.eta
     if h.delta != 0.0:
-        linear += h.delta * xi_matrix(cache, c_r)
+        linear += h.delta * stats.xi[r]
     if h.gamma != 0.0:
         linear += h.gamma
     if h.beta != 0.0:
@@ -100,7 +100,11 @@ def grad_a_lagrangian(a_r, ws, d, fit, cache, h, terms=None):
 
 
 def a_lagrangian_value(a_r, ws, d, fit, cache, h):
-    """Value of the augmented Lagrangian that grad_a_lagrangian differentiates."""
+    """Value of the augmented Lagrangian that grad_a_lagrangian differentiates.
+
+    Formed from the plain formulas (:meth:`FitData.loss`, the Z slices), as
+    the reference the gradient is checked against.
+    """
     a_r = np.asarray(a_r, dtype=np.float64)
     r = ws.r
     c_r = d.signatures[:, r]
@@ -108,7 +112,8 @@ def a_lagrangian_value(a_r, ws, d, fit, cache, h):
     latents[r] = a_r
     val = fit.loss(d.signatures, latents)
     if h.delta != 0.0:
-        val += h.delta * float(np.sum(a_r * xi_matrix(cache, c_r)))
+        traces = np.tensordot(cache.z_slices, a_r, axes=2)
+        val += 0.5 * h.delta * float(c_r @ traces)
     val += h.gamma * float(a_r.sum())
     if h.beta != 0.0:
         others = d.latents.sum(axis=0) - d.latents[r]
@@ -135,15 +140,17 @@ def default_step_a(d, r, fit, h):
     return step_from_bound(lip, f"latent {r}")
 
 
-def solve_a_subproblem(d, r, fit, cache, h, rng):
+def solve_a_subproblem(d, r, fit, cache, h, rng, stats=None):
     """Run K ADMM iterations on latent r; returns (new A_r, workspace, residuals).
 
     The update order per iteration is gradient step + projection onto S_A,
     clipped closed-form P update, then dual ascent (:func:`model.run_admm`).
+    `stats` is the :class:`tensors.AStats` of d.signatures that the driver
+    builds once per sweep; it is built here when omitted.
     """
     ws = build_a_workspace(d, r, h, rng=rng)
     step = default_step_a(d, r, fit, h)
-    terms = a_gradient_terms(d, r, fit, cache, h)
+    terms = a_gradient_terms(d, r, fit, cache, h, stats)
 
     def grad(a):
         return grad_a_lagrangian(a, ws, d, fit, cache, h, terms=terms)

@@ -12,8 +12,10 @@ constraint (:class:`model.DegreeSplit`). f adds the weighted least-squares
 fit of :class:`FitData`, the signal smoothness coupling, the squared
 forward-difference penalty mu ||DC||_F^2 and a ridge. The fit gradient of
 row t is G_t c_t - b_t with per-slice R x R Grams G_t; the Grams, b_t and
-the smoothness coupling do not depend on C, so each solve builds them once
-(:func:`c_gradient_terms`).
+the smoothness traces <Z_t, A_r> depend on the latents alone, so they are
+built once per outer iteration, after the A sweep (:meth:`FitData.c_stats`),
+and :func:`model.objective` reuses them. D'D is applied as a second
+difference (:func:`priors.dtd_product`), never as a (T, T) matrix.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DegreeSplit, normal_or_zeros, project_sc, run_admm, step_from_bound
-from .priors import diff_operator, smoothness_traces, temporal_pi
-from .tensors import weighted_grams
+from .priors import dtd_norm, dtd_product, temporal_pi
 
 
 @dataclass
@@ -63,31 +64,28 @@ def build_c_workspace(latents, n_steps, h, rng=None):
     return CWorkspace(upsilon=ups, zeta=h.zeta, split=split)
 
 
-def c_gradient_terms(latents, fit, cache, h):
+def c_gradient_terms(latents, fit, cache, h, stats=None):
     """Parts of the C gradient that stay fixed over the K inner steps.
 
     Returns (grams, linear) such that row t of the fit plus smoothness
     gradient is G_t c_t + linear_t, with G_t = sum_ij W_t A_r A_s (T, R, R)
     and linear_t = -b_t + delta/2 <Z_t, A_r>, b_t = sum_ij W_t Y_t A_r. The
     smoothness part is the derivative of the objective's 1/2 sum C[t,r] <Z_t, A_r>.
+    `stats` is the :class:`tensors.CStats` of the latents, built when omitted.
     """
-    grams = weighted_grams(fit.weight, latents)
-    linear = -np.tensordot(fit.weight * fit.target, latents, axes=([1, 2], [1, 2]))
+    if stats is None:
+        stats = fit.c_stats(latents, cache)
+    linear = -stats.b
     if h.delta != 0.0:
-        linear += 0.5 * h.delta * smoothness_traces(latents, cache)
-    return grams, linear
+        linear = linear + 0.5 * h.delta * stats.traces
+    return stats.grams, linear
 
 
-def _dtd(n_steps):
-    dop = diff_operator(n_steps)
-    return dop.T @ dop
-
-
-def grad_c_lagrangian(c, ws, latents, fit, cache, h, terms=None, dtd=None):
+def grad_c_lagrangian(c, ws, latents, fit, cache, h, terms=None):
     """Gradient of the augmented Lagrangian at c, latents fixed.
 
-    `terms` may carry the (grams, linear) pair of :func:`c_gradient_terms`
-    and dtd the (T, T) product D'D; both are rebuilt when omitted.
+    `terms` may carry the (grams, linear) pair of :func:`c_gradient_terms`;
+    it is rebuilt when omitted.
     """
     c = np.asarray(c, dtype=np.float64)
     if terms is None:
@@ -95,20 +93,23 @@ def grad_c_lagrangian(c, ws, latents, fit, cache, h, terms=None, dtd=None):
     grams, linear = terms
     g = np.einsum("trs,ts->tr", grams, c) + linear
     if h.mu != 0.0:
-        if dtd is None:
-            dtd = _dtd(c.shape[0])
-        g = g + 2.0 * h.mu * (dtd @ c)
+        g = g + 2.0 * h.mu * dtd_product(c)
     if h.rho != 0.0:
         g = g + h.rho * c
     return g + ws.split.weighted_residual(ws.margin(c)) @ ws.upsilon
 
 
 def c_lagrangian_value(c, ws, latents, fit, cache, h):
-    """Value of the augmented Lagrangian that grad_c_lagrangian differentiates."""
+    """Value of the augmented Lagrangian that grad_c_lagrangian differentiates.
+
+    Formed from the plain formulas (:meth:`FitData.loss`, the Z slices), as
+    the reference the gradient is checked against.
+    """
     c = np.asarray(c, dtype=np.float64)
     val = fit.loss(c, latents)
     if h.delta != 0.0:
-        val += 0.5 * h.delta * float(np.sum(c * smoothness_traces(latents, cache)))
+        traces = np.tensordot(cache.z_slices, latents, axes=([1, 2], [1, 2]))
+        val += 0.5 * h.delta * float(np.sum(c * traces))
     if h.mu != 0.0:
         val += h.mu * temporal_pi(c)
     if h.rho != 0.0:
@@ -116,12 +117,13 @@ def c_lagrangian_value(c, ws, latents, fit, cache, h):
     return val + ws.split.coupling(ws.margin(c))
 
 
-def default_step_c(ws, latents, fit, h, dtd):
+def default_step_c(ws, latents, fit, h):
     """Inverse curvature bound for the C gradient step.
 
     The fit Gram G_t is bounded by the unweighted latent Gram times
     w_t = max W_t, so the largest w_t scales its spectral norm. The temporal
-    term mu ||DC||_F^2 adds 2 mu ||D'D||_2. A bound that overflows aborts
+    term mu ||DC||_F^2 adds 2 mu ||D'D||_2, in closed form
+    (:func:`priors.dtd_norm`). A bound that overflows aborts
     through :func:`model.step_from_bound` without numpy warnings.
     """
     if h.step_c is not None:
@@ -131,27 +133,28 @@ def default_step_c(ws, latents, fit, h, dtd):
         gram_norm = float(np.linalg.norm(stacked @ stacked.T, 2))
         lip = gram_norm * float(fit.slice_max.max()) + h.rho
         if h.mu != 0.0:
-            lip += 2.0 * h.mu * float(np.linalg.norm(dtd, 2))
+            lip += 2.0 * h.mu * dtd_norm(len(fit.slice_max))
         # a numpy scalar, so that an overflowing square gives inf, not OverflowError
         ups_norm = np.linalg.norm(ws.upsilon, 2)
         lip += h.lambda_c * float(ups_norm**2)
     return step_from_bound(lip, "signatures")
 
 
-def solve_c_subproblem(d, fit, cache, h, rng):
+def solve_c_subproblem(d, fit, cache, h, rng, stats=None):
     """Run K ADMM iterations on the signatures; returns (new C, ws, residuals).
 
     Update order per iteration: gradient step + projection onto the
     nonnegative orthant, clipped closed-form P update, dual ascent on Lam
-    (:func:`model.run_admm`). The step bound comes first, so data too large
-    for float64 aborts before the Grams overflow.
+    (:func:`model.run_admm`). `stats` is the :class:`tensors.CStats` of
+    d.latents that the driver builds once per outer iteration; it is built
+    here when omitted. The step bound comes first, so data too large for
+    float64 aborts naming the bound, with the Grams built without warnings.
     """
     ws = build_c_workspace(d.latents, d.n_steps, h, rng=rng)
-    dtd = _dtd(d.n_steps)
-    step = default_step_c(ws, d.latents, fit, h, dtd)
-    terms = c_gradient_terms(d.latents, fit, cache, h)
+    step = default_step_c(ws, d.latents, fit, h)
+    terms = c_gradient_terms(d.latents, fit, cache, h, stats)
 
     def grad(c):
-        return grad_c_lagrangian(c, ws, d.latents, fit, cache, h, terms=terms, dtd=dtd)
+        return grad_c_lagrangian(c, ws, d.latents, fit, cache, h, terms=terms)
 
     return run_admm(d.signatures.copy(), ws, grad, project_sc, step, h.inner_iters, "signatures")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .driver import run_dgd
 from .model import Decomposition, NumericalAbort, ObjectiveBreakdown
-from .tensors import masked_target, weighted_grams
+from .tensors import FitData, masked_target
 
 RIDGE = 1e-8
 
@@ -43,11 +43,13 @@ def unc_solve(adj, mask, n_latents, iters=50, seed=0):
     0.5 ||M o (recon - A)||_F^2 after every half-step, so it is
     non-increasing up to the ridge added on degenerate blocks. Its
     reconstruction sum_r C[t, r] A_r is the product of C with the (R, N^2)
-    matricized latents, copied contiguous by tensordot. Adjacency entries
-    where the mask is 0 are never read.
+    matricized latents, copied contiguous by tensordot. The signature step
+    reads the masked Grams and right-hand sides of :meth:`FitData.c_stats`.
+    Adjacency entries where the mask is 0 are never read.
     """
     mask = np.asarray(mask, dtype=np.float64)
     target = masked_target(adj, mask)
+    observed = FitData(weight=mask, target=target)
     t, n = target.shape[:2]
     rng = np.random.default_rng(seed)
     # the draw's column r is A_r stacked column by column
@@ -60,9 +62,8 @@ def unc_solve(adj, mask, n_latents, iters=50, seed=0):
         return 0.5 * float(np.sum((mask * recon - target) ** 2))
 
     for _ in range(iters):
-        grams = weighted_grams(mask, latents)
-        rhs = np.tensordot(target, latents, axes=([1, 2], [1, 2]))
-        c = _ridged_solve(grams, rhs, "signature")
+        stats = observed.c_stats(latents)
+        c = _ridged_solve(stats.grams, stats.b, "signature")
         fits.append(fit())
         grams = np.tensordot(mask, c[:, :, None] * c[:, None, :], axes=(0, 0))
         rhs = np.tensordot(target, c, axes=(0, 0))

@@ -2,9 +2,11 @@
 
 Each outer iteration runs the K-step ADMM solve for every latent adjacency
 in turn (Gauss-Seidel, each solve sees the freshest blocks) and then the
-signature solve. Auxiliary and dual variables are drawn fresh from N(0,1)
-at the start of every subproblem solve, all from the single driver rng
-stream, so a run is a pure function of (data, hyperparams, seed).
+signature solve (:func:`outer_iteration`). The fit statistics each block
+reads of the data are built once per outer iteration, not once per solve.
+Auxiliary and dual variables are drawn fresh from N(0,1) at the start of
+every subproblem solve, all from the single driver rng stream, so a run is
+a pure function of (data, hyperparams, seed).
 """
 
 from __future__ import annotations
@@ -65,6 +67,25 @@ def positive_fit_curvature(signatures, fit):
     return (c**2).T @ fit.slice_max > 0.0
 
 
+def outer_iteration(d, fit, cache, h, rng):
+    """One alternating pass over all blocks, updating d in place.
+
+    The A-block statistics of the signatures are built before the A sweep,
+    the C-block statistics of the latents after it; the C solve and the
+    objective share the latter. Returns (breakdown, final A residual per
+    latent, final C residual).
+    """
+    a_stats = fit.a_stats(d.signatures, cache)
+    a_res = []
+    for r in range(h.n_latents):
+        a_new, _, res = solve_a_subproblem(d, r, fit, cache, h, rng, stats=a_stats)
+        d.latents[r] = a_new
+        a_res.append(res[-1])
+    c_stats = fit.c_stats(d.latents, cache)
+    d.signatures, _, c_res = solve_c_subproblem(d, fit, cache, h, rng, stats=c_stats)
+    return objective(d, fit, cache, h, stats=c_stats), a_res, c_res[-1]
+
+
 def run_dgd(adj, mask, signals, h, seed):
     """Recover (latents, signatures) from a partially observed slice stack.
 
@@ -119,21 +140,14 @@ def run_dgd(adj, mask, signals, h, seed):
     for it in range(h.outer_iters):
         t0 = perf_counter()
         try:
-            a_res = []
-            for r in range(h.n_latents):
-                a_new, _, res = solve_a_subproblem(d, r, fit, cache, h, rng)
-                d.latents[r] = a_new
-                a_res.append(res[-1])
-            c_new, _, c_res = solve_c_subproblem(d, fit, cache, h, rng)
-            d.signatures = c_new
+            bd, a_res, c_res = outer_iteration(d, fit, cache, h, rng)
         except NumericalAbort as err:
             history.status = "aborted"
             err.history = history
             raise
-        bd = objective(d, fit, cache, h)
         history.breakdowns.append(bd)
         history.a_residuals.append(a_res)
-        history.c_residuals.append(c_res[-1])
+        history.c_residuals.append(c_res)
         history.seconds.append(perf_counter() - t0)
         if prev_total is None:
             rel = float("inf")

@@ -16,6 +16,9 @@ fit = 1/2 sum_t sum_ij W_t,ij (recon_t,ij - Y_t,ij)^2, with target Y = M o A
 `count_weighted` uses the per-slice observation count 1'm_t on every entry of
 slice t. The subproblems in admm_a/admm_c differentiate the same loss and
 share one split of the minimum-degree constraint (DegreeSplit, run_admm).
+The objective's fit and smoothness terms come from the C-block statistics
+(tensors.CStats) that the driver builds once per outer iteration, after the
+A sweep, so evaluating it costs O(T R^2) beyond them.
 """
 
 from __future__ import annotations
@@ -202,25 +205,31 @@ def reconstruct(d, t=None):
     return np.tensordot(d.signatures[t], d.latents, axes=1)
 
 
-def objective(d, fit, cache, h):
+def objective(d, fit, cache, h, stats=None):
     """Evaluate the full objective, split by term.
 
     `fit` is the tensors.FitData of the observed stack, so the fit term sees
-    only observed entries. `cache` may be None when h.delta == 0.
+    only observed entries. `cache` may be None when h.delta == 0. `stats` is
+    the tensors.CStats of d.latents; it is built here when omitted, so there
+    is one formula for the fit, :meth:`FitData.value`.
     """
     if fit.target.shape != (d.n_steps, d.n_nodes, d.n_nodes):
         raise ValueError(
             f"decomposition ({d.n_steps},{d.n_nodes},{d.n_nodes}) does not match data "
             f"{fit.target.shape}"
         )
+    if stats is None:
+        stats = fit.c_stats(d.latents, cache if h.delta != 0.0 else None)
     sparsity = h.gamma * float(d.latents.sum())
-    smoothness = h.delta * priors.smoothness_g(d, cache) if h.delta != 0.0 else 0.0
+    smoothness = 0.0
+    if h.delta != 0.0:
+        smoothness = h.delta * (0.5 * float(np.sum(d.signatures * stats.traces)))
     temporal = h.mu * priors.temporal_pi(d.signatures)
     overlap = h.beta * priors.overlap_h(d.latents)
     ridge_c = 0.5 * h.rho * float(np.sum(d.signatures**2))
     ridge_a = 0.5 * h.eta * float(np.sum(d.latents**2)) if h.eta else 0.0
     return ObjectiveBreakdown.build(
-        fit=fit.loss(d.signatures, d.latents),
+        fit=fit.value(d.signatures, d.latents, stats),
         sparsity=sparsity,
         smoothness=smoothness,
         temporal=temporal,
@@ -313,14 +322,22 @@ def run_admm(x, ws, grad, project, step, iters, label):
 
     Each iteration projects a gradient step on the augmented Lagrangian, then
     updates ws.split at the new degree margin ws.margin(x) and records the
-    residual ||margin - P||_F.
+    residual ||margin - P||_F. An iterate that leaves float64 aborts naming
+    the block, the inner step and the last finite iterate's largest entry,
+    with no numpy warning before it.
     """
     if iters < 1:
         raise ValueError(f"inner_iters must be >= 1, got {iters}")
     residuals = []
-    for _ in range(iters):
-        x = project(x - step * grad(x))
-        if not np.all(np.isfinite(x)):
-            raise NumericalAbort(f"{label}: iterate went non-finite (step {step:.3e} too large)")
-        residuals.append(ws.split.update(ws.margin(x)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(iters):
+            x_new = project(x - step * grad(x))
+            if not np.all(np.isfinite(x_new)):
+                raise NumericalAbort(
+                    f"{label}: iterate went non-finite at inner step {k + 1} of {iters} "
+                    f"(step {step:.3e}; last finite iterate max |x| = "
+                    f"{float(np.max(np.abs(x))):.3e})"
+                )
+            x = x_new
+            residuals.append(ws.split.update(ws.margin(x)))
     return x, ws, residuals

@@ -2,14 +2,18 @@
 
 The smoothness prior couples node signals to the recovered topology through
 the pairwise squared-distance matrices Z_t: an edge (i, j) is cheap when the
-signals at i and j are close. Its value is 1/2 sum_t sum_r C[t,r] <Z_t, A_r>,
-so both subproblems differentiate the one (T, R) table of inner products
-<Z_t, A_r>. The temporal prior penalizes successive differences of the
-signature matrix C. Runs without signals (delta = 0) carry no cache at all.
+signals at i and j are close. Its value is 1/2 sum_t sum_r C[t,r] <Z_t, A_r>.
+The C block and the objective read it through the (T, R) table of inner
+products <Z_t, A_r>, the A block through Xi_r = 1/2 sum_t C[t,r] Z_t; both
+are built by :class:`tensors.FitData` with the fit statistics. The temporal prior
+penalizes successive differences of the signature matrix C through the
+forward-difference operator D, whose D'D is tridiagonal and is never formed.
+Runs without signals (delta = 0) carry no cache at all.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,33 +65,6 @@ def build_cache(x):
     return SmoothCache(z_slices=z)
 
 
-def diff_operator(n_steps):
-    """Forward-difference matrix D of shape (T-1, T): (DC)[t] = C[t+1] - C[t]."""
-    d = np.zeros((n_steps - 1, n_steps))
-    idx = np.arange(n_steps - 1)
-    d[idx, idx] = -1.0
-    d[idx, idx + 1] = 1.0
-    return d
-
-
-def xi_matrix(cache, c_r):
-    """Xi_r = 1/2 sum_t c_r[t] Z_t, the smoothness weight matrix for one latent."""
-    c_r = np.asarray(c_r, dtype=np.float64)
-    if c_r.shape != (cache.n_steps,):
-        raise ValueError(f"c_r must have length {cache.n_steps}, got {c_r.shape}")
-    return 0.5 * np.tensordot(c_r, cache.z_slices, axes=1)
-
-
-def smoothness_traces(latents, cache):
-    """(T, R) table of tr(A_r Z_t) = <Z_t, A_r> (Z_t is symmetric)."""
-    return np.einsum("rij,tij->tr", latents, cache.z_slices)
-
-
-def smoothness_g(d, cache):
-    """Unweighted smoothness value sum_t sum_r C[t,r] tr(A_r Z_t)/2."""
-    return 0.5 * float(np.sum(d.signatures * smoothness_traces(d.latents, cache)))
-
-
 def overlap_h(latents):
     """Sum of tr(A_r' A_rbar) over ordered pairs r != rbar."""
     latents = np.asarray(latents, dtype=np.float64)
@@ -104,3 +81,18 @@ def temporal_pi(c):
     if c.shape[0] < 2:
         return 0.0
     return float(np.sum(np.diff(c, axis=0) ** 2))
+
+
+def dtd_product(c):
+    """D'D C for the (T-1, T) forward difference D, without forming D.
+
+    D'D is tridiagonal, so D'D C is the negated first difference of DC padded
+    with a zero row at each end. Returns zeros for T < 2.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    return -np.diff(np.diff(c, axis=0), axis=0, prepend=0.0, append=0.0)
+
+
+def dtd_norm(n_steps):
+    """||D'D||_2 = 4 sin^2(pi (T-1) / (2T)), the top eigenvalue of the path Laplacian."""
+    return 4.0 * math.sin(math.pi * (n_steps - 1) / (2 * n_steps)) ** 2

@@ -13,7 +13,6 @@ from dgd.admm_a import (
     solve_a_subproblem,
 )
 from dgd.model import Decomposition, Hyperparams, NumericalAbort, in_sa
-from dgd.priors import xi_matrix
 from dgd.tensors import FitData
 
 from helpers import central_diff, random_instance, rel_grad_error
@@ -52,7 +51,7 @@ def test_lagrangian_penalty_vanishes_at_feasible_split():
         fit += 0.5 * np.sum((m * (recon - obs)) ** 2)
     want = (
         fit
-        + h.delta * np.sum(a * xi_matrix(cache, c_r).T)
+        + h.delta * np.sum(a * 0.5 * np.tensordot(c_r, cache.z_slices, axes=1).T)
         + h.gamma * a.sum()
         + 2.0 * h.beta * np.sum(a * (d.latents.sum(axis=0) - a))
         + 0.5 * h.eta * np.sum(a**2)

@@ -12,7 +12,6 @@ from dgd.admm_c import (
     solve_c_subproblem,
 )
 from dgd.model import Decomposition, Hyperparams, NumericalAbort, objective
-from dgd.priors import diff_operator
 from dgd.tensors import FitData
 
 from helpers import central_diff, random_instance, rel_grad_error
@@ -112,9 +111,9 @@ def test_second_differences_stay_above_ridge():
 def test_default_step_selection():
     _, d, fit, cache, h = random_instance(60, "count_weighted")
     ws = build_c_workspace(d.latents, d.n_steps, h)
-    dop = diff_operator(d.n_steps)
+    dop = np.diff(np.eye(d.n_steps), axis=0)
     dtd = dop.T @ dop
-    assert default_step_c(ws, d.latents, fit, h.replace(step_c=0.125), dtd) == 0.125
+    assert default_step_c(ws, d.latents, fit, h.replace(step_c=0.125)) == 0.125
     gram = float(np.linalg.norm(np.einsum("rij,sij->rs", d.latents, d.latents), 2))
     lip = (
         gram * float(fit.slice_max.max())
@@ -122,7 +121,7 @@ def test_default_step_selection():
         + 2.0 * h.mu * float(np.linalg.norm(dtd, 2))
         + h.lambda_c * float(np.linalg.norm(ws.upsilon, 2)) ** 2
     )
-    assert np.isclose(default_step_c(ws, d.latents, fit, h, dtd), 1.0 / lip)
+    assert np.isclose(default_step_c(ws, d.latents, fit, h), 1.0 / lip)
 
 
 def test_solve_output_nonnegative_and_deterministic():

@@ -1,13 +1,15 @@
 """Alternating driver: determinism, convergence bookkeeping, failure paths."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from dgd.driver import initialize, positive_fit_curvature, run_dgd
+from dgd.driver import initialize, outer_iteration, positive_fit_curvature, run_dgd
 from dgd.model import Hyperparams, NumericalAbort, in_sa, reconstruct
+from dgd.priors import build_cache
 from dgd.tensors import FitData
 
 from helpers import planted_decomposition
@@ -165,3 +167,46 @@ def test_positive_fit_curvature_flags_dead_latents():
     signatures = np.array([[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]])
     flags = positive_fit_curvature(signatures, fit)
     assert flags.tolist() == [True, False]
+
+
+def test_diverging_iterate_names_block_step_and_magnitude():
+    # a finite bound but a huge explicit step: the first A step overshoots to
+    # negative entries that S_A clips to 0, and the second leaves float64
+    adj, mask = _small_problem(7)
+    h = Hyperparams(delta=0.0, step_a=1e308, outer_iters=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalAbort) as excinfo:
+            run_dgd(adj, mask, None, h, seed=0)
+    msg = str(excinfo.value)
+    found = re.fullmatch(
+        r"latent 0: iterate went non-finite at inner step (\d+) of 20 "
+        r"\(step 1\.000e\+308; last finite iterate max \|x\| = (\S+)\)",
+        msg,
+    )
+    assert found, msg
+    assert found.group(1) == "2"
+    assert float(found.group(2)) == 0.0
+    assert excinfo.value.history.status == "aborted"
+
+
+@pytest.mark.parametrize("mode", ["exact_mask", "count_weighted"])
+def test_outer_iteration_allocates_less_than_one_stack(mode):
+    # numpy allocations are traced: after set-up, the statistics, the solves
+    # and the objective of one pass hold O(R^2 N^2 + T N), not a (T, N, N) stack
+    rng = np.random.default_rng(13)
+    t, n = 40, 64
+    mask = (rng.random((t, n, n)) < 0.6).astype(np.float64)
+    mask = np.maximum(mask, mask.transpose(0, 2, 1))
+    h = Hyperparams(delta=0.01, inner_iters=3, gradient_mode=mode)
+    fit = FitData.build(rng.random((t, n, n)), mask, h)
+    cache = build_cache(rng.standard_normal((t, n, 4)))
+    step_rng = np.random.default_rng(0)
+    d = initialize(step_rng, n, t, h.n_latents)
+    tracemalloc.start()
+    try:
+        outer_iteration(d, fit, cache, h, step_rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * t * n * n, peak

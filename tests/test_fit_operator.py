@@ -1,6 +1,7 @@
-"""Property tests: the cached fit gradients against the plain per-slice loop,
-the (T, N) degree-constraint coupling against the dense Phi_r formula, and the
-in-place fit value against the plain weighted sum of squares."""
+"""Property tests: the block statistics and the cached fit gradients against
+the plain per-slice loop, the (T, N) degree-constraint coupling against the
+dense Phi_r formula, the in-place fit value against the plain weighted sum of
+squares, and the Gram-form fit against that value."""
 
 import tracemalloc
 
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from dgd.admm_a import a_gradient_terms, build_a_workspace, grad_a_lagrangian
 from dgd.admm_c import build_c_workspace, c_gradient_terms, grad_c_lagrangian
 from dgd.driver import positive_fit_curvature
-from dgd.model import GRADIENT_MODES, Decomposition, Hyperparams, degree_margin
+from dgd.model import GRADIENT_MODES, Decomposition, Hyperparams, degree_margin, reconstruct
+from dgd.priors import build_cache
 from dgd.tensors import FitData
 
 # every prior that enters the cached linear terms is off, so they hold the fit alone
@@ -70,6 +72,66 @@ def test_cached_fit_gradients_match_slice_loop(case):
     counts = mask.sum(axis=(1, 2))
     want = (d.signatures**2).T @ counts > 0.0
     assert np.array_equal(positive_fit_curvature(d.signatures, fit), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_block_stats_match_slice_loops(case, seed):
+    # empty slices, zeroed signature columns and R = 1 come from instances()
+    d, adj, mask, mode, _ = case
+    fit = FitData.build(adj, mask, Hyperparams(gradient_mode=mode))
+    c, lat = d.signatures, d.latents
+    n_steps, n_lat = c.shape
+    n = d.n_nodes
+    cache = build_cache(np.random.default_rng(seed).standard_normal((n_steps, n, 2)))
+    z = cache.z_slices
+    weights = [np.broadcast_to(_loop_weight(mask, t, mode), (n, n)) for t in range(n_steps)]
+    targets = [mask[t] * adj[t] for t in range(n_steps)]
+
+    a = fit.a_stats(c, cache)
+    for r in range(n_lat):
+        for k in range(n_lat):
+            want = sum(c[t, r] * c[t, k] * weights[t] for t in range(n_steps))
+            assert _close(np.broadcast_to(a.omega[a.pair[r, k]], (n, n)), want)
+        want = sum(c[t, r] * weights[t] * targets[t] for t in range(n_steps))
+        assert _close(a.v[r], want)
+        assert _close(a.xi[r], 0.5 * sum(c[t, r] * z[t] for t in range(n_steps)))
+
+    s = fit.c_stats(lat, cache)
+    for t in range(n_steps):
+        for r in range(n_lat):
+            for k in range(n_lat):
+                assert _close(s.grams[t, r, k], np.sum(weights[t] * lat[r] * lat[k]))
+            assert _close(s.b[t, r], np.sum(weights[t] * targets[t] * lat[r]))
+            assert _close(s.traces[t, r], np.sum(z[t] * lat[r]))
+    assert fit.a_stats(c).xi is None and fit.c_stats(lat).traces is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(), st.booleans())
+def test_gram_fit_matches_loss_within_cancellation_bound(case, planted):
+    d, adj, mask, mode, _ = case
+    if planted:
+        # a perfect fit in either mode: the three terms cancel to 0
+        adj, mask = reconstruct(d), np.ones_like(mask)
+    fit = FitData.build(adj, mask, Hyperparams(gradient_mode=mode))
+    n_steps, n_lat = d.signatures.shape
+    n = d.n_nodes
+    stats = fit.c_stats(d.latents)
+    value, scale = fit.gram_loss(d.signatures, stats)
+    c = d.signatures
+    quad = 0.5 * np.einsum("tr,trs,ts->", c, stats.grams, c)
+    assert scale == fit.target_norm + abs(quad) + abs(np.sum(c * stats.b))
+    # every term sums nonnegative products; the longest sum, the target norm,
+    # has T N^2 terms, then the Grams N^2 and the quadratic form T R^2
+    terms = n_steps * n * n + n * n + n_steps * n_lat * n_lat + 4
+    bound = 2 * terms * np.finfo(float).eps * scale
+    loss = fit.loss(d.signatures, d.latents)
+    assert abs(value - loss) <= bound
+    # the objective's fit never reports a value that cancellation has eaten
+    assert abs(fit.value(d.signatures, d.latents, stats) - loss) <= max(1e-6 * loss, bound)
+    if planted:
+        assert fit.value(d.signatures, d.latents, stats) == loss
 
 
 @settings(max_examples=200, deadline=None)

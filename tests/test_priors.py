@@ -7,15 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgd.model import Decomposition, reconstruct
-from dgd.priors import (
-    build_cache,
-    diff_operator,
-    overlap_h,
-    smoothness_g,
-    temporal_pi,
-    xi_matrix,
-)
+from dgd.model import Decomposition, Hyperparams, objective, reconstruct
+from dgd.priors import build_cache, dtd_norm, dtd_product, overlap_h, temporal_pi
+from dgd.tensors import FitData
 
 from helpers import planted_decomposition
 
@@ -90,40 +84,67 @@ def test_cache_rejects_non_tensor_input():
         build_cache(np.zeros((4, 4)))
 
 
-def test_diff_operator_matches_np_diff():
+def _dense_diff(n_steps):
+    """The (T-1, T) forward-difference matrix: (DC)[t] = C[t+1] - C[t]."""
+    return np.diff(np.eye(n_steps), axis=0)
+
+
+def _blank_fit(t, n):
+    zeros = np.zeros((t, n, n))
+    return FitData.build(zeros, zeros, Hyperparams())
+
+
+def _smoothness(d, cache):
+    """The objective's unweighted smoothness term 1/2 sum_t sum_r C[t,r] <Z_t, A_r>."""
+    h = Hyperparams(delta=1.0)
+    return objective(d, _blank_fit(d.n_steps, d.n_nodes), cache, h).smoothness
+
+
+def test_dtd_norm_closed_form_matches_svd():
+    for t in range(1, 65):
+        dop = _dense_diff(t)
+        want = float(np.linalg.norm(dop.T @ dop, 2)) if t > 1 else 0.0
+        assert abs(dtd_norm(t) - want) <= 8 * np.finfo(float).eps * max(want, 1.0), t
+
+
+def test_dtd_product_matches_dense_formula():
     rng = np.random.default_rng(2)
-    c = rng.standard_normal((6, 3))
-    d = diff_operator(6)
-    assert d.shape == (5, 6)
-    assert np.allclose(d @ c, np.diff(c, axis=0))
+    for t in range(1, 65):
+        c = rng.standard_normal((t, 3))
+        dop = _dense_diff(t)
+        want = dop.T @ (dop @ c)
+        got = dtd_product(c)
+        assert got.shape == c.shape
+        assert np.abs(got - want).max(initial=0.0) <= 4 * np.finfo(float).eps * np.abs(c).max(), t
 
 
 def test_temporal_pi_equals_explicit_operator():
     rng = np.random.default_rng(3)
     c = rng.standard_normal((7, 2))
-    d = diff_operator(7)
+    d = _dense_diff(7)
     assert np.isclose(temporal_pi(c), np.sum((d @ c) ** 2))
     assert temporal_pi(np.ones((1, 3))) == 0.0
     assert temporal_pi(np.tile([[1.0, 2.0]], (5, 1))) == 0.0
 
 
-def test_xi_matrix_weighted_sum():
+def test_xi_is_weighted_sum_of_slices():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((3, 4, 2))
     cache = build_cache(x)
-    c_r = np.array([0.5, 2.0, 0.0])
+    c = np.array([[0.5], [2.0], [0.0]])
     want = 0.5 * (0.5 * cache.z_slices[0] + 2.0 * cache.z_slices[1])
-    assert np.allclose(xi_matrix(cache, c_r), want)
+    assert np.allclose(_blank_fit(3, 4).a_stats(c, cache).xi[0], want)
     # equal unit weights over identical slices give back the slice itself
     x_rep = np.stack([x[0], x[0]])
     cache_rep = build_cache(x_rep)
-    assert np.allclose(xi_matrix(cache_rep, np.array([1.0, 1.0])), cache_rep.z_slices[0])
+    xi = _blank_fit(2, 4).a_stats(np.ones((2, 1)), cache_rep).xi[0]
+    assert np.allclose(xi, cache_rep.z_slices[0])
 
 
-def test_xi_matrix_length_check():
+def test_a_stats_rejects_wrong_signature_length():
     cache = build_cache(np.zeros((3, 2, 1)))
     with pytest.raises(ValueError):
-        xi_matrix(cache, np.ones(4))
+        _blank_fit(3, 2).a_stats(np.ones((4, 1)), cache)
 
 
 def test_smoothness_equals_quadratic_variation():
@@ -137,13 +158,13 @@ def test_smoothness_equals_quadratic_variation():
     for t in range(4):
         lap = np.diag(recon[t].sum(axis=1)) - recon[t]
         want += np.trace(x[t].T @ lap @ x[t])
-    assert np.isclose(smoothness_g(d, cache), want)
+    assert np.isclose(_smoothness(d, cache), want)
 
 
 def test_smoothness_constant_signals_zero():
     d = planted_decomposition(7, n=4, t=3, r=1)
     x = np.ones((3, 4, 2)) * 5.0
-    assert smoothness_g(d, build_cache(x)) == 0.0
+    assert _smoothness(d, build_cache(x)) == 0.0
 
 
 def test_smoothness_single_edge_unit_difference():
@@ -151,7 +172,7 @@ def test_smoothness_single_edge_unit_difference():
     latents = np.array([[[0.0, 1.0], [1.0, 0.0]]])
     d = Decomposition(latents, np.array([[1.0]]))
     x = np.array([[[0.0], [1.0]]])
-    assert smoothness_g(d, build_cache(x)) == 1.0
+    assert _smoothness(d, build_cache(x)) == 1.0
 
 
 def test_overlap_matches_pair_loop():
