@@ -23,7 +23,7 @@ from .evaluation import (
     sweep,
     write_sweep_csv,
 )
-from .io_dgt import DgtError, load_dgt, save_dgt
+from .io_dgt import DgtError, DgtSlices, load_dgt, save_dgt
 from .model import (
     Decomposition,
     Hyperparams,
@@ -40,6 +40,7 @@ from .model import (
 __all__ = [
     "Decomposition",
     "DgtError",
+    "DgtSlices",
     "EvalReport",
     "Hyperparams",
     "METHODS",

@@ -85,17 +85,20 @@ def a_gradient_terms(d, r, fit, cache, h, stats=None):
     return omega, linear
 
 
-def grad_a_lagrangian(a_r, ws, d, fit, cache, h, terms=None):
+def grad_a_lagrangian(a_r, ws, d, fit, cache, h, terms=None, margin=None):
     """Gradient of the augmented Lagrangian at a_r, other blocks fixed.
 
     `terms` may carry the (omega, linear) pair of :func:`a_gradient_terms`;
-    it is rebuilt from d when omitted.
+    it is rebuilt from d when omitted. `margin` may carry ws.margin(a_r); it
+    is formed when omitted.
     """
     a_r = np.asarray(a_r, dtype=np.float64)
     if terms is None:
         terms = a_gradient_terms(d, ws.r, fit, cache, h)
+    if margin is None:
+        margin = ws.margin(a_r)
     omega, linear = terms
-    wd = ws.split.weighted_residual(ws.margin(a_r))
+    wd = ws.split.weighted_residual(margin)
     return a_r * omega + linear + (wd.T @ ws.c_r)[:, None]
 
 
@@ -152,7 +155,7 @@ def solve_a_subproblem(d, r, fit, cache, h, rng, stats=None):
     step = default_step_a(d, r, fit, h)
     terms = a_gradient_terms(d, r, fit, cache, h, stats)
 
-    def grad(a):
-        return grad_a_lagrangian(a, ws, d, fit, cache, h, terms=terms)
+    def grad(a, margin):
+        return grad_a_lagrangian(a, ws, d, fit, cache, h, terms=terms, margin=margin)
 
     return run_admm(d.latents[r].copy(), ws, grad, project_sa, step, h.inner_iters, f"latent {r}")

@@ -81,22 +81,25 @@ def c_gradient_terms(latents, fit, cache, h, stats=None):
     return stats.grams, linear
 
 
-def grad_c_lagrangian(c, ws, latents, fit, cache, h, terms=None):
+def grad_c_lagrangian(c, ws, latents, fit, cache, h, terms=None, margin=None):
     """Gradient of the augmented Lagrangian at c, latents fixed.
 
     `terms` may carry the (grams, linear) pair of :func:`c_gradient_terms`;
-    it is rebuilt when omitted.
+    it is rebuilt when omitted. `margin` may carry ws.margin(c); it is
+    formed when omitted.
     """
     c = np.asarray(c, dtype=np.float64)
     if terms is None:
         terms = c_gradient_terms(latents, fit, cache, h)
+    if margin is None:
+        margin = ws.margin(c)
     grams, linear = terms
     g = np.einsum("trs,ts->tr", grams, c) + linear
     if h.mu != 0.0:
         g = g + 2.0 * h.mu * dtd_product(c)
     if h.rho != 0.0:
         g = g + h.rho * c
-    return g + ws.split.weighted_residual(ws.margin(c)) @ ws.upsilon
+    return g + ws.split.weighted_residual(margin) @ ws.upsilon
 
 
 def c_lagrangian_value(c, ws, latents, fit, cache, h):
@@ -154,7 +157,7 @@ def solve_c_subproblem(d, fit, cache, h, rng, stats=None):
     step = default_step_c(ws, d.latents, fit, h)
     terms = c_gradient_terms(d.latents, fit, cache, h, stats)
 
-    def grad(c):
-        return grad_c_lagrangian(c, ws, d.latents, fit, cache, h, terms=terms)
+    def grad(c, margin):
+        return grad_c_lagrangian(c, ws, d.latents, fit, cache, h, terms=terms, margin=margin)
 
     return run_admm(d.signatures.copy(), ws, grad, project_sc, step, h.inner_iters, "signatures")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 from .baselines import METHODS
@@ -20,7 +21,7 @@ from .evaluation import (
     component_analysis,
     sweep as run_sweep,
 )
-from .io_dgt import DgtError, load_dgt, save_dgt
+from .io_dgt import DgtSlices, load_dgt, save_dgt
 from .model import Decomposition, Hyperparams, NumericalAbort
 
 HISTORY_HEADER = "iter,total,fit,sparsity,smoothness,temporal,overlap,ridge_c"
@@ -37,13 +38,6 @@ class _Parser(argparse.ArgumentParser):
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _load_kind(path, kind):
-    arr, found = load_dgt(path)
-    if found != kind:
-        raise DgtError(f"{path}: expected kind {kind!r}, found {found!r}")
-    return arr
 
 
 def _write_history_csv(path, breakdowns):
@@ -79,11 +73,14 @@ def _cmd_generate(args):
 
 
 def _cmd_decompose(args):
-    adj = _load_kind(args.adj, "adjacency")
-    mask = _load_kind(args.mask, "mask")
-    signals = _load_kind(args.signals, "signals") if args.signals else None
-    h = Hyperparams.from_dict(_load_json(args.config) if args.config else {})
-    d, breakdowns = METHODS[args.method](adj, mask, signals, h, args.seed)
+    # adjacency and signals are read one slice at a time by the method's set-up;
+    # the mask, the fit weight, is the one input held whole
+    with ExitStack() as files:
+        adj = files.enter_context(DgtSlices(args.adj, "adjacency"))
+        mask = load_dgt(args.mask, "mask")[0]
+        signals = files.enter_context(DgtSlices(args.signals, "signals")) if args.signals else None
+        h = Hyperparams.from_dict(_load_json(args.config) if args.config else {})
+        d, breakdowns = METHODS[args.method](adj, mask, signals, h, args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_dgt(out / "latents.dgt", d.latents, "latents")
@@ -95,13 +92,19 @@ def _cmd_decompose(args):
 
 
 def _cmd_evaluate(args):
-    latents = _load_kind(Path(args.est_dir) / "latents.dgt", "latents")
-    signatures = _load_kind(Path(args.est_dir) / "signatures.dgt", "signatures")
+    est_dir = Path(args.est_dir)
+    latents = load_dgt(est_dir / "latents.dgt", "latents")[0]
+    signatures = load_dgt(est_dir / "signatures.dgt", "signatures")[0]
     d = Decomposition(latents, signatures)
-    truth = _load_kind(args.truth, "adjacency")
-    mask = _load_kind(args.mask, "mask")
+    truth = load_dgt(args.truth, "adjacency")[0]
+    mask = load_dgt(args.mask, "mask")[0]
+    for name, shape in ((args.mask, mask.shape), (est_dir, (d.n_steps, d.n_nodes, d.n_nodes))):
+        if shape != truth.shape:
+            raise ValueError(
+                f"{name} holds a {shape} stack but truth {args.truth} holds {truth.shape}"
+            )
     report = component_analysis(d, truth, mask, threshold=args.threshold)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 

@@ -21,7 +21,7 @@ from .admm_a import solve_a_subproblem
 from .admm_c import solve_c_subproblem
 from .model import Decomposition, NumericalAbort, objective, project_sa
 from .priors import build_cache
-from .tensors import FitData, check_finite
+from .tensors import FitData, as_stack
 
 
 @dataclass
@@ -95,7 +95,10 @@ def run_dgd(adj, mask, signals, h, seed):
         never read and may hold anything, NaN included. Observed entries and
         signals must be finite (ValueError otherwise).
     mask : (T, N, N) binary symmetric observation mask.
-    signals : (T, N, Q) node signals, or None when h.delta == 0.
+    signals : (T, N, Q) node signals, or None when h.delta == 0; never read
+        when h.delta == 0.
+    adj and signals may be any slice stack (:func:`tensors.as_stack`), such
+    as an io_dgt.DgtSlices reader; each is read one slice at a time, once.
     h : Hyperparams.
     seed : int seed or np.random.Generator.
 
@@ -127,10 +130,10 @@ def run_dgd(adj, mask, signals, h, seed):
     if h.delta != 0.0:
         if signals is None:
             raise ValueError("signals are required when delta > 0")
-        signals = np.asarray(signals, dtype=np.float64)
-        if signals.ndim != 3 or signals.shape[0] != n_steps or signals.shape[1] != n:
-            raise ValueError(f"expected ({n_steps}, {n}, Q) signals, got {signals.shape}")
-        check_finite(signals, "signal", "t, i, q")
+        signals = as_stack(signals)
+        shape = tuple(signals.shape)
+        if len(shape) != 3 or shape[:2] != (n_steps, n):
+            raise ValueError(f"expected ({n_steps}, {n}, Q) signals, got {shape}")
         cache = build_cache(signals)
 
     rng = np.random.default_rng(seed)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .datagen import mask_seed, sample_mask, swdyn
 from .model import NumericalAbort, reconstruct
+from .tensors import check_finite, check_mask
 
 
 class UndefinedMetricError(ValueError):
@@ -49,19 +50,25 @@ def complement_mask(mask):
 
 
 def relative_error(est, truth, holdout):
-    """Squared relative error on held-out entries.
+    """Squared relative error on held-out entries, those where holdout > 0.
 
-    ||holdout * (est - truth)||_F^2 / ||holdout * truth||_F^2; raises
-    UndefinedMetricError when the holdout carries no truth mass.
+    ||est - truth||_F^2 / ||truth||_F^2 over the held-out entries. They are
+    selected, not weighted, so whatever the other entries hold (NaN
+    included) never reaches the score. Raises UndefinedMetricError when the
+    holdout carries no truth mass.
     """
     est = np.asarray(est, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
-    holdout = np.asarray(holdout, dtype=np.float64)
-    den = float(np.sum((holdout * truth) ** 2))
+    sel = np.asarray(holdout) > 0
+    den = _held_out_sq(truth, sel)
     if den == 0.0:
         raise UndefinedMetricError("held-out truth has zero norm; RE is undefined")
-    num = float(np.sum((holdout * (est - truth)) ** 2))
-    return num / den
+    return _held_out_sq(est - truth, sel) / den
+
+
+def _held_out_sq(x, sel):
+    """Sum of x^2 over the selected entries, summed in the layout of x."""
+    return float(np.sum(np.where(sel, x, 0.0) ** 2))
 
 
 def default_edge_threshold(truth, mask):
@@ -101,9 +108,12 @@ def edge_scores(est, truth, holdout, threshold):
 
 def evaluate(est, truth, mask, threshold=None):
     """Score an estimated tensor against the truth on unobserved entries."""
-    holdout = complement_mask(mask)
     if threshold is None:
         threshold = default_edge_threshold(truth, mask)
+    return _report(est, truth, complement_mask(mask) > 0, threshold)
+
+
+def _report(est, truth, holdout, threshold):
     re = relative_error(est, truth, holdout)
     precision, recall, f1 = edge_scores(est, truth, holdout, threshold)
     return EvalReport(re=re, f1=f1, precision=precision, recall=recall, threshold=threshold)
@@ -114,13 +124,23 @@ def component_analysis(d, truth, mask, threshold=None):
 
     Component r is scored as the tensor outer(C[:, r], A_r) against the full
     truth, so the per-component errors show how much each latent explains.
+    The mask must be binary and symmetric, and the truth and the
+    reconstruction finite everywhere (ValueError naming the (t, i, j)
+    otherwise), so every score is a finite number.
     """
-    report = evaluate(reconstruct(d), truth, mask, threshold=threshold)
-    holdout = complement_mask(mask)
+    truth = np.asarray(truth, dtype=np.float64)
+    check_mask(mask)
+    check_finite(truth, "truth", "t, i, j")
+    est = reconstruct(d)
+    check_finite(est, "estimate", "t, i, j")
+    if threshold is None:
+        threshold = default_edge_threshold(truth, mask)
+    holdout = complement_mask(mask) > 0
+    report = _report(est, truth, holdout, threshold)
     for r in range(d.n_latents):
         part = np.einsum("t,ij->tij", d.signatures[:, r], d.latents[r])
         report.per_component_re.append(relative_error(part, truth, holdout))
-        _, _, f1 = edge_scores(part, truth, holdout, report.threshold)
+        _, _, f1 = edge_scores(part, truth, holdout, threshold)
         report.per_component_f1.append(f1)
     return report
 

@@ -322,16 +322,19 @@ def run_admm(x, ws, grad, project, step, iters, label):
 
     Each iteration projects a gradient step on the augmented Lagrangian, then
     updates ws.split at the new degree margin ws.margin(x) and records the
-    residual ||margin - P||_F. An iterate that leaves float64 aborts naming
-    the block, the inner step and the last finite iterate's largest entry,
-    with no numpy warning before it.
+    residual ||margin - P||_F. grad(x, margin) takes the margin at x too:
+    the one formed for the split update is reused by the next step's
+    gradient, so each step forms one margin. An iterate that leaves float64
+    aborts naming the block, the inner step and the last finite iterate's
+    largest entry, with no numpy warning before it.
     """
     if iters < 1:
         raise ValueError(f"inner_iters must be >= 1, got {iters}")
     residuals = []
     with np.errstate(over="ignore", invalid="ignore"):
+        margin = ws.margin(x)
         for k in range(iters):
-            x_new = project(x - step * grad(x))
+            x_new = project(x - step * grad(x, margin))
             if not np.all(np.isfinite(x_new)):
                 raise NumericalAbort(
                     f"{label}: iterate went non-finite at inner step {k + 1} of {iters} "
@@ -339,5 +342,6 @@ def run_admm(x, ws, grad, project, step, iters, label):
                     f"{float(np.max(np.abs(x))):.3e})"
                 )
             x = x_new
-            residuals.append(ws.split.update(ws.margin(x)))
+            margin = ws.margin(x)
+            residuals.append(ws.split.update(margin))
     return x, ws, residuals

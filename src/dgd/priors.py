@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensors import as_stack, check_finite
+
 
 @dataclass
 class SmoothCache:
@@ -38,20 +40,23 @@ class SmoothCache:
 
 
 def build_cache(x):
-    """Build the pairwise squared-distance slices from a (T, N, Q) signal tensor.
+    """Build the pairwise squared-distance slices from a (T, N, Q) signal stack.
 
     Z_t = sq_t 1' + 1 sq_t' - 2 X_t X_t', sq_t the squared row norms of X_t,
     is formed in its slice of the output with one N x N scratch, so set-up
-    needs no (T, N, N) temporaries beyond Z itself.
+    needs no (T, N, N) temporaries beyond Z itself. x is any slice stack
+    (:func:`tensors.as_stack`) and is read one slice at a time; each slice
+    must be finite, else ValueError names the entry's (t, i, q).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
+    x = as_stack(x)
+    if len(x.shape) != 3:
         raise ValueError(f"signal tensor must be (T, N, Q), got {x.shape}")
     t, n, _ = x.shape
     z = np.empty((t, n, n))
     scratch = np.empty((n, n))
-    for k in range(t):
-        xk, zk = x[k], z[k]
+    for k, zk in enumerate(z):
+        xk = np.asarray(x[k], dtype=np.float64)
+        check_finite(xk, "signal", "t, i, q", at=(k,))
         sq = np.einsum("nq,nq->n", xk, xk)
         np.matmul(xk, xk.T, out=zk)
         zk *= 2.0

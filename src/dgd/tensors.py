@@ -228,26 +228,42 @@ def masked_target(adj, mask):
 
     This is the input boundary every method shares: a mask that is not binary
     and symmetric (:func:`check_mask`) or a non-finite observed entry raises
-    ValueError, the latter naming its (t, i, j).
+    ValueError, the latter naming its (t, i, j). adj is any (T, N, N) slice
+    stack (:func:`as_stack`) and is read one slice at a time, so Y is the only
+    (T, N, N) array this allocates.
     """
-    adj = np.asarray(adj, dtype=np.float64)
+    adj = as_stack(adj)
     mask = np.asarray(mask)
-    if adj.ndim != 3 or adj.shape[1] != adj.shape[2]:
+    if len(adj.shape) != 3 or adj.shape[1] != adj.shape[2]:
         raise ValueError(f"adjacency tensor must be (T, N, N), got {adj.shape}")
-    if adj.shape != mask.shape:
-        raise ValueError(f"adjacency {adj.shape} and mask {mask.shape} differ in shape")
+    if tuple(adj.shape) != mask.shape:
+        raise ValueError(f"adjacency {tuple(adj.shape)} and mask {mask.shape} differ in shape")
     check_mask(mask)
-    target = np.where(mask > 0, adj, 0.0)
-    check_finite(target, "observed adjacency", "t, i, j")
+    target = np.zeros(mask.shape)
+    for t, y in enumerate(target):
+        np.copyto(y, adj[t], where=mask[t] > 0)
+        check_finite(y, "observed adjacency", "t, i, j", at=(t,))
     return target
 
 
-def check_finite(x, name, labels):
-    """Raise ValueError naming the first non-finite entry of x by its index."""
+def as_stack(x):
+    """x itself when it has a .shape and integer indexing, else x as a float64 array.
+
+    Arrays and io_dgt.DgtSlices readers pass through, so a slice loop over
+    the result reads a file one slice at a time.
+    """
+    return x if hasattr(x, "shape") else np.asarray(x, dtype=np.float64)
+
+
+def check_finite(x, name, labels, at=()):
+    """Raise ValueError naming the first non-finite entry of x by its index.
+
+    at is the index of x within a larger array, prepended to the one named.
+    """
     finite = np.isfinite(x)
     if not finite.all():
         idx = tuple(int(k) for k in np.unravel_index(np.argmin(finite), x.shape))
-        raise ValueError(f"{name} entry ({labels}) = {idx} is not finite: {x[idx]}")
+        raise ValueError(f"{name} entry ({labels}) = {at + idx} is not finite: {x[idx]}")
 
 
 def is_symmetric(m, tol=0.0):

@@ -59,6 +59,17 @@ def test_relative_error_ignores_observed_positions():
     assert re1 == re2
 
 
+def test_relative_error_never_reads_observed_entries():
+    # held-out entries are selected, not weighted: 0 * NaN would be NaN
+    truth, mask = _toy_truth(2)
+    holdout = complement_mask(mask)
+    est = truth * 0.5
+    poisoned = np.where(mask > 0, np.nan, truth)
+    re = relative_error(est, truth, holdout)
+    assert relative_error(est, poisoned, holdout) == re
+    assert relative_error(np.where(mask > 0, np.inf, est), truth, holdout) == re
+
+
 def test_relative_error_undefined_without_heldout_mass():
     truth, _ = _toy_truth(3)
     with pytest.raises(UndefinedMetricError):
@@ -162,8 +173,9 @@ def _tiny_sweep_args():
 def test_sweep_rank_grid_shapes_and_determinism(tmp_path):
     spec, h = _tiny_sweep_args()
     kwargs = dict(repeats=2, methods=("unc", "cpd"), observed_frac=0.8)
-    rows1 = sweep("rank", [1, 2], spec, h, seed=3, out_path=tmp_path / "a.csv", **kwargs)
-    rows2 = sweep("rank", [1, 2], spec, h, seed=3, out_path=tmp_path / "b.csv", **kwargs)
+    with pytest.warns(RuntimeWarning, match="unc: ridged"):
+        rows1 = sweep("rank", [1, 2], spec, h, seed=3, out_path=tmp_path / "a.csv", **kwargs)
+        rows2 = sweep("rank", [1, 2], spec, h, seed=3, out_path=tmp_path / "b.csv", **kwargs)
     assert len(rows1) == 2 * 2 * 2
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     first = (tmp_path / "a.csv").read_bytes().split(b"\n", 1)[0]
@@ -175,7 +187,8 @@ def test_sweep_rank_grid_shapes_and_determinism(tmp_path):
 
 def test_sweep_full_observation_rows_are_nan():
     spec, h = _tiny_sweep_args()
-    rows = sweep("observed", [1.0, 0.6], spec, h, seed=1, repeats=1, methods=("unc",))
+    with pytest.warns(RuntimeWarning, match="unc: ridged"):
+        rows = sweep("observed", [1.0, 0.6], spec, h, seed=1, repeats=1, methods=("unc",))
     by_param = {row["param"]: row for row in rows}
     assert math.isnan(by_param[1.0]["re"])
     assert math.isnan(by_param[1.0]["f1"])

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from dgd.baselines import METHODS
 from dgd.cli import HISTORY_HEADER, main
-from dgd.io_dgt import KINDS, DgtError, load_dgt, save_dgt
+from dgd.io_dgt import KINDS, DgtError, DgtSlices, load_dgt, save_dgt
 
 
 def _header_and_payload(path):
@@ -199,6 +199,78 @@ def test_loaded_arrays_are_writable_native_and_contiguous(tmp_path, kind):
     assert back.flags.writeable and back.flags.c_contiguous
     back.flat[0] = -1.0
     assert np.array_equal(back.ravel()[1:], np.arange(1, back.size))
+
+
+@st.composite
+def _stack_kind_and_array(draw):
+    kind = draw(st.sampled_from(sorted(k for k, order in KINDS.items() if order == 3)))
+    shape = draw(hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=4))
+    specials = st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, np.inf, -np.inf, np.nan])
+    arr = draw(hnp.arrays(np.float64, shape, elements=specials | st.floats(allow_subnormal=True)))
+    return kind, arr
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stack_kind_and_array())
+def test_slice_reader_matches_load_bit_for_bit(tmp_path_factory, case):
+    kind, arr = case
+    path = tmp_path_factory.mktemp("dgt") / f"{kind}.dgt"
+    save_dgt(path, arr, kind)
+    whole, _ = load_dgt(path)
+    with DgtSlices(path, kind) as reader:
+        assert reader.kind == kind
+        assert reader.shape == arr.shape and len(reader) == len(arr)
+        # backwards too: each read seeks to its own slice
+        for t in reversed(range(len(arr))):
+            got = reader[t]
+            assert got.dtype == np.float64 and got.shape == arr.shape[1:]
+            assert got.tobytes() == whole[t].tobytes()
+        assert reader[-1].tobytes() == whole[-1].tobytes()
+        with pytest.raises(IndexError):
+            reader[len(arr)]
+
+
+def _open_error(opener, path, kind):
+    with pytest.raises(DgtError) as excinfo:
+        opener(path, kind)
+    return str(excinfo.value), excinfo.value.byte_offset
+
+
+@pytest.mark.parametrize(
+    "case,message",
+    [
+        ("truncated", "payload truncated"),
+        ("oversized", "trailing data"),
+        ("wrong kind", "expected kind 'adjacency', found 'signals'"),
+        ("order 2", "expected kind 'adjacency', found 'signatures'"),
+        ("bad dims", "dims must be 3 positive integers"),
+    ],
+)
+def test_slice_reader_fails_at_open_like_load(tmp_path, case, message):
+    header = _header_bytes(kind="signals", dims=[2, 3, 2])
+    payload = np.zeros(12).tobytes()
+    kind = "adjacency" if case in ("wrong kind", "order 2") else "signals"
+    if case == "truncated":
+        path = _write_raw(tmp_path, header, payload[:-3])
+    elif case == "oversized":
+        path = _write_raw(tmp_path, header, payload + b"\0")
+    elif case == "order 2":
+        path = _write_raw(tmp_path, _header_bytes(), np.zeros(4).tobytes())
+    elif case == "bad dims":
+        path = _write_raw(tmp_path, _header_bytes(kind="signals", dims=[2, 3]), payload)
+    else:
+        path = _write_raw(tmp_path, header, payload)
+    expected = _open_error(load_dgt, path, kind)
+    assert message in expected[0]
+    assert _open_error(DgtSlices, path, kind) == expected
+    if case == "truncated":
+        assert expected[1] == len(header) + 1 + len(payload) - 3
+
+
+def test_slice_reader_rejects_order2_without_kind(tmp_path):
+    path = _write_raw(tmp_path, _header_bytes(), np.zeros(4).tobytes())
+    with pytest.raises(DgtError, match="not a slice stack"):
+        DgtSlices(path)
 
 
 def test_order3_dims_follow_rows_cols_slices(tmp_path):
@@ -392,6 +464,56 @@ def test_nonfinite_observed_entry_exits_one(tmp_path, capsys):
         assert f"(t, i, j) = ({t}, {i}, {j})" in capsys.readouterr().err, method
 
 
+def _decompose_args(data, out, method="dgd", signals=None, config=None):
+    args = [
+        "decompose",
+        "--adj", str(data / "adjacency.dgt"),
+        "--mask", str(data / "mask.dgt"),
+        "--signals", str(signals or data / "signals.dgt"),
+        "--method", method,
+        "--out-dir", str(out),
+        "--seed", "0",
+    ]
+    return args + (["--config", config] if config else [])
+
+
+def test_nonfinite_signal_exits_one_naming_the_entry(tmp_path, capsys):
+    data = _generate(tmp_path)
+    signals, _ = load_dgt(data / "signals.dgt")
+    t, i, q = 4, 2, 3
+    signals[t, i, q] = np.nan
+    save_dgt(tmp_path / "bad.dgt", signals, "signals")
+    cfg = _write_json(tmp_path / "cfg.json", {"inner_iters": 2, "outer_iters": 1})
+    code = main(_decompose_args(data, tmp_path / "out", signals=tmp_path / "bad.dgt", config=cfg))
+    assert code == 1
+    assert f"signal entry (t, i, q) = ({t}, {i}, {q}) is not finite" in capsys.readouterr().err
+    # methods without the smoothness term never read the signals
+    for method in ("nsdgd", "unc", "cpd"):
+        args = _decompose_args(data, tmp_path / method, method, tmp_path / "bad.dgt", cfg)
+        assert main(args) == 0, method
+
+
+def test_decompose_holds_three_stacks(tmp_path):
+    # streamed set-up: the run holds the mask (the fit weight), the target Y
+    # and the smoothness slices Z, never the adjacency or the (T, N, Q) signals
+    n_steps, n, q = 40, 64, 256
+    spec = {"n_nodes": n, "n_steps": n_steps, "n_signals": q, "observed_frac": 0.5}
+    data = _generate(tmp_path, extra=spec)
+    cfg = _write_json(tmp_path / "cfg.json", {"inner_iters": 2, "outer_iters": 1})
+    tracemalloc.start()
+    try:
+        code = main(_decompose_args(data, tmp_path / "out", config=cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    nn = n * n * 8
+    # beyond the stacks: the R N^2 solve state (Omega, V, Xi, the gradient
+    # terms and their temporaries, about 20 N x N planes at R = 2) and one
+    # (N, Q) signal slice, 4 planes; a loaded signal stack alone is 4 * T planes
+    assert peak <= 3 * n_steps * nn + 32 * nn
+
+
 def test_bad_mask_exits_one_for_every_method(tmp_path, capsys):
     data = _generate(tmp_path)
     mask, _ = load_dgt(data / "mask.dgt")
@@ -530,6 +652,68 @@ def test_full_mask_evaluation_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _fit_for_evaluation(tmp_path):
+    data = _generate(tmp_path)
+    cfg = _write_json(tmp_path / "cfg.json", {"inner_iters": 2, "outer_iters": 2})
+    assert main(_decompose_args(data, tmp_path / "fit", config=cfg)) == 0
+    return data, tmp_path / "fit"
+
+
+def _evaluate(fit, truth, mask):
+    return main(["evaluate", "--est-dir", str(fit), "--truth", str(truth), "--mask", str(mask)])
+
+
+def test_evaluate_rejects_nonfinite_truth_even_where_observed(tmp_path, capsys):
+    data, fit = _fit_for_evaluation(tmp_path)
+    truth, _ = load_dgt(data / "adjacency.dgt")
+    mask, _ = load_dgt(data / "mask.dgt")
+    t, i, j = np.argwhere(mask > 0)[0]
+    truth[t, i, j] = np.nan
+    save_dgt(tmp_path / "truth.dgt", truth, "adjacency")
+    capsys.readouterr()
+    assert _evaluate(fit, tmp_path / "truth.dgt", data / "mask.dgt") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"truth entry (t, i, j) = ({t}, {i}, {j}) is not finite" in err
+
+
+def test_evaluate_rejects_nonfinite_estimate(tmp_path, capsys):
+    data, fit = _fit_for_evaluation(tmp_path)
+    latents, _ = load_dgt(fit / "latents.dgt")
+    latents[1, 2, 3] = np.inf
+    save_dgt(fit / "latents.dgt", latents, "latents")
+    capsys.readouterr()
+    assert _evaluate(fit, data / "adjacency.dgt", data / "mask.dgt") == 1
+    assert "estimate entry (t, i, j) = (0, 2, 3) is not finite" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_non_binary_mask(tmp_path, capsys):
+    data, fit = _fit_for_evaluation(tmp_path)
+    mask, _ = load_dgt(data / "mask.dgt")
+    mask[2, 0, 1] = mask[2, 1, 0] = 0.5
+    save_dgt(tmp_path / "half.dgt", mask, "mask")
+    capsys.readouterr()
+    assert _evaluate(fit, data / "adjacency.dgt", tmp_path / "half.dgt") == 1
+    assert "mask entries must be 0 or 1 (slice 2)" in capsys.readouterr().err
+
+
+def test_evaluate_names_both_files_on_shape_mismatch(tmp_path, capsys):
+    data, fit = _fit_for_evaluation(tmp_path)
+    truth, _ = load_dgt(data / "adjacency.dgt")
+    mask, _ = load_dgt(data / "mask.dgt")
+    save_dgt(tmp_path / "short_mask.dgt", mask[:-1], "mask")
+    save_dgt(tmp_path / "short_truth.dgt", truth[:-1], "adjacency")
+    for truth_path, mask_path, other in (
+        (data / "adjacency.dgt", tmp_path / "short_mask.dgt", tmp_path / "short_mask.dgt"),
+        (tmp_path / "short_truth.dgt", tmp_path / "short_mask.dgt", fit),
+    ):
+        capsys.readouterr()
+        assert _evaluate(fit, truth_path, mask_path) == 1
+        err = capsys.readouterr().err
+        assert str(other) in err and str(truth_path) in err
+        assert "broadcast" not in err
+
+
 def test_generate_is_deterministic_per_seed(tmp_path):
     d1 = _generate(tmp_path / "a", seed=5)
     d2 = _generate(tmp_path / "b", seed=5)
@@ -544,18 +728,19 @@ def test_sweep_cli_rank_rows(tmp_path, capsys):
         tmp_path / "spec.json", {"n_nodes": 8, "n_steps": 6, "n_signals": 4}
     )
     out = tmp_path / "results.csv"
-    code = main(
-        [
-            "sweep",
-            "--kind", "rank",
-            "--grid", "1,2,3",
-            "--spec", spec,
-            "--out", str(out),
-            "--seed", "0",
-            "--repeats", "1",
-            "--methods", "unc",
-        ]
-    )
+    with pytest.warns(RuntimeWarning, match="unc: ridged"):
+        code = main(
+            [
+                "sweep",
+                "--kind", "rank",
+                "--grid", "1,2,3",
+                "--spec", spec,
+                "--out", str(out),
+                "--seed", "0",
+                "--repeats", "1",
+                "--methods", "unc",
+            ]
+        )
     assert code == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "method,param,seed,re,f1,precision,recall,seconds"
