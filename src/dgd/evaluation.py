@@ -59,16 +59,24 @@ def relative_error(est, truth, holdout):
     """
     est = np.asarray(est, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
-    sel = np.asarray(holdout) > 0
+    sel = _selection(holdout)
     den = _held_out_sq(truth, sel)
     if den == 0.0:
         raise UndefinedMetricError("held-out truth has zero norm; RE is undefined")
     return _held_out_sq(est - truth, sel) / den
 
 
+def _selection(holdout):
+    """The held-out entries as a boolean array: holdout itself when boolean, else holdout > 0."""
+    sel = np.asarray(holdout)
+    return sel if sel.dtype == np.bool_ else sel > 0
+
+
 def _held_out_sq(x, sel):
-    """Sum of x^2 over the selected entries, summed in the layout of x."""
-    return float(np.sum(np.where(sel, x, 0.0) ** 2))
+    """Sum of x^2 over the selected entries, summed in the layout of x in one buffer."""
+    buf = np.where(sel, x, 0.0)
+    np.square(buf, out=buf)
+    return float(np.sum(buf))
 
 
 def default_edge_threshold(truth, mask):
@@ -92,7 +100,7 @@ def edge_scores(est, truth, holdout, threshold):
         raise ValueError(f"threshold must be positive, got {threshold}")
     est = np.asarray(est, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
-    sel = np.asarray(holdout, dtype=np.float64) > 0
+    sel = _selection(holdout)
     pred = est[sel] > threshold
     real = truth[sel] > 0
     n_real = int(real.sum())
