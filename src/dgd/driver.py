@@ -131,7 +131,7 @@ def run_dgd(adj, mask, signals, h, seed):
         if signals is None:
             raise ValueError("signals are required when delta > 0")
         signals = as_stack(signals)
-        shape = tuple(signals.shape)
+        shape = signals.shape
         if len(shape) != 3 or shape[:2] != (n_steps, n):
             raise ValueError(f"expected ({n_steps}, {n}, Q) signals, got {shape}")
         cache = build_cache(signals)

@@ -115,15 +115,12 @@ class DgtSlices:
         rows, cols, slices = dims
         self.shape = (slices, rows, cols)
 
-    def __len__(self):
-        return self.shape[0]
-
     def __getitem__(self, t):
         t = operator.index(t)
         slices, rows, cols = self.shape
-        if not -slices <= t < slices:
+        if not 0 <= t < slices:
             raise IndexError(f"slice {t} out of range for {slices} slices")
-        offset = self._start + (t % slices) * rows * cols * 8
+        offset = self._start + t * rows * cols * 8
         out = np.empty((rows, cols), dtype="<f8")
         _read_into(self._fh, out, offset)
         return out.astype(np.float64, copy=False)

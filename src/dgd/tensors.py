@@ -236,8 +236,8 @@ def masked_target(adj, mask):
     mask = np.asarray(mask)
     if len(adj.shape) != 3 or adj.shape[1] != adj.shape[2]:
         raise ValueError(f"adjacency tensor must be (T, N, N), got {adj.shape}")
-    if tuple(adj.shape) != mask.shape:
-        raise ValueError(f"adjacency {tuple(adj.shape)} and mask {mask.shape} differ in shape")
+    if adj.shape != mask.shape:
+        raise ValueError(f"adjacency {adj.shape} and mask {mask.shape} differ in shape")
     check_mask(mask)
     target = np.zeros(mask.shape)
     for t, y in enumerate(target):
