@@ -8,6 +8,7 @@ nothing to score and the metrics are reported as undefined rather than 0/0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dc_replace
+from functools import cached_property
 from time import perf_counter
 
 import numpy as np
@@ -57,26 +58,7 @@ def relative_error(est, truth, holdout):
     included) never reaches the score. Raises UndefinedMetricError when the
     holdout carries no truth mass.
     """
-    est = np.asarray(est, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    sel = _selection(holdout)
-    den = _held_out_sq(truth, sel)
-    if den == 0.0:
-        raise UndefinedMetricError("held-out truth has zero norm; RE is undefined")
-    return _held_out_sq(est - truth, sel) / den
-
-
-def _selection(holdout):
-    """The held-out entries as a boolean array: holdout itself when boolean, else holdout > 0."""
-    sel = np.asarray(holdout)
-    return sel if sel.dtype == np.bool_ else sel > 0
-
-
-def _held_out_sq(x, sel):
-    """Sum of x^2 over the selected entries, summed in the layout of x in one buffer."""
-    buf = np.where(sel, x, 0.0)
-    np.square(buf, out=buf)
-    return float(np.sum(buf))
+    return _HeldOut(truth, holdout).relative_error(est)
 
 
 def default_edge_threshold(truth, mask):
@@ -96,34 +78,67 @@ def edge_scores(est, truth, holdout, threshold):
     entries. Empty predictions give precision 0; no held-out truth edges
     raises UndefinedMetricError (recall has no denominator).
     """
-    if not threshold > 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    est = np.asarray(est, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    sel = _selection(holdout)
-    pred = est[sel] > threshold
-    real = truth[sel] > 0
-    n_real = int(real.sum())
-    if n_real == 0:
-        raise UndefinedMetricError("holdout contains no truth edges; recall is undefined")
-    n_pred = int(pred.sum())
-    tp = int((pred & real).sum())
-    precision = tp / n_pred if n_pred > 0 else 0.0
-    recall = tp / n_real
-    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
-    return precision, recall, f1
+    return _HeldOut(truth, holdout).edge_scores(est, threshold)
+
+
+class _HeldOut:
+    """The held-out entries of one truth tensor, those where holdout > 0.
+
+    Scores any number of estimates against the same truth and holdout; the
+    truth's share of the scores, its held-out norm and edges, is computed
+    once, on first use.
+    """
+
+    def __init__(self, truth, holdout):
+        self.truth = np.asarray(truth, dtype=np.float64)
+        sel = np.asarray(holdout)
+        self.sel = sel if sel.dtype == np.bool_ else sel > 0
+
+    @cached_property
+    def norm(self):
+        return _held_out_sq(self.truth, self.sel)
+
+    @cached_property
+    def edges(self):
+        return self.truth[self.sel] > 0
+
+    def relative_error(self, est):
+        if self.norm == 0.0:
+            raise UndefinedMetricError("held-out truth has zero norm; RE is undefined")
+        return _held_out_sq(np.asarray(est, dtype=np.float64) - self.truth, self.sel) / self.norm
+
+    def edge_scores(self, est, threshold):
+        if not threshold > 0:
+            raise ValueError(f"threshold must be positive, got {threshold}")
+        pred = np.asarray(est, dtype=np.float64)[self.sel] > threshold
+        n_real = int(self.edges.sum())
+        if n_real == 0:
+            raise UndefinedMetricError("holdout contains no truth edges; recall is undefined")
+        n_pred = int(pred.sum())
+        tp = int((pred & self.edges).sum())
+        precision = tp / n_pred if n_pred > 0 else 0.0
+        recall = tp / n_real
+        f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+        return precision, recall, f1
+
+
+def _held_out_sq(x, sel):
+    """Sum of x^2 over the selected entries, summed in the layout of x in one buffer."""
+    buf = np.where(sel, x, 0.0)
+    np.square(buf, out=buf)
+    return float(np.sum(buf))
 
 
 def evaluate(est, truth, mask, threshold=None):
     """Score an estimated tensor against the truth on unobserved entries."""
     if threshold is None:
         threshold = default_edge_threshold(truth, mask)
-    return _report(est, truth, complement_mask(mask) > 0, threshold)
+    return _report(est, _HeldOut(truth, complement_mask(mask)), threshold)
 
 
-def _report(est, truth, holdout, threshold):
-    re = relative_error(est, truth, holdout)
-    precision, recall, f1 = edge_scores(est, truth, holdout, threshold)
+def _report(est, held, threshold):
+    re = held.relative_error(est)
+    precision, recall, f1 = held.edge_scores(est, threshold)
     return EvalReport(re=re, f1=f1, precision=precision, recall=recall, threshold=threshold)
 
 
@@ -143,12 +158,12 @@ def component_analysis(d, truth, mask, threshold=None):
     check_finite(est, "estimate", "t, i, j")
     if threshold is None:
         threshold = default_edge_threshold(truth, mask)
-    holdout = complement_mask(mask) > 0
-    report = _report(est, truth, holdout, threshold)
+    held = _HeldOut(truth, complement_mask(mask))
+    report = _report(est, held, threshold)
     for r in range(d.n_latents):
         part = np.einsum("t,ij->tij", d.signatures[:, r], d.latents[r])
-        report.per_component_re.append(relative_error(part, truth, holdout))
-        _, _, f1 = edge_scores(part, truth, holdout, threshold)
+        report.per_component_re.append(held.relative_error(part))
+        _, _, f1 = held.edge_scores(part, threshold)
         report.per_component_f1.append(f1)
     return report
 
