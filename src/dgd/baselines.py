@@ -58,8 +58,11 @@ def unc_solve(adj, mask, n_latents, iters=50, seed=0):
     fits = []
 
     def fit():
-        recon = np.tensordot(c, latents, axes=1)
-        return 0.5 * float(np.sum((mask * recon - target) ** 2))
+        buf = np.tensordot(c, latents, axes=1)
+        buf *= mask
+        buf -= target
+        np.square(buf, out=buf)
+        return 0.5 * float(np.sum(buf))
 
     for _ in range(iters):
         stats = observed.c_stats(latents)
@@ -162,8 +165,10 @@ def cpd_als(tensor, rank, iters=60, seed=0, _retry=True):
                 if _retry:
                     return cpd_als(tensor, rank, iters=iters, seed=seed + 1, _retry=False)
                 raise NumericalAbort("cpd: factors went non-finite twice")
-            recon = _cp_reconstruct(u, v, w)
-            fits.append(0.5 * float(np.sum((x - recon) ** 2)))
+            buf = _cp_reconstruct(u, v, w)
+            np.subtract(x, buf, out=buf)
+            np.square(buf, out=buf)
+            fits.append(0.5 * float(np.sum(buf)))
     return (u, v, w), fits
 
 

@@ -93,8 +93,14 @@ def _cmd_decompose(args):
 
 def _cmd_evaluate(args):
     est_dir = Path(args.est_dir)
-    latents = load_dgt(est_dir / "latents.dgt", "latents")[0]
-    signatures = load_dgt(est_dir / "signatures.dgt", "signatures")[0]
+    latents_path, signatures_path = est_dir / "latents.dgt", est_dir / "signatures.dgt"
+    latents = load_dgt(latents_path, "latents")[0]
+    signatures = load_dgt(signatures_path, "signatures")[0]
+    if signatures.shape[1] != latents.shape[0]:
+        raise ValueError(
+            f"{signatures_path} holds {signatures.shape[1]} signatures but "
+            f"{latents_path} holds {latents.shape[0]} latents"
+        )
     d = Decomposition(latents, signatures)
     truth = load_dgt(args.truth, "adjacency")[0]
     mask = load_dgt(args.mask, "mask")[0]

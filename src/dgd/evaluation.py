@@ -7,12 +7,15 @@ nothing to score and the metrics are reported as undefined rather than 0/0.
 
 from __future__ import annotations
 
+import os
+import warnings
 from dataclasses import dataclass, field, replace as dc_replace
 from functools import cached_property
 from time import perf_counter
 
 import numpy as np
 
+from .baselines import METHODS
 from .datagen import mask_seed, sample_mask, swdyn
 from .model import NumericalAbort, reconstruct
 from .tensors import check_finite, check_mask
@@ -186,20 +189,27 @@ def sweep(
     """Grid evaluation over ranks or observation fractions.
 
     kind "rank" varies h.n_latents over grid at a fixed observed fraction;
-    kind "observed" varies the observation fraction at fixed h. Each cell
-    regenerates data per seed (seed, seed+1, ...), fits every method and
-    scores on the held-out entries. Failed cells keep their row with NaN
-    metrics. When timing is False the seconds column is 0.0 so repeated runs
-    are byte-identical.
-    """
-    from .baselines import METHODS
+    kind "observed" varies the observation fraction at fixed h. Each cell, one
+    grid value and one seed (seed, seed+1, ...), regenerates its data, fits
+    every method and scores on the held-out entries. Failed cells keep their
+    row with NaN metrics. When timing is False the seconds column is 0.0 so
+    repeated runs are byte-identical.
 
+    No cell reads another's output, so the cells run in a pool of forked
+    worker processes, one per CPU this process may run on (os.sched_getaffinity),
+    at most one per cell; with one worker they run here, one after another.
+    The rows come back in cell order either way, grid-major and seed-minor, so
+    the CSV does not depend on the worker count. An error a cell does not turn
+    into NaN reaches the caller with its type and message, and the warnings a
+    cell raised are emitted again here, in cell order. Peak memory is about
+    the worker count times that of one cell.
+    """
     if kind not in ("rank", "observed"):
         raise ValueError(f"sweep kind must be 'rank' or 'observed', got {kind!r}")
     for name in methods:
         if name not in METHODS:
             raise ValueError(f"unknown method {name!r}")
-    rows = []
+    cells = []
     for param in grid:
         if kind == "rank":
             h_cell = h.replace(n_latents=int(param))
@@ -210,35 +220,73 @@ def sweep(
             if not 0.0 < frac <= 1.0:
                 raise ValueError(f"observed fraction must lie in (0, 1], got {frac}")
         for rep in range(repeats):
-            s = int(seed) + rep
-            adj, signals, truth = swdyn(dc_replace(spec, seed=s))
-            truth_tensor = reconstruct(truth)
-            mask = sample_mask(spec.n_nodes, spec.n_steps, frac, mask_seed(s, frac))
-            threshold = default_edge_threshold(truth_tensor, mask)
-            for name in methods:
-                t0 = perf_counter()
-                try:
-                    est = reconstruct(METHODS[name](adj, mask, signals, h_cell, s)[0])
-                    report = evaluate(est, truth_tensor, mask, threshold=threshold)
-                    metrics = (report.re, report.f1, report.precision, report.recall)
-                except (NumericalAbort, UndefinedMetricError, np.linalg.LinAlgError):
-                    metrics = (float("nan"),) * 4
-                elapsed = perf_counter() - t0
-                rows.append(
-                    {
-                        "method": name,
-                        "param": param,
-                        "seed": s,
-                        "re": metrics[0],
-                        "f1": metrics[1],
-                        "precision": metrics[2],
-                        "recall": metrics[3],
-                        "seconds": float(elapsed) if timing else 0.0,
-                    }
-                )
+            cells.append((spec, h_cell, frac, param, int(seed) + rep, methods, timing))
+    rows = []
+    registry = {}
+    for cell_rows, caught in _map_cells(cells):
+        rows.extend(cell_rows)
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
     if out_path is not None:
         write_sweep_csv(rows, out_path)
     return rows
+
+
+def _map_cells(cells):
+    """_sweep_cell over cells, in order; a fork pool when more than one CPU and cell."""
+    try:
+        workers = min(len(os.sched_getaffinity(0)), len(cells))
+    except AttributeError:  # no CPU affinity on this platform
+        workers = 1
+    if workers <= 1:
+        return list(map(_sweep_cell, cells))
+    # fork, not spawn: a spawned worker imports numpy and dgd again (~0.1 s each);
+    # a pool worker that dies raises BrokenProcessPool here instead of hanging
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_sweep_cell, cells))
+
+
+def _sweep_cell(cell):
+    """The rows of one sweep cell and the warnings raised while computing them.
+
+    Generates the cell's data, mask and edge threshold once, then fits and
+    scores each method in order. Returns (rows, [(message, category, filename,
+    lineno), ...]). Warnings meet the filters in force before they are
+    recorded, so a warning an "error" filter turns into an exception is
+    raised inside the cell, as it would be without the recording.
+    """
+    spec, h, frac, param, s, methods, timing = cell
+    rows = []
+    with warnings.catch_warnings(record=True) as caught:
+        adj, signals, truth = swdyn(dc_replace(spec, seed=s))
+        truth_tensor = reconstruct(truth)
+        mask = sample_mask(spec.n_nodes, spec.n_steps, frac, mask_seed(s, frac))
+        threshold = default_edge_threshold(truth_tensor, mask)
+        for name in methods:
+            t0 = perf_counter()
+            try:
+                est = reconstruct(METHODS[name](adj, mask, signals, h, s)[0])
+                report = evaluate(est, truth_tensor, mask, threshold=threshold)
+                metrics = (report.re, report.f1, report.precision, report.recall)
+            except (NumericalAbort, UndefinedMetricError, np.linalg.LinAlgError):
+                metrics = (float("nan"),) * 4
+            elapsed = perf_counter() - t0
+            rows.append(
+                {
+                    "method": name,
+                    "param": param,
+                    "seed": s,
+                    "re": metrics[0],
+                    "f1": metrics[1],
+                    "precision": metrics[2],
+                    "recall": metrics[3],
+                    "seconds": float(elapsed) if timing else 0.0,
+                }
+            )
+    return rows, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 def _fmt_cell(v):

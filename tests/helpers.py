@@ -1,12 +1,19 @@
 """Shared oracle helpers for the test suite."""
 
 import itertools
+import os
 
 import numpy as np
 
 from dgd.model import Decomposition, Hyperparams, project_sa
 from dgd.priors import build_cache
 from dgd.tensors import FitData
+
+
+def set_cpus(monkeypatch, cpus):
+    """Make os.sched_getaffinity report the given CPUs: {0} runs sweep cells
+    one after another in the caller, {0, 1} through a pool of two workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
 
 
 def central_diff(f, x, eps=1e-6):

@@ -1,12 +1,14 @@
 """Property tests: the baselines' matrix-product contractions against the plain
 formulas they replace (three-operand einsums for CP-ALS, a per-slice loop for
-the unc fit history)."""
+the unc fit history), and their in-place fit histories against the
+one-expression fits, bit for bit."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dgd.baselines import _cp_reconstruct, _mttkrp_rows, _mttkrp_time, unc_solve
+from dgd.baselines import _cp_reconstruct, _mttkrp_rows, _mttkrp_time, cpd_als, unc_solve
+from dgd.tensors import masked_target
 
 
 def _close(fast, plain):
@@ -57,3 +59,59 @@ def test_unc_fit_history_matches_slice_loop(n, t, r, iters, seed):
         want += 0.5 * float(np.sum((mask[k] * recon - target) ** 2))
     assert len(fits) == 2 * iters
     assert abs(fits[-1] - want) <= 1e-12 * max(want, 1.0)
+
+
+def _masked_instance(n, t, seed):
+    rng = np.random.default_rng(seed)
+    mask = (rng.random((t, n, n)) < rng.random()).astype(np.float64)
+    mask = np.maximum(mask, mask.transpose(0, 2, 1))
+    return np.where(mask > 0, rng.random((t, n, n)), np.nan), mask
+
+
+@pytest.mark.filterwarnings("ignore:unc. ridged:RuntimeWarning")
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    t=st.integers(1, 4),
+    r=st.integers(1, 3),
+    iters=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_unc_fit_history_is_the_plain_formula_exactly(n, t, r, iters, seed):
+    adj, mask = _masked_instance(n, t, seed)
+    target = masked_target(adj, mask)
+
+    def plain(c, latents):
+        return 0.5 * float(np.sum((mask * np.tensordot(c, latents, axes=1) - target) ** 2))
+
+    _, fits = unc_solve(adj, mask, r, iters=iters, seed=seed)
+    # after k iterations the latents are those of an iters=k run; L_0 is the first draw
+    latents = [np.random.default_rng(seed).random((n * n, r)).reshape(n, n, r).transpose(2, 1, 0)]
+    signatures = [None]
+    for k in range(1, iters + 1):
+        est, _ = unc_solve(adj, mask, r, iters=k, seed=seed)
+        latents.append(est.latents)
+        signatures.append(est.signatures)
+    want = []
+    for k in range(1, iters + 1):
+        want += [plain(signatures[k], latents[k - 1]), plain(signatures[k], latents[k])]
+    assert fits == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    t=st.integers(1, 4),
+    rank=st.integers(1, 3),
+    iters=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cpd_fit_history_is_the_plain_formula_exactly(n, t, rank, iters, seed):
+    adj, mask = _masked_instance(n, t, seed)
+    x = masked_target(adj, mask)
+    _, fits = cpd_als(x, rank, iters=iters, seed=seed)
+    want = []
+    for k in range(1, iters + 1):
+        (u, v, w), _ = cpd_als(x, rank, iters=k, seed=seed)
+        want.append(0.5 * float(np.sum((x - _cp_reconstruct(u, v, w)) ** 2)))
+    assert fits == want

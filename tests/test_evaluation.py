@@ -1,10 +1,14 @@
 """Held-out metrics, component analysis, sweep harness."""
 
 import math
+import os
+import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+from dgd.baselines import METHODS
 from dgd.datagen import SwDynSpec
 from dgd.evaluation import (
     SWEEP_HEADER,
@@ -20,7 +24,7 @@ from dgd.evaluation import (
 )
 from dgd.model import Decomposition, Hyperparams, reconstruct
 
-from helpers import planted_decomposition, symmetric_binary_mask
+from helpers import planted_decomposition, set_cpus, symmetric_binary_mask
 
 
 def _toy_truth(seed=0, t=3, n=4):
@@ -205,10 +209,61 @@ def test_sweep_rejects_bad_arguments():
         sweep("observed", [0.0], spec, h, seed=0, repeats=1, methods=("unc",))
 
 
-def test_sweep_timing_records_wall_clock(tmp_path):
+def test_sweep_timing_records_wall_clock(monkeypatch):
     spec, h = _tiny_sweep_args()
-    rows = sweep("rank", [1], spec, h, seed=2, repeats=1, methods=("unc",), timing=True)
-    assert rows[0]["seconds"] > 0.0
+    for cpus in ({0, 1}, {0}):
+        set_cpus(monkeypatch, cpus)
+        rows = sweep("rank", [1, 2], spec, h, seed=2, repeats=1, methods=("nsdgd", "cpd"), timing=True)
+        assert len(rows) == 4
+        assert all(row["seconds"] > 0.0 for row in rows)
+
+
+def _sweep_both_kinds(tmp_path, tag):
+    """Both sweep kinds with all four methods; the CSV bytes and the warnings emitted."""
+    spec, h = _tiny_sweep_args()
+    csvs = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for kind, grid in (("rank", [1, 2]), ("observed", [0.6, 0.9])):
+            path = tmp_path / f"{tag}_{kind}.csv"
+            sweep(kind, grid, spec, h, seed=3, repeats=2, observed_frac=0.8, out_path=path)
+            csvs.append(path.read_bytes())
+    return csvs, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+def test_sweep_csv_and_warnings_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    set_cpus(monkeypatch, {0, 1})
+    pooled = _sweep_both_kinds(tmp_path, "pool")
+    set_cpus(monkeypatch, {0})
+    serial = _sweep_both_kinds(tmp_path, "one_cpu")
+    assert pooled == serial
+    assert any("unc: ridged" in w[0] for w in serial[1])
+    for csv in serial[0]:
+        methods = {line.split(b",")[0] for line in csv.splitlines()[1:]}
+        assert methods == {b"dgd", b"nsdgd", b"unc", b"cpd"}
+
+
+def test_sweep_cell_error_reaches_the_caller(monkeypatch):
+    spec, h = _tiny_sweep_args()
+    for cpus in ({0, 1}, {0}):
+        set_cpus(monkeypatch, cpus)
+        with pytest.raises(ValueError, match="^n_latents must be >= 1, got 0$"):
+            sweep("rank", [1, 0], spec, h, seed=0, repeats=1, methods=("nsdgd", "cpd"))
+
+
+def test_sweep_worker_that_dies_raises_instead_of_hanging(monkeypatch):
+    set_cpus(monkeypatch, {0, 1})
+    caller = os.getpid()
+
+    def die(*args):
+        if os.getpid() == caller:
+            raise AssertionError("the cell ran in the caller, not in a worker")
+        os._exit(3)
+
+    monkeypatch.setitem(METHODS, "cpd", die)
+    spec, h = _tiny_sweep_args()
+    with pytest.raises(BrokenProcessPool):
+        sweep("observed", [0.6, 0.9], spec, h, seed=0, repeats=1, methods=("cpd",))
 
 
 def test_write_sweep_csv_uses_lf_only(tmp_path):

@@ -12,6 +12,8 @@ from dgd.baselines import METHODS
 from dgd.cli import HISTORY_HEADER, main
 from dgd.io_dgt import KINDS, DgtError, DgtSlices, load_dgt, save_dgt
 
+from helpers import set_cpus
+
 
 def _header_and_payload(path):
     data = path.read_bytes()
@@ -714,6 +716,17 @@ def test_evaluate_names_both_files_on_shape_mismatch(tmp_path, capsys):
         assert "broadcast" not in err
 
 
+def test_evaluate_names_both_estimate_files_on_rank_mismatch(tmp_path, capsys):
+    data, fit = _fit_for_evaluation(tmp_path)
+    signatures, _ = load_dgt(fit / "signatures.dgt")
+    save_dgt(fit / "signatures.dgt", np.hstack([signatures, signatures[:, :1]]), "signatures")
+    capsys.readouterr()
+    assert _evaluate(fit, data / "adjacency.dgt", data / "mask.dgt") == 1
+    err = capsys.readouterr().err
+    assert f"{fit / 'signatures.dgt'} holds 3 signatures" in err
+    assert f"{fit / 'latents.dgt'} holds 2 latents" in err
+
+
 def test_generate_is_deterministic_per_seed(tmp_path):
     d1 = _generate(tmp_path / "a", seed=5)
     d2 = _generate(tmp_path / "b", seed=5)
@@ -746,6 +759,29 @@ def test_sweep_cli_rank_rows(tmp_path, capsys):
     assert lines[0] == "method,param,seed,re,f1,precision,recall,seconds"
     assert len(lines) == 1 + 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["pool", "one_cpu"])
+def test_sweep_cli_cell_error_exits_one(tmp_path, capsys, monkeypatch, cpus):
+    set_cpus(monkeypatch, cpus)
+    spec = _write_json(tmp_path / "spec.json", {"n_nodes": 8, "n_steps": 6, "n_signals": 4})
+    cfg = _write_json(tmp_path / "cfg.json", {"inner_iters": 2, "outer_iters": 2})
+    code = main(
+        [
+            "sweep",
+            "--kind", "rank",
+            "--grid", "1,0",
+            "--spec", spec,
+            "--config", cfg,
+            "--out", str(tmp_path / "r.csv"),
+            "--seed", "0",
+            "--repeats", "1",
+            "--methods", "nsdgd",
+        ]
+    )
+    assert code == 1
+    assert "dgd: error: n_latents must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_sweep_cli_rejects_fractional_rank(tmp_path, capsys):

@@ -118,6 +118,23 @@ def test_dtd_product_matches_dense_formula():
         assert np.abs(got - want).max(initial=0.0) <= 4 * np.finfo(float).eps * np.abs(c).max(), t
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 60), st.integers(1, 3)),
+        # few distinct values, so equal neighbours give zero differences of both signs
+        elements=st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.0]) | st.floats(-1e3, 1e3),
+    )
+)
+def test_dtd_product_is_the_padded_difference_bit_for_bit(c):
+    want = -np.diff(np.diff(c, axis=0), axis=0, prepend=0.0, append=0.0)
+    got = dtd_product(c)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_temporal_pi_equals_explicit_operator():
     rng = np.random.default_rng(3)
     c = rng.standard_normal((7, 2))
