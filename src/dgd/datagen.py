@@ -9,6 +9,7 @@ per step by low-pass filtering white noise through the blended Laplacian.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -77,6 +78,32 @@ class SwDynSpec:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+# processes of the pool this process works in, all on the same CPUs; only a
+# pool worker sets it (join_pool), so elsewhere it stays 1
+_pool_size = 1
+
+
+def join_pool(size):
+    """Pool initializer: this worker shares its CPUs with size - 1 others."""
+    global _pool_size
+    _pool_size = size
+
+
+def worker_count(n_tasks):
+    """Workers for n_tasks independent tasks: one per CPU left to this process,
+    at least 1 and at most n_tasks.
+
+    The CPUs are those this process may run on (os.sched_getaffinity, one
+    where the platform has no CPU affinity), split evenly between the
+    processes of the pool it works in, if any (join_pool).
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = 1
+    return min(max(1, cpus // _pool_size), n_tasks)
+
+
 def sbm_graph(block_sizes, p_in, p_out, seed):
     """Sample a symmetric hollow 0/1 stochastic block model adjacency.
 
@@ -99,11 +126,14 @@ def smooth_signals(adjacency, n_signals, alpha, seed):
     L = diag(A 1) - A. The system is positive definite for any alpha >= 0.
     """
     adjacency = np.asarray(adjacency, dtype=np.float64)
-    n = adjacency.shape[0]
-    rng = np.random.default_rng(seed)
-    white = rng.standard_normal((n, n_signals))
+    white = np.random.default_rng(seed).standard_normal((adjacency.shape[0], n_signals))
+    return _low_pass(adjacency, alpha, white)
+
+
+def _low_pass(adjacency, alpha, white):
+    """(I + alpha L)^{-1} white for the Laplacian L of one adjacency."""
     lap = np.diag(adjacency.sum(axis=1)) - adjacency
-    return np.linalg.solve(np.eye(n) + alpha * lap, white)
+    return np.linalg.solve(np.eye(adjacency.shape[0]) + alpha * lap, white)
 
 
 def sample_mask(n_nodes, n_steps, observed_frac, seed):
@@ -139,6 +169,15 @@ def swdyn(spec):
         noise when spec.noise_sigma > 0.
     signals : (T, N, Q) smooth node signals filtered through the clean slices.
     truth : Decomposition holding the two planted graphs and their ramps.
+
+    Every step's white noise is drawn in the calling thread, from the one
+    seeded stream in step order, straight into the signal stack. The
+    per-step filter solves run on a thread pool, one thread per CPU left to
+    this process and at most T (worker_count), each overwriting its own step.
+    The solves and the draws release the GIL, so drawing one step overlaps
+    the solves of earlier ones. With one worker the solves run in the
+    calling thread. Either way the output is the same bytes, and no thread
+    outlives the call.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -153,9 +192,29 @@ def swdyn(spec):
         ]
     )
     clean = np.einsum("tr,rij->tij", signatures, latents)
-    signals = np.stack(
-        [smooth_signals(clean[k], spec.n_signals, spec.alpha, rng) for k in range(t)]
-    )
+    signals = np.empty((t, n, spec.n_signals))
+
+    def drawn_steps():
+        for k in range(t):
+            rng.standard_normal(out=signals[k])
+            yield k
+
+    def filter_step(k):
+        signals[k] = _low_pass(clean[k], spec.alpha, signals[k])
+
+    workers = worker_count(t)
+    if workers <= 1:
+        for k in drawn_steps():
+            filter_step(k)
+    else:
+        # imported here, as in evaluation._map_cells: the processes that never
+        # generate data do not load concurrent.futures (~0.8 MB RSS)
+        from concurrent.futures import ThreadPoolExecutor
+
+        # map submits each step as soon as the generator has drawn it
+        with ThreadPoolExecutor(workers) as pool:
+            for _ in pool.map(filter_step, drawn_steps()):
+                pass
     if spec.noise_sigma > 0:
         noise = spec.noise_sigma * rng.standard_normal((t, n, n))
         noise = 0.5 * (noise + noise.transpose(0, 2, 1))
@@ -165,5 +224,5 @@ def swdyn(spec):
         if spec.clip_negative:
             adj = np.maximum(adj, 0.0)
     else:
-        adj = clean.copy()
+        adj = clean
     return adj, signals, Decomposition(latents, signatures)

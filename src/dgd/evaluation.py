@@ -7,7 +7,6 @@ nothing to score and the metrics are reported as undefined rather than 0/0.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass, field, replace as dc_replace
 from functools import cached_property
@@ -16,7 +15,7 @@ from time import perf_counter
 import numpy as np
 
 from .baselines import METHODS
-from .datagen import mask_seed, sample_mask, swdyn
+from .datagen import join_pool, mask_seed, sample_mask, swdyn, worker_count
 from .model import NumericalAbort, reconstruct
 from .tensors import check_finite, check_mask
 
@@ -51,6 +50,11 @@ def complement_mask(mask):
     """Flip a binary mask: held-out entries are the unobserved ones."""
     mask = np.asarray(mask, dtype=np.float64)
     return 1.0 - mask
+
+
+def _unobserved(mask):
+    """Boolean held-out selection, the entries where complement_mask(mask) > 0."""
+    return np.asarray(mask, dtype=np.float64) < 1.0
 
 
 def relative_error(est, truth, holdout):
@@ -136,7 +140,7 @@ def evaluate(est, truth, mask, threshold=None):
     """Score an estimated tensor against the truth on unobserved entries."""
     if threshold is None:
         threshold = default_edge_threshold(truth, mask)
-    return _report(est, _HeldOut(truth, complement_mask(mask)), threshold)
+    return _report(est, _HeldOut(truth, _unobserved(mask)), threshold)
 
 
 def _report(est, held, threshold):
@@ -161,7 +165,7 @@ def component_analysis(d, truth, mask, threshold=None):
     check_finite(est, "estimate", "t, i, j")
     if threshold is None:
         threshold = default_edge_threshold(truth, mask)
-    held = _HeldOut(truth, complement_mask(mask))
+    held = _HeldOut(truth, _unobserved(mask))
     report = _report(est, held, threshold)
     for r in range(d.n_latents):
         part = np.einsum("t,ij->tij", d.signatures[:, r], d.latents[r])
@@ -202,7 +206,8 @@ def sweep(
     the CSV does not depend on the worker count. An error a cell does not turn
     into NaN reaches the caller with its type and message, and the warnings a
     cell raised are emitted again here, in cell order. Peak memory is about
-    the worker count times that of one cell.
+    the worker count times that of one cell. The workers split the CPUs
+    evenly, so the generator of a cell filters on its worker's share of them.
     """
     if kind not in ("rank", "observed"):
         raise ValueError(f"sweep kind must be 'rank' or 'observed', got {kind!r}")
@@ -234,10 +239,7 @@ def sweep(
 
 def _map_cells(cells):
     """_sweep_cell over cells, in order; a fork pool when more than one CPU and cell."""
-    try:
-        workers = min(len(os.sched_getaffinity(0)), len(cells))
-    except AttributeError:  # no CPU affinity on this platform
-        workers = 1
+    workers = worker_count(len(cells))
     if workers <= 1:
         return list(map(_sweep_cell, cells))
     # fork, not spawn: a spawned worker imports numpy and dgd again (~0.1 s each);
@@ -245,7 +247,13 @@ def _map_cells(cells):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+    # join_pool: a cell's swdyn runs its filter threads on its worker's share of the CPUs
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=join_pool,
+        initargs=(workers,),
+    ) as pool:
         return list(pool.map(_sweep_cell, cells))
 
 

@@ -12,7 +12,8 @@ from dgd.tensors import FitData
 
 def set_cpus(monkeypatch, cpus):
     """Make os.sched_getaffinity report the given CPUs: {0} runs sweep cells
-    one after another in the caller, {0, 1} through a pool of two workers."""
+    and the generator's per-step filters one after another in the caller,
+    {0, 1} through a pool of two workers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
 
 

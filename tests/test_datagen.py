@@ -1,11 +1,20 @@
 """Synthetic generator: SBM, smooth signals, masks, the blended dataset."""
 
+import itertools
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dgd.datagen import SwDynSpec, sample_mask, sbm_graph, smooth_signals, swdyn
 from dgd.model import reconstruct
 from dgd.tensors import is_hollow, is_symmetric
+
+from helpers import set_cpus
+
+CPUS = pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["pool", "one_cpu"])
 
 
 def _qv(x, adjacency):
@@ -176,3 +185,112 @@ def test_swdyn_noise_is_symmetric_hollow_and_optionally_clipped():
     )
     assert clipped.min() == 0.0
     assert np.array_equal(clipped, np.maximum(adj, 0.0))
+
+
+def _serial_swdyn(spec):
+    """swdyn by the plain formula: one stream, latents, then per step a
+    (N, Q) white-noise draw and its filter solve, then the edge noise."""
+    rng = np.random.default_rng(spec.seed)
+    n, t, q = spec.n_nodes, spec.n_steps, spec.n_signals
+    k1, k2 = spec.communities_start, spec.communities_end
+    latents = np.stack(
+        [
+            sbm_graph([n // k1] * k1, spec.p_in, spec.p_out, rng),
+            sbm_graph([n // k2] * k2, spec.p_in, spec.p_out, rng),
+        ]
+    )
+    ramp = np.linspace(1.0, 0.0, t)
+    clean = np.einsum("tr,rij->tij", np.stack([ramp, 1.0 - ramp], axis=1), latents)
+    signals = []
+    for k in range(t):
+        white = rng.standard_normal((n, q))
+        lap = np.diag(clean[k].sum(axis=1)) - clean[k]
+        signals.append(np.linalg.solve(np.eye(n) + spec.alpha * lap, white))
+    adj = clean
+    if spec.noise_sigma > 0:
+        noise = spec.noise_sigma * rng.standard_normal((t, n, n))
+        noise = 0.5 * (noise + noise.transpose(0, 2, 1))
+        noise[:, np.arange(n), np.arange(n)] = 0.0
+        adj = clean + noise
+        if spec.clip_negative:
+            adj = np.maximum(adj, 0.0)
+    return adj, np.stack(signals), latents
+
+
+@CPUS
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {},
+        {"noise_sigma": 0.4},
+        {"noise_sigma": 0.4, "clip_negative": True},
+        {"n_steps": 1},
+    ],
+    ids=["clean", "noisy", "clipped", "one_step"],
+)
+def test_swdyn_matches_the_serial_formula_bytes(monkeypatch, cpus, kw):
+    set_cpus(monkeypatch, cpus)
+    spec = SwDynSpec(**{"n_nodes": 12, "n_steps": 7, "n_signals": 9, "seed": 11, **kw})
+    adj, signals, truth = swdyn(spec)
+    want_adj, want_signals, want_latents = _serial_swdyn(spec)
+    assert signals.tobytes() == want_signals.tobytes()
+    assert adj.tobytes() == want_adj.tobytes()
+    assert truth.latents.tobytes() == want_latents.tobytes()
+
+
+def test_swdyn_bytes_hold_with_more_threads_than_cores(monkeypatch):
+    # eight filter threads switching every microsecond: a step written into
+    # another's slice, or drawn out of order, changes the bytes
+    set_cpus(monkeypatch, range(8))
+    spec = SwDynSpec(n_nodes=12, n_steps=40, n_signals=6, seed=4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _, signals, _ = swdyn(spec)
+    finally:
+        sys.setswitchinterval(interval)
+    assert signals.tobytes() == _serial_swdyn(spec)[1].tobytes()
+
+
+@CPUS
+def test_swdyn_leaves_no_thread_behind(monkeypatch, cpus):
+    set_cpus(monkeypatch, cpus)
+    before = threading.active_count()
+    swdyn(SwDynSpec(n_nodes=8, n_steps=6, n_signals=4))
+    assert threading.active_count() == before
+
+
+@CPUS
+def test_swdyn_step_error_reaches_the_caller(monkeypatch, cpus):
+    set_cpus(monkeypatch, cpus)
+    solve = np.linalg.solve
+    calls = itertools.count()
+
+    def failing_solve(a, b):
+        if next(calls) == 2:
+            raise np.linalg.LinAlgError("step 2 is singular")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    before = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError, match="^step 2 is singular$"):
+        swdyn(SwDynSpec(n_nodes=8, n_steps=6, n_signals=4))
+    assert threading.active_count() == before
+
+
+@CPUS
+def test_swdyn_peak_memory_is_the_outputs_plus_a_few_slices_per_worker(monkeypatch, cpus):
+    # the signal stack is built in place: beyond the outputs, each worker
+    # holds only its solve's copies of one (N, Q) step and its N x N system
+    set_cpus(monkeypatch, cpus)
+    spec = SwDynSpec(n_nodes=60, n_steps=30, n_signals=200)
+    swdyn(spec)  # first-call allocations stay out of the measurement
+    tracemalloc.start()
+    try:
+        adj, signals, truth = swdyn(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = adj.nbytes + signals.nbytes + truth.latents.nbytes + truth.signatures.nbytes
+    per_worker = 2 * signals[0].nbytes + 4 * adj[0].nbytes
+    assert peak - outputs <= len(cpus) * per_worker + 64 * 1024

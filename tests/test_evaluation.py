@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dgd.baselines import METHODS
-from dgd.datagen import SwDynSpec
+from dgd.datagen import SwDynSpec, worker_count
 from dgd.evaluation import (
     SWEEP_HEADER,
     UndefinedMetricError,
@@ -133,6 +133,23 @@ def test_evaluate_combines_metrics():
     assert evaluate(truth, truth, mask).threshold == default_edge_threshold(truth, mask)
     custom = evaluate(truth, truth, mask, threshold=0.123)
     assert custom.threshold == 0.123
+
+
+def test_evaluate_selects_like_the_complement_mask_on_any_float():
+    # evaluate does not check its mask: NaN, +inf, -inf and 0.5 entries must
+    # select the same held-out entries as complement_mask(mask) > 0
+    truth, mask = _toy_truth(6, t=4, n=6)
+    rng = np.random.default_rng(12)
+    est = truth + 0.3 * rng.standard_normal(truth.shape)
+    odd = mask.copy()
+    slots = np.flatnonzero(truth > 0)[:8]
+    odd.flat[slots] = [np.nan, np.inf, -np.inf, 0.5, np.nan, np.inf, -np.inf, 0.5]
+    holdout = complement_mask(odd)
+    report = evaluate(est, truth, odd, threshold=0.2)
+    assert report.re == relative_error(est, truth, holdout)
+    assert (report.precision, report.recall, report.f1) == edge_scores(est, truth, holdout, 0.2)
+    # the -inf entries are held out: marking them observed moves RE
+    assert report.re != evaluate(est, truth, np.where(np.isfinite(odd), odd, 1.0), threshold=0.2).re
 
 
 def test_component_analysis_single_latent_matches_combined():
@@ -264,6 +281,21 @@ def test_sweep_worker_that_dies_raises_instead_of_hanging(monkeypatch):
     spec, h = _tiny_sweep_args()
     with pytest.raises(BrokenProcessPool):
         sweep("observed", [0.6, 0.9], spec, h, seed=0, repeats=1, methods=("cpd",))
+
+
+@pytest.mark.parametrize("cpus,share", [({0, 1}, 1), (range(4), 2)], ids=["two_cpus", "four_cpus"])
+def test_sweep_workers_split_the_cpus(monkeypatch, cpus, share):
+    # two cells, two workers: each may run swdyn on its share of the CPUs only
+    set_cpus(monkeypatch, cpus)
+
+    def report_share(*args):
+        raise RuntimeError(f"filter threads {worker_count(100)}")
+
+    monkeypatch.setitem(METHODS, "cpd", report_share)
+    spec, h = _tiny_sweep_args()
+    with pytest.raises(RuntimeError, match=f"^filter threads {share}$"):
+        sweep("observed", [0.6, 0.9], spec, h, seed=0, repeats=1, methods=("cpd",))
+    assert worker_count(100) == len(cpus)
 
 
 def test_write_sweep_csv_uses_lf_only(tmp_path):

@@ -736,6 +736,16 @@ def test_generate_is_deterministic_per_seed(tmp_path):
     assert (d1 / "adjacency.dgt").read_bytes() != (d3 / "adjacency.dgt").read_bytes()
 
 
+def test_generate_writes_the_same_bytes_pooled_and_serial(tmp_path, monkeypatch):
+    files = ("adjacency.dgt", "mask.dgt", "signals.dgt", "truth_latents.dgt", "truth_signatures.dgt")
+    written = []
+    for cpus in ({0, 1}, {0}):
+        set_cpus(monkeypatch, cpus)
+        data = _generate(tmp_path / str(len(cpus)), seed=3, extra={"noise_sigma": 0.2})
+        written.append([(data / name).read_bytes() for name in files])
+    assert written[0] == written[1]
+
+
 def test_sweep_cli_rank_rows(tmp_path, capsys):
     spec = _write_json(
         tmp_path / "spec.json", {"n_nodes": 8, "n_steps": 6, "n_signals": 4}
