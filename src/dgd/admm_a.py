@@ -102,30 +102,6 @@ def grad_a_lagrangian(a_r, ws, d, fit, cache, h, terms=None, margin=None):
     return a_r * omega + linear + (wd.T @ ws.c_r)[:, None]
 
 
-def a_lagrangian_value(a_r, ws, d, fit, cache, h):
-    """Value of the augmented Lagrangian that grad_a_lagrangian differentiates.
-
-    Formed from the plain formulas (:meth:`FitData.loss`, the Z slices), as
-    the reference the gradient is checked against.
-    """
-    a_r = np.asarray(a_r, dtype=np.float64)
-    r = ws.r
-    c_r = d.signatures[:, r]
-    latents = d.latents.copy()
-    latents[r] = a_r
-    val = fit.loss(d.signatures, latents)
-    if h.delta != 0.0:
-        traces = np.tensordot(cache.z_slices, a_r, axes=2)
-        val += 0.5 * h.delta * float(c_r @ traces)
-    val += h.gamma * float(a_r.sum())
-    if h.beta != 0.0:
-        others = d.latents.sum(axis=0) - d.latents[r]
-        val += 2.0 * h.beta * float(np.sum(a_r * others))
-    if h.eta != 0.0:
-        val += 0.5 * h.eta * float(np.sum(a_r**2))
-    return val + ws.split.coupling(ws.margin(a_r))
-
-
 def default_step_a(d, r, fit, h):
     """Inverse curvature bound for the A_r gradient step.
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DegreeSplit, normal_or_zeros, project_sc, run_admm, step_from_bound
-from .priors import dtd_norm, dtd_product, temporal_pi
+from .priors import dtd_norm, dtd_product
 
 
 @dataclass
@@ -100,24 +100,6 @@ def grad_c_lagrangian(c, ws, latents, fit, cache, h, terms=None, margin=None):
     if h.rho != 0.0:
         g = g + h.rho * c
     return g + ws.split.weighted_residual(margin) @ ws.upsilon
-
-
-def c_lagrangian_value(c, ws, latents, fit, cache, h):
-    """Value of the augmented Lagrangian that grad_c_lagrangian differentiates.
-
-    Formed from the plain formulas (:meth:`FitData.loss`, the Z slices), as
-    the reference the gradient is checked against.
-    """
-    c = np.asarray(c, dtype=np.float64)
-    val = fit.loss(c, latents)
-    if h.delta != 0.0:
-        traces = np.tensordot(cache.z_slices, latents, axes=([1, 2], [1, 2]))
-        val += 0.5 * h.delta * float(np.sum(c * traces))
-    if h.mu != 0.0:
-        val += h.mu * temporal_pi(c)
-    if h.rho != 0.0:
-        val += 0.5 * h.rho * float(np.sum(c**2))
-    return val + ws.split.coupling(ws.margin(c))
 
 
 def default_step_c(ws, latents, fit, h):

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .driver import run_dgd
-from .model import Decomposition, NumericalAbort, ObjectiveBreakdown
+from .model import Decomposition, Hyperparams, NumericalAbort, ObjectiveBreakdown
 from .tensors import FitData, masked_target
 
 RIDGE = 1e-8
@@ -45,12 +45,19 @@ def unc_solve(adj, mask, n_latents, iters=50, seed=0):
     reconstruction sum_r C[t, r] A_r is the product of C with the (R, N^2)
     matricized latents, copied contiguous by tensordot. The signature step
     reads the masked Grams and right-hand sides of :meth:`FitData.c_stats`.
-    Adjacency entries where the mask is 0 are never read.
+    Adjacency entries where the mask is 0 are never read; adj and mask are
+    any slice stacks (:func:`tensors.as_stack`).
     """
-    mask = np.asarray(mask, dtype=np.float64)
-    target = masked_target(adj, mask)
-    observed = FitData(weight=mask, target=target)
+    observed = FitData.build(adj, mask, Hyperparams())
+    target = observed.target
     t, n = target.shape[:2]
+    # the fit and the latent step weigh each entry (i, j) apart, on the dense
+    # 0/1 mask: the caller's array, or rebuilt from the packed rows when the
+    # mask came as a slice reader
+    if isinstance(mask, np.ndarray):
+        mask = mask.astype(np.float64, copy=False)
+    else:
+        mask = observed.unpack(observed.upper, observed.diag)
     rng = np.random.default_rng(seed)
     # the draw's column r is A_r stacked column by column
     latents = rng.random((n * n, n_latents)).reshape(n, n, n_latents).transpose(2, 1, 0)

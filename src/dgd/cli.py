@@ -73,11 +73,10 @@ def _cmd_generate(args):
 
 
 def _cmd_decompose(args):
-    # adjacency and signals are read one slice at a time by the method's set-up;
-    # the mask, the fit weight, is the one input held whole
+    # every input is read one slice at a time by the method's set-up
     with ExitStack() as files:
         adj = files.enter_context(DgtSlices(args.adj, "adjacency"))
-        mask = load_dgt(args.mask, "mask")[0]
+        mask = files.enter_context(DgtSlices(args.mask, "mask"))
         signals = files.enter_context(DgtSlices(args.signals, "signals")) if args.signals else None
         h = Hyperparams.from_dict(_load_json(args.config) if args.config else {})
         d, breakdowns = METHODS[args.method](adj, mask, signals, h, args.seed)

@@ -216,13 +216,29 @@ def swdyn(spec):
             for _ in pool.map(filter_step, drawn_steps()):
                 pass
     if spec.noise_sigma > 0:
-        noise = spec.noise_sigma * rng.standard_normal((t, n, n))
-        noise = 0.5 * (noise + noise.transpose(0, 2, 1))
-        idx = np.arange(n)
-        noise[:, idx, idx] = 0.0
-        adj = clean + noise
-        if spec.clip_negative:
-            adj = np.maximum(adj, 0.0)
-    else:
-        adj = clean
-    return adj, signals, Decomposition(latents, signatures)
+        _add_edge_noise(clean, spec, rng)
+    return clean, signals, Decomposition(latents, signatures)
+
+
+def _add_edge_noise(adj, spec, rng):
+    """Add symmetric hollow N(0, sigma^2 / 2) noise to the (T, N, N) stack adj
+    in place, then clip negatives to 0 when spec.clip_negative.
+
+    Step t's noise is 0.5 (E + E') for E = sigma times the t-th (N, N) draw
+    of the stream, zeroed on the diagonal; the draws are taken one slice at
+    a time, which consumes the stream as one (T, N, N) draw does. Beyond adj
+    this holds two N x N slices and no temporary.
+    """
+    draw = np.empty(adj.shape[1:])
+    noise = np.empty_like(draw)
+    for a in adj:
+        rng.standard_normal(out=draw)
+        draw *= spec.noise_sigma
+        # E' + E, with no ufunc buffer for the transposed operand
+        np.copyto(noise, draw.T)
+        noise += draw
+        noise *= 0.5
+        np.fill_diagonal(noise, 0.0)
+        a += noise
+    if spec.clip_negative:
+        np.maximum(adj, 0.0, out=adj)

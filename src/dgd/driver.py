@@ -94,11 +94,13 @@ def run_dgd(adj, mask, signals, h, seed):
     adj : (T, N, N) observed adjacency values; entries where mask is 0 are
         never read and may hold anything, NaN included. Observed entries and
         signals must be finite (ValueError otherwise).
-    mask : (T, N, N) binary symmetric observation mask.
+    mask : (T, N, N) binary symmetric observation mask. A step that observes
+        no pair i != j is reported in the history's zero_observation_steps;
+        a run where no step observes one aborts.
     signals : (T, N, Q) node signals, or None when h.delta == 0; never read
         when h.delta == 0.
-    adj and signals may be any slice stack (:func:`tensors.as_stack`), such
-    as an io_dgt.DgtSlices reader; each is read one slice at a time, once.
+    adj, mask and signals may be any slice stack (:func:`tensors.as_stack`),
+    such as an io_dgt.DgtSlices reader; each is read one slice at a time, once.
     h : Hyperparams.
     seed : int seed or np.random.Generator.
 
@@ -112,16 +114,16 @@ def run_dgd(adj, mask, signals, h, seed):
     n_steps, n = fit.target.shape[:2]
 
     history = RunHistory()
-    zero_steps = np.flatnonzero(fit.slice_max == 0)
+    zero_steps = fit.unobserved_steps()
     history.zero_observation_steps = [int(s) for s in zero_steps]
     if zero_steps.size == n_steps:
-        err = NumericalAbort("no observed entries in any time step")
+        err = NumericalAbort("no observed entries off the diagonal in any time step")
         history.status = "aborted"
         err.history = history
         raise err
     if zero_steps.size:
         print(
-            f"warning: {zero_steps.size} time steps carry no observations: "
+            f"warning: {zero_steps.size} time steps carry no observations off the diagonal: "
             f"{history.zero_observation_steps}",
             file=sys.stderr,
         )

@@ -5,7 +5,8 @@ the pairwise squared-distance matrices Z_t: an edge (i, j) is cheap when the
 signals at i and j are close. Its value is 1/2 sum_t sum_r C[t,r] <Z_t, A_r>.
 The C block and the objective read it through the (T, R) table of inner
 products <Z_t, A_r>, the A block through Xi_r = 1/2 sum_t C[t,r] Z_t; both
-are built by :class:`tensors.FitData` with the fit statistics. The temporal prior
+are built by :class:`tensors.FitData` with the fit statistics, from the
+packed upper triangles of the symmetric Z_t. The temporal prior
 penalizes successive differences of the signature matrix C through the
 forward-difference operator D, whose D'D is tridiagonal and is never formed.
 Runs without signals (delta = 0) carry no cache at all.
@@ -18,33 +19,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import as_stack, check_finite
+from .tensors import as_stack, check_finite, pack, triangle
 
 
 @dataclass
 class SmoothCache:
     """Precomputed smoothness structures for one signal tensor.
 
-    z_slices : (T, N, N), Z_t[i, j] = ||X_t[i, :] - X_t[j, :]||_2^2
+    z_upper : (T, M), row t the strict upper triangle of Z_t packed as
+              :func:`tensors.triangle` orders it, M = N(N-1)/2, where
+              Z_t[i, j] = ||X_t[i, :] - X_t[j, :]||_2^2; Z_t is symmetric
+              with a zero diagonal, so the row holds all of it
+    n_nodes : N
     """
 
-    z_slices: np.ndarray
+    z_upper: np.ndarray
+    n_nodes: int
 
     @property
     def n_steps(self):
-        return self.z_slices.shape[0]
-
-    @property
-    def n_nodes(self):
-        return self.z_slices.shape[1]
+        return self.z_upper.shape[0]
 
 
 def build_cache(x):
-    """Build the pairwise squared-distance slices from a (T, N, Q) signal stack.
+    """Build the packed pairwise squared-distance slices from a (T, N, Q) signal stack.
 
     Z_t = sq_t 1' + 1 sq_t' - 2 X_t X_t', sq_t the squared row norms of X_t,
-    is formed in its slice of the output with one N x N scratch, so set-up
-    needs no (T, N, N) temporaries beyond Z itself. x is any slice stack
+    is formed in one N x N slice with one N x N scratch and then packed into
+    its row, so set-up needs no (T, N, N) array at all. x is any slice stack
     (:func:`tensors.as_stack`) and is read one slice at a time; each slice
     must be finite, else ValueError names the entry's (t, i, q).
     """
@@ -52,22 +54,28 @@ def build_cache(x):
     if len(x.shape) != 3:
         raise ValueError(f"signal tensor must be (T, N, Q), got {x.shape}")
     t, n, _ = x.shape
-    z = np.empty((t, n, n))
+    at = triangle(n)[0]
+    z = np.empty((t, at.size))
+    zk = np.empty((n, n))
     scratch = np.empty((n, n))
-    for k, zk in enumerate(z):
+    for k in range(t):
         xk = np.asarray(x[k], dtype=np.float64)
         check_finite(xk, "signal", "t, i, q", at=(k,))
         sq = np.einsum("nq,nq->n", xk, xk)
         np.matmul(xk, xk.T, out=zk)
         zk *= 2.0
-        np.add(sq[:, None], sq[None, :], out=scratch)
+        # sq_j + sq_i, then below Z' + Z: the same sums as the plain formula,
+        # without the ufunc buffers that a broadcast or transposed operand takes
+        np.copyto(scratch, sq[None, :])
+        scratch += sq[:, None]
         np.subtract(scratch, zk, out=zk)
-        # exact invariants: symmetric, nonnegative, zero diagonal
-        np.add(zk, zk.T, out=scratch)
+        # exact invariants: symmetric and nonnegative; the zero diagonal is not packed
+        np.copyto(scratch, zk.T)
+        scratch += zk
         scratch *= 0.5
         np.maximum(scratch, 0.0, out=zk)
-        np.fill_diagonal(zk, 0.0)
-    return SmoothCache(z_slices=z)
+        pack(zk, at, z[k])
+    return SmoothCache(z_upper=z, n_nodes=n)
 
 
 def overlap_h(latents):

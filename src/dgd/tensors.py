@@ -7,14 +7,19 @@ Conventions used throughout the package:
 * a signal tensor is float64 of shape (T, N, Q), ``x[t]`` holding Q features
   per node at time t
 * a stack of latent adjacency matrices is float64 of shape (R, N, N)
+* a stack of symmetric slices may be held packed, as (K, M) rows of their
+  strict upper triangles, M = N(N-1)/2, entry (i, j), i < j, at the position
+  :func:`triangle` gives it
 
 The fit is one weighted least-squares loss on that layout,
 1/2 sum_t sum_ij W_t,ij (recon_t,ij - Y_t,ij)^2, whose weight W and target Y
 are held by :class:`FitData`. With one block fixed, the other block's fit
 reduces to a few small statistics of the data (:class:`AStats`,
 :class:`CStats`), built once per outer iteration by matrix products on the
-(T, N^2) views of W, Y and the smoothness slices Z. Everything is dense; the
-target problems have N up to a couple hundred.
+(T, N^2) view of Y and the packed rows of W and of the smoothness slices Z.
+W and Z are symmetric, so their packed rows hold every entry off the
+diagonal; the latents need not be, so the statistics stay exact for any.
+Everything is dense; the target problems have N up to a couple hundred.
 """
 
 from __future__ import annotations
@@ -30,6 +35,30 @@ CANCELLATION = 1e-6
 def _flat(stack):
     """(K, N, N) -> (K, N^2), a view when the stack is contiguous."""
     return stack.reshape(len(stack), -1)
+
+
+def triangle(n):
+    """(upper, lower): flat indices i N + j and j N + i of the pairs i < j, row by row.
+
+    Row k of a packed stack holds slice k at `upper`; for a symmetric slice
+    that is its entries at `lower` too. Each holder of packed rows builds
+    these once.
+    """
+    rows, cols = np.triu_indices(n, 1)
+    lower = cols * n
+    lower += rows
+    rows *= n
+    rows += cols
+    return rows, lower
+
+
+def pack(m, at, out):
+    """Write the entries of the N x N slice m at the flat indices `at` into out.
+
+    The indices are in range by construction, so take runs in "clip" mode,
+    which fills out directly instead of through a buffer.
+    """
+    return np.take(m, at, out=out, mode="clip")
 
 
 @dataclass
@@ -79,8 +108,11 @@ class CStats:
 class FitData:
     """Weight and target of the weighted least-squares fit.
 
-    weight      : (T, N, N), W_t,ij >= 0, zero wherever the entry is unobserved
     target      : (T, N, N), Y = M o A, the adjacency with unobserved entries zeroed
+    upper       : (T, M), W_t,ij for i < j, packed (:func:`triangle`) from the
+                  symmetric weight; None when counts is given
+    diag        : (T, N), the diagonal of the 0/1 mask, which is W_t,ii when
+                  W is the mask
     counts      : (T,) when every entry of slice t has weight counts[t]
                   (`count_weighted`); None when W is the 0/1 mask and Y is
                   zero off it (`exact_mask`), so that W o Y = Y
@@ -89,23 +121,39 @@ class FitData:
 
     This is the one place that contracts W, Y and the smoothness slices Z
     against the factors: :meth:`a_stats` and :meth:`c_stats` build, with one
-    matrix product on the (T, N^2) views each, everything either block and
-    the objective read of them. The gradient mode is decided here alone.
+    matrix product on the (T, N^2) view of Y or the packed rows of W and Z
+    each, everything either block and the objective read of them. The
+    gradient mode is decided here alone.
     """
 
-    weight: np.ndarray
     target: np.ndarray
+    upper: np.ndarray | None
+    diag: np.ndarray
     counts: np.ndarray | None = None
     slice_max: np.ndarray = field(init=False)
     target_norm: float = field(init=False)
+    # the packed rows' flat indices (:func:`triangle`), and for each flat
+    # index of a slice its position in a packed row followed by the diagonal;
+    # built once per fit
+    _at: np.ndarray = field(init=False, repr=False)
+    _mirror: np.ndarray = field(init=False, repr=False)
+    _source: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        n = self.n_nodes
+        self._at, self._mirror = triangle(n)
+        m = self._at.size
+        self._source = np.empty(n * n, dtype=np.intp)
+        self._source[self._at] = self._source[self._mirror] = np.arange(m)
+        self._source[:: n + 1] = np.arange(m, m + n)
         flat = _flat(self.target)
         # data too large for float64 overflows here silently; the step bounds
         # abort on it with a message of their own
         with np.errstate(over="ignore", invalid="ignore"):
             if self.counts is None:
-                self.slice_max = self.weight.max(axis=(1, 2))
+                # W >= 0, and a slice without pairs (N = 1) has none to take
+                upper_max = self.upper.max(axis=1, initial=0.0)
+                self.slice_max = np.maximum(upper_max, self.diag.max(axis=1))
                 self.target_norm = 0.5 * float(np.vdot(flat, flat))
             else:
                 self.slice_max = self.counts
@@ -117,18 +165,57 @@ class FitData:
         """Fit data for the gradient mode of Hyperparams h.
 
         `exact_mask` weighs each entry by the mask; `count_weighted` weighs
-        every entry of slice t by the observation count 1'm_t. Adjacency
+        every entry of slice t by the observation count 1'm_t. adj and mask
+        are any slice stacks (:func:`as_stack`), read together one slice at a
+        time: each mask slice is checked (:func:`check_mask`), its observed
+        entries of adj copied into Y, and it is packed into W. Adjacency
         values where the mask is 0 are never read, so they may be NaN.
         """
-        target = masked_target(adj, mask)
-        mask = np.asarray(mask, dtype=np.float64)
-        if h.gradient_mode == "exact_mask":
-            return cls(weight=mask, target=target)
-        if h.gradient_mode == "count_weighted":
-            counts = mask.sum(axis=(1, 2))
-            weight = np.broadcast_to(counts[:, None, None], mask.shape)
-            return cls(weight=weight, target=target, counts=counts)
-        raise ValueError(f"unknown gradient_mode {h.gradient_mode!r}")
+        if h.gradient_mode not in ("exact_mask", "count_weighted"):
+            raise ValueError(f"unknown gradient_mode {h.gradient_mode!r}")
+        adj, mask = _stacks(adj, mask)
+        n_steps, n = mask.shape[:2]
+        exact = h.gradient_mode == "exact_mask"
+        at = triangle(n)[0] if exact else None
+        target = np.zeros(mask.shape)
+        upper = np.empty((n_steps, n * (n - 1) // 2)) if exact else None
+        diag = np.empty((n_steps, n))
+        counts = None if exact else np.empty(n_steps)
+        for t, y in enumerate(target):
+            m = _observe(adj, mask, t, y)
+            diag[t] = np.diagonal(m)
+            if exact:
+                pack(m, at, upper[t])
+            else:
+                counts[t] = m.sum()
+        return cls(target=target, upper=upper, diag=diag, counts=counts)
+
+    @property
+    def n_nodes(self):
+        return self.target.shape[1]
+
+    def unpack(self, upper, diag=None):
+        """The (K, N, N) symmetric stack of (K, M) packed rows, with diagonals diag or 0.
+
+        One gather from the rows with their diagonals appended, which runs
+        several times faster than scattering each row to both triangles.
+        """
+        n, m = self.n_nodes, self._at.size
+        rows = np.empty((len(upper), m + n))
+        rows[:, :m] = upper
+        rows[:, m:] = 0.0 if diag is None else diag
+        return np.take(rows, self._source, axis=1).reshape(-1, n, n)
+
+    def unobserved_steps(self):
+        """Steps whose mask slice observes no pair i != j, as an int array.
+
+        The diagonal does not count: it carries no edge, and a sampled mask
+        always observes it (datagen.sample_mask).
+        """
+        if self.counts is None:
+            return np.flatnonzero(~self.upper.any(axis=1))
+        # counts[t] is the whole slice, diagonal included
+        return np.flatnonzero(self.counts <= self.diag.sum(axis=1))
 
     def _weighted(self, coef):
         """coef (T, K) with row t scaled by the slice weight when W_t is constant."""
@@ -137,8 +224,10 @@ class FitData:
     def a_stats(self, signatures, cache=None):
         """:class:`AStats` of the (T, R) signatures; Xi needs the smoothness cache.
 
-        Built under the same errstate as the step bounds, so data too large
-        for float64 raises no numpy warning before the abort that names it.
+        Omega and Xi are contracted on the packed rows of W and Z and unpacked
+        once, to the symmetric planes the A solves read. Built under the same
+        errstate as the step bounds, so data too large for float64 raises no
+        numpy warning before the abort that names it.
         """
         c = np.asarray(signatures, dtype=np.float64)
         n_steps, n = self.target.shape[:2]
@@ -150,37 +239,48 @@ class FitData:
         with np.errstate(over="ignore", invalid="ignore"):
             prods = c[:, rows] * c[:, cols]
             if self.counts is None:
-                omega = (prods.T @ _flat(self.weight)).reshape(-1, n, n)
+                omega = self.unpack(prods.T @ self.upper, prods.T @ self.diag)
             else:
                 omega = (self.counts @ prods).reshape(-1, 1, 1)
             v = (self._weighted(c).T @ _flat(self.target)).reshape(-1, n, n)
             xi = None
             if cache is not None:
-                xi = (c.T @ _flat(cache.z_slices)).reshape(-1, n, n)
-                xi *= 0.5
+                half = c.T @ cache.z_upper
+                half *= 0.5
+                xi = self.unpack(half)
         return AStats(omega=omega, pair=pair, v=v, xi=xi)
 
     def c_stats(self, latents, cache=None):
         """:class:`CStats` of the (R, N, N) latents; the traces need the smoothness cache.
 
-        The exact-mask Grams take one product per latent r against the pairs
-        r <= k, so no (R, R, N, N) or (P, N^2) temporary is formed. Built
-        under the same errstate as :meth:`a_stats`.
+        For symmetric W and Z and any latents, with P = A_r o A_k,
+        G_t,rk = sum_{i<j} W_t,ij (P_ij + P_ji) + sum_i W_t,ii P_ii and
+        <Z_t, A_r> = sum_{i<j} Z_t,ij (A_r,ij + A_r,ji), Z_t having a zero
+        diagonal. The exact-mask Grams take one product per latent r against
+        the pairs r <= k, so no (R, R, M) temporary is formed. Built under
+        the same errstate as :meth:`a_stats`.
         """
         lat = _flat(np.asarray(latents, dtype=np.float64))
         n_lat = len(lat)
+        up, low = lat[:, self._at], lat[:, self._mirror]
         with np.errstate(over="ignore", invalid="ignore"):
             if self.counts is None:
                 grams = np.empty((self.target.shape[0], n_lat, n_lat))
-                w = _flat(self.weight)
+                dg = lat[:, :: self.n_nodes + 1]
                 for r in range(n_lat):
-                    g = w @ (lat[r:] * lat[r]).T
+                    sym = up[r:] * up[r]
+                    sym += low[r:] * low[r]
+                    g = self.upper @ sym.T
+                    g += self.diag @ (dg[r:] * dg[r]).T
                     grams[:, r, r:] = g
                     grams[:, r:, r] = g
             else:
                 grams = self.counts[:, None, None] * (lat @ lat.T)
             b = self._weighted(_flat(self.target) @ lat.T)
-            traces = None if cache is None else _flat(cache.z_slices) @ lat.T
+            traces = None
+            if cache is not None:
+                up += low
+                traces = cache.z_upper @ up.T
         return CStats(grams=grams, b=b, traces=traces)
 
     def gram_loss(self, signatures, stats):
@@ -212,15 +312,26 @@ class FitData:
     def loss(self, signatures, latents):
         """The fit value 1/2 sum W (recon - Y)^2 of recon_t = sum_r C[t,r] A_r.
 
-        The plain formula, kept as the reference for :meth:`gram_loss`. The
-        reconstruction is the one (T, N, N) buffer this allocates; the
-        residual, its square and the weighting are formed in place.
+        The plain formula, kept as the reference for :meth:`gram_loss`. It
+        runs one slice at a time, so it holds no (T, N, N) buffer: the dense
+        residual of slice t is squared in place, and its squares at (i, j)
+        and (j, i) are weighted together by the packed W_t,ij.
         """
-        buf = np.einsum("tr,rij->tij", signatures, latents)
-        buf -= self.target
-        np.square(buf, out=buf)
-        buf *= self.weight
-        return 0.5 * float(np.sum(buf))
+        c = np.asarray(signatures, dtype=np.float64)
+        lat = _flat(np.asarray(latents, dtype=np.float64))
+        n = self.n_nodes
+        total = 0.0
+        for t, y in enumerate(_flat(self.target)):
+            sq = c[t] @ lat
+            sq -= y
+            np.square(sq, out=sq)
+            if self.counts is not None:
+                total += float(self.counts[t] * sq.sum())
+                continue
+            pairs = sq[self._at]
+            pairs += sq[self._mirror]
+            total += float(self.upper[t] @ pairs) + float(self.diag[t] @ sq[:: n + 1])
+        return 0.5 * total
 
 
 def masked_target(adj, mask):
@@ -228,22 +339,34 @@ def masked_target(adj, mask):
 
     This is the input boundary every method shares: a mask that is not binary
     and symmetric (:func:`check_mask`) or a non-finite observed entry raises
-    ValueError, the latter naming its (t, i, j). adj is any (T, N, N) slice
-    stack (:func:`as_stack`) and is read one slice at a time, so Y is the only
-    (T, N, N) array this allocates.
+    ValueError, the latter naming its (t, i, j). adj and mask are any
+    (T, N, N) slice stacks (:func:`as_stack`), read one slice at a time, so Y
+    is the only (T, N, N) array this allocates.
     """
-    adj = as_stack(adj)
-    mask = np.asarray(mask)
-    if len(adj.shape) != 3 or adj.shape[1] != adj.shape[2]:
-        raise ValueError(f"adjacency tensor must be (T, N, N), got {adj.shape}")
-    if adj.shape != mask.shape:
-        raise ValueError(f"adjacency {adj.shape} and mask {mask.shape} differ in shape")
-    check_mask(mask)
+    adj, mask = _stacks(adj, mask)
     target = np.zeros(mask.shape)
     for t, y in enumerate(target):
-        np.copyto(y, adj[t], where=mask[t] > 0)
-        check_finite(y, "observed adjacency", "t, i, j", at=(t,))
+        _observe(adj, mask, t, y)
     return target
+
+
+def _stacks(adj, mask):
+    """adj and mask as slice stacks (:func:`as_stack`) of one (T, N, N) shape."""
+    adj, mask = as_stack(adj), as_stack(mask)
+    if len(adj.shape) != 3 or adj.shape[1] != adj.shape[2]:
+        raise ValueError(f"adjacency tensor must be (T, N, N), got {adj.shape}")
+    if tuple(adj.shape) != tuple(mask.shape):
+        raise ValueError(f"adjacency {adj.shape} and mask {mask.shape} differ in shape")
+    return adj, mask
+
+
+def _observe(adj, mask, t, y):
+    """Check mask slice t, copy the observed entries of adj[t] into y; returns the slice."""
+    m = np.asarray(mask[t], dtype=np.float64)
+    _check_mask_slice(m, t)
+    np.copyto(y, adj[t], where=m > 0)
+    check_finite(y, "observed adjacency", "t, i, j", at=(t,))
+    return m
 
 
 def as_stack(x):
@@ -266,22 +389,17 @@ def check_finite(x, name, labels, at=()):
         raise ValueError(f"{name} entry ({labels}) = {at + idx} is not finite: {x[idx]}")
 
 
-def is_symmetric(m, tol=0.0):
-    return bool(np.all(np.abs(m - m.swapaxes(-1, -2)) <= tol))
-
-
-def is_hollow(m, tol=0.0):
-    d = np.diagonal(m, axis1=-2, axis2=-1)
-    return bool(np.all(np.abs(d) <= tol))
-
-
 def check_mask(mask):
     """Validate mask invariants slice by slice: binary entries, symmetric slices."""
     mask = np.asarray(mask)
     for t, m in enumerate(mask.reshape((-1,) + mask.shape[-2:])):
-        if not ((m == 0.0) | (m == 1.0)).all():
-            raise ValueError(f"mask entries must be 0 or 1 (slice {t})")
-        # exact comparison: the entries are already known to be 0 or 1
-        if not (m == m.T).all():
-            raise ValueError(f"mask slices must be symmetric (slice {t})")
+        _check_mask_slice(m, t)
     return True
+
+
+def _check_mask_slice(m, t):
+    if not ((m == 0.0) | (m == 1.0)).all():
+        raise ValueError(f"mask entries must be 0 or 1 (slice {t})")
+    # exact comparison: the entries are already known to be 0 or 1
+    if not (m == m.T).all():
+        raise ValueError(f"mask slices must be symmetric (slice {t})")

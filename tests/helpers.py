@@ -6,7 +6,7 @@ import os
 import numpy as np
 
 from dgd.model import Decomposition, Hyperparams, project_sa
-from dgd.priors import build_cache
+from dgd.priors import build_cache, temporal_pi
 from dgd.tensors import FitData
 
 
@@ -36,11 +36,42 @@ def rel_grad_error(analytic, numeric):
     return float(np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1.0))
 
 
+def is_symmetric(m, tol=0.0):
+    return bool(np.all(np.abs(m - m.swapaxes(-1, -2)) <= tol))
+
+
+def is_hollow(m, tol=0.0):
+    d = np.diagonal(m, axis1=-2, axis2=-1)
+    return bool(np.all(np.abs(d) <= tol))
+
+
+def pairwise_z(x):
+    """Z_t[i, j] = ||X_t[i] - X_t[j]||^2 of a (T, N, Q) stack, by the loop over pairs."""
+    t, n, _ = x.shape
+    z = np.zeros((t, n, n))
+    for k, i, j in itertools.product(range(t), range(n), range(n)):
+        z[k, i, j] = np.sum((x[k, i] - x[k, j]) ** 2)
+    return z
+
+
+def dense_fit(weight, target):
+    """FitData of a dense symmetric (T, N, N) weight, built directly; the
+    target is taken as it is, so it may hold what FitData.build rejects."""
+    n = weight.shape[1]
+    rows, cols = np.triu_indices(n, 1)
+    diag = np.diagonal(weight, axis1=1, axis2=2).copy()
+    return FitData(target=target, upper=weight[:, rows, cols], diag=diag)
+
+
 def random_instance(seed, mode):
     """Small random problem with every prior weight active.
 
     Latents and signatures are arbitrary (not projected) so the gradient
-    checks exercise generic points, not just feasible ones.
+    checks exercise generic points, not just feasible ones. The adjacency is
+    not symmetric. The returned fit and cache also carry the dense weight
+    (fit.dense_weight) and the smoothness slices by the pairwise loop
+    (cache.dense_z), which the Lagrangian values below read instead of the
+    packed rows the solver holds.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 6))
@@ -50,7 +81,9 @@ def random_instance(seed, mode):
     adj = rng.random((t, n, n))
     mask = (rng.random((t, n, n)) < 0.7).astype(np.float64)
     mask = np.maximum(mask, mask.transpose(0, 2, 1))
-    cache = build_cache(rng.standard_normal((t, n, 2)))
+    signals = rng.standard_normal((t, n, 2))
+    cache = build_cache(signals)
+    cache.dense_z = pairwise_z(signals)
     h = Hyperparams(
         n_latents=r,
         gamma=0.3,
@@ -64,7 +97,60 @@ def random_instance(seed, mode):
         lambda_c=0.9,
         gradient_mode=mode,
     )
-    return rng, d, FitData.build(adj, mask, h), cache, h
+    fit = FitData.build(adj, mask, h)
+    if mode == "exact_mask":
+        fit.dense_weight = mask
+    else:
+        fit.dense_weight = np.broadcast_to(mask.sum(axis=(1, 2))[:, None, None], mask.shape)
+    return rng, d, fit, cache, h
+
+
+def dense_loss(fit, signatures, latents):
+    """1/2 sum_t sum_ij W_t,ij (recon_t,ij - Y_t,ij)^2 on the dense weight of random_instance."""
+    recon = np.einsum("tr,rij->tij", signatures, latents)
+    return 0.5 * float(np.sum(fit.dense_weight * (recon - fit.target) ** 2))
+
+
+def a_lagrangian_value(a_r, ws, d, fit, cache, h):
+    """Value of the augmented Lagrangian that admm_a.grad_a_lagrangian differentiates.
+
+    Formed from the plain formulas on the dense weight and smoothness slices
+    of random_instance, as the reference the gradient is checked against.
+    """
+    a_r = np.asarray(a_r, dtype=np.float64)
+    r = ws.r
+    c_r = d.signatures[:, r]
+    latents = d.latents.copy()
+    latents[r] = a_r
+    val = dense_loss(fit, d.signatures, latents)
+    if h.delta != 0.0:
+        traces = np.tensordot(cache.dense_z, a_r, axes=2)
+        val += 0.5 * h.delta * float(c_r @ traces)
+    val += h.gamma * float(a_r.sum())
+    if h.beta != 0.0:
+        others = d.latents.sum(axis=0) - d.latents[r]
+        val += 2.0 * h.beta * float(np.sum(a_r * others))
+    if h.eta != 0.0:
+        val += 0.5 * h.eta * float(np.sum(a_r**2))
+    return val + ws.split.coupling(ws.margin(a_r))
+
+
+def c_lagrangian_value(c, ws, latents, fit, cache, h):
+    """Value of the augmented Lagrangian that admm_c.grad_c_lagrangian differentiates.
+
+    Formed from the plain formulas on the dense weight and smoothness slices
+    of random_instance, as the reference the gradient is checked against.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    val = dense_loss(fit, c, latents)
+    if h.delta != 0.0:
+        traces = np.tensordot(cache.dense_z, latents, axes=([1, 2], [1, 2]))
+        val += 0.5 * h.delta * float(np.sum(c * traces))
+    if h.mu != 0.0:
+        val += h.mu * temporal_pi(c)
+    if h.rho != 0.0:
+        val += 0.5 * h.rho * float(np.sum(c**2))
+    return val + ws.split.coupling(ws.margin(c))
 
 
 def planted_decomposition(seed, n=8, t=10, r=2):

@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from dgd.admm_a import a_lagrangian_value, build_a_workspace, grad_a_lagrangian
-from dgd.admm_c import build_c_workspace, c_lagrangian_value, grad_c_lagrangian
+from dgd.admm_a import build_a_workspace, grad_a_lagrangian
+from dgd.admm_c import build_c_workspace, grad_c_lagrangian
 from dgd.baselines import METHODS, nsdgd, unc_solve
 from dgd.datagen import SwDynSpec, sample_mask, swdyn
 from dgd.driver import run_dgd
@@ -28,7 +28,15 @@ from dgd.evaluation import (
 from dgd.io_dgt import load_dgt, save_dgt
 from dgd.model import Hyperparams, project_sa, reconstruct
 
-from helpers import central_diff, corr_after_match, random_instance, rel_grad_error, set_cpus
+from helpers import (
+    a_lagrangian_value,
+    c_lagrangian_value,
+    central_diff,
+    corr_after_match,
+    random_instance,
+    rel_grad_error,
+    set_cpus,
+)
 
 
 def _verdict(num, name, ok):

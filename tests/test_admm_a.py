@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 from dgd.admm_a import (
-    a_lagrangian_value,
     build_a_workspace,
     default_step_a,
     grad_a_lagrangian,
     solve_a_subproblem,
 )
 from dgd.model import Decomposition, Hyperparams, NumericalAbort, in_sa
-from dgd.tensors import FitData
 
-from helpers import central_diff, random_instance, rel_grad_error
+from helpers import a_lagrangian_value, central_diff, dense_fit, random_instance, rel_grad_error
 
 
 @pytest.mark.parametrize("mode", ["exact_mask", "count_weighted"])
@@ -47,11 +45,11 @@ def test_lagrangian_penalty_vanishes_at_feasible_split():
     for t in range(d.n_steps):
         recon = sum(d.signatures[t, k] * d.latents[k] for k in range(d.n_latents))
         obs = fit_data.target[t]
-        m = fit_data.weight[t]
+        m = fit_data.dense_weight[t]
         fit += 0.5 * np.sum((m * (recon - obs)) ** 2)
     want = (
         fit
-        + h.delta * np.sum(a * 0.5 * np.tensordot(c_r, cache.z_slices, axes=1).T)
+        + h.delta * np.sum(a * 0.5 * np.tensordot(c_r, cache.dense_z, axes=1).T)
         + h.gamma * a.sum()
         + 2.0 * h.beta * np.sum(a * (d.latents.sum(axis=0) - a))
         + 0.5 * h.eta * np.sum(a**2)
@@ -147,7 +145,7 @@ def test_solve_aborts_on_nonfinite_data():
     mask = np.ones((t, n, n))
     h = Hyperparams(n_latents=1, delta=0.0)
     # built directly: FitData.build rejects non-finite observed entries
-    fit = FitData(weight=mask, target=adj)
+    fit = dense_fit(mask, adj)
     d = Decomposition(np.zeros((1, n, n)), np.ones((t, 1)))
     with pytest.raises(NumericalAbort):
         solve_a_subproblem(d, 0, fit, None, h, np.random.default_rng(0))

@@ -6,7 +6,6 @@ import pytest
 from dgd.admm_c import (
     build_c_workspace,
     build_upsilon,
-    c_lagrangian_value,
     default_step_c,
     grad_c_lagrangian,
     solve_c_subproblem,
@@ -14,7 +13,7 @@ from dgd.admm_c import (
 from dgd.model import Decomposition, Hyperparams, NumericalAbort, objective
 from dgd.tensors import FitData
 
-from helpers import central_diff, random_instance, rel_grad_error
+from helpers import c_lagrangian_value, central_diff, dense_fit, random_instance, rel_grad_error
 
 
 @pytest.mark.parametrize("mode", ["exact_mask", "count_weighted"])
@@ -142,7 +141,7 @@ def test_solve_aborts_on_nonfinite_data():
     mask = np.ones((t, n, n))
     h = Hyperparams(n_latents=1, delta=0.0)
     # built directly: FitData.build rejects non-finite observed entries
-    fit = FitData(weight=mask, target=adj)
+    fit = dense_fit(mask, adj)
     latents = np.zeros((1, n, n))
     latents[0, 0, 1] = latents[0, 1, 0] = 1.0
     d = Decomposition(latents, np.ones((t, 1)))

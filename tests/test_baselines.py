@@ -1,5 +1,6 @@
 """Comparison methods: masked ALS, signal-free solver, CPD."""
 
+import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -15,6 +16,7 @@ from dgd.baselines import (
 )
 from dgd.datagen import SwDynSpec, sample_mask, swdyn
 from dgd.driver import run_dgd
+from dgd.io_dgt import DgtSlices, save_dgt
 from dgd.model import Hyperparams, NumericalAbort, ObjectiveBreakdown, reconstruct
 
 from helpers import planted_decomposition
@@ -27,6 +29,28 @@ def test_unc_exact_on_planted_full_mask():
     est, fits = unc_solve(adj, mask, n_latents=2, iters=50, seed=0)
     assert fits[-1] < 1e-8
     assert np.allclose(reconstruct(est), adj, atol=1e-4)
+
+
+def test_unc_reads_an_array_mask_in_place(tmp_path):
+    # an array mask is the dense weight as it is; only a slice reader is
+    # unpacked, to the same fit. Beyond the target, the packed mask and the
+    # fit buffer, unc holds no stack-sized copy of the mask
+    adj, _, _ = swdyn(SwDynSpec(n_nodes=40, n_steps=30, n_signals=2))
+    mask = sample_mask(40, 30, 0.5, 1)
+    unc_solve(adj, mask, 2, iters=1)  # first-call allocations stay out of the measurement
+    tracemalloc.start()
+    try:
+        est, fits = unc_solve(adj, mask, 2, iters=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * adj.nbytes
+    save_dgt(tmp_path / "a.dgt", adj, "adjacency")
+    save_dgt(tmp_path / "m.dgt", mask, "mask")
+    with DgtSlices(tmp_path / "a.dgt") as a, DgtSlices(tmp_path / "m.dgt") as m:
+        streamed, streamed_fits = unc_solve(a, m, 2, iters=5)
+    assert streamed_fits == fits
+    assert np.array_equal(streamed.latents, est.latents)
 
 
 def test_unc_starts_from_column_major_draw():

@@ -8,11 +8,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dgd.datagen import SwDynSpec, sample_mask, sbm_graph, smooth_signals, swdyn
+from dgd.datagen import (
+    SwDynSpec,
+    _add_edge_noise,
+    sample_mask,
+    sbm_graph,
+    smooth_signals,
+    swdyn,
+)
 from dgd.model import reconstruct
-from dgd.tensors import is_hollow, is_symmetric
 
-from helpers import set_cpus
+from helpers import is_hollow, is_symmetric, set_cpus
 
 CPUS = pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["pool", "one_cpu"])
 
@@ -294,3 +300,36 @@ def test_swdyn_peak_memory_is_the_outputs_plus_a_few_slices_per_worker(monkeypat
     outputs = adj.nbytes + signals.nbytes + truth.latents.nbytes + truth.signatures.nbytes
     per_worker = 2 * signals[0].nbytes + 4 * adj[0].nbytes
     assert peak - outputs <= len(cpus) * per_worker + 64 * 1024
+
+
+@CPUS
+def test_swdyn_edge_noise_adds_no_stack(monkeypatch, cpus):
+    # the noise is drawn and added one slice at a time into the clean stack,
+    # which becomes the adjacency output: the noisy run keeps the noise-free
+    # run's bound of the outputs plus a few slices per worker
+    set_cpus(monkeypatch, cpus)
+    spec = SwDynSpec(n_nodes=60, n_steps=30, n_signals=200, noise_sigma=0.3, clip_negative=True)
+    swdyn(spec)  # first-call allocations stay out of the measurement
+    tracemalloc.start()
+    try:
+        adj, signals, truth = swdyn(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = adj.nbytes + signals.nbytes + truth.latents.nbytes + truth.signatures.nbytes
+    per_worker = 2 * signals[0].nbytes + 4 * adj[0].nbytes
+    assert peak - outputs <= len(cpus) * per_worker + 64 * 1024
+
+
+def test_edge_noise_step_holds_two_slices():
+    spec = SwDynSpec(n_nodes=90, n_steps=20, noise_sigma=0.3, clip_negative=True)
+    adj = np.zeros((spec.n_steps, spec.n_nodes, spec.n_nodes))
+    _add_edge_noise(adj, spec, np.random.default_rng(0))  # first-call allocations
+    tracemalloc.start()
+    try:
+        _add_edge_noise(adj, spec, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * adj[0].nbytes + 16 * 1024
+    assert adj.min() == 0.0 and adj.max() > 0.0

@@ -109,6 +109,29 @@ def test_zero_observation_slices_warn_but_run(capfd):
     assert "no observations" in capfd.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["exact_mask", "count_weighted"])
+def test_diagonal_only_step_counts_as_unobserved(capfd, mode):
+    # a sampled mask always observes the diagonal, which carries no edge
+    adj, mask = _small_problem(5, n=20)
+    mask = mask.copy()
+    mask[0] = np.eye(20)
+    mask[1] = 0.0
+    h = Hyperparams(delta=0.0, inner_iters=2, outer_iters=2, gradient_mode=mode)
+    _, hist = run_dgd(adj, mask, None, h, seed=0)
+    assert hist.zero_observation_steps == [0, 1]
+    assert "2 time steps carry no observations" in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["exact_mask", "count_weighted"])
+def test_diagonal_only_mask_aborts_with_history(mode):
+    adj, mask = _small_problem(6)
+    diagonal = np.broadcast_to(np.eye(mask.shape[1]), mask.shape)
+    with pytest.raises(NumericalAbort, match="off the diagonal") as excinfo:
+        run_dgd(adj, diagonal, None, Hyperparams(delta=0.0, gradient_mode=mode), seed=0)
+    assert excinfo.value.history.status == "aborted"
+    assert excinfo.value.history.zero_observation_steps == list(range(len(mask)))
+
+
 def test_all_unobserved_aborts_with_history():
     adj, mask = _small_problem(6)
     with pytest.raises(NumericalAbort) as excinfo:

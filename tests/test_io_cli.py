@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dgd import cli, io_dgt
 from dgd.baselines import METHODS
 from dgd.cli import HISTORY_HEADER, main
 from dgd.io_dgt import KINDS, DgtError, DgtSlices, load_dgt, save_dgt
@@ -495,9 +496,10 @@ def test_nonfinite_signal_exits_one_naming_the_entry(tmp_path, capsys):
         assert main(args) == 0, method
 
 
-def test_decompose_holds_three_stacks(tmp_path):
-    # streamed set-up: the run holds the mask (the fit weight), the target Y
-    # and the smoothness slices Z, never the adjacency or the (T, N, Q) signals
+def test_decompose_holds_two_stacks(tmp_path):
+    # streamed set-up: the run holds the target Y and the packed upper
+    # triangles of the fit weight W and the smoothness slices Z, half a stack
+    # each; never the mask, the adjacency or the (T, N, Q) signals
     n_steps, n, q = 40, 64, 256
     spec = {"n_nodes": n, "n_steps": n_steps, "n_signals": q, "observed_frac": 0.5}
     data = _generate(tmp_path, extra=spec)
@@ -513,7 +515,28 @@ def test_decompose_holds_three_stacks(tmp_path):
     # beyond the stacks: the R N^2 solve state (Omega, V, Xi, the gradient
     # terms and their temporaries, about 20 N x N planes at R = 2) and one
     # (N, Q) signal slice, 4 planes; a loaded signal stack alone is 4 * T planes
-    assert peak <= 3 * n_steps * nn + 32 * nn
+    assert peak <= 2 * n_steps * nn + 32 * nn
+
+
+@pytest.mark.parametrize("method", ["dgd", "nsdgd", "unc", "cpd"])
+def test_decompose_streams_the_mask(tmp_path, monkeypatch, method):
+    # every method reads the mask slice by slice; none loads the file whole
+    data = _generate(tmp_path)
+    want = tmp_path / "want"
+    assert main(_decompose_args(data, want, method)) == 0
+    loaded = []
+    original = io_dgt.load_dgt
+
+    def load_dgt(path, kind=None):
+        loaded.append(kind)
+        return original(path, kind)
+
+    monkeypatch.setattr(cli, "load_dgt", load_dgt)
+    monkeypatch.setattr(io_dgt, "load_dgt", load_dgt)
+    assert main(_decompose_args(data, tmp_path / "got", method)) == 0
+    assert loaded == []
+    for name in ("latents.dgt", "signatures.dgt", "history.csv"):
+        assert (tmp_path / "got" / name).read_bytes() == (want / name).read_bytes()
 
 
 def test_bad_mask_exits_one_for_every_method(tmp_path, capsys):

@@ -11,35 +11,33 @@ from dgd.model import Decomposition, Hyperparams, objective, reconstruct
 from dgd.priors import build_cache, dtd_norm, dtd_product, overlap_h, temporal_pi
 from dgd.tensors import FitData
 
-from helpers import planted_decomposition
+from helpers import pairwise_z, planted_decomposition
 
 
 def test_cache_matches_pairwise_distance_loop():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((3, 4, 2))
-    cache = build_cache(x)
+    z = build_cache(x).z_upper
     for t in range(3):
-        for i in range(4):
-            for j in range(4):
-                want = np.sum((x[t, i] - x[t, j]) ** 2)
-                assert abs(cache.z_slices[t, i, j] - want) < 1e-12
+        for m, (i, j) in enumerate(zip(*np.triu_indices(4, 1))):
+            want = np.sum((x[t, i] - x[t, j]) ** 2)
+            assert abs(z[t, m] - want) < 1e-12
 
 
 def test_cache_single_channel_example():
     # two nodes with signals 0 and 1: squared distance 1 off the diagonal
     x = np.array([[[0.0], [1.0]]])
     cache = build_cache(x)
-    assert np.allclose(cache.z_slices[0], [[0.0, 1.0], [1.0, 0.0]])
+    assert cache.z_upper.tolist() == [[1.0]]
 
 
 def test_cache_invariants():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2, 5, 3)) * 4.0
     cache = build_cache(x)
-    z = cache.z_slices
-    assert np.array_equal(z, z.transpose(0, 2, 1))
-    assert np.all(z >= 0.0)
-    assert np.all(np.diagonal(z, axis1=1, axis2=2) == 0.0)
+    # the packed rows hold Z off the diagonal: symmetric and zero on it by construction
+    assert cache.z_upper.shape == (2, 10)
+    assert np.all(cache.z_upper >= 0.0)
     assert (cache.n_steps, cache.n_nodes) == (2, 5)
 
 
@@ -62,12 +60,15 @@ def _batched_cache(x):
     )
 )
 def test_cache_equals_batched_formula(x):
-    # T, N and Q = 1 included; slice by slice gives the same bits
-    assert build_cache(x).z_slices.tobytes() == _batched_cache(x).tobytes()
+    # T, N and Q = 1 included; slice by slice, then packed, gives the same
+    # bits as the upper triangle of the batched formula
+    rows, cols = np.triu_indices(x.shape[1], 1)
+    assert build_cache(x).z_upper.tobytes() == _batched_cache(x)[:, rows, cols].tobytes()
 
 
 def test_cache_scratch_is_one_slice():
-    # numpy allocations are traced: beyond Z itself, set-up holds O(N max(N, Q))
+    # numpy allocations are traced: beyond the packed Z, half a (T, N, N)
+    # stack, set-up holds O(N max(N, Q))
     t, n, q = 64, 96, 8
     x = np.random.default_rng(9).standard_normal((t, n, q))
     tracemalloc.start()
@@ -76,7 +77,8 @@ def test_cache_scratch_is_one_slice():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= cache.z_slices.nbytes + 4 * 8 * n * max(n, q)
+    assert cache.z_upper.nbytes == t * n * (n - 1) // 2 * 8
+    assert peak <= cache.z_upper.nbytes + 4 * 8 * n * max(n, q)
 
 
 def test_cache_rejects_non_tensor_input():
@@ -149,13 +151,14 @@ def test_xi_is_weighted_sum_of_slices():
     x = rng.standard_normal((3, 4, 2))
     cache = build_cache(x)
     c = np.array([[0.5], [2.0], [0.0]])
-    want = 0.5 * (0.5 * cache.z_slices[0] + 2.0 * cache.z_slices[1])
+    z = pairwise_z(x)
+    want = 0.5 * (0.5 * z[0] + 2.0 * z[1])
     assert np.allclose(_blank_fit(3, 4).a_stats(c, cache).xi[0], want)
     # equal unit weights over identical slices give back the slice itself
     x_rep = np.stack([x[0], x[0]])
     cache_rep = build_cache(x_rep)
     xi = _blank_fit(2, 4).a_stats(np.ones((2, 1)), cache_rep).xi[0]
-    assert np.allclose(xi, cache_rep.z_slices[0])
+    assert np.allclose(xi, z[0])
 
 
 def test_a_stats_rejects_wrong_signature_length():

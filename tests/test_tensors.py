@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from dgd import tensors
+from dgd.io_dgt import DgtSlices, save_dgt
 from dgd.model import Hyperparams
 
-from helpers import symmetric_binary_mask
+from helpers import is_hollow, is_symmetric, symmetric_binary_mask
 
 
 def test_fit_data_matches_slices():
@@ -16,13 +17,50 @@ def test_fit_data_matches_slices():
     mask = symmetric_binary_mask(7, t, n)
     exact = tensors.FitData.build(adj, mask, Hyperparams())
     counted = tensors.FitData.build(adj, mask, Hyperparams(gradient_mode="count_weighted"))
-    assert exact.weight.shape == exact.target.shape == (t, n, n)
+    assert exact.target.shape == (t, n, n)
+    assert exact.upper.shape == (t, n * (n - 1) // 2) and exact.diag.shape == (t, n)
+    # count_weighted holds no weight stack, only the per-slice counts
+    assert counted.upper is None
+    rows, cols = np.triu_indices(n, 1)
     for k in range(t):
         assert np.array_equal(exact.target[k], mask[k] * adj[k])
-        assert np.array_equal(exact.weight[k], mask[k])
-        assert np.all(counted.weight[k] == mask[k].sum())
+        assert np.array_equal(exact.upper[k], mask[k][rows, cols])
+        assert np.array_equal(exact.diag[k], np.diag(mask[k]))
         assert counted.slice_max[k] == mask[k].sum()
     assert np.array_equal(counted.target, exact.target)
+
+
+def test_triangle_packs_row_by_row_and_unpacks_symmetric():
+    n = 5
+    at, mirror = tensors.triangle(n)
+    rows, cols = np.triu_indices(n, 1)
+    assert np.array_equal(at, rows * n + cols) and np.array_equal(mirror, cols * n + rows)
+    m = np.random.default_rng(2).random((3, n, n))
+    m = m + m.transpose(0, 2, 1)
+    packed = np.empty((3, at.size))
+    for k in range(3):
+        tensors.pack(m[k], at, packed[k])
+    assert np.array_equal(packed, m[:, rows, cols])
+    fit = tensors.FitData.build(np.zeros((1, n, n)), np.ones((1, n, n)), Hyperparams())
+    assert np.array_equal(fit.unpack(packed, np.diagonal(m, axis1=1, axis2=2)), m)
+    hollow = m.copy()
+    hollow[:, np.arange(n), np.arange(n)] = 0.0
+    assert np.array_equal(fit.unpack(packed), hollow)
+
+
+def test_fit_data_reads_slice_stacks(tmp_path):
+    # adjacency and mask as DGT slice readers give the same fit data as arrays
+    t, n = 3, 4
+    adj = np.random.default_rng(4).random((t, n, n))
+    mask = symmetric_binary_mask(8, t, n)
+    save_dgt(tmp_path / "a.dgt", adj, "adjacency")
+    save_dgt(tmp_path / "m.dgt", mask, "mask")
+    want = tensors.FitData.build(adj, mask, Hyperparams())
+    with DgtSlices(tmp_path / "a.dgt") as a, DgtSlices(tmp_path / "m.dgt") as m:
+        got = tensors.FitData.build(a, m, Hyperparams())
+        assert np.array_equal(tensors.masked_target(a, m), want.target)
+    for name in ("target", "upper", "diag"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_fit_data_shape_errors():
@@ -37,13 +75,13 @@ def test_fit_data_shape_errors():
 
 def test_symmetry_and_hollow_checks():
     sym = np.array([[0.0, 2.0], [2.0, 0.0]])
-    assert tensors.is_symmetric(sym)
-    assert tensors.is_hollow(sym)
-    assert not tensors.is_symmetric(np.array([[0.0, 1.0], [2.0, 0.0]]))
-    assert not tensors.is_hollow(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    assert is_symmetric(sym)
+    assert is_hollow(sym)
+    assert not is_symmetric(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    assert not is_hollow(np.array([[1.0, 0.0], [0.0, 0.0]]))
     # batched input checks every slice
     batch = np.stack([sym, np.array([[0.0, 1.0], [3.0, 0.0]])])
-    assert not tensors.is_symmetric(batch)
+    assert not is_symmetric(batch)
 
 
 def test_check_mask_accepts_valid():
