@@ -16,7 +16,7 @@ import numpy as np
 
 from .driver import run_dgd
 from .model import Decomposition, Hyperparams, NumericalAbort, ObjectiveBreakdown
-from .tensors import FitData, masked_target
+from .tensors import FitData
 
 RIDGE = 1e-8
 
@@ -212,7 +212,7 @@ def _unc(adj, mask, signals, h, seed):
 
 
 def _cpd(adj, mask, signals, h, seed):
-    observed = masked_target(adj, mask)
+    observed = FitData.build(adj, mask, Hyperparams()).target
     rank = cpd_rank_for(observed.shape[1], observed.shape[0], h.n_latents)
     (u, v, w), fits = cpd_als(observed, rank, seed=seed)
     return cpd_to_decomposition(u, v, w), _fit_only(fits)

@@ -15,7 +15,7 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from .baselines import METHODS
-from .datagen import SwDynSpec, mask_seed, sample_mask, swdyn
+from .datagen import SwDynSpec, mask_seed, observed_fraction, sample_mask, swdyn
 from .evaluation import (
     UndefinedMetricError,
     component_analysis,
@@ -50,9 +50,7 @@ def _write_history_csv(path, breakdowns):
 
 def _cmd_generate(args):
     cfg = _load_json(args.spec) if args.spec else {}
-    observed_frac = float(cfg.pop("observed_frac", 1.0))
-    if not 0.0 < observed_frac <= 1.0:
-        raise ValueError(f"observed_frac must lie in (0, 1], got {observed_frac}")
+    observed_frac = observed_fraction(cfg.pop("observed_frac", 1.0), "observed_frac")
     cfg.pop("seed", None)
     cfg["seed"] = args.seed
     spec = SwDynSpec.from_dict(cfg)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import Decomposition
+from .model import Decomposition, check_number
 
 
 @dataclass
@@ -39,28 +39,20 @@ class SwDynSpec:
     seed: int = 0
 
     def validate(self):
-        if self.n_nodes < 2:
-            raise ValueError(f"n_nodes must be >= 2, got {self.n_nodes}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.n_signals < 1:
-            raise ValueError(f"n_signals must be >= 1, got {self.n_signals}")
+        ints = (("n_nodes", 2), ("n_steps", 1), ("n_signals", 1),
+                ("communities_start", 1), ("communities_end", 1), ("seed", 0))
+        for name, low in ints:
+            check_number(name, getattr(self, name), integer=True, low=low)
+        for name in ("p_in", "p_out", "alpha", "noise_sigma"):
+            check_number(name, getattr(self, name), low=0)
         for name in ("communities_start", "communities_end"):
             k = getattr(self, name)
-            if k < 1:
-                raise ValueError(f"{name} must be >= 1, got {k}")
             if self.n_nodes % k != 0:
-                raise ValueError(
-                    f"n_nodes={self.n_nodes} is not divisible by {name}={k}"
-                )
+                raise ValueError(f"n_nodes={self.n_nodes} is not divisible by {name}={k}")
         for name in ("p_in", "p_out"):
             p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
+            if p > 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not isinstance(self.clip_negative, bool):
             raise ValueError(f"clip_negative must be a boolean, got {self.clip_negative!r}")
 
@@ -134,6 +126,15 @@ def _low_pass(adjacency, alpha, white):
     """(I + alpha L)^{-1} white for the Laplacian L of one adjacency."""
     lap = np.diag(adjacency.sum(axis=1)) - adjacency
     return np.linalg.solve(np.eye(adjacency.shape[0]) + alpha * lap, white)
+
+
+def observed_fraction(value, name):
+    """value as a float in (0, 1], the fractions a dataset may observe;
+    ValueError naming `name` otherwise."""
+    check_number(name, value)
+    if not 0 < value <= 1:
+        raise ValueError(f"{name}: observed fraction must lie in (0, 1], got {value}")
+    return float(value)
 
 
 def sample_mask(n_nodes, n_steps, observed_frac, seed):

@@ -114,7 +114,7 @@ def run_dgd(adj, mask, signals, h, seed):
     n_steps, n = fit.target.shape[:2]
 
     history = RunHistory()
-    zero_steps = fit.unobserved_steps()
+    zero_steps = fit.unobserved
     history.zero_observation_steps = [int(s) for s in zero_steps]
     if zero_steps.size == n_steps:
         err = NumericalAbort("no observed entries off the diagonal in any time step")

@@ -15,8 +15,8 @@ from time import perf_counter
 import numpy as np
 
 from .baselines import METHODS
-from .datagen import join_pool, mask_seed, sample_mask, swdyn, worker_count
-from .model import NumericalAbort, reconstruct
+from .datagen import join_pool, mask_seed, observed_fraction, sample_mask, swdyn, worker_count
+from .model import NumericalAbort, check_number, reconstruct
 from .tensors import check_finite, check_mask
 
 
@@ -197,7 +197,9 @@ def sweep(
     grid value and one seed (seed, seed+1, ...), regenerates its data, fits
     every method and scores on the held-out entries. Failed cells keep their
     row with NaN metrics. When timing is False the seconds column is 0.0 so
-    repeated runs are byte-identical.
+    repeated runs are byte-identical. repeats must be an integer >= 1 and
+    every observed fraction lie in (0, 1]; both are checked before any cell
+    runs (ValueError naming the argument).
 
     No cell reads another's output, so the cells run in a pool of forked
     worker processes, one per CPU this process may run on (os.sched_getaffinity),
@@ -214,16 +216,16 @@ def sweep(
     for name in methods:
         if name not in METHODS:
             raise ValueError(f"unknown method {name!r}")
+    check_number("repeats", repeats, integer=True, low=1)
+    if kind == "rank":
+        frac = observed_fraction(observed_frac, "observed_frac")
     cells = []
     for param in grid:
         if kind == "rank":
             h_cell = h.replace(n_latents=int(param))
-            frac = float(observed_frac)
         else:
             h_cell = h
-            frac = float(param)
-            if not 0.0 < frac <= 1.0:
-                raise ValueError(f"observed fraction must lie in (0, 1], got {frac}")
+            frac = observed_fraction(param, "grid")
         for rep in range(repeats):
             cells.append((spec, h_cell, frac, param, int(seed) + rep, methods, timing))
     rows = []

@@ -13,9 +13,11 @@ The fit is one weighted least squares,
 fit = 1/2 sum_t sum_ij W_t,ij (recon_t,ij - Y_t,ij)^2, with target Y = M o A
 (see tensors.FitData). The gradient mode only picks the weight: `exact_mask`
 (the default) uses W = M and scores exactly the observed entries;
-`count_weighted` uses the per-slice observation count 1'm_t on every entry of
-slice t. The subproblems in admm_a/admm_c differentiate the same loss and
-share one split of the minimum-degree constraint (DegreeSplit, run_admm).
+`count_weighted` uses the per-slice observation count k_t = 1'm_t on every
+entry of slice t. Both are held as the same packed weight, so every fit
+computation has one code path; FitData.build alone tells them apart. The
+subproblems in admm_a/admm_c differentiate the same loss and share one split
+of the minimum-degree constraint (DegreeSplit, run_admm).
 The objective's fit and smoothness terms come from the C-block statistics
 (tensors.CStats) that the driver builds once per outer iteration, after the
 A sweep, so evaluating it costs O(T R^2) beyond them.
@@ -36,6 +38,20 @@ FLOAT_FIELDS = (
     "gamma", "delta", "beta", "mu", "rho", "zeta", "eta",
     "lambda_a", "lambda_c", "step_a", "step_c", "tol_outer",
 )
+
+
+def check_number(name, value, integer=False, low=None, strict=False):
+    """Raise ValueError naming `name` unless value is an integer (integer=True)
+    or a finite real number, a bool being neither, and, when low is given,
+    value > low (strict) or value >= low."""
+    if integer:
+        ok, kind = isinstance(value, (int, np.integer)), "an integer"
+    else:
+        ok, kind = isinstance(value, Real) and math.isfinite(value), "a finite number"
+    if isinstance(value, bool) or not ok:
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    if low is not None and (value <= low if strict else value < low):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {low}, got {value}")
 
 
 class NumericalAbort(RuntimeError):
@@ -117,34 +133,14 @@ class Hyperparams:
     tol_outer: float = 1e-5
 
     def validate(self):
+        # every real knob is nonnegative; these must be positive
+        positive = ("zeta", "lambda_a", "lambda_c", "step_a", "step_c")
         for name in FLOAT_FIELDS:
             v = getattr(self, name)
-            if v is None and name in ("step_a", "step_c"):
-                continue
-            if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
-        nonneg = ("gamma", "delta", "beta", "mu", "rho", "eta", "tol_outer")
-        for name in nonneg:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        positive = ("zeta", "lambda_a", "lambda_c")
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("step_a", "step_c"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive, got {v}")
-        for name in ("n_latents", "inner_iters", "outer_iters"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.n_latents < 1:
-            raise ValueError(f"n_latents must be >= 1, got {self.n_latents}")
-        if self.inner_iters < 1:
-            raise ValueError(f"inner_iters must be >= 1, got {self.inner_iters}")
-        if self.outer_iters < 0:
-            raise ValueError(f"outer_iters must be >= 0, got {self.outer_iters}")
+            if v is not None or name not in ("step_a", "step_c"):
+                check_number(name, v, low=0, strict=name in positive)
+        for name, low in (("n_latents", 1), ("inner_iters", 1), ("outer_iters", 0)):
+            check_number(name, getattr(self, name), integer=True, low=low)
         if self.gradient_mode not in GRADIENT_MODES:
             raise ValueError(
                 f"gradient_mode must be one of {GRADIENT_MODES}, got {self.gradient_mode!r}"

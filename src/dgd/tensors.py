@@ -66,9 +66,9 @@ class AStats:
     """Fit and smoothness statistics of the A block for fixed signatures C.
 
     omega : (P, N, N), Omega_rk = sum_t C[t,r] C[t,k] W_t for the P = R(R+1)/2
-            pairs r <= k; (P, 1, 1) when W_t is constant on each slice
+            pairs r <= k
     pair  : (R, R) int, the row of omega holding pair (r, k) or (k, r)
-    v     : (R, N, N), V_r = sum_t C[t,r] (W o Y)_t
+    v     : (R, N, N), V_r = sum_t C[t,r] (W o Y)_t = sum_t C[t,r] scale_t Y_t
     xi    : (R, N, N), Xi_r = 1/2 sum_t C[t,r] Z_t, or None without signals
     """
 
@@ -95,7 +95,7 @@ class CStats:
     """Fit and smoothness statistics of the C block for fixed latents.
 
     grams  : (T, R, R), G_t,rk = sum_ij W_t A_r A_k
-    b      : (T, R), b_t,r = sum_ij (W o Y)_t A_r
+    b      : (T, R), b_t,r = sum_ij (W o Y)_t A_r = scale_t sum_ij Y_t A_r
     traces : (T, R), <Z_t, A_r>, or None without signals
     """
 
@@ -110,12 +110,10 @@ class FitData:
 
     target      : (T, N, N), Y = M o A, the adjacency with unobserved entries zeroed
     upper       : (T, M), W_t,ij for i < j, packed (:func:`triangle`) from the
-                  symmetric weight; None when counts is given
-    diag        : (T, N), the diagonal of the 0/1 mask, which is W_t,ii when
-                  W is the mask
-    counts      : (T,) when every entry of slice t has weight counts[t]
-                  (`count_weighted`); None when W is the 0/1 mask and Y is
-                  zero off it (`exact_mask`), so that W o Y = Y
+                  symmetric weight
+    diag        : (T, N), W_t,ii
+    scale       : (T,), the factor with W_t o Y_t = scale_t Y_t
+    unobserved  : the steps whose mask observes no pair i != j, as an int array
     slice_max   : (T,), w_t = max_ij W_t,ij, which bounds the fit curvature of slice t
     target_norm : 1/2 sum W o Y^2, the fit of a zero reconstruction
 
@@ -123,13 +121,14 @@ class FitData:
     against the factors: :meth:`a_stats` and :meth:`c_stats` build, with one
     matrix product on the (T, N^2) view of Y or the packed rows of W and Z
     each, everything either block and the objective read of them. The
-    gradient mode is decided here alone.
+    gradient mode only picks the weight :meth:`build` packs.
     """
 
     target: np.ndarray
-    upper: np.ndarray | None
+    upper: np.ndarray
     diag: np.ndarray
-    counts: np.ndarray | None = None
+    scale: np.ndarray
+    unobserved: np.ndarray
     slice_max: np.ndarray = field(init=False)
     target_norm: float = field(init=False)
     # the packed rows' flat indices (:func:`triangle`), and for each flat
@@ -150,45 +149,45 @@ class FitData:
         # data too large for float64 overflows here silently; the step bounds
         # abort on it with a message of their own
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.counts is None:
-                # W >= 0, and a slice without pairs (N = 1) has none to take
-                upper_max = self.upper.max(axis=1, initial=0.0)
-                self.slice_max = np.maximum(upper_max, self.diag.max(axis=1))
-                self.target_norm = 0.5 * float(np.vdot(flat, flat))
-            else:
-                self.slice_max = self.counts
-                norms = np.einsum("ti,ti->t", flat, flat)
-                self.target_norm = 0.5 * float(self.counts @ norms)
+            # W >= 0, and a slice without pairs (N = 1) has none to take
+            upper_max = self.upper.max(axis=1, initial=0.0)
+            self.slice_max = np.maximum(upper_max, self.diag.max(axis=1))
+            norms = np.einsum("ti,ti->t", flat, flat)
+            self.target_norm = 0.5 * float(self.scale @ norms)
 
     @classmethod
     def build(cls, adj, mask, h):
         """Fit data for the gradient mode of Hyperparams h.
 
-        `exact_mask` weighs each entry by the mask; `count_weighted` weighs
-        every entry of slice t by the observation count 1'm_t. adj and mask
-        are any slice stacks (:func:`as_stack`), read together one slice at a
-        time: each mask slice is checked (:func:`check_mask`), its observed
-        entries of adj copied into Y, and it is packed into W. Adjacency
-        values where the mask is 0 are never read, so they may be NaN.
+        adj and mask are any slice stacks (:func:`as_stack`), read together
+        one slice at a time: each mask slice is checked (:func:`check_mask`),
+        its observed entries of adj copied into Y, and it is packed into W.
+        Adjacency values where the mask is 0 are never read, so they may be
+        NaN. `exact_mask` keeps W the 0/1 mask; Y is zero off it, so scale is
+        1. `count_weighted` then fills slice t of W, and scale_t, with the
+        observation count k_t = 1'm_t. The diagonal never counts as an
+        observed pair: it carries no edge, and a sampled mask always observes
+        it (datagen.sample_mask).
         """
         if h.gradient_mode not in ("exact_mask", "count_weighted"):
             raise ValueError(f"unknown gradient_mode {h.gradient_mode!r}")
         adj, mask = _stacks(adj, mask)
         n_steps, n = mask.shape[:2]
-        exact = h.gradient_mode == "exact_mask"
-        at = triangle(n)[0] if exact else None
+        at = triangle(n)[0]
         target = np.zeros(mask.shape)
-        upper = np.empty((n_steps, n * (n - 1) // 2)) if exact else None
+        upper = np.empty((n_steps, n * (n - 1) // 2))
         diag = np.empty((n_steps, n))
-        counts = None if exact else np.empty(n_steps)
         for t, y in enumerate(target):
             m = _observe(adj, mask, t, y)
             diag[t] = np.diagonal(m)
-            if exact:
-                pack(m, at, upper[t])
-            else:
-                counts[t] = m.sum()
-        return cls(target=target, upper=upper, diag=diag, counts=counts)
+            pack(m, at, upper[t])
+        unobserved = np.flatnonzero(~upper.any(axis=1))
+        scale = np.ones(n_steps)
+        if h.gradient_mode == "count_weighted":
+            # sums of 0/1 entries, so k_t is exact
+            scale = 2.0 * upper.sum(axis=1) + diag.sum(axis=1)
+            upper[:] = diag[:] = scale[:, None]
+        return cls(target, upper, diag, scale, unobserved)
 
     @property
     def n_nodes(self):
@@ -205,21 +204,6 @@ class FitData:
         rows[:, :m] = upper
         rows[:, m:] = 0.0 if diag is None else diag
         return np.take(rows, self._source, axis=1).reshape(-1, n, n)
-
-    def unobserved_steps(self):
-        """Steps whose mask slice observes no pair i != j, as an int array.
-
-        The diagonal does not count: it carries no edge, and a sampled mask
-        always observes it (datagen.sample_mask).
-        """
-        if self.counts is None:
-            return np.flatnonzero(~self.upper.any(axis=1))
-        # counts[t] is the whole slice, diagonal included
-        return np.flatnonzero(self.counts <= self.diag.sum(axis=1))
-
-    def _weighted(self, coef):
-        """coef (T, K) with row t scaled by the slice weight when W_t is constant."""
-        return coef if self.counts is None else coef * self.counts[:, None]
 
     def a_stats(self, signatures, cache=None):
         """:class:`AStats` of the (T, R) signatures; Xi needs the smoothness cache.
@@ -238,11 +222,8 @@ class FitData:
         pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
         with np.errstate(over="ignore", invalid="ignore"):
             prods = c[:, rows] * c[:, cols]
-            if self.counts is None:
-                omega = self.unpack(prods.T @ self.upper, prods.T @ self.diag)
-            else:
-                omega = (self.counts @ prods).reshape(-1, 1, 1)
-            v = (self._weighted(c).T @ _flat(self.target)).reshape(-1, n, n)
+            omega = self.unpack(prods.T @ self.upper, prods.T @ self.diag)
+            v = ((c * self.scale[:, None]).T @ _flat(self.target)).reshape(-1, n, n)
             xi = None
             if cache is not None:
                 half = c.T @ cache.z_upper
@@ -256,7 +237,7 @@ class FitData:
         For symmetric W and Z and any latents, with P = A_r o A_k,
         G_t,rk = sum_{i<j} W_t,ij (P_ij + P_ji) + sum_i W_t,ii P_ii and
         <Z_t, A_r> = sum_{i<j} Z_t,ij (A_r,ij + A_r,ji), Z_t having a zero
-        diagonal. The exact-mask Grams take one product per latent r against
+        diagonal. The Grams take one product per latent r against
         the pairs r <= k, so no (R, R, M) temporary is formed. Built under
         the same errstate as :meth:`a_stats`.
         """
@@ -264,19 +245,17 @@ class FitData:
         n_lat = len(lat)
         up, low = lat[:, self._at], lat[:, self._mirror]
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.counts is None:
-                grams = np.empty((self.target.shape[0], n_lat, n_lat))
-                dg = lat[:, :: self.n_nodes + 1]
-                for r in range(n_lat):
-                    sym = up[r:] * up[r]
-                    sym += low[r:] * low[r]
-                    g = self.upper @ sym.T
-                    g += self.diag @ (dg[r:] * dg[r]).T
-                    grams[:, r, r:] = g
-                    grams[:, r:, r] = g
-            else:
-                grams = self.counts[:, None, None] * (lat @ lat.T)
-            b = self._weighted(_flat(self.target) @ lat.T)
+            grams = np.empty((self.target.shape[0], n_lat, n_lat))
+            dg = lat[:, :: self.n_nodes + 1]
+            for r in range(n_lat):
+                sym = up[r:] * up[r]
+                sym += low[r:] * low[r]
+                g = self.upper @ sym.T
+                g += self.diag @ (dg[r:] * dg[r]).T
+                grams[:, r, r:] = g
+                grams[:, r:, r] = g
+            b = _flat(self.target) @ lat.T
+            b *= self.scale[:, None]
             traces = None
             if cache is not None:
                 up += low
@@ -325,29 +304,10 @@ class FitData:
             sq = c[t] @ lat
             sq -= y
             np.square(sq, out=sq)
-            if self.counts is not None:
-                total += float(self.counts[t] * sq.sum())
-                continue
             pairs = sq[self._at]
             pairs += sq[self._mirror]
             total += float(self.upper[t] @ pairs) + float(self.diag[t] @ sq[:: n + 1])
         return 0.5 * total
-
-
-def masked_target(adj, mask):
-    """Y = M o A, with entries where the mask is 0 set to 0 unread (NaN there is harmless).
-
-    This is the input boundary every method shares: a mask that is not binary
-    and symmetric (:func:`check_mask`) or a non-finite observed entry raises
-    ValueError, the latter naming its (t, i, j). adj and mask are any
-    (T, N, N) slice stacks (:func:`as_stack`), read one slice at a time, so Y
-    is the only (T, N, N) array this allocates.
-    """
-    adj, mask = _stacks(adj, mask)
-    target = np.zeros(mask.shape)
-    for t, y in enumerate(target):
-        _observe(adj, mask, t, y)
-    return target
 
 
 def _stacks(adj, mask):

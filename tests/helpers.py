@@ -54,13 +54,15 @@ def pairwise_z(x):
     return z
 
 
-def dense_fit(weight, target):
-    """FitData of a dense symmetric (T, N, N) weight, built directly; the
-    target is taken as it is, so it may hold what FitData.build rejects."""
-    n = weight.shape[1]
+def dense_fit(mask, target):
+    """FitData of a dense symmetric 0/1 (T, N, N) mask as the weight, built
+    directly; the target is taken as it is, so it may hold what
+    FitData.build rejects. Every step counts as observed."""
+    t, n = mask.shape[:2]
     rows, cols = np.triu_indices(n, 1)
-    diag = np.diagonal(weight, axis1=1, axis2=2).copy()
-    return FitData(target=target, upper=weight[:, rows, cols], diag=diag)
+    diag = np.diagonal(mask, axis1=1, axis2=2).copy()
+    unobserved = np.empty(0, dtype=np.intp)
+    return FitData(target, mask[:, rows, cols], diag, np.ones(t), unobserved)
 
 
 def random_instance(seed, mode):

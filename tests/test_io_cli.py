@@ -633,6 +633,24 @@ def test_generate_rejects_bad_observed_frac(tmp_path, capsys):
     assert "observed_frac" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "setting", [{"n_nodes": 40.0}, {"n_signals": True}, {"alpha": "x"}], ids=["float", "bool", "str"]
+)
+def test_mistyped_generator_setting_exits_one(tmp_path, capsys, setting):
+    # generate and sweep read the same settings; each names the mistyped field
+    spec = _write_json(tmp_path / "spec.json", setting)
+    (name,) = setting
+    code = main(["generate", "--spec", spec, "--out-dir", str(tmp_path / "d"), "--seed", "0"])
+    assert code == 1
+    assert f"dgd: error: {name} must be" in capsys.readouterr().err
+    out = tmp_path / "r.csv"
+    code = main(["sweep", "--kind", "rank", "--grid", "1", "--spec", spec, "--out", str(out),
+                 "--seed", "0", "--repeats", "1", "--methods", "cpd"])
+    assert code == 1
+    assert f"dgd: error: {name} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numerical_abort_exits_two(tmp_path, capsys):
     data = _generate(tmp_path)
     adj, _ = load_dgt(data / "adjacency.dgt")
@@ -829,6 +847,23 @@ def test_sweep_cli_rejects_fractional_rank(tmp_path, capsys):
     )
     assert code == 1
     assert "integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value,name",
+    [("--repeats", "0", "repeats"), ("--repeats", "-2", "repeats"),
+     ("--observed-frac", "0", "observed_frac")],
+)
+def test_sweep_cli_rejects_bad_repeats_and_observed_frac(tmp_path, capsys, flag, value, name):
+    out = tmp_path / "r.csv"
+    code = main(["sweep", "--kind", "rank", "--grid", "1", "--out", str(out), "--seed", "0",
+                 "--methods", "cpd", flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"dgd: error: {name}" in err
+    if name == "observed_frac":
+        assert "observed fraction must lie in (0, 1]" in err
+    assert not out.exists()
 
 
 def test_kinds_registry_is_complete():

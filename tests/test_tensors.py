@@ -15,19 +15,27 @@ def test_fit_data_matches_slices():
     t, n = 4, 3
     adj = rng.random((t, n, n))
     mask = symmetric_binary_mask(7, t, n)
+    # step 1 observes only the diagonal, step 3 nothing
+    mask[1] = np.eye(n)
+    mask[3] = 0.0
     exact = tensors.FitData.build(adj, mask, Hyperparams())
     counted = tensors.FitData.build(adj, mask, Hyperparams(gradient_mode="count_weighted"))
     assert exact.target.shape == (t, n, n)
-    assert exact.upper.shape == (t, n * (n - 1) // 2) and exact.diag.shape == (t, n)
-    # count_weighted holds no weight stack, only the per-slice counts
-    assert counted.upper is None
+    for fit in (exact, counted):
+        assert fit.upper.shape == (t, n * (n - 1) // 2) and fit.diag.shape == (t, n)
     rows, cols = np.triu_indices(n, 1)
     for k in range(t):
         assert np.array_equal(exact.target[k], mask[k] * adj[k])
         assert np.array_equal(exact.upper[k], mask[k][rows, cols])
         assert np.array_equal(exact.diag[k], np.diag(mask[k]))
-        assert counted.slice_max[k] == mask[k].sum()
+        assert exact.scale[k] == 1.0
+        # count_weighted weighs every entry of slice k by its count k_t
+        count = mask[k].sum()
+        assert np.all(counted.upper[k] == count) and np.all(counted.diag[k] == count)
+        assert counted.scale[k] == count and counted.slice_max[k] == count
     assert np.array_equal(counted.target, exact.target)
+    assert np.array_equal(exact.unobserved, [1, 3])
+    assert np.array_equal(counted.unobserved, exact.unobserved)
 
 
 def test_triangle_packs_row_by_row_and_unpacks_symmetric():
@@ -58,8 +66,7 @@ def test_fit_data_reads_slice_stacks(tmp_path):
     want = tensors.FitData.build(adj, mask, Hyperparams())
     with DgtSlices(tmp_path / "a.dgt") as a, DgtSlices(tmp_path / "m.dgt") as m:
         got = tensors.FitData.build(a, m, Hyperparams())
-        assert np.array_equal(tensors.masked_target(a, m), want.target)
-    for name in ("target", "upper", "diag"):
+    for name in ("target", "upper", "diag", "scale", "unobserved"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
