@@ -57,7 +57,7 @@ def unc_solve(adj, mask, n_latents, iters=50, seed=0):
     if isinstance(mask, np.ndarray):
         mask = mask.astype(np.float64, copy=False)
     else:
-        mask = observed.unpack(observed.upper, observed.diag)
+        mask = observed.unpack(observed.weight)
     rng = np.random.default_rng(seed)
     # the draw's column r is A_r stacked column by column
     latents = rng.random((n * n, n_latents)).reshape(n, n, n_latents).transpose(2, 1, 0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import ExitStack
 from pathlib import Path
@@ -112,18 +113,21 @@ def _cmd_evaluate(args):
 
 
 def _parse_grid(text, kind):
+    """The comma-separated --grid values: finite numbers, integers for a rank sweep."""
     cells = [c for c in (p.strip() for p in text.split(",")) if c]
     if not cells:
-        raise ValueError("empty sweep grid")
-    if kind == "rank":
-        vals = []
-        for c in cells:
+        raise ValueError("--grid is empty")
+    want = "integers" if kind == "rank" else "finite numbers"
+    vals = []
+    for c in cells:
+        try:
             f = float(c)
-            if f != int(f):
-                raise ValueError(f"rank grid values must be integers, got {c!r}")
-            vals.append(int(f))
-        return vals
-    return [float(c) for c in cells]
+        except ValueError:
+            f = math.nan
+        if not math.isfinite(f) or (kind == "rank" and f != int(f)):
+            raise ValueError(f"--grid values of a {kind} sweep must be {want}, got {c!r}")
+        vals.append(int(f) if kind == "rank" else f)
+    return vals
 
 
 def _cmd_sweep(args):
@@ -134,6 +138,12 @@ def _cmd_sweep(args):
     h = Hyperparams.from_dict(_load_json(args.config) if args.config else {})
     grid = _parse_grid(args.grid, args.kind)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    frac = {}
+    if args.observed_frac is not None:
+        if args.kind == "observed":
+            raise ValueError("--observed-frac sets the fraction of --kind rank only; "
+                             "--kind observed sweeps the fractions in --grid")
+        frac["observed_frac"] = args.observed_frac
     rows = run_sweep(
         args.kind,
         grid,
@@ -142,9 +152,9 @@ def _cmd_sweep(args):
         args.seed,
         repeats=args.repeats,
         methods=methods,
-        observed_frac=args.observed_frac,
         out_path=args.out,
         timing=args.timing,
+        **frac,
     )
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -186,7 +196,7 @@ def build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--methods", default="dgd,nsdgd,unc,cpd")
-    p.add_argument("--observed-frac", type=float, default=0.9, help="fraction for rank sweeps")
+    p.add_argument("--observed-frac", type=float, help="fraction for rank sweeps (default 0.9)")
     p.add_argument("--timing", action="store_true", help="record wall-clock seconds per cell")
     p.set_defaults(func=_cmd_sweep)
     return parser

@@ -6,7 +6,8 @@ signals at i and j are close. Its value is 1/2 sum_t sum_r C[t,r] <Z_t, A_r>.
 The C block and the objective read it through the (T, R) table of inner
 products <Z_t, A_r>, the A block through Xi_r = 1/2 sum_t C[t,r] Z_t; both
 are built by :class:`tensors.FitData` with the fit statistics, from the
-packed upper triangles of the symmetric Z_t. The temporal prior
+symmetric Z_t packed into the same rows as the fit weight, diagonal (zero)
+included, so the same product and unpack serve both. The temporal prior
 penalizes successive differences of the signature matrix C through the
 forward-difference operator D, whose D'D is tridiagonal and is never formed.
 Runs without signals (delta = 0) carry no cache at all.
@@ -26,29 +27,23 @@ from .tensors import as_stack, check_finite, pack, triangle
 class SmoothCache:
     """Precomputed smoothness structures for one signal tensor.
 
-    z_upper : (T, M), row t the strict upper triangle of Z_t packed as
-              :func:`tensors.triangle` orders it, M = N(N-1)/2, where
-              Z_t[i, j] = ||X_t[i, :] - X_t[j, :]||_2^2; Z_t is symmetric
-              with a zero diagonal, so the row holds all of it
-    n_nodes : N
+    z_rows : (T, M + N), row t Z_t packed as :func:`tensors.triangle` orders
+             it, M = N(N-1)/2, where Z_t[i, j] = ||X_t[i, :] - X_t[j, :]||_2^2
+             off the diagonal and Z_t[i, i] = 0
     """
 
-    z_upper: np.ndarray
-    n_nodes: int
-
-    @property
-    def n_steps(self):
-        return self.z_upper.shape[0]
+    z_rows: np.ndarray
 
 
 def build_cache(x):
     """Build the packed pairwise squared-distance slices from a (T, N, Q) signal stack.
 
     Z_t = sq_t 1' + 1 sq_t' - 2 X_t X_t', sq_t the squared row norms of X_t,
-    is formed in one N x N slice with one N x N scratch and then packed into
-    its row, so set-up needs no (T, N, N) array at all. x is any slice stack
-    (:func:`tensors.as_stack`) and is read one slice at a time; each slice
-    must be finite, else ValueError names the entry's (t, i, q).
+    is formed in one N x N slice with one N x N scratch, its diagonal zeroed,
+    and then packed into its row, so set-up needs no (T, N, N) array at all.
+    x is any slice stack (:func:`tensors.as_stack`) and is read one slice at
+    a time; each slice must be finite, else ValueError names the entry's
+    (t, i, q).
     """
     x = as_stack(x)
     if len(x.shape) != 3:
@@ -69,13 +64,14 @@ def build_cache(x):
         np.copyto(scratch, sq[None, :])
         scratch += sq[:, None]
         np.subtract(scratch, zk, out=zk)
-        # exact invariants: symmetric and nonnegative; the zero diagonal is not packed
+        # exact invariants: symmetric, nonnegative, zero on the diagonal
         np.copyto(scratch, zk.T)
         scratch += zk
         scratch *= 0.5
         np.maximum(scratch, 0.0, out=zk)
+        np.fill_diagonal(zk, 0.0)
         pack(zk, at, z[k])
-    return SmoothCache(z_upper=z, n_nodes=n)
+    return SmoothCache(z_rows=z)
 
 
 def overlap_h(latents):

@@ -7,7 +7,7 @@ import numpy as np
 
 from dgd.model import Decomposition, Hyperparams, project_sa
 from dgd.priors import build_cache, temporal_pi
-from dgd.tensors import FitData
+from dgd.tensors import FitData, triangle
 
 
 def set_cpus(monkeypatch, cpus):
@@ -59,10 +59,9 @@ def dense_fit(mask, target):
     directly; the target is taken as it is, so it may hold what
     FitData.build rejects. Every step counts as observed."""
     t, n = mask.shape[:2]
-    rows, cols = np.triu_indices(n, 1)
-    diag = np.diagonal(mask, axis1=1, axis2=2).copy()
+    weight = mask.reshape(t, n * n)[:, triangle(n)[0]]
     unobserved = np.empty(0, dtype=np.intp)
-    return FitData(target, mask[:, rows, cols], diag, np.ones(t), unobserved)
+    return FitData(target, weight, np.ones(t), unobserved)
 
 
 def random_instance(seed, mode):

@@ -185,7 +185,7 @@ def test_loss_matches_plain_formula_and_leaves_inputs(case):
     fit = FitData.build(adj, mask, Hyperparams(gradient_mode=mode))
     n_steps, n = mask.shape[:2]
     weight = np.stack([np.broadcast_to(_loop_weight(mask, t, mode), (n, n)) for t in range(n_steps)])
-    inputs = [d.signatures, d.latents, fit.target, fit.upper, fit.diag, fit.scale]
+    inputs = [d.signatures, d.latents, fit.target, fit.weight, fit.scale]
     before = [x.copy() for x in inputs]
     recon = np.einsum("tr,rij->tij", d.signatures, d.latents)
     want = 0.5 * float(np.sum(weight * (recon - mask * adj) ** 2))

@@ -497,9 +497,10 @@ def test_nonfinite_signal_exits_one_naming_the_entry(tmp_path, capsys):
 
 
 def test_decompose_holds_two_stacks(tmp_path):
-    # streamed set-up: the run holds the target Y and the packed upper
-    # triangles of the fit weight W and the smoothness slices Z, half a stack
-    # each; never the mask, the adjacency or the (T, N, Q) signals
+    # streamed set-up: the run holds the target Y and the packed rows (upper
+    # triangle and diagonal) of the fit weight W and the smoothness slices Z,
+    # about half a stack each; never the mask, the adjacency or the (T, N, Q)
+    # signals
     n_steps, n, q = 40, 64, 256
     spec = {"n_nodes": n, "n_steps": n_steps, "n_signals": q, "observed_frac": 0.5}
     data = _generate(tmp_path, extra=spec)
@@ -836,17 +837,31 @@ def test_sweep_cli_cell_error_exits_one(tmp_path, capsys, monkeypatch, cpus):
 
 
 def test_sweep_cli_rejects_fractional_rank(tmp_path, capsys):
-    code = main(
-        [
-            "sweep",
-            "--kind", "rank",
-            "--grid", "1.5",
-            "--out", str(tmp_path / "r.csv"),
-            "--seed", "0",
-        ]
-    )
+    # and every other value that is not an integer, named by its flag
+    for grid in ("1.5", "inf", "nan", "abc"):
+        code = main(
+            [
+                "sweep",
+                "--kind", "rank",
+                "--grid", grid,
+                "--out", str(tmp_path / "r.csv"),
+                "--seed", "0",
+            ]
+        )
+        assert code == 1, grid
+        err = capsys.readouterr().err
+        assert f"dgd: error: --grid values of a rank sweep must be integers, got {grid!r}" in err
+        assert not (tmp_path / "r.csv").exists()
+
+
+def test_sweep_cli_rejects_observed_frac_of_observed_sweep(tmp_path, capsys):
+    # an observed sweep takes its fractions from --grid, so the flag would be ignored
+    out = tmp_path / "r.csv"
+    code = main(["sweep", "--kind", "observed", "--grid", "0.5", "--out", str(out), "--seed", "0",
+                 "--methods", "cpd", "--observed-frac", "0.5"])
     assert code == 1
-    assert "integer" in capsys.readouterr().err
+    assert "dgd: error: --observed-frac" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dgd.model import Decomposition, Hyperparams, objective, reconstruct
 from dgd.priors import build_cache, dtd_norm, dtd_product, overlap_h, temporal_pi
-from dgd.tensors import FitData
+from dgd.tensors import FitData, triangle
 
 from helpers import pairwise_z, planted_decomposition
 
@@ -17,9 +17,12 @@ from helpers import pairwise_z, planted_decomposition
 def test_cache_matches_pairwise_distance_loop():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((3, 4, 2))
-    z = build_cache(x).z_upper
+    z = build_cache(x).z_rows
+    rows, cols = np.triu_indices(4, 1)
+    # the pairs i < j row by row, then the diagonal, whose distances are 0
+    pairs = list(zip(rows, cols)) + [(i, i) for i in range(4)]
     for t in range(3):
-        for m, (i, j) in enumerate(zip(*np.triu_indices(4, 1))):
+        for m, (i, j) in enumerate(pairs):
             want = np.sum((x[t, i] - x[t, j]) ** 2)
             assert abs(z[t, m] - want) < 1e-12
 
@@ -28,17 +31,17 @@ def test_cache_single_channel_example():
     # two nodes with signals 0 and 1: squared distance 1 off the diagonal
     x = np.array([[[0.0], [1.0]]])
     cache = build_cache(x)
-    assert cache.z_upper.tolist() == [[1.0]]
+    assert cache.z_rows.tolist() == [[1.0, 0.0, 0.0]]
 
 
 def test_cache_invariants():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2, 5, 3)) * 4.0
     cache = build_cache(x)
-    # the packed rows hold Z off the diagonal: symmetric and zero on it by construction
-    assert cache.z_upper.shape == (2, 10)
-    assert np.all(cache.z_upper >= 0.0)
-    assert (cache.n_steps, cache.n_nodes) == (2, 5)
+    # the packed rows hold all of the symmetric Z: 10 pairs, then a zero diagonal
+    assert cache.z_rows.shape == (2, 15)
+    assert np.all(cache.z_rows >= 0.0)
+    assert np.all(cache.z_rows[:, 10:] == 0.0)
 
 
 def _batched_cache(x):
@@ -61,14 +64,15 @@ def _batched_cache(x):
 )
 def test_cache_equals_batched_formula(x):
     # T, N and Q = 1 included; slice by slice, then packed, gives the same
-    # bits as the upper triangle of the batched formula
-    rows, cols = np.triu_indices(x.shape[1], 1)
-    assert build_cache(x).z_upper.tobytes() == _batched_cache(x)[:, rows, cols].tobytes()
+    # bits as the batched formula, zero diagonal included, at the packed positions
+    at = triangle(x.shape[1])[0]
+    want = _batched_cache(x).reshape(len(x), -1)[:, at]
+    assert build_cache(x).z_rows.tobytes() == want.tobytes()
 
 
 def test_cache_scratch_is_one_slice():
-    # numpy allocations are traced: beyond the packed Z, half a (T, N, N)
-    # stack, set-up holds O(N max(N, Q))
+    # numpy allocations are traced: beyond the packed Z, about half a
+    # (T, N, N) stack, set-up holds O(N max(N, Q))
     t, n, q = 64, 96, 8
     x = np.random.default_rng(9).standard_normal((t, n, q))
     tracemalloc.start()
@@ -77,8 +81,8 @@ def test_cache_scratch_is_one_slice():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cache.z_upper.nbytes == t * n * (n - 1) // 2 * 8
-    assert peak <= cache.z_upper.nbytes + 4 * 8 * n * max(n, q)
+    assert cache.z_rows.nbytes == t * n * (n + 1) // 2 * 8
+    assert peak <= cache.z_rows.nbytes + 4 * 8 * n * max(n, q)
 
 
 def test_cache_rejects_non_tensor_input():

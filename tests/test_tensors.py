@@ -22,16 +22,17 @@ def test_fit_data_matches_slices():
     counted = tensors.FitData.build(adj, mask, Hyperparams(gradient_mode="count_weighted"))
     assert exact.target.shape == (t, n, n)
     for fit in (exact, counted):
-        assert fit.upper.shape == (t, n * (n - 1) // 2) and fit.diag.shape == (t, n)
+        assert fit.weight.shape == (t, n * (n - 1) // 2 + n)
     rows, cols = np.triu_indices(n, 1)
     for k in range(t):
         assert np.array_equal(exact.target[k], mask[k] * adj[k])
-        assert np.array_equal(exact.upper[k], mask[k][rows, cols])
-        assert np.array_equal(exact.diag[k], np.diag(mask[k]))
+        # the strict upper triangle row by row, then the diagonal
+        want = np.concatenate((mask[k][rows, cols], np.diag(mask[k])))
+        assert np.array_equal(exact.weight[k], want)
         assert exact.scale[k] == 1.0
         # count_weighted weighs every entry of slice k by its count k_t
         count = mask[k].sum()
-        assert np.all(counted.upper[k] == count) and np.all(counted.diag[k] == count)
+        assert np.all(counted.weight[k] == count)
         assert counted.scale[k] == count and counted.slice_max[k] == count
     assert np.array_equal(counted.target, exact.target)
     assert np.array_equal(exact.unobserved, [1, 3])
@@ -42,17 +43,22 @@ def test_triangle_packs_row_by_row_and_unpacks_symmetric():
     n = 5
     at, mirror = tensors.triangle(n)
     rows, cols = np.triu_indices(n, 1)
-    assert np.array_equal(at, rows * n + cols) and np.array_equal(mirror, cols * n + rows)
+    diag = np.arange(n) * (n + 1)
+    assert np.array_equal(at, np.concatenate((rows * n + cols, diag)))
+    assert np.array_equal(mirror, np.concatenate((cols * n + rows, diag)))
     m = np.random.default_rng(2).random((3, n, n))
     m = m + m.transpose(0, 2, 1)
     packed = np.empty((3, at.size))
     for k in range(3):
         tensors.pack(m[k], at, packed[k])
-    assert np.array_equal(packed, m[:, rows, cols])
+    want = np.concatenate((m[:, rows, cols], np.diagonal(m, axis1=1, axis2=2)), axis=1)
+    assert np.array_equal(packed, want)
     fit = tensors.FitData.build(np.zeros((1, n, n)), np.ones((1, n, n)), Hyperparams())
-    assert np.array_equal(fit.unpack(packed, np.diagonal(m, axis1=1, axis2=2)), m)
+    assert np.array_equal(fit.unpack(packed), m)
+    # a zero diagonal in the rows unpacks to a hollow slice
     hollow = m.copy()
     hollow[:, np.arange(n), np.arange(n)] = 0.0
+    packed[:, -n:] = 0.0
     assert np.array_equal(fit.unpack(packed), hollow)
 
 
@@ -66,7 +72,7 @@ def test_fit_data_reads_slice_stacks(tmp_path):
     want = tensors.FitData.build(adj, mask, Hyperparams())
     with DgtSlices(tmp_path / "a.dgt") as a, DgtSlices(tmp_path / "m.dgt") as m:
         got = tensors.FitData.build(a, m, Hyperparams())
-    for name in ("target", "upper", "diag", "scale", "unobserved"):
+    for name in ("target", "weight", "scale", "unobserved"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
