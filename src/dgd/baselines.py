@@ -44,12 +44,13 @@ def unc_solve(adj, mask, n_latents, iters=50, seed=0):
     non-increasing up to the ridge added on degenerate blocks. Its
     reconstruction sum_r C[t, r] A_r is the product of C with the (R, N^2)
     matricized latents, copied contiguous by tensordot. The signature step
-    reads the masked Grams and right-hand sides of :meth:`FitData.c_stats`.
+    reads the masked Grams of :meth:`FitData.c_stats` and forms its
+    right-hand sides from the dense Y that the fit holds, in one product.
     Adjacency entries where the mask is 0 are never read; adj and mask are
     any slice stacks (:func:`tensors.as_stack`).
     """
     observed = FitData.build(adj, mask, Hyperparams())
-    target = observed.target
+    target = observed.dense_target()
     t, n = target.shape[:2]
     # the fit and the latent step weigh each entry (i, j) apart, on the dense
     # 0/1 mask: the caller's array, or rebuilt from the packed rows when the
@@ -72,12 +73,15 @@ def unc_solve(adj, mask, n_latents, iters=50, seed=0):
         return 0.5 * float(np.sum(buf))
 
     for _ in range(iters):
-        stats = observed.c_stats(latents)
-        c = _ridged_solve(stats.grams, stats.b, "signature")
+        rhs = target.reshape(t, -1) @ latents.reshape(n_latents, -1).T
+        c = _ridged_solve(observed.c_stats(latents).grams, rhs, "signature")
         fits.append(fit())
-        grams = np.tensordot(mask, c[:, :, None] * c[:, None, :], axes=(0, 0))
-        rhs = np.tensordot(target, c, axes=(0, 0))
-        latents = _ridged_solve(grams, rhs, "latent").transpose(2, 0, 1)
+        # the last Grams die before the next are formed
+        latents = _ridged_solve(
+            np.tensordot(mask, c[:, :, None] * c[:, None, :], axes=(0, 0)),
+            np.tensordot(target, c, axes=(0, 0)),
+            "latent",
+        ).transpose(2, 0, 1)
         fits.append(fit())
     return Decomposition(latents, c), fits
 
@@ -212,7 +216,7 @@ def _unc(adj, mask, signals, h, seed):
 
 
 def _cpd(adj, mask, signals, h, seed):
-    observed = FitData.build(adj, mask, Hyperparams()).target
+    observed = FitData.build(adj, mask, Hyperparams()).dense_target()
     rank = cpd_rank_for(observed.shape[1], observed.shape[0], h.n_latents)
     (u, v, w), fits = cpd_als(observed, rank, seed=seed)
     return cpd_to_decomposition(u, v, w), _fit_only(fits)

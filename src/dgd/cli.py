@@ -23,7 +23,7 @@ from .evaluation import (
     sweep as run_sweep,
 )
 from .io_dgt import DgtSlices, load_dgt, save_dgt
-from .model import Decomposition, Hyperparams, NumericalAbort
+from .model import Decomposition, Hyperparams, NumericalAbort, check_number
 
 HISTORY_HEADER = "iter,total,fit,sparsity,smoothness,temporal,overlap,ridge_c"
 
@@ -72,6 +72,7 @@ def _cmd_generate(args):
 
 
 def _cmd_decompose(args):
+    check_number("--seed", args.seed, integer=True, low=0)
     # every input is read one slice at a time by the method's set-up
     with ExitStack() as files:
         adj = files.enter_context(DgtSlices(args.adj, "adjacency"))
@@ -90,6 +91,8 @@ def _cmd_decompose(args):
 
 
 def _cmd_evaluate(args):
+    if args.threshold is not None:
+        check_number("--threshold", args.threshold, low=0, strict=True)
     est_dir = Path(args.est_dir)
     latents_path, signatures_path = est_dir / "latents.dgt", est_dir / "signatures.dgt"
     latents = load_dgt(latents_path, "latents")[0]

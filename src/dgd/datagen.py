@@ -146,11 +146,18 @@ def sample_mask(n_nodes, n_steps, observed_frac, seed):
     if not 0.0 <= observed_frac <= 1.0:
         raise ValueError(f"observed_frac must lie in [0, 1], got {observed_frac}")
     rng = np.random.default_rng(seed)
-    draws = rng.random((n_steps, n_nodes, n_nodes))
-    upper = np.triu(draws < observed_frac, k=1)
-    mask = (upper | upper.transpose(0, 2, 1)).astype(np.float64)
-    idx = np.arange(n_nodes)
-    mask[:, idx, idx] = 1.0
+    mask = np.empty((n_steps, n_nodes, n_nodes))
+    # one (N, N) draw per slice, in order from the one stream: the same
+    # numbers as one (T, N, N) draw, without its stack-sized buffers
+    draw = np.empty((n_nodes, n_nodes))
+    upper = np.empty((n_nodes, n_nodes), dtype=bool)
+    strict = np.triu(np.ones_like(upper), k=1)
+    for m in mask:
+        rng.random(out=draw)
+        np.less(draw, observed_frac, out=upper)
+        upper &= strict
+        np.logical_or(upper, upper.T, out=m)
+        np.fill_diagonal(m, 1.0)
     return mask
 
 

@@ -111,7 +111,7 @@ def run_dgd(adj, mask, signals, h, seed):
     """
     h.validate()
     fit = FitData.build(adj, mask, h)
-    n_steps, n = fit.target.shape[:2]
+    n_steps, n = fit.n_steps, fit.n_nodes
 
     history = RunHistory()
     zero_steps = fit.unobserved

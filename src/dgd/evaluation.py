@@ -115,8 +115,7 @@ class _HeldOut:
         return _held_out_sq(np.asarray(est, dtype=np.float64) - self.truth, self.sel) / self.norm
 
     def edge_scores(self, est, threshold):
-        if not threshold > 0:
-            raise ValueError(f"threshold must be positive, got {threshold}")
+        check_number("threshold", threshold, low=0, strict=True)
         pred = np.asarray(est, dtype=np.float64)[self.sel] > threshold
         n_real = int(self.edges.sum())
         if n_real == 0:

@@ -208,10 +208,10 @@ def objective(d, fit, cache, h, stats=None):
     the tensors.CStats of d.latents; it is built here when omitted, so there
     is one formula for the fit, :meth:`FitData.value`.
     """
-    if fit.target.shape != (d.n_steps, d.n_nodes, d.n_nodes):
+    if (fit.n_steps, fit.n_nodes) != (d.n_steps, d.n_nodes):
         raise ValueError(
             f"decomposition ({d.n_steps},{d.n_nodes},{d.n_nodes}) does not match data "
-            f"{fit.target.shape}"
+            f"{(fit.n_steps, fit.n_nodes, fit.n_nodes)}"
         )
     if stats is None:
         stats = fit.c_stats(d.latents, cache if h.delta != 0.0 else None)

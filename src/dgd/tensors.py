@@ -1,4 +1,4 @@
-"""Dense containers for dynamic-network tensors and the weighted fit data.
+"""Containers for dynamic-network tensors and the weighted fit data.
 
 Conventions used throughout the package:
 
@@ -10,28 +10,38 @@ Conventions used throughout the package:
 * a stack of symmetric slices may be held packed, as (K, M + N) rows: the
   M = N(N-1)/2 strict-upper entries (i, j), i < j, then the N diagonal
   entries, each at the position :func:`triangle` gives it
+* a sparse stack is held as its nonzero entries slice by slice: their flat
+  positions i N + j within the slice, their values, and the (T + 1,) offsets
+  at which each slice's run starts
 
 The fit is one weighted least-squares loss on that layout,
 1/2 sum_t sum_ij W_t,ij (recon_t,ij - Y_t,ij)^2, whose weight W and target Y
 are held by :class:`FitData`. With one block fixed, the other block's fit
 reduces to a few small statistics of the data (:class:`AStats`,
 :class:`CStats`), built once per outer iteration by matrix products on the
-(T, N^2) view of Y and the packed rows of W and of the smoothness slices Z.
-W and Z are symmetric, so their packed rows hold every entry, and each
-statistic is one product against them; the latents need not be symmetric,
-so their entries at (i, j) and (j, i) are gathered apart and summed, the
-diagonal, gathered twice, halved. The statistics stay exact for any latents.
-Everything is dense; the target problems have N up to a couple hundred.
+packed rows of W and of the smoothness slices Z, and by a scatter or a gather
+over the nonzero entries of Y. W and Z are symmetric, so their packed rows
+hold every entry, and each statistic is one product against them; the
+latents need not be symmetric, so their entries at (i, j) and (j, i) are
+gathered apart and summed, the diagonal, gathered twice, halved. Y need not
+be symmetric and is held sparse, since it is zero wherever the mask is 0 or
+the graph has no edge. The statistics stay exact for any latents.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 # relative size below which the Gram-form fit is recomputed from the residual
 CANCELLATION = 1e-6
+# the statistics visit Y's entries in runs of whole slices holding up to
+# RUN_PLANES N x N planes' worth of entries, so that their temporaries stay
+# O(N^2), or RUN_ENTRIES when that is more, so that small fits take one run
+RUN_PLANES = 4
+RUN_ENTRIES = 1 << 14
 
 
 def _flat(stack):
@@ -54,6 +64,19 @@ def triangle(n):
     cols *= n
     cols += rows
     return at, cols
+
+
+def _slice_sums(x, starts):
+    """(..., S) sums of x[..., starts[s]:starts[s + 1]], 0 for an empty run.
+
+    x holds the runs end to end, from starts[0] = 0 to starts[-1].
+    """
+    full = np.flatnonzero(starts[1:] > starts[:-1])
+    sums = np.zeros(x.shape[:-1] + (len(starts) - 1,))
+    if full.size:
+        # a run of full[i] ends where the next nonempty one starts
+        sums[..., full] = np.add.reduceat(x, starts[full], axis=-1)
+    return sums
 
 
 def pack(m, at, out):
@@ -112,21 +135,31 @@ class CStats:
 class FitData:
     """Weight and target of the weighted least-squares fit.
 
-    target      : (T, N, N), Y = M o A, the adjacency with unobserved entries zeroed
+    entries     : (K,), the flat positions i N + j within their slice of the
+                  nonzero entries of Y = M o A, the adjacency with unobserved
+                  entries zeroed; int32 when N^2 < 2^31, else int64
+    values      : (K,), Y at those positions
+    starts      : (T + 1,), slice t holds entries[starts[t]:starts[t + 1]]
     weight      : (T, M + N), the symmetric weight W_t packed (:func:`triangle`)
     scale       : (T,), the factor with W_t o Y_t = scale_t Y_t
     unobserved  : the steps whose mask observes no pair i != j, as an int array
     slice_max   : (T,), w_t = max_ij W_t,ij, which bounds the fit curvature of slice t
     target_norm : 1/2 sum W o Y^2, the fit of a zero reconstruction
 
+    Y costs 12 bytes per nonzero entry against 8 per entry of a dense stack,
+    so it is the smaller while under 2/3 of its entries are nonzero; a
+    dense-valued, fully observed adjacency costs up to 1.5 dense stacks.
+
     This is the one place that contracts W, Y and the smoothness slices Z
     against the factors: :meth:`a_stats` and :meth:`c_stats` build, with one
-    matrix product on the (T, N^2) view of Y or the packed rows of W and Z
-    each, everything either block and the objective read of them. The
-    gradient mode only picks the weight :meth:`build` packs.
+    matrix product on the packed rows of W or Z, or one scatter or gather
+    over Y's entries each, everything either block and the objective read of
+    them. The gradient mode only picks the weight :meth:`build` packs.
     """
 
-    target: np.ndarray
+    entries: np.ndarray
+    values: np.ndarray
+    starts: np.ndarray
     weight: np.ndarray
     scale: np.ndarray
     unobserved: np.ndarray
@@ -137,17 +170,25 @@ class FitData:
     _at: np.ndarray = field(init=False, repr=False)
     _mirror: np.ndarray = field(init=False, repr=False)
     _source: np.ndarray = field(init=False, repr=False)
+    # the slices at which the runs of :meth:`_runs` start, and T
+    _cuts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._at, self._mirror = triangle(self.n_nodes)
-        self._source = np.empty(self.n_nodes**2, dtype=np.intp)
+        n = self.n_nodes
+        self._at, self._mirror = triangle(n)
+        self._source = np.empty(n * n, dtype=np.intp)
         self._source[self._at] = self._source[self._mirror] = np.arange(self._at.size)
-        flat = _flat(self.target)
+        # cut before the slice holding each budget-th entry; a slice holds at
+        # most N^2, so every run holds at most budget + N^2
+        budget = max(RUN_PLANES * n * n, RUN_ENTRIES)
+        held = np.arange(budget, self.values.size, budget)
+        inner = np.searchsorted(self.starts, held, side="right") - 1
+        self._cuts = np.concatenate(([0], inner, [self.n_steps]))
         # data too large for float64 overflows here silently; the step bounds
         # abort on it with a message of their own
         with np.errstate(over="ignore", invalid="ignore"):
             self.slice_max = self.weight.max(axis=1)
-            norms = np.einsum("ti,ti->t", flat, flat)
+            norms = _slice_sums(np.square(self.values), self.starts)
             self.target_norm = 0.5 * float(self.scale @ norms)
 
     @classmethod
@@ -156,10 +197,12 @@ class FitData:
 
         adj and mask are any slice stacks (:func:`as_stack`), read together
         one slice at a time: each mask slice is checked (:func:`check_mask`),
-        its observed entries of adj copied into Y, and it is packed into W.
+        its observed entries of adj copied into one zeroed N x N scratch,
+        whose nonzero entries are kept as Y's, and it is packed into W.
         Adjacency values where the mask is 0 are never read, so they may be
-        NaN. `exact_mask` keeps W the 0/1 mask; Y is zero off it, so scale is
-        1. `count_weighted` then fills slice t of W, and scale_t, with the
+        NaN; an observed zero, of either sign, is not kept. `exact_mask`
+        keeps W the 0/1 mask; Y is zero off it, so scale is 1.
+        `count_weighted` then fills slice t of W, and scale_t, with the
         observation count k_t = 1'm_t. The diagonal never counts as an
         observed pair: it carries no edge, and a sampled mask always observes
         it (datagen.sample_mask).
@@ -169,21 +212,54 @@ class FitData:
         adj, mask = _stacks(adj, mask)
         n_steps, n = mask.shape[:2]
         at = triangle(n)[0]
-        target = np.zeros(mask.shape)
         weight = np.empty((n_steps, at.size))
-        for t, y in enumerate(target):
+        y = np.empty((n, n))
+        flat = y.reshape(-1)
+        entries, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+        for t in range(n_steps):
+            y.fill(0.0)
             pack(_observe(adj, mask, t, y), at, weight[t])
+            # a boolean scan runs several times faster than one of the floats
+            nonzero = (flat != 0.0).nonzero()[0]
+            entries.append(nonzero)
+            values.append(flat.take(nonzero))
+        starts = np.cumsum([e.size for e in entries])
+        index = np.int32 if n * n < 2**31 else np.int64
+        entries = np.concatenate(entries, dtype=index, casting="same_kind")
         unobserved = np.flatnonzero(~weight[:, :-n].any(axis=1))
         scale = np.ones(n_steps)
         if h.gradient_mode == "count_weighted":
             # sums of 0/1 entries, so k_t is exact
             scale = 2.0 * weight[:, :-n].sum(axis=1) + weight[:, -n:].sum(axis=1)
             weight[:] = scale[:, None]
-        return cls(target, weight, scale, unobserved)
+        return cls(entries, np.concatenate(values), starts, weight, scale, unobserved)
+
+    @property
+    def n_steps(self):
+        return len(self.weight)
 
     @property
     def n_nodes(self):
-        return self.target.shape[1]
+        # a packed row holds N (N + 1) / 2 entries
+        return (math.isqrt(8 * self.weight.shape[1] + 1) - 1) // 2
+
+    def dense_target(self):
+        """Y as the dense (T, N, N) stack, for the methods that fit it whole."""
+        n = self.n_nodes
+        y = np.zeros((self.n_steps, n * n))
+        for t, y_t in enumerate(y):
+            first, last = self.starts[t], self.starts[t + 1]
+            y_t[self.entries[first:last]] = self.values[first:last]
+        return y.reshape(-1, n, n)
+
+    def _runs(self):
+        """Y's entries in runs of whole slices: (t0, t1, at, values, starts)
+        for the slices t0 <= t < t1, with `at` their flat positions as intp and
+        starts (t1 - t0 + 1,) the offsets of each slice within the run."""
+        for t0, t1 in zip(self._cuts[:-1], self._cuts[1:]):
+            first, last = self.starts[t0], self.starts[t1]
+            at = self.entries[first:last].astype(np.intp)
+            yield t0, t1, at, self.values[first:last], self.starts[t0 : t1 + 1] - first
 
     def unpack(self, rows):
         """The (K, N, N) symmetric stack of (K, M + N) packed rows.
@@ -203,16 +279,26 @@ class FitData:
         numpy warning before the abort that names it.
         """
         c = np.asarray(signatures, dtype=np.float64)
-        n_steps, n = self.target.shape[:2]
+        n_steps, n = self.n_steps, self.n_nodes
         if c.ndim != 2 or c.shape[0] != n_steps:
             raise ValueError(f"signatures must be ({n_steps}, R), got {c.shape}")
-        rows, cols = np.triu_indices(c.shape[1])
+        # the pairs r <= k row by row, as np.triu_indices orders them, at a
+        # third of its cost
+        rows, cols = np.nonzero(np.tri(c.shape[1], dtype=bool).T)
         pair = np.empty((c.shape[1],) * 2, dtype=np.intp)
         pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
         with np.errstate(over="ignore", invalid="ignore"):
             prods = c[:, rows] * c[:, cols]
             omega = self.unpack(prods.T @ self.weight)
-            v = ((c * self.scale[:, None]).T @ _flat(self.target)).reshape(-1, n, n)
+            # V_r: one scatter-add of c_r[t] scale_t Y_t over the entries of each run
+            coef = c * self.scale[:, None]
+            v = np.zeros((c.shape[1], n * n))
+            for t0, t1, at, y, starts in self._runs():
+                w = np.repeat(coef[t0:t1].T, np.diff(starts), axis=1)
+                w *= y
+                for v_r, w_r in zip(v, w):
+                    v_r += np.bincount(at, w_r, minlength=n * n)
+            v = v.reshape(-1, n, n)
             xi = None
             if cache is not None:
                 half = c.T @ cache.z_rows
@@ -237,7 +323,7 @@ class FitData:
         # np.take gathers rows several times faster than fancy indexing
         up, low = np.take(lat, self._at, axis=1), np.take(lat, self._mirror, axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
-            grams = np.empty((self.target.shape[0], n_lat, n_lat))
+            grams = np.empty((self.n_steps, n_lat, n_lat))
             for r in range(n_lat):
                 sym = up[r:] * up[r]
                 sym += low[r:] * low[r]
@@ -245,7 +331,15 @@ class FitData:
                 g = self.weight @ sym.T
                 grams[:, r, r:] = g
                 grams[:, r:, r] = g
-            b = _flat(self.target) @ lat.T
+            # b_t: Y_t's entries times the latents gathered at them, summed per slice
+            b = np.empty((self.n_steps, n_lat))
+            for t0, t1, at, y, starts in self._runs():
+                # one take per latent runs faster than one along the rows
+                g = np.empty((n_lat, at.size))
+                for l_r, g_r in zip(lat, g):
+                    pack(l_r, at, g_r)
+                g *= y
+                b[t0:t1] = _slice_sums(g, starts).T
             b *= self.scale[:, None]
             traces = None
             if cache is not None:
@@ -283,23 +377,25 @@ class FitData:
         """The fit value 1/2 sum W (recon - Y)^2 of recon_t = sum_r C[t,r] A_r.
 
         The plain formula, kept as the reference for :meth:`gram_loss`. It
-        runs one slice at a time, so it holds no (T, N, N) buffer: the dense
-        residual of slice t is squared in place, and its squares at the two
-        gathers of :func:`triangle` are weighted together by the packed W_t,
-        the diagonal, gathered twice, halved.
+        runs one slice at a time, so it holds no (T, N, N) buffer: Y_t's
+        entries are subtracted from the dense reconstruction of slice t, the
+        residual is squared in place, and its squares at the two gathers of
+        :func:`triangle` are weighted together by the packed W_t, the
+        diagonal, gathered twice, halved.
         """
         c = np.asarray(signatures, dtype=np.float64)
         lat = _flat(np.asarray(latents, dtype=np.float64))
         n = self.n_nodes
         total = 0.0
-        for t, y in enumerate(_flat(self.target)):
-            sq = c[t] @ lat
-            sq -= y
-            np.square(sq, out=sq)
-            pairs = sq[self._at]
-            pairs += sq[self._mirror]
-            pairs[-n:] *= 0.5
-            total += float(self.weight[t] @ pairs)
+        for t0, t1, at, y, starts in self._runs():
+            for t, first, last in zip(range(t0, t1), starts[:-1], starts[1:]):
+                sq = c[t] @ lat
+                sq[at[first:last]] -= y[first:last]
+                np.square(sq, out=sq)
+                pairs = sq[self._at]
+                pairs += sq[self._mirror]
+                pairs[-n:] *= 0.5
+                total += float(self.weight[t] @ pairs)
         return 0.5 * total
 
 
@@ -317,7 +413,8 @@ def _observe(adj, mask, t, y):
     """Check mask slice t, copy the observed entries of adj[t] into y; returns the slice."""
     m = np.asarray(mask[t], dtype=np.float64)
     _check_mask_slice(m, t)
-    np.copyto(y, adj[t], where=m > 0)
+    # putmask copies several times faster than copyto(where=)
+    np.putmask(y, m > 0, adj[t])
     check_finite(y, "observed adjacency", "t, i, j", at=(t,))
     return m
 

@@ -54,6 +54,17 @@ def pairwise_z(x):
     return z
 
 
+def sparse_target(target):
+    """(entries, values, starts) of a dense (T, N, N) target, as FitData holds
+    it: the flat positions and values of each slice's nonzero entries, by a
+    loop over the slices."""
+    flat = target.reshape(len(target), -1)
+    entries = [np.flatnonzero(y) for y in flat]
+    values = [y[e] for y, e in zip(flat, entries)]
+    starts = np.cumsum([0] + [e.size for e in entries])
+    return np.concatenate(entries).astype(np.int32), np.concatenate(values), starts
+
+
 def dense_fit(mask, target):
     """FitData of a dense symmetric 0/1 (T, N, N) mask as the weight, built
     directly; the target is taken as it is, so it may hold what
@@ -61,7 +72,7 @@ def dense_fit(mask, target):
     t, n = mask.shape[:2]
     weight = mask.reshape(t, n * n)[:, triangle(n)[0]]
     unobserved = np.empty(0, dtype=np.intp)
-    return FitData(target, weight, np.ones(t), unobserved)
+    return FitData(*sparse_target(target), weight, np.ones(t), unobserved)
 
 
 def random_instance(seed, mode):
@@ -109,7 +120,7 @@ def random_instance(seed, mode):
 def dense_loss(fit, signatures, latents):
     """1/2 sum_t sum_ij W_t,ij (recon_t,ij - Y_t,ij)^2 on the dense weight of random_instance."""
     recon = np.einsum("tr,rij->tij", signatures, latents)
-    return 0.5 * float(np.sum(fit.dense_weight * (recon - fit.target) ** 2))
+    return 0.5 * float(np.sum(fit.dense_weight * (recon - fit.dense_target()) ** 2))
 
 
 def a_lagrangian_value(a_r, ws, d, fit, cache, h):

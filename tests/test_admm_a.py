@@ -44,7 +44,7 @@ def test_lagrangian_penalty_vanishes_at_feasible_split():
     fit = 0.0
     for t in range(d.n_steps):
         recon = sum(d.signatures[t, k] * d.latents[k] for k in range(d.n_latents))
-        obs = fit_data.target[t]
+        obs = fit_data.dense_target()[t]
         m = fit_data.dense_weight[t]
         fit += 0.5 * np.sum((m * (recon - obs)) ** 2)
     want = (

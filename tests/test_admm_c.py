@@ -39,7 +39,7 @@ def test_smoothness_gradient_matches_objective():
     part = grad_c_lagrangian(c, ws, d.latents, fit, cache, h) - grad_c_lagrangian(
         c, ws, d.latents, fit, cache, h.replace(delta=0.0)
     )
-    zeros = np.zeros_like(fit.target)
+    zeros = np.zeros((d.n_steps, d.n_nodes, d.n_nodes))
     blank = FitData.build(zeros, zeros, h)
 
     def smoothness(x):
@@ -56,7 +56,7 @@ def test_temporal_gradient_matches_objective():
     part = grad_c_lagrangian(c, ws, d.latents, fit, cache, h) - grad_c_lagrangian(
         c, ws, d.latents, fit, cache, h.replace(mu=0.0)
     )
-    zeros = np.zeros_like(fit.target)
+    zeros = np.zeros((d.n_steps, d.n_nodes, d.n_nodes))
     blank = FitData.build(zeros, zeros, h)
 
     def temporal(x):

@@ -11,6 +11,7 @@ import pytest
 from dgd.datagen import (
     SwDynSpec,
     _add_edge_noise,
+    mask_seed,
     sample_mask,
     sbm_graph,
     smooth_signals,
@@ -136,6 +137,18 @@ def test_sample_mask_symmetric_with_observed_diagonal():
     assert is_symmetric(mask)
     assert np.all(np.diagonal(mask, axis1=1, axis2=2) == 1.0)
     assert set(np.unique(mask)) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("n, t, frac", [(7, 5, 0.4), (1, 3, 0.5), (6, 2, 0.0), (6, 2, 1.0)])
+def test_sample_mask_is_the_one_draw_formula_byte_for_byte(n, t, frac):
+    # slice by slice from one stream: the same bytes as one (T, N, N) draw
+    draws = np.random.default_rng(mask_seed(3, frac)).random((t, n, n))
+    upper = np.triu(draws < frac, k=1)
+    want = (upper | upper.transpose(0, 2, 1)).astype(np.float64)
+    want[:, np.arange(n), np.arange(n)] = 1.0
+    got = sample_mask(n, t, frac, mask_seed(3, frac))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_sample_mask_hits_requested_fraction():

@@ -110,8 +110,9 @@ def test_edge_scores_formula_cases():
 
     with pytest.raises(UndefinedMetricError):
         edge_scores(est, np.zeros_like(truth), holdout, 0.5)
-    with pytest.raises(ValueError):
-        edge_scores(est, truth, holdout, 0.0)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="threshold must be"):
+            edge_scores(est, truth, holdout, bad)
 
 
 def test_f1_invariant_to_threshold_preserving_rescale():

@@ -4,16 +4,18 @@ dense Phi_r formula, the in-place fit value against the plain weighted sum of
 squares, and the Gram-form fit against that value."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from dgd import tensors
 from dgd.admm_a import a_gradient_terms, build_a_workspace, grad_a_lagrangian
 from dgd.admm_c import build_c_workspace, c_gradient_terms, grad_c_lagrangian
 from dgd.driver import positive_fit_curvature
 from dgd.model import GRADIENT_MODES, Decomposition, Hyperparams, degree_margin, reconstruct
 from dgd.priors import build_cache
-from dgd.tensors import FitData
+from dgd.tensors import FitData, triangle
 
 from helpers import pairwise_z
 
@@ -185,7 +187,7 @@ def test_loss_matches_plain_formula_and_leaves_inputs(case):
     fit = FitData.build(adj, mask, Hyperparams(gradient_mode=mode))
     n_steps, n = mask.shape[:2]
     weight = np.stack([np.broadcast_to(_loop_weight(mask, t, mode), (n, n)) for t in range(n_steps)])
-    inputs = [d.signatures, d.latents, fit.target, fit.weight, fit.scale]
+    inputs = [d.signatures, d.latents, fit.entries, fit.values, fit.weight, fit.scale]
     before = [x.copy() for x in inputs]
     recon = np.einsum("tr,rij->tij", d.signatures, d.latents)
     want = 0.5 * float(np.sum(weight * (recon - mask * adj) ** 2))
@@ -199,6 +201,61 @@ def test_loss_matches_plain_formula_and_leaves_inputs(case):
     assert abs(got - want) <= 2 * terms * np.finfo(float).eps * scale
     for x, x0 in zip(inputs, before):
         assert np.array_equal(x, x0)
+
+
+@st.composite
+def sparse_targets(draw):
+    """An asymmetric signed adjacency with exact zeros and a nonzero diagonal,
+    a symmetric mask with empty slices, and slices observed but all zero."""
+    n = draw(st.integers(1, 5))
+    t = draw(st.integers(1, 9))
+    r = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adj = np.where(rng.random((t, n, n)) < rng.random(), rng.standard_normal((t, n, n)), 0.0)
+    mask = (rng.random((t, n, n)) < rng.random()).astype(np.float64)
+    mask = np.maximum(mask, mask.transpose(0, 2, 1))
+    mask[np.array(draw(st.lists(st.booleans(), min_size=t, max_size=t)))] = 0.0
+    adj[np.array(draw(st.lists(st.booleans(), min_size=t, max_size=t)))] = 0.0
+    mode = draw(st.sampled_from(GRADIENT_MODES))
+    run = draw(st.integers(1, 2 * n * n))
+    return adj, mask, mode, run, rng.standard_normal((t, r)), rng.standard_normal((r, n, n))
+
+
+def _dense_loss(fit, y, c, lat):
+    """The fit on the dense target y, by the slice loop FitData.loss ran on it."""
+    n = fit.n_nodes
+    at, mirror = triangle(n)
+    total = 0.0
+    for t in range(len(y)):
+        sq = c[t] @ lat.reshape(len(lat), -1)
+        sq -= y[t].reshape(-1)
+        np.square(sq, out=sq)
+        pairs = sq[at]
+        pairs += sq[mirror]
+        pairs[-n:] *= 0.5
+        total += float(fit.weight[t] @ pairs)
+    return 0.5 * total
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_targets())
+def test_target_entries_match_the_dense_formulas(case):
+    # runs of a few entries each, so that the slices fall into several runs
+    adj, mask, mode, run, c, lat = case
+    with mock.patch.multiple(tensors, RUN_PLANES=0, RUN_ENTRIES=run):
+        fit = FitData.build(adj, mask, Hyperparams(gradient_mode=mode))
+    n_steps, n = mask.shape[:2]
+    y = np.where(mask > 0, adj, 0.0)
+    assert fit.entries.dtype == np.int32 and len(fit.starts) == n_steps + 1
+    assert fit.values.size == np.count_nonzero(y)
+    assert fit.dense_target().tobytes() == y.tobytes()
+    scaled = fit.scale[:, None, None] * y
+    assert _close(fit.target_norm, 0.5 * float(np.sum(scaled * y)))
+    v = fit.a_stats(c).v
+    for r in range(len(lat)):
+        assert _close(v[r], np.tensordot(c[:, r], scaled, axes=1))
+    assert _close(fit.c_stats(lat).b, np.einsum("tij,rij->tr", scaled, lat))
+    assert fit.loss(c, lat) == _dense_loss(fit, y, c, lat)
 
 
 def test_loss_allocates_one_stack():

@@ -1,0 +1,24 @@
+"""The package's run-time dependencies, as pyproject declares them."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import dgd
+
+
+def test_import_loads_numpy_and_the_standard_library_only():
+    # a fresh interpreter, so that no module a test loaded counts
+    code = (
+        "import sys; before = set(sys.modules); import dgd; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    src = str(Path(dgd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    loaded = {name.partition(".")[0] for name in out.split()}
+    assert "dgd" in loaded and "numpy" in loaded
+    assert sorted(loaded - set(sys.stdlib_module_names) - {"dgd", "numpy"}) == []

@@ -496,14 +496,17 @@ def test_nonfinite_signal_exits_one_naming_the_entry(tmp_path, capsys):
         assert main(args) == 0, method
 
 
-def test_decompose_holds_two_stacks(tmp_path):
-    # streamed set-up: the run holds the target Y and the packed rows (upper
-    # triangle and diagonal) of the fit weight W and the smoothness slices Z,
-    # about half a stack each; never the mask, the adjacency or the (T, N, Q)
-    # signals
+def test_decompose_holds_packed_rows_and_target_entries(tmp_path):
+    # streamed set-up: the run holds the packed rows (upper triangle and
+    # diagonal) of the fit weight W and the smoothness slices Z, about half a
+    # stack each, and the nonzero entries of the target Y at 12 bytes each;
+    # never a dense Y, the mask, the adjacency or the (T, N, Q) signals
     n_steps, n, q = 40, 64, 256
     spec = {"n_nodes": n, "n_steps": n_steps, "n_signals": q, "observed_frac": 0.5}
     data = _generate(tmp_path, extra=spec)
+    adj, mask = load_dgt(data / "adjacency.dgt")[0], load_dgt(data / "mask.dgt")[0]
+    entries = np.count_nonzero(mask * adj)
+    del adj, mask
     cfg = _write_json(tmp_path / "cfg.json", {"inner_iters": 2, "outer_iters": 1})
     tracemalloc.start()
     try:
@@ -513,10 +516,11 @@ def test_decompose_holds_two_stacks(tmp_path):
         tracemalloc.stop()
     assert code == 0
     nn = n * n * 8
-    # beyond the stacks: the R N^2 solve state (Omega, V, Xi, the gradient
-    # terms and their temporaries, about 20 N x N planes at R = 2) and one
-    # (N, Q) signal slice, 4 planes; a loaded signal stack alone is 4 * T planes
-    assert peak <= 2 * n_steps * nn + 32 * nn
+    rows = 2 * n_steps * (n * (n + 1) // 2) * 8
+    # beyond them: the R N^2 solve state (Omega, V, Xi, the gradient terms and
+    # their temporaries, about 20 N x N planes at R = 2) and one (N, Q) signal
+    # slice, 4 planes; a loaded signal stack alone is 4 * T planes
+    assert peak <= rows + 12 * entries + 32 * nn
 
 
 @pytest.mark.parametrize("method", ["dgd", "nsdgd", "unc", "cpd"])
@@ -610,6 +614,18 @@ def test_missing_input_file_exits_one(tmp_path, capsys):
     )
     assert code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_decompose_rejects_negative_seed_before_reading(tmp_path, capsys, method):
+    # no input exists: the seed fails first, naming the flag
+    args = _decompose_args(tmp_path / "absent", tmp_path / "out", method)
+    args[args.index("--seed") + 1] = "-1"
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--seed must be >= 0, got -1" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_kind_mismatch_exits_one(tmp_path, capsys):
@@ -719,6 +735,18 @@ def test_evaluate_rejects_nonfinite_truth_even_where_observed(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"truth entry (t, i, j) = ({t}, {i}, {j}) is not finite" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_evaluate_rejects_bad_threshold_before_reading(tmp_path, capsys, value):
+    # no input exists: the threshold fails first, naming the flag
+    absent = tmp_path / "absent"
+    args = ["evaluate", "--est-dir", str(absent), "--truth", str(absent / "t.dgt"),
+            "--mask", str(absent / "m.dgt"), "--threshold", value]
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--threshold must be" in err
 
 
 def test_evaluate_rejects_nonfinite_estimate(tmp_path, capsys):

@@ -20,12 +20,12 @@ def test_fit_data_matches_slices():
     mask[3] = 0.0
     exact = tensors.FitData.build(adj, mask, Hyperparams())
     counted = tensors.FitData.build(adj, mask, Hyperparams(gradient_mode="count_weighted"))
-    assert exact.target.shape == (t, n, n)
+    assert exact.dense_target().shape == (t, n, n)
     for fit in (exact, counted):
         assert fit.weight.shape == (t, n * (n - 1) // 2 + n)
     rows, cols = np.triu_indices(n, 1)
     for k in range(t):
-        assert np.array_equal(exact.target[k], mask[k] * adj[k])
+        assert np.array_equal(exact.dense_target()[k], mask[k] * adj[k])
         # the strict upper triangle row by row, then the diagonal
         want = np.concatenate((mask[k][rows, cols], np.diag(mask[k])))
         assert np.array_equal(exact.weight[k], want)
@@ -34,7 +34,8 @@ def test_fit_data_matches_slices():
         count = mask[k].sum()
         assert np.all(counted.weight[k] == count)
         assert counted.scale[k] == count and counted.slice_max[k] == count
-    assert np.array_equal(counted.target, exact.target)
+    for name in ("entries", "values", "starts"):
+        assert np.array_equal(getattr(counted, name), getattr(exact, name))
     assert np.array_equal(exact.unobserved, [1, 3])
     assert np.array_equal(counted.unobserved, exact.unobserved)
 
@@ -72,7 +73,7 @@ def test_fit_data_reads_slice_stacks(tmp_path):
     want = tensors.FitData.build(adj, mask, Hyperparams())
     with DgtSlices(tmp_path / "a.dgt") as a, DgtSlices(tmp_path / "m.dgt") as m:
         got = tensors.FitData.build(a, m, Hyperparams())
-    for name in ("target", "weight", "scale", "unobserved"):
+    for name in ("entries", "values", "starts", "weight", "scale", "unobserved"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
