@@ -10,7 +10,7 @@ from .baselines import (
     unc_solve,
 )
 from .datagen import SwDynSpec, sample_mask, sbm_graph, smooth_signals, swdyn
-from .driver import RunHistory, initialize, positive_fit_curvature, run_dgd
+from .driver import RunHistory, initialize, run_dgd
 from .evaluation import (
     EvalReport,
     UndefinedMetricError,
@@ -63,7 +63,6 @@ __all__ = [
     "load_dgt",
     "nsdgd",
     "objective",
-    "positive_fit_curvature",
     "project_sa",
     "project_sc",
     "reconstruct",

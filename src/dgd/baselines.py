@@ -44,8 +44,8 @@ def unc_solve(adj, mask, n_latents, iters=50, seed=0):
     non-increasing up to the ridge added on degenerate blocks. Its
     reconstruction sum_r C[t, r] A_r is the product of C with the (R, N^2)
     matricized latents, copied contiguous by tensordot. The signature step
-    reads the masked Grams of :meth:`FitData.c_stats` and forms its
-    right-hand sides from the dense Y that the fit holds, in one product.
+    solves with the masked Grams and right-hand sides of
+    :meth:`FitData.c_stats`.
     Adjacency entries where the mask is 0 are never read; adj and mask are
     any slice stacks (:func:`tensors.as_stack`).
     """
@@ -73,8 +73,8 @@ def unc_solve(adj, mask, n_latents, iters=50, seed=0):
         return 0.5 * float(np.sum(buf))
 
     for _ in range(iters):
-        rhs = target.reshape(t, -1) @ latents.reshape(n_latents, -1).T
-        c = _ridged_solve(observed.c_stats(latents).grams, rhs, "signature")
+        stats = observed.c_stats(latents)
+        c = _ridged_solve(stats.grams, stats.b, "signature")
         fits.append(fit())
         # the last Grams die before the next are formed
         latents = _ridged_solve(

@@ -25,7 +25,7 @@ from .evaluation import (
 from .io_dgt import DgtSlices, load_dgt, save_dgt
 from .model import Decomposition, Hyperparams, NumericalAbort, check_number
 
-HISTORY_HEADER = "iter,total,fit,sparsity,smoothness,temporal,overlap,ridge_c"
+HISTORY_HEADER = "iter,total,fit,sparsity,smoothness,temporal,overlap,ridge_c,ridge_a"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,11 +42,12 @@ def _load_json(path):
 
 
 def _write_history_csv(path, breakdowns):
+    """One row per breakdown: the iteration, then each ObjectiveBreakdown term the header names."""
+    terms = HISTORY_HEADER.split(",")[1:]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(HISTORY_HEADER + "\n")
         for i, b in enumerate(breakdowns):
-            terms = (b.total, b.fit, b.sparsity, b.smoothness, b.temporal, b.overlap, b.ridge_c)
-            fh.write(",".join([str(i), *(repr(float(v)) for v in terms)]) + "\n")
+            fh.write(",".join([str(i), *(repr(float(getattr(b, c))) for c in terms)]) + "\n")
 
 
 def _cmd_generate(args):
@@ -134,6 +135,7 @@ def _parse_grid(text, kind):
 
 
 def _cmd_sweep(args):
+    check_number("--seed", args.seed, integer=True, low=0)
     spec_cfg = _load_json(args.spec) if args.spec else {}
     spec_cfg.pop("observed_frac", None)
     spec_cfg.pop("seed", None)

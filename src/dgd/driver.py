@@ -56,17 +56,6 @@ def initialize(seed, n_nodes, n_steps, n_latents):
     return Decomposition(latents, signatures)
 
 
-def positive_fit_curvature(signatures, fit):
-    """Per-latent check that the fit term curves upward: sum_t C[t,r]^2 w_t > 0.
-
-    w_t = max W_t is positive exactly when slice t has an observation, so a
-    False entry means that latent only ever multiplies unobserved slices and
-    the fit cannot pin it down.
-    """
-    c = np.asarray(signatures, dtype=np.float64)
-    return (c**2).T @ fit.slice_max > 0.0
-
-
 def outer_iteration(d, fit, cache, h, rng):
     """One alternating pass over all blocks, updating d in place.
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace as dc_replace
-from functools import cached_property
 from time import perf_counter
 
 import numpy as np
@@ -65,7 +64,8 @@ def relative_error(est, truth, holdout):
     included) never reaches the score. Raises UndefinedMetricError when the
     holdout carries no truth mass.
     """
-    return _HeldOut(truth, holdout).relative_error(est)
+    held = _HeldOut(truth, holdout)
+    return held.relative_error(held.gather(est))
 
 
 def default_edge_threshold(truth, mask):
@@ -85,38 +85,44 @@ def edge_scores(est, truth, holdout, threshold):
     entries. Empty predictions give precision 0; no held-out truth edges
     raises UndefinedMetricError (recall has no denominator).
     """
-    return _HeldOut(truth, holdout).edge_scores(est, threshold)
+    held = _HeldOut(truth, holdout)
+    return held.edge_scores(held.gather(est), threshold)
 
 
 class _HeldOut:
     """The held-out entries of one truth tensor, those where holdout > 0.
 
-    Scores any number of estimates against the same truth and holdout; the
-    truth's share of the scores, its held-out norm and edges, is computed
-    once, on first use.
+    The truth is gathered once into a vector, with its squared norm and its
+    edges. Each estimate is gathered once by the same selection, and its RE
+    and edge scores read that one vector; whatever the other entries hold
+    (NaN included) is never read. Squares are summed by numpy's own
+    summation, so no score depends on the BLAS thread count.
     """
 
     def __init__(self, truth, holdout):
-        self.truth = np.asarray(truth, dtype=np.float64)
+        truth = np.asarray(truth, dtype=np.float64)
         sel = np.asarray(holdout)
         self.sel = sel if sel.dtype == np.bool_ else sel > 0
+        self.shape = truth.shape
+        self.truth = truth[self.sel]
+        self.norm = float(np.sum(np.square(self.truth)))
+        self.edges = self.truth > 0
 
-    @cached_property
-    def norm(self):
-        return _held_out_sq(self.truth, self.sel)
+    def gather(self, est):
+        est = np.asarray(est, dtype=np.float64)
+        if est.shape != self.shape:
+            raise ValueError(f"estimate is {est.shape} but truth is {self.shape}")
+        return est[self.sel]
 
-    @cached_property
-    def edges(self):
-        return self.truth[self.sel] > 0
-
-    def relative_error(self, est):
+    def relative_error(self, x):
         if self.norm == 0.0:
             raise UndefinedMetricError("held-out truth has zero norm; RE is undefined")
-        return _held_out_sq(np.asarray(est, dtype=np.float64) - self.truth, self.sel) / self.norm
+        diff = x - self.truth
+        return float(np.sum(np.square(diff, out=diff))) / self.norm
 
-    def edge_scores(self, est, threshold):
+    def edge_scores(self, x, threshold):
         check_number("threshold", threshold, low=0, strict=True)
-        pred = np.asarray(est, dtype=np.float64)[self.sel] > threshold
+        pred = x > threshold
         n_real = int(self.edges.sum())
         if n_real == 0:
             raise UndefinedMetricError("holdout contains no truth edges; recall is undefined")
@@ -127,25 +133,18 @@ class _HeldOut:
         f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
         return precision, recall, f1
 
-
-def _held_out_sq(x, sel):
-    """Sum of x^2 over the selected entries, summed in the layout of x in one buffer."""
-    buf = np.where(sel, x, 0.0)
-    np.square(buf, out=buf)
-    return float(np.sum(buf))
+    def report(self, est, threshold):
+        x = self.gather(est)
+        re = self.relative_error(x)
+        precision, recall, f1 = self.edge_scores(x, threshold)
+        return EvalReport(re=re, f1=f1, precision=precision, recall=recall, threshold=threshold)
 
 
 def evaluate(est, truth, mask, threshold=None):
     """Score an estimated tensor against the truth on unobserved entries."""
     if threshold is None:
         threshold = default_edge_threshold(truth, mask)
-    return _report(est, _HeldOut(truth, _unobserved(mask)), threshold)
-
-
-def _report(est, held, threshold):
-    re = held.relative_error(est)
-    precision, recall, f1 = held.edge_scores(est, threshold)
-    return EvalReport(re=re, f1=f1, precision=precision, recall=recall, threshold=threshold)
+    return _HeldOut(truth, _unobserved(mask)).report(est, threshold)
 
 
 def component_analysis(d, truth, mask, threshold=None):
@@ -165,12 +164,11 @@ def component_analysis(d, truth, mask, threshold=None):
     if threshold is None:
         threshold = default_edge_threshold(truth, mask)
     held = _HeldOut(truth, _unobserved(mask))
-    report = _report(est, held, threshold)
+    report = held.report(est, threshold)
     for r in range(d.n_latents):
-        part = np.einsum("t,ij->tij", d.signatures[:, r], d.latents[r])
-        report.per_component_re.append(held.relative_error(part))
-        _, _, f1 = held.edge_scores(part, threshold)
-        report.per_component_f1.append(f1)
+        part = held.report(np.einsum("t,ij->tij", d.signatures[:, r], d.latents[r]), threshold)
+        report.per_component_re.append(part.re)
+        report.per_component_f1.append(part.f1)
     return report
 
 
@@ -196,9 +194,9 @@ def sweep(
     grid value and one seed (seed, seed+1, ...), regenerates its data, fits
     every method and scores on the held-out entries. Failed cells keep their
     row with NaN metrics. When timing is False the seconds column is 0.0 so
-    repeated runs are byte-identical. repeats must be an integer >= 1 and
-    every observed fraction lie in (0, 1]; both are checked before any cell
-    runs (ValueError naming the argument).
+    repeated runs are byte-identical. seed must be an integer >= 0, repeats
+    one >= 1 and every observed fraction lie in (0, 1]; all are checked
+    before any cell runs (ValueError naming the argument).
 
     No cell reads another's output, so the cells run in a pool of forked
     worker processes, one per CPU this process may run on (os.sched_getaffinity),
@@ -215,6 +213,7 @@ def sweep(
     for name in methods:
         if name not in METHODS:
             raise ValueError(f"unknown method {name!r}")
+    check_number("seed", seed, integer=True, low=0)
     check_number("repeats", repeats, integer=True, low=1)
     if kind == "rank":
         frac = observed_fraction(observed_frac, "observed_frac")

@@ -204,9 +204,10 @@ def objective(d, fit, cache, h, stats=None):
     """Evaluate the full objective, split by term.
 
     `fit` is the tensors.FitData of the observed stack, so the fit term sees
-    only observed entries. `cache` may be None when h.delta == 0. `stats` is
-    the tensors.CStats of d.latents; it is built here when omitted, so there
-    is one formula for the fit, :meth:`FitData.value`.
+    only observed entries. `cache`, the packed Z rows of priors.build_cache,
+    may be None when h.delta == 0. `stats` is the tensors.CStats of
+    d.latents; it is built here when omitted, so there is one formula for the
+    fit, :meth:`FitData.value`.
     """
     if (fit.n_steps, fit.n_nodes) != (d.n_steps, d.n_nodes):
         raise ValueError(

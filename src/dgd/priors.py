@@ -16,28 +16,18 @@ Runs without signals (delta = 0) carry no cache at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .tensors import as_stack, check_finite, pack, triangle
 
 
-@dataclass
-class SmoothCache:
-    """Precomputed smoothness structures for one signal tensor.
-
-    z_rows : (T, M + N), row t Z_t packed as :func:`tensors.triangle` orders
-             it, M = N(N-1)/2, where Z_t[i, j] = ||X_t[i, :] - X_t[j, :]||_2^2
-             off the diagonal and Z_t[i, i] = 0
-    """
-
-    z_rows: np.ndarray
-
-
 def build_cache(x):
-    """Build the packed pairwise squared-distance slices from a (T, N, Q) signal stack.
+    """The packed pairwise squared-distance slices of a (T, N, Q) signal stack.
 
+    Returns (T, M + N) rows, M = N(N-1)/2, row t Z_t packed as
+    :func:`tensors.triangle` orders it, where Z_t[i, j] =
+    ||X_t[i, :] - X_t[j, :]||_2^2 off the diagonal and Z_t[i, i] = 0.
     Z_t = sq_t 1' + 1 sq_t' - 2 X_t X_t', sq_t the squared row norms of X_t,
     is formed in one N x N slice with one N x N scratch, its diagonal zeroed,
     and then packed into its row, so set-up needs no (T, N, N) array at all.
@@ -71,7 +61,7 @@ def build_cache(x):
         np.maximum(scratch, 0.0, out=zk)
         np.fill_diagonal(zk, 0.0)
         pack(zk, at, z[k])
-    return SmoothCache(z_rows=z)
+    return z
 
 
 def overlap_h(latents):

@@ -270,8 +270,8 @@ class FitData:
         n = self.n_nodes
         return np.take(rows, self._source, axis=1).reshape(-1, n, n)
 
-    def a_stats(self, signatures, cache=None):
-        """:class:`AStats` of the (T, R) signatures; Xi needs the smoothness cache.
+    def a_stats(self, signatures, z_rows=None):
+        """:class:`AStats` of the (T, R) signatures; Xi needs the packed Z rows.
 
         Omega and Xi are contracted on the packed rows of W and Z and unpacked
         once, to the symmetric planes the A solves read. Built under the same
@@ -300,14 +300,14 @@ class FitData:
                     v_r += np.bincount(at, w_r, minlength=n * n)
             v = v.reshape(-1, n, n)
             xi = None
-            if cache is not None:
-                half = c.T @ cache.z_rows
+            if z_rows is not None:
+                half = c.T @ z_rows
                 half *= 0.5
                 xi = self.unpack(half)
         return AStats(omega=omega, pair=pair, v=v, xi=xi)
 
-    def c_stats(self, latents, cache=None):
-        """:class:`CStats` of the (R, N, N) latents; the traces need the smoothness cache.
+    def c_stats(self, latents, z_rows=None):
+        """:class:`CStats` of the (R, N, N) latents; the traces need the packed Z rows.
 
         For symmetric W and Z and any latents, with P = A_r o A_k and the
         packed positions p of :func:`triangle`,
@@ -342,9 +342,9 @@ class FitData:
                 b[t0:t1] = _slice_sums(g, starts).T
             b *= self.scale[:, None]
             traces = None
-            if cache is not None:
+            if z_rows is not None:
                 up += low
-                traces = cache.z_rows @ up.T
+                traces = z_rows @ up.T
         return CStats(grams=grams, b=b, traces=traces)
 
     def gram_loss(self, signatures, stats):

@@ -80,9 +80,9 @@ def random_instance(seed, mode):
 
     Latents and signatures are arbitrary (not projected) so the gradient
     checks exercise generic points, not just feasible ones. The adjacency is
-    not symmetric. The returned fit and cache also carry the dense weight
+    not symmetric. The returned fit also carries the dense weight
     (fit.dense_weight) and the smoothness slices by the pairwise loop
-    (cache.dense_z), which the Lagrangian values below read instead of the
+    (fit.dense_z), which the Lagrangian values below read instead of the
     packed rows the solver holds.
     """
     rng = np.random.default_rng(seed)
@@ -95,7 +95,6 @@ def random_instance(seed, mode):
     mask = np.maximum(mask, mask.transpose(0, 2, 1))
     signals = rng.standard_normal((t, n, 2))
     cache = build_cache(signals)
-    cache.dense_z = pairwise_z(signals)
     h = Hyperparams(
         n_latents=r,
         gamma=0.3,
@@ -114,6 +113,7 @@ def random_instance(seed, mode):
         fit.dense_weight = mask
     else:
         fit.dense_weight = np.broadcast_to(mask.sum(axis=(1, 2))[:, None, None], mask.shape)
+    fit.dense_z = pairwise_z(signals)
     return rng, d, fit, cache, h
 
 
@@ -136,7 +136,7 @@ def a_lagrangian_value(a_r, ws, d, fit, cache, h):
     latents[r] = a_r
     val = dense_loss(fit, d.signatures, latents)
     if h.delta != 0.0:
-        traces = np.tensordot(cache.dense_z, a_r, axes=2)
+        traces = np.tensordot(fit.dense_z, a_r, axes=2)
         val += 0.5 * h.delta * float(c_r @ traces)
     val += h.gamma * float(a_r.sum())
     if h.beta != 0.0:
@@ -156,7 +156,7 @@ def c_lagrangian_value(c, ws, latents, fit, cache, h):
     c = np.asarray(c, dtype=np.float64)
     val = dense_loss(fit, c, latents)
     if h.delta != 0.0:
-        traces = np.tensordot(cache.dense_z, latents, axes=([1, 2], [1, 2]))
+        traces = np.tensordot(fit.dense_z, latents, axes=([1, 2], [1, 2]))
         val += 0.5 * h.delta * float(np.sum(c * traces))
     if h.mu != 0.0:
         val += h.mu * temporal_pi(c)

@@ -49,7 +49,7 @@ def test_lagrangian_penalty_vanishes_at_feasible_split():
         fit += 0.5 * np.sum((m * (recon - obs)) ** 2)
     want = (
         fit
-        + h.delta * np.sum(a * 0.5 * np.tensordot(c_r, cache.dense_z, axes=1).T)
+        + h.delta * np.sum(a * 0.5 * np.tensordot(c_r, fit_data.dense_z, axes=1).T)
         + h.gamma * a.sum()
         + 2.0 * h.beta * np.sum(a * (d.latents.sum(axis=0) - a))
         + 0.5 * h.eta * np.sum(a**2)

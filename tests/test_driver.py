@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dgd.driver import initialize, outer_iteration, positive_fit_curvature, run_dgd
+from dgd.driver import initialize, outer_iteration, run_dgd
 from dgd.model import Hyperparams, NumericalAbort, in_sa, reconstruct
 from dgd.priors import build_cache
 from dgd.tensors import FitData
@@ -182,14 +182,6 @@ def test_input_shape_validation():
         run_dgd(np.zeros((3, 4, 4)), np.zeros((2, 4, 4)), None, Hyperparams(delta=0.0), 0)
     with pytest.raises(ValueError, match="0 or 1"):
         run_dgd(np.zeros((2, 3, 3)), np.full((2, 3, 3), 0.5), None, Hyperparams(delta=0.0), 0)
-
-
-def test_positive_fit_curvature_flags_dead_latents():
-    mask = np.ones((3, 2, 2))
-    fit = FitData.build(np.zeros((3, 2, 2)), mask, Hyperparams())
-    signatures = np.array([[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]])
-    flags = positive_fit_curvature(signatures, fit)
-    assert flags.tolist() == [True, False]
 
 
 def test_diverging_iterate_names_block_step_and_magnitude():

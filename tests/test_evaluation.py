@@ -5,8 +5,10 @@ import os
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgd.baselines import METHODS
 from dgd.datagen import SwDynSpec, worker_count
@@ -78,6 +80,67 @@ def test_relative_error_undefined_without_heldout_mass():
     truth, _ = _toy_truth(3)
     with pytest.raises(UndefinedMetricError):
         relative_error(truth, truth, complement_mask(np.ones_like(truth)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_held_out_scores_match_the_plain_formulas(data):
+    shape = data.draw(hnp.array_shapes(min_dims=3, max_dims=3, max_side=4))
+    values = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(-3.0, 3.0)
+    truth = data.draw(hnp.arrays(np.float64, shape, elements=values))
+    est = data.draw(hnp.arrays(np.float64, shape, elements=values))
+    held = data.draw(hnp.arrays(np.bool_, shape))
+    if data.draw(st.booleans(), label="float holdout"):
+        # any float above 0 holds an entry out, 0 or below keeps it observed
+        holdout = np.where(held, data.draw(st.floats(0.25, 2.0)), data.draw(st.sampled_from([0.0, -1.0])))
+    else:
+        holdout = held
+    mask = (~held).astype(np.float64)
+    # whatever lies outside the holdout is never read
+    poison = data.draw(hnp.arrays(np.float64, shape, elements=st.sampled_from([np.nan, np.inf, -np.inf])))
+    truth[~held] = poison[~held]
+    est[~held] = poison[::-1][~held]
+    # thresholds equal to some entries, so that > and >= differ
+    threshold = data.draw(st.sampled_from([0.5, 1.0]) | st.floats(0.1, 2.0))
+
+    pairs = [(e, t) for e, t, h in zip(est.flat, truth.flat, held.flat) if h]
+    norm = math.fsum(t * t for _, t in pairs)
+    n_real = sum(t > 0 for _, t in pairs)
+    n_pred = sum(e > threshold for e, _ in pairs)
+    tp = sum(t > 0 and e > threshold for e, t in pairs)
+    if norm == 0.0:
+        with pytest.raises(UndefinedMetricError, match="zero norm"):
+            relative_error(est, truth, holdout)
+        with pytest.raises(UndefinedMetricError, match="zero norm"):
+            evaluate(est, truth, mask, threshold)
+    else:
+        want = math.fsum((e - t) ** 2 for e, t in pairs) / norm
+        assert math.isclose(relative_error(est, truth, holdout), want, rel_tol=1e-12)
+    if n_real == 0:
+        with pytest.raises(UndefinedMetricError, match="no truth edges"):
+            edge_scores(est, truth, holdout, threshold)
+        return
+    precision = tp / n_pred if n_pred else 0.0
+    recall = tp / n_real
+    f1 = 2 * precision * recall / (precision + recall) if tp else 0.0
+    assert edge_scores(est, truth, holdout, threshold) == (precision, recall, f1)
+    if norm != 0.0:
+        report = evaluate(est, truth, mask, threshold)
+        assert report.re == relative_error(est, truth, holdout)
+        assert (report.precision, report.recall, report.f1) == (precision, recall, f1)
+
+
+def test_estimate_of_another_shape_names_both_shapes():
+    truth, mask = _toy_truth()
+    holdout = complement_mask(mask)
+    est = np.zeros((3, 4, 5))
+    match = r"^estimate is \(3, 4, 5\) but truth is \(3, 4, 4\)$"
+    with pytest.raises(ValueError, match=match):
+        relative_error(est, truth, holdout)
+    with pytest.raises(ValueError, match=match):
+        edge_scores(est, truth, holdout, 0.5)
+    with pytest.raises(ValueError, match=match):
+        evaluate(est, truth, mask, threshold=0.5)
 
 
 def test_default_threshold_is_half_mean_positive_observed():
@@ -225,6 +288,17 @@ def test_sweep_rejects_bad_arguments():
         sweep("rank", [1], spec, h, seed=0, methods=("nope",))
     with pytest.raises(ValueError):
         sweep("observed", [0.0], spec, h, seed=0, repeats=1, methods=("unc",))
+
+
+def test_sweep_checks_the_seed_before_any_cell(monkeypatch):
+    def cell_ran(*args):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr("dgd.evaluation.swdyn", cell_ran)
+    spec, h = _tiny_sweep_args()
+    for bad, match in ((-1, "^seed must be >= 0, got -1$"), (0.5, "^seed must be an integer")):
+        with pytest.raises(ValueError, match=match):
+            sweep("rank", [1], spec, h, seed=bad, repeats=2, methods=("cpd",))
 
 
 def test_sweep_timing_records_wall_clock(monkeypatch):

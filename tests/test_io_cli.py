@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgd import cli, io_dgt
+from dgd import cli, evaluation, io_dgt
 from dgd.baselines import METHODS
 from dgd.cli import HISTORY_HEADER, main
 from dgd.io_dgt import KINDS, DgtError, DgtSlices, load_dgt, save_dgt
@@ -336,7 +336,7 @@ def test_generate_decompose_evaluate_smoke(tmp_path, capsys):
     history = (out / "history.csv").read_text(encoding="utf-8").splitlines()
     assert history[0] == HISTORY_HEADER
     assert len(history) == 1 + 4
-    assert all(len(line.split(",")) == 8 for line in history[1:])
+    assert all(len(line.split(",")) == 9 for line in history[1:])
 
     capsys.readouterr()
     code = main(
@@ -354,6 +354,23 @@ def test_generate_decompose_evaluate_smoke(tmp_path, capsys):
     }
     assert len(report["per_component_re"]) == 2
     assert report["re"] >= 0.0
+
+
+def test_history_terms_add_up_to_total_with_ridge_a(tmp_path):
+    data = _generate(tmp_path)
+    cfg = _write_json(tmp_path / "cfg.json", {"inner_iters": 3, "outer_iters": 3, "eta": 2.0})
+    out = tmp_path / "fit"
+    code = main(["decompose", "--adj", str(data / "adjacency.dgt"), "--mask", str(data / "mask.dgt"),
+                 "--signals", str(data / "signals.dgt"), "--config", cfg, "--out-dir", str(out),
+                 "--seed", "1"])
+    assert code == 0
+    header, *rows = (out / "history.csv").read_text(encoding="utf-8").splitlines()
+    assert header.split(",")[-1] == "ridge_a"
+    for row in rows:
+        _, total, *terms = (float(v) for v in row.split(","))
+        assert terms[-1] > 0.0
+        # the terms in the order ObjectiveBreakdown.build adds them, so the sum is exact
+        assert sum(terms) == total
 
 
 @pytest.mark.parametrize("method", ["nsdgd", "unc", "cpd"])
@@ -906,6 +923,19 @@ def test_sweep_cli_rejects_bad_repeats_and_observed_frac(tmp_path, capsys, flag,
     assert f"dgd: error: {name}" in err
     if name == "observed_frac":
         assert "observed fraction must lie in (0, 1]" in err
+    assert not out.exists()
+
+
+def test_sweep_cli_rejects_negative_seed_before_any_cell(tmp_path, capsys, monkeypatch):
+    def cell_ran(*args):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr(evaluation, "swdyn", cell_ran)
+    out = tmp_path / "r.csv"
+    code = main(["sweep", "--kind", "rank", "--grid", "1", "--out", str(out), "--seed", "-1",
+                 "--repeats", "2", "--methods", "cpd"])
+    assert code == 1
+    assert "dgd: error: --seed must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -17,7 +17,7 @@ from helpers import pairwise_z, planted_decomposition
 def test_cache_matches_pairwise_distance_loop():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((3, 4, 2))
-    z = build_cache(x).z_rows
+    z = build_cache(x)
     rows, cols = np.triu_indices(4, 1)
     # the pairs i < j row by row, then the diagonal, whose distances are 0
     pairs = list(zip(rows, cols)) + [(i, i) for i in range(4)]
@@ -31,7 +31,7 @@ def test_cache_single_channel_example():
     # two nodes with signals 0 and 1: squared distance 1 off the diagonal
     x = np.array([[[0.0], [1.0]]])
     cache = build_cache(x)
-    assert cache.z_rows.tolist() == [[1.0, 0.0, 0.0]]
+    assert cache.tolist() == [[1.0, 0.0, 0.0]]
 
 
 def test_cache_invariants():
@@ -39,9 +39,9 @@ def test_cache_invariants():
     x = rng.standard_normal((2, 5, 3)) * 4.0
     cache = build_cache(x)
     # the packed rows hold all of the symmetric Z: 10 pairs, then a zero diagonal
-    assert cache.z_rows.shape == (2, 15)
-    assert np.all(cache.z_rows >= 0.0)
-    assert np.all(cache.z_rows[:, 10:] == 0.0)
+    assert cache.shape == (2, 15)
+    assert np.all(cache >= 0.0)
+    assert np.all(cache[:, 10:] == 0.0)
 
 
 def _batched_cache(x):
@@ -67,7 +67,7 @@ def test_cache_equals_batched_formula(x):
     # bits as the batched formula, zero diagonal included, at the packed positions
     at = triangle(x.shape[1])[0]
     want = _batched_cache(x).reshape(len(x), -1)[:, at]
-    assert build_cache(x).z_rows.tobytes() == want.tobytes()
+    assert build_cache(x).tobytes() == want.tobytes()
 
 
 def test_cache_scratch_is_one_slice():
@@ -81,8 +81,8 @@ def test_cache_scratch_is_one_slice():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cache.z_rows.nbytes == t * n * (n + 1) // 2 * 8
-    assert peak <= cache.z_rows.nbytes + 4 * 8 * n * max(n, q)
+    assert cache.nbytes == t * n * (n + 1) // 2 * 8
+    assert peak <= cache.nbytes + 4 * 8 * n * max(n, q)
 
 
 def test_cache_rejects_non_tensor_input():
