@@ -87,7 +87,7 @@ def unc_solve(adj, mask, n_latents, iters=50, seed=0):
 
 
 def nsdgd(adj, mask, signals, h, seed):
-    """The full solver with the signal smoothness coupling disabled."""
+    """The full solver with the signal coupling (delta) turned off."""
     return run_dgd(adj, mask, None, h.replace(delta=0.0), seed)
 
 
@@ -127,26 +127,22 @@ def _cp_reconstruct(u, v, w):
     return (w @ _khatri_rao(u, v).T).reshape(len(w), len(u), len(v))
 
 
-def cpd_als(tensor, rank, iters=60, seed=0, _retry=True):
+def cpd_als(tensor, rank, iters=60, seed=0):
     """Unconstrained CP decomposition of a (T, N, N) stack by ALS.
 
     Every contraction is a matrix product on a matricization of X (Kolda &
-    Bader 2009, sec. 3.4): the temporal MTTKRP is X_(T) (u kr v), with X_(T)
+    Bader 2009, sec. 3.4): the time-mode MTTKRP is X_(T) (u kr v), with X_(T)
     the (T, N^2) reshape and kr the Khatri-Rao product; the node-mode MTTKRPs
     contract the batched products X_t v and X_t' u with w over t; the
     reconstruction is w (u kr v)', reshaped to (T, N, N).
 
     Factor columns of the two node modes are renormalized each iteration with
-    the scale pushed into the temporal mode. A non-finite iterate triggers one
+    the scale pushed into the time mode. A non-finite iterate triggers one
     restart from seed + 1, then NumericalAbort. Returns ((u, v, w), fit
     history) with fit = 0.5 ||X - recon||_F^2 per iteration.
     """
     x = np.asarray(tensor, dtype=np.float64)
     t, n = x.shape[0], x.shape[1]
-    rng = np.random.default_rng(seed)
-    u = rng.random((n, rank))
-    v = rng.random((n, rank))
-    w = rng.random((t, rank))
     def _solve(g, rhs, like):
         # lstsq chokes on non-finite input (and can fail to converge even on
         # finite input); either way the iterate is dead, signal with NaN
@@ -157,34 +153,39 @@ def cpd_als(tensor, rank, iters=60, seed=0, _retry=True):
         except np.linalg.LinAlgError:
             return np.full_like(like, np.nan)
 
-    fits = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(iters):
-            u = _solve((v.T @ v) * (w.T @ w), _mttkrp_rows(x, v, w), u)
-            v = _solve((u.T @ u) * (w.T @ w), _mttkrp_rows(x.transpose(0, 2, 1), u, w), v)
-            w = _solve((u.T @ u) * (v.T @ v), _mttkrp_time(x, u, v), w)
-            nu = np.linalg.norm(u, axis=0)
-            nv = np.linalg.norm(v, axis=0)
-            scale_u = np.where(nu > 0, nu, 1.0)
-            scale_v = np.where(nv > 0, nv, 1.0)
-            u = u / scale_u
-            v = v / scale_v
-            w = w * (scale_u * scale_v)
-            if not (
-                np.all(np.isfinite(u)) and np.all(np.isfinite(v)) and np.all(np.isfinite(w))
-            ):
-                if _retry:
-                    return cpd_als(tensor, rank, iters=iters, seed=seed + 1, _retry=False)
-                raise NumericalAbort("cpd: factors went non-finite twice")
-            buf = _cp_reconstruct(u, v, w)
-            np.subtract(x, buf, out=buf)
-            np.square(buf, out=buf)
-            fits.append(0.5 * float(np.sum(buf)))
-    return (u, v, w), fits
+    for start in (seed, seed + 1):
+        rng = np.random.default_rng(start)
+        u = rng.random((n, rank))
+        v = rng.random((n, rank))
+        w = rng.random((t, rank))
+        fits = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(iters):
+                u = _solve((v.T @ v) * (w.T @ w), _mttkrp_rows(x, v, w), u)
+                v = _solve((u.T @ u) * (w.T @ w), _mttkrp_rows(x.transpose(0, 2, 1), u, w), v)
+                w = _solve((u.T @ u) * (v.T @ v), _mttkrp_time(x, u, v), w)
+                nu = np.linalg.norm(u, axis=0)
+                nv = np.linalg.norm(v, axis=0)
+                scale_u = np.where(nu > 0, nu, 1.0)
+                scale_v = np.where(nv > 0, nv, 1.0)
+                u = u / scale_u
+                v = v / scale_v
+                w = w * (scale_u * scale_v)
+                if not (
+                    np.all(np.isfinite(u)) and np.all(np.isfinite(v)) and np.all(np.isfinite(w))
+                ):
+                    break
+                buf = _cp_reconstruct(u, v, w)
+                np.subtract(x, buf, out=buf)
+                np.square(buf, out=buf)
+                fits.append(0.5 * float(np.sum(buf)))
+            else:
+                return (u, v, w), fits
+    raise NumericalAbort("cpd: factors went non-finite twice")
 
 
 def cpd_to_decomposition(u, v, w):
-    """Symmetrize CP factors into latent graphs plus temporal signatures."""
+    """Symmetrize CP factors into latent graphs plus their signatures over time."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -192,12 +193,6 @@ def cpd_to_decomposition(u, v, w):
         np.einsum("if,jf->fij", u, v) + np.einsum("if,jf->fij", v, u)
     )
     return Decomposition(latents, w.copy())
-
-
-def _fit_only(fits):
-    """One breakdown per fit value, with every prior term 0."""
-    zero = dict.fromkeys(("sparsity", "smoothness", "temporal", "overlap", "ridge_c"), 0.0)
-    return [ObjectiveBreakdown.build(fit=f, **zero) for f in fits]
 
 
 def _dgd(adj, mask, signals, h, seed):
@@ -212,14 +207,14 @@ def _nsdgd(adj, mask, signals, h, seed):
 
 def _unc(adj, mask, signals, h, seed):
     d, fits = unc_solve(adj, mask, h.n_latents, seed=seed)
-    return d, _fit_only(fits)
+    return d, [ObjectiveBreakdown(fit=f) for f in fits]
 
 
 def _cpd(adj, mask, signals, h, seed):
     observed = FitData.build(adj, mask, Hyperparams()).dense_target()
     rank = cpd_rank_for(observed.shape[1], observed.shape[0], h.n_latents)
     (u, v, w), fits = cpd_als(observed, rank, seed=seed)
-    return cpd_to_decomposition(u, v, w), _fit_only(fits)
+    return cpd_to_decomposition(u, v, w), [ObjectiveBreakdown(fit=f) for f in fits]
 
 
 # adapter(adj, mask, signals, h, seed) -> (Decomposition, [ObjectiveBreakdown])

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage or input errors, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -23,9 +24,9 @@ from .evaluation import (
     sweep as run_sweep,
 )
 from .io_dgt import DgtSlices, load_dgt, save_dgt
-from .model import Decomposition, Hyperparams, NumericalAbort, check_number
+from .model import OBJECTIVE_TERMS, Decomposition, Hyperparams, NumericalAbort, check_number
 
-HISTORY_HEADER = "iter,total,fit,sparsity,smoothness,temporal,overlap,ridge_c,ridge_a"
+HISTORY_HEADER = ",".join(("iter", "total", *OBJECTIVE_TERMS))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,7 +113,7 @@ def _cmd_evaluate(args):
                 f"{name} holds a {shape} stack but truth {args.truth} holds {truth.shape}"
             )
     report = component_analysis(d, truth, mask, threshold=args.threshold)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False))
+    print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 

@@ -25,6 +25,8 @@ class UndefinedMetricError(ValueError):
 
 @dataclass
 class EvalReport:
+    """Held-out scores; `dgd evaluate` prints dataclasses.asdict of it as JSON."""
+
     re: float
     f1: float
     precision: float
@@ -32,17 +34,6 @@ class EvalReport:
     threshold: float
     per_component_re: list = field(default_factory=list)
     per_component_f1: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "re": self.re,
-            "f1": self.f1,
-            "precision": self.precision,
-            "recall": self.recall,
-            "threshold": self.threshold,
-            "per_component_re": list(self.per_component_re),
-            "per_component_f1": list(self.per_component_f1),
-        }
 
 
 def complement_mask(mask):
@@ -72,6 +63,8 @@ def default_edge_threshold(truth, mask):
     """Half the mean of the positive observed truth entries."""
     truth = np.asarray(truth, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
+    if mask.shape != truth.shape:
+        raise ValueError(f"mask is {mask.shape} but truth is {truth.shape}")
     vals = truth[(mask > 0) & (truth > 0)]
     if vals.size == 0:
         raise UndefinedMetricError("no positive observed truth entries to set a threshold")
@@ -102,6 +95,8 @@ class _HeldOut:
     def __init__(self, truth, holdout):
         truth = np.asarray(truth, dtype=np.float64)
         sel = np.asarray(holdout)
+        if sel.shape != truth.shape:
+            raise ValueError(f"holdout is {sel.shape} but truth is {truth.shape}")
         self.sel = sel if sel.dtype == np.bool_ else sel > 0
         self.shape = truth.shape
         self.truth = truth[self.sel]

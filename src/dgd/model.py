@@ -170,24 +170,28 @@ class Hyperparams:
 
 @dataclass
 class ObjectiveBreakdown:
-    """Objective value split by term, hyperparameter weights applied."""
+    """Objective value split by term, hyperparameter weights applied.
+
+    The one list of the objective's terms (OBJECTIVE_TERMS, the history.csv
+    columns); a fit-only method leaves all but `fit` at 0. `total` is no
+    parameter: construction, dataclasses.replace included, sets it to the sum
+    of the terms in declaration order.
+    """
 
     fit: float
-    sparsity: float
-    smoothness: float
-    temporal: float
-    overlap: float
-    ridge_c: float
+    sparsity: float = 0.0
+    smoothness: float = 0.0
+    temporal: float = 0.0
+    overlap: float = 0.0
+    ridge_c: float = 0.0
     ridge_a: float = 0.0
-    total: float = field(default=0.0)
+    total: float = field(init=False)
 
-    @classmethod
-    def build(cls, **terms):
-        b = cls(**terms)
-        b.total = (
-            b.fit + b.sparsity + b.smoothness + b.temporal + b.overlap + b.ridge_c + b.ridge_a
-        )
-        return b
+    def __post_init__(self):
+        self.total = sum((getattr(self, name) for name in OBJECTIVE_TERMS[1:]), self.fit)
+
+
+OBJECTIVE_TERMS = tuple(f.name for f in fields(ObjectiveBreakdown) if f.init)
 
 
 def reconstruct(d, t=None):
@@ -216,22 +220,17 @@ def objective(d, fit, cache, h, stats=None):
         )
     if stats is None:
         stats = fit.c_stats(d.latents, cache if h.delta != 0.0 else None)
-    sparsity = h.gamma * float(d.latents.sum())
     smoothness = 0.0
     if h.delta != 0.0:
         smoothness = h.delta * (0.5 * float(np.sum(d.signatures * stats.traces)))
-    temporal = h.mu * priors.temporal_pi(d.signatures)
-    overlap = h.beta * priors.overlap_h(d.latents)
-    ridge_c = 0.5 * h.rho * float(np.sum(d.signatures**2))
-    ridge_a = 0.5 * h.eta * float(np.sum(d.latents**2)) if h.eta else 0.0
-    return ObjectiveBreakdown.build(
+    return ObjectiveBreakdown(
         fit=fit.value(d.signatures, d.latents, stats),
-        sparsity=sparsity,
+        sparsity=h.gamma * float(d.latents.sum()),
         smoothness=smoothness,
-        temporal=temporal,
-        overlap=overlap,
-        ridge_c=ridge_c,
-        ridge_a=ridge_a,
+        temporal=h.mu * priors.temporal_pi(d.signatures),
+        overlap=h.beta * priors.overlap_h(d.latents),
+        ridge_c=0.5 * h.rho * float(np.sum(d.signatures**2)),
+        ridge_a=0.5 * h.eta * float(np.sum(d.latents**2)) if h.eta else 0.0,
     )
 
 
@@ -260,9 +259,10 @@ def degree_margin(d, zeta):
     """Per (t, i) slack of the minimum-degree constraint.
 
     Entry (t, i) is the reconstructed degree of node i at time t minus zeta;
-    the constraint holds iff all entries are nonnegative.
+    the constraint holds iff all entries are nonnegative. The degrees are
+    C (A_r 1), O(T N R) with no (T, N, N) reconstruction.
     """
-    return reconstruct(d).sum(axis=2) - zeta
+    return d.signatures @ d.latents.sum(axis=2) - zeta
 
 
 @dataclass

@@ -6,6 +6,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
+from dgd import baselines
 from dgd.baselines import (
     METHODS,
     cpd_als,
@@ -134,6 +135,23 @@ def test_cpd_aborts_after_one_restart_on_overflow():
     tensor = np.full((3, 4, 4), 1e300)
     with pytest.raises(NumericalAbort):
         cpd_als(tensor, rank=2, iters=10, seed=0)
+
+
+def test_cpd_restarts_once_from_the_next_seed(monkeypatch):
+    x = np.random.default_rng(4).random((5, 6, 6))
+    want = cpd_als(x, 3, iters=10, seed=8)
+    real, calls = baselines._mttkrp_time, []
+
+    def dies_once(*args):
+        calls.append(1)
+        out = real(*args)
+        return out * np.nan if len(calls) == 3 else out
+
+    monkeypatch.setattr(baselines, "_mttkrp_time", dies_once)
+    (u, v, w), fits = cpd_als(x, 3, iters=10, seed=7)
+    assert len(calls) == 3 + 10
+    assert all(np.array_equal(a, b) for a, b in zip((u, v, w), want[0]))
+    assert fits == want[1]
 
 
 def test_cpd_to_decomposition_symmetrizes():

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 
@@ -141,6 +142,32 @@ def test_estimate_of_another_shape_names_both_shapes():
         edge_scores(est, truth, holdout, 0.5)
     with pytest.raises(ValueError, match=match):
         evaluate(est, truth, mask, threshold=0.5)
+
+
+@pytest.mark.parametrize("score", ["relative_error", "edge_scores", "evaluate"])
+@pytest.mark.parametrize(
+    "truth_shape,holdout_shape", [((2, 3, 3), (2, 3, 4)), ((3, 3, 3), (3, 3))], ids=["wider", "2d"]
+)
+def test_holdout_of_another_shape_names_both_shapes(score, truth_shape, holdout_shape):
+    # a (3, 3) holdout would otherwise select along the first two axes and score RE 1.0
+    truth, holdout = np.ones(truth_shape), np.ones(holdout_shape)
+    calls = {
+        "relative_error": lambda: relative_error(truth, truth, holdout),
+        "edge_scores": lambda: edge_scores(truth, truth, holdout, 0.5),
+        "evaluate": lambda: evaluate(truth, truth, 1.0 - holdout, threshold=0.5),
+    }
+    match = rf"^holdout is {re.escape(str(holdout_shape))} but truth is {re.escape(str(truth_shape))}$"
+    with pytest.raises(ValueError, match=match):
+        calls[score]()
+
+
+def test_default_threshold_of_another_shape_names_both_shapes():
+    # a (3, 3) mask would otherwise broadcast against the stack
+    match = r"^mask is \(3, 3\) but truth is \(3, 3, 3\)$"
+    with pytest.raises(ValueError, match=match):
+        default_edge_threshold(np.ones((3, 3, 3)), np.ones((3, 3)))
+    with pytest.raises(ValueError, match=match):
+        evaluate(np.ones((3, 3, 3)), np.ones((3, 3, 3)), np.zeros((3, 3)))
 
 
 def test_default_threshold_is_half_mean_positive_observed():

@@ -10,10 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from dgd import cli, evaluation, io_dgt
 from dgd.baselines import METHODS
-from dgd.cli import HISTORY_HEADER, main
+from dgd.cli import main
 from dgd.io_dgt import KINDS, DgtError, DgtSlices, load_dgt, save_dgt
 
 from helpers import set_cpus
+
+# the file format, written out: cli derives its header from ObjectiveBreakdown's fields
+HISTORY_LINE = "iter,total,fit,sparsity,smoothness,temporal,overlap,ridge_c,ridge_a"
 
 
 def _header_and_payload(path):
@@ -334,7 +337,7 @@ def test_generate_decompose_evaluate_smoke(tmp_path, capsys):
     latents, _ = load_dgt(out / "latents.dgt")
     assert latents.shape == (2, 8, 8)
     history = (out / "history.csv").read_text(encoding="utf-8").splitlines()
-    assert history[0] == HISTORY_HEADER
+    assert history[0] == HISTORY_LINE
     assert len(history) == 1 + 4
     assert all(len(line.split(",")) == 9 for line in history[1:])
 
@@ -369,7 +372,7 @@ def test_history_terms_add_up_to_total_with_ridge_a(tmp_path):
     for row in rows:
         _, total, *terms = (float(v) for v in row.split(","))
         assert terms[-1] > 0.0
-        # the terms in the order ObjectiveBreakdown.build adds them, so the sum is exact
+        # the terms in the order ObjectiveBreakdown declares and adds them, so the sum is exact
         assert sum(terms) == total
 
 
@@ -391,7 +394,7 @@ def test_decompose_runs_every_method(tmp_path, method):
     )
     assert code == 0
     history = (out / "history.csv").read_text(encoding="utf-8").splitlines()
-    assert history[0] == HISTORY_HEADER
+    assert history[0] == HISTORY_LINE
     assert len(history) > 1
     load_dgt(out / "latents.dgt")
     load_dgt(out / "signatures.dgt")

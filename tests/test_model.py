@@ -1,5 +1,8 @@
 """Value types, objective terms, projections."""
 
+import dataclasses
+import tracemalloc
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -279,8 +282,27 @@ def test_degree_margin_hand_oracle():
     assert np.allclose(margin, want)
 
 
-def test_breakdown_build_totals():
-    bd = ObjectiveBreakdown.build(
+def test_degree_margin_holds_no_reconstruction():
+    # C (A_r 1) needs (T, N) and (R, N) buffers, far below one (T, N, N) stack
+    rng = np.random.default_rng(3)
+    d = Decomposition(rng.random((2, 150, 150)), rng.random((60, 2)))
+    want = reconstruct(d).sum(axis=2) - 0.1
+    tracemalloc.start()
+    try:
+        margin = degree_margin(d, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.allclose(margin, want)
+    assert peak <= 0.1 * (d.n_steps * d.n_nodes * d.n_nodes * 8)
+
+
+def test_breakdown_total_is_the_sum_of_its_terms():
+    bd = ObjectiveBreakdown(
         fit=1.0, sparsity=0.5, smoothness=0.25, temporal=2.0, overlap=0.125, ridge_c=1.0, ridge_a=0.5
     )
     assert bd.total == 5.375
+    assert dataclasses.replace(bd, fit=3.0).total == 7.375
+    assert ObjectiveBreakdown(fit=2.5).total == 2.5
+    with pytest.raises(TypeError):
+        ObjectiveBreakdown(fit=1.0, total=9.0)
