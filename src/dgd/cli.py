@@ -37,9 +37,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load_json(path):
+# the JSON type that json.load decodes to each Python type
+_JSON_TYPES = {list: "an array", str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
+
+
+def _load_json(path, flag):
+    """The JSON object in the file at path; ValueError naming flag, the path and
+    the JSON type found when the file holds anything else."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{flag} {path} must hold a JSON object, found {_JSON_TYPES[type(cfg)]}")
+    return cfg
 
 
 def _write_history_csv(path, breakdowns):
@@ -52,7 +62,7 @@ def _write_history_csv(path, breakdowns):
 
 
 def _cmd_generate(args):
-    cfg = _load_json(args.spec) if args.spec else {}
+    cfg = _load_json(args.spec, "--spec") if args.spec else {}
     observed_frac = observed_fraction(cfg.pop("observed_frac", 1.0), "observed_frac")
     cfg.pop("seed", None)
     cfg["seed"] = args.seed
@@ -80,7 +90,7 @@ def _cmd_decompose(args):
         adj = files.enter_context(DgtSlices(args.adj, "adjacency"))
         mask = files.enter_context(DgtSlices(args.mask, "mask"))
         signals = files.enter_context(DgtSlices(args.signals, "signals")) if args.signals else None
-        h = Hyperparams.from_dict(_load_json(args.config) if args.config else {})
+        h = Hyperparams.from_dict(_load_json(args.config, "--config") if args.config else {})
         d, breakdowns = METHODS[args.method](adj, mask, signals, h, args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -137,11 +147,11 @@ def _parse_grid(text, kind):
 
 def _cmd_sweep(args):
     check_number("--seed", args.seed, integer=True, low=0)
-    spec_cfg = _load_json(args.spec) if args.spec else {}
+    spec_cfg = _load_json(args.spec, "--spec") if args.spec else {}
     spec_cfg.pop("observed_frac", None)
     spec_cfg.pop("seed", None)
     spec = SwDynSpec.from_dict(spec_cfg)
-    h = Hyperparams.from_dict(_load_json(args.config) if args.config else {})
+    h = Hyperparams.from_dict(_load_json(args.config, "--config") if args.config else {})
     grid = _parse_grid(args.grid, args.kind)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     frac = {}

@@ -115,7 +115,8 @@ def smooth_signals(adjacency, n_signals, alpha, seed):
     """Low-pass filter white noise through one graph's Laplacian.
 
     Returns (N, Q) with X = (I + alpha L)^{-1} W, W ~ N(0, 1) and
-    L = diag(A 1) - A. The system is positive definite for any alpha >= 0.
+    L = diag(A 1) - A, formed as the inverse times W (:func:`_low_pass`).
+    The system is positive definite for any alpha >= 0.
     """
     adjacency = np.asarray(adjacency, dtype=np.float64)
     white = np.random.default_rng(seed).standard_normal((adjacency.shape[0], n_signals))
@@ -123,9 +124,17 @@ def smooth_signals(adjacency, n_signals, alpha, seed):
 
 
 def _low_pass(adjacency, alpha, white):
-    """(I + alpha L)^{-1} white for the Laplacian L of one adjacency."""
+    """(I + alpha L)^{-1} white for the Laplacian L of one adjacency.
+
+    The inverse is formed, then multiplied into the (N, Q) white noise:
+    2 N^3 + 2 N^2 Q flops against a solve's 2/3 N^3 + 2 N^2 Q, but the
+    product runs as one matrix product, several times faster per flop than a
+    solve's triangular sweeps. It wins once Q is above about 1.2 N; with
+    Q much below N it costs up to ~5x a solve (N = 240, Q = 1). The system
+    is symmetric positive definite, so both agree to rounding.
+    """
     lap = np.diag(adjacency.sum(axis=1)) - adjacency
-    return np.linalg.solve(np.eye(adjacency.shape[0]) + alpha * lap, white)
+    return np.linalg.inv(np.eye(adjacency.shape[0]) + alpha * lap) @ white
 
 
 def observed_fraction(value, name):
@@ -180,12 +189,12 @@ def swdyn(spec):
 
     Every step's white noise is drawn in the calling thread, from the one
     seeded stream in step order, straight into the signal stack. The
-    per-step filter solves run on a thread pool, one thread per CPU left to
-    this process and at most T (worker_count), each overwriting its own step.
-    The solves and the draws release the GIL, so drawing one step overlaps
-    the solves of earlier ones. With one worker the solves run in the
-    calling thread. Either way the output is the same bytes, and no thread
-    outlives the call.
+    per-step filters (:func:`_low_pass`) run on a thread pool, one thread
+    per CPU left to this process and at most T (worker_count), each
+    overwriting its own step. The filters and the draws release the GIL, so
+    drawing one step overlaps the filters of earlier ones. With one worker
+    the filters run in the calling thread. Either way the output is the same
+    bytes, and no thread outlives the call.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)

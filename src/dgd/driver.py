@@ -19,7 +19,7 @@ import numpy as np
 
 from .admm_a import solve_a_subproblem
 from .admm_c import solve_c_subproblem
-from .model import Decomposition, NumericalAbort, objective, project_sa
+from .model import Decomposition, NumericalAbort, degree_margin, objective, project_sa
 from .priors import build_cache
 from .tensors import FitData, as_stack
 
@@ -30,12 +30,16 @@ class RunHistory:
 
     breakdowns holds one ObjectiveBreakdown per outer iteration;
     a_residuals[i][r] and c_residuals[i] are the final ADMM primal residuals
-    of iteration i; status is one of running/converged/max_iters/aborted.
+    of iteration i; min_degree_margin[i] is the least entry of
+    model.degree_margin after iteration i's C step, negative when the
+    minimum-degree constraint is violated; status is one of
+    running/converged/max_iters/aborted.
     """
 
     breakdowns: list = field(default_factory=list)
     a_residuals: list = field(default_factory=list)
     c_residuals: list = field(default_factory=list)
+    min_degree_margin: list = field(default_factory=list)
     seconds: list = field(default_factory=list)
     status: str = "running"
     zero_observation_steps: list = field(default_factory=list)
@@ -142,6 +146,7 @@ def run_dgd(adj, mask, signals, h, seed):
         history.breakdowns.append(bd)
         history.a_residuals.append(a_res)
         history.c_residuals.append(c_res)
+        history.min_degree_margin.append(float(degree_margin(d, h.zeta).min()))
         history.seconds.append(perf_counter() - t0)
         if prev_total is None:
             rel = float("inf")

@@ -83,13 +83,18 @@ def edge_scores(est, truth, holdout, threshold):
 
 
 class _HeldOut:
-    """The held-out entries of one truth tensor, those where holdout > 0.
+    """The held-out entries of one truth stack, those where holdout > 0.
 
-    The truth is gathered once into a vector, with its squared norm and its
-    edges. Each estimate is gathered once by the same selection, and its RE
-    and edge scores read that one vector; whatever the other entries hold
-    (NaN included) is never read. Squares are summed by numpy's own
-    summation, so no score depends on the BLAS thread count.
+    The selection is held as FitData holds Y's entries: the flat position
+    within its slice of each held-out entry, slice by slice (int32 when a
+    slice has under 2^31 entries), and the (T + 1,) offsets at which each
+    slice's run starts. The truth is gathered once into a vector, with its
+    squared norm and its edges. An estimate is gathered by the same
+    positions, one slice at a time, and a rank-one component is formed at
+    those positions only (:meth:`component`). Every score reads one such
+    vector, so whatever the other entries hold (NaN included) is never read.
+    Squares are summed by numpy's own summation, so no score depends on the
+    BLAS thread count.
     """
 
     def __init__(self, truth, holdout):
@@ -97,17 +102,42 @@ class _HeldOut:
         sel = np.asarray(holdout)
         if sel.shape != truth.shape:
             raise ValueError(f"holdout is {sel.shape} but truth is {truth.shape}")
-        self.sel = sel if sel.dtype == np.bool_ else sel > 0
         self.shape = truth.shape
-        self.truth = truth[self.sel]
+        sel = (sel if sel.dtype == np.bool_ else sel > 0).reshape(len(sel), -1)
+        self.starts = np.concatenate([[0], np.cumsum(np.count_nonzero(sel, axis=1))])
+        index = np.int32 if sel.shape[1] < 2**31 else np.int64
+        self.positions = np.empty(self.starts[-1], dtype=index)
+        for t, _, run in self._runs():
+            self.positions[run] = np.flatnonzero(sel[t])
+        self.truth = self.gather(truth)
         self.norm = float(np.sum(np.square(self.truth)))
         self.edges = self.truth > 0
+        self.n_edges = int(np.count_nonzero(self.edges))
+
+    def _runs(self):
+        """(t, positions of slice t, its run's slice of a gathered vector) per slice."""
+        for t, (lo, hi) in enumerate(zip(self.starts[:-1], self.starts[1:])):
+            yield t, self.positions[lo:hi], slice(lo, hi)
 
     def gather(self, est):
         est = np.asarray(est, dtype=np.float64)
         if est.shape != self.shape:
             raise ValueError(f"estimate is {est.shape} but truth is {self.shape}")
-        return est[self.sel]
+        x = np.empty(self.positions.size)
+        for t, at, run in self._runs():
+            # every position lies within its slice, so no bounds check is
+            # needed; the checking mode would buffer each run before writing it
+            np.take(est[t], at, out=x[run], mode="clip")
+        return x
+
+    def component(self, signature, latent):
+        """The held-out entries of the rank-one stack signature[t] latent:
+        latent at every held-out position, each slice's run scaled by its
+        signature entry."""
+        x = np.take(latent, self.positions)
+        for t, _, run in self._runs():
+            x[run] *= signature[t]
+        return x
 
     def relative_error(self, x):
         if self.norm == 0.0:
@@ -118,18 +148,17 @@ class _HeldOut:
     def edge_scores(self, x, threshold):
         check_number("threshold", threshold, low=0, strict=True)
         pred = x > threshold
-        n_real = int(self.edges.sum())
-        if n_real == 0:
+        if self.n_edges == 0:
             raise UndefinedMetricError("holdout contains no truth edges; recall is undefined")
-        n_pred = int(pred.sum())
-        tp = int((pred & self.edges).sum())
+        n_pred = int(np.count_nonzero(pred))
+        tp = int(np.count_nonzero(pred & self.edges))
         precision = tp / n_pred if n_pred > 0 else 0.0
-        recall = tp / n_real
+        recall = tp / self.n_edges
         f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
         return precision, recall, f1
 
-    def report(self, est, threshold):
-        x = self.gather(est)
+    def report(self, x, threshold):
+        """EvalReport of the gathered held-out entries x."""
         re = self.relative_error(x)
         precision, recall, f1 = self.edge_scores(x, threshold)
         return EvalReport(re=re, f1=f1, precision=precision, recall=recall, threshold=threshold)
@@ -139,17 +168,19 @@ def evaluate(est, truth, mask, threshold=None):
     """Score an estimated tensor against the truth on unobserved entries."""
     if threshold is None:
         threshold = default_edge_threshold(truth, mask)
-    return _HeldOut(truth, _unobserved(mask)).report(est, threshold)
+    held = _HeldOut(truth, _unobserved(mask))
+    return held.report(held.gather(est), threshold)
 
 
 def component_analysis(d, truth, mask, threshold=None):
     """Score the combined reconstruction and each rank-one component alone.
 
     Component r is scored as the tensor outer(C[:, r], A_r) against the full
-    truth, so the per-component errors show how much each latent explains.
-    The mask must be binary and symmetric, and the truth and the
-    reconstruction finite everywhere (ValueError naming the (t, i, j)
-    otherwise), so every score is a finite number.
+    truth, so the per-component errors show how much each latent explains;
+    it is formed at the held-out entries only. The mask must be binary and
+    symmetric, and the truth and the reconstruction finite everywhere
+    (ValueError naming the (t, i, j) otherwise), so every score is a finite
+    number.
     """
     truth = np.asarray(truth, dtype=np.float64)
     check_mask(mask)
@@ -159,9 +190,9 @@ def component_analysis(d, truth, mask, threshold=None):
     if threshold is None:
         threshold = default_edge_threshold(truth, mask)
     held = _HeldOut(truth, _unobserved(mask))
-    report = held.report(est, threshold)
+    report = held.report(held.gather(est), threshold)
     for r in range(d.n_latents):
-        part = held.report(np.einsum("t,ij->tij", d.signatures[:, r], d.latents[r]), threshold)
+        part = held.report(held.component(d.signatures[:, r], d.latents[r]), threshold)
         report.per_component_re.append(part.re)
         report.per_component_f1.append(part.f1)
     return report

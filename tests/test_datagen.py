@@ -5,12 +5,15 @@ import sys
 import threading
 import tracemalloc
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgd.datagen import (
     SwDynSpec,
     _add_edge_noise,
+    _low_pass,
     mask_seed,
     sample_mask,
     sbm_graph,
@@ -121,6 +124,23 @@ def test_smooth_signals_quadratic_variation_decreases_with_alpha():
     assert qvs[2] <= _qv(white, g)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_low_pass_matches_the_solve_formula(data):
+    n = data.draw(st.integers(1, 60), label="n")
+    q = data.draw(st.integers(1, 3 * n), label="q")
+    alpha = data.draw(st.sampled_from([0.0, 50.0]) | st.floats(0.0, 50.0), label="alpha")
+    weights = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 5.0)
+    upper = np.triu(data.draw(hnp.arrays(np.float64, (n, n), elements=weights)), k=1)
+    adjacency = upper + upper.T
+    white = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((n, q))
+    lap = np.diag(adjacency.sum(axis=1)) - adjacency
+    want = np.linalg.solve(np.eye(n) + alpha * lap, white)
+    got = _low_pass(adjacency, alpha, white)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
 def test_sample_mask_boundaries():
     full = sample_mask(4, 3, 1.0, seed=0)
     assert np.array_equal(full, np.ones((3, 4, 4)))
@@ -208,7 +228,8 @@ def test_swdyn_noise_is_symmetric_hollow_and_optionally_clipped():
 
 def _serial_swdyn(spec):
     """swdyn by the plain formula: one stream, latents, then per step a
-    (N, Q) white-noise draw and its filter solve, then the edge noise."""
+    (N, Q) white-noise draw and its filter, the inverse of I + alpha L times
+    the draw, then the edge noise."""
     rng = np.random.default_rng(spec.seed)
     n, t, q = spec.n_nodes, spec.n_steps, spec.n_signals
     k1, k2 = spec.communities_start, spec.communities_end
@@ -224,7 +245,7 @@ def _serial_swdyn(spec):
     for k in range(t):
         white = rng.standard_normal((n, q))
         lap = np.diag(clean[k].sum(axis=1)) - clean[k]
-        signals.append(np.linalg.solve(np.eye(n) + spec.alpha * lap, white))
+        signals.append(np.linalg.inv(np.eye(n) + spec.alpha * lap) @ white)
     adj = clean
     if spec.noise_sigma > 0:
         noise = spec.noise_sigma * rng.standard_normal((t, n, n))
@@ -282,15 +303,15 @@ def test_swdyn_leaves_no_thread_behind(monkeypatch, cpus):
 @CPUS
 def test_swdyn_step_error_reaches_the_caller(monkeypatch, cpus):
     set_cpus(monkeypatch, cpus)
-    solve = np.linalg.solve
+    inv = np.linalg.inv
     calls = itertools.count()
 
-    def failing_solve(a, b):
+    def failing_inv(a):
         if next(calls) == 2:
             raise np.linalg.LinAlgError("step 2 is singular")
-        return solve(a, b)
+        return inv(a)
 
-    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    monkeypatch.setattr(np.linalg, "inv", failing_inv)
     before = threading.active_count()
     with pytest.raises(np.linalg.LinAlgError, match="^step 2 is singular$"):
         swdyn(SwDynSpec(n_nodes=8, n_steps=6, n_signals=4))
@@ -300,7 +321,7 @@ def test_swdyn_step_error_reaches_the_caller(monkeypatch, cpus):
 @CPUS
 def test_swdyn_peak_memory_is_the_outputs_plus_a_few_slices_per_worker(monkeypatch, cpus):
     # the signal stack is built in place: beyond the outputs, each worker
-    # holds only its solve's copies of one (N, Q) step and its N x N system
+    # holds only its filter's few N x N temporaries and one (N, Q) product
     set_cpus(monkeypatch, cpus)
     spec = SwDynSpec(n_nodes=60, n_steps=30, n_signals=200)
     swdyn(spec)  # first-call allocations stay out of the measurement

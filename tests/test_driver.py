@@ -89,6 +89,19 @@ def test_history_shapes_and_progress_lines(capfd):
     )
 
 
+def test_history_records_the_min_degree_margin_of_each_iteration():
+    adj, mask = _small_problem(5)
+    h = Hyperparams(delta=0.0, inner_iters=3, outer_iters=4, tol_outer=0.0, zeta=0.5)
+    _, hist = run_dgd(adj, mask, None, h, seed=3)
+    assert len(hist.min_degree_margin) == 4
+    for k, got in enumerate(hist.min_degree_margin, start=1):
+        # the same seed and k outer iterations give the iterate after iteration k
+        d, _ = run_dgd(adj, mask, None, h.replace(outer_iters=k), seed=3)
+        want = min(reconstruct(d)[t, i].sum() - h.zeta for t in range(6) for i in range(6))
+        assert type(got) is float
+        assert np.isclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 def test_convergence_needs_three_small_steps():
     adj, mask = _small_problem(4)
     # every relative change beats this tolerance, so the run stops after the

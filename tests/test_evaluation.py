@@ -1,8 +1,10 @@
 """Held-out metrics, component analysis, sweep harness."""
 
+import dataclasses
 import math
 import os
 import re
+import tracemalloc
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 
@@ -251,6 +253,78 @@ def test_component_analysis_single_latent_matches_combined():
     assert len(report.per_component_re) == 1
     assert np.isclose(report.per_component_re[0], report.re)
     assert np.isclose(report.per_component_f1[0], report.f1)
+
+
+def _plain_scores(est, truth, held, threshold):
+    """(re, f1, precision, recall) of est on the boolean selection held."""
+    x, y = est[held], truth[held]
+    re = float(np.sum(np.square(x - y))) / float(np.sum(np.square(y)))
+    pred, edges = x > threshold, y > 0
+    tp, n_pred, n_real = int((pred & edges).sum()), int(pred.sum()), int(edges.sum())
+    precision = tp / n_pred if n_pred else 0.0
+    recall = tp / n_real
+    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+    return re, f1, precision, recall
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_component_analysis_matches_the_plain_formula_bytes(data):
+    t = data.draw(st.integers(1, 4), label="t")
+    n = data.draw(st.integers(1, 5), label="n")
+    r = data.draw(st.integers(1, 3), label="r")
+    values = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 3.0)
+    latents = data.draw(hnp.arrays(np.float64, (r, n, n), elements=values))
+    signatures = data.draw(hnp.arrays(np.float64, (t, r), elements=values))
+    truth = data.draw(hnp.arrays(np.float64, (t, n, n), elements=values))
+    upper = np.triu(data.draw(hnp.arrays(np.bool_, (t, n, n))))
+    mask = (upper | upper.transpose(0, 2, 1)).astype(np.float64)
+    kind = data.draw(st.sampled_from(["random", "observed slices", "full holdout"]))
+    if kind == "observed slices":
+        # slices with nothing held out leave empty runs between the others
+        mask[data.draw(hnp.arrays(np.bool_, (t,)))] = 1.0
+    elif kind == "full holdout":
+        mask[:] = 0.0
+    threshold = data.draw(st.sampled_from([0.5, 1.0]) | st.floats(0.1, 2.0))
+    d = Decomposition(latents, signatures)
+
+    held = mask < 1.0
+    y = truth[held]
+    if np.sum(np.square(y)) == 0.0 or not np.any(y > 0):
+        # RE is checked first, then the edges
+        match = "zero norm" if np.sum(np.square(y)) == 0.0 else "no truth edges"
+        with pytest.raises(UndefinedMetricError, match=match):
+            component_analysis(d, truth, mask, threshold)
+        return
+    re, f1, precision, recall = _plain_scores(np.einsum("tr,rij->tij", signatures, latents),
+                                              truth, held, threshold)
+    parts = [_plain_scores(np.einsum("t,ij->tij", signatures[:, k], latents[k]), truth, held, threshold)
+             for k in range(r)]
+    want = {
+        "re": re, "f1": f1, "precision": precision, "recall": recall, "threshold": threshold,
+        "per_component_re": [p[0] for p in parts], "per_component_f1": [p[1] for p in parts],
+    }
+    got = dataclasses.asdict(component_analysis(d, truth, mask, threshold))
+    assert repr(got) == repr(want)
+
+
+def test_component_analysis_holds_no_component_stack():
+    # about half the entries held out. Beyond the inputs, the combined
+    # reconstruction (one stack), the held-out positions (int32) and a few
+    # vectors of the held-out entries (truth, estimate, difference) come to
+    # 2.8 stacks; a full (T, N, N) tensor per component beside them reaches 3.7
+    t, n = 10, 80
+    d = planted_decomposition(3, n=n, t=t, r=2)
+    truth = reconstruct(d) + 0.01
+    mask = symmetric_binary_mask(4, t, n, frac=0.3)
+    component_analysis(d, truth, mask)  # first-call allocations stay out of the measurement
+    tracemalloc.start()
+    try:
+        component_analysis(d, truth, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * truth.nbytes
 
 
 def test_component_analysis_time_localized_components():

@@ -688,6 +688,32 @@ def test_mistyped_generator_setting_exits_one(tmp_path, capsys, setting):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "payload,found",
+    [([1, 2], "an array"), ("x", "a string"), (3, "a number")],
+    ids=["array", "string", "number"],
+)
+def test_settings_file_that_is_not_an_object_exits_one(tmp_path, capsys, payload, found):
+    data = _generate(tmp_path / "ok")
+    capsys.readouterr()
+    path = _write_json(tmp_path / "bad.json", payload)
+    out = tmp_path / "out"
+    commands = {
+        "generate --spec": ["generate", "--spec", path, "--out-dir", str(out), "--seed", "0"],
+        "sweep --spec": ["sweep", "--kind", "rank", "--grid", "1", "--spec", path,
+                         "--out", str(out / "r.csv"), "--seed", "0", "--repeats", "1"],
+        "sweep --config": ["sweep", "--kind", "rank", "--grid", "1", "--config", path,
+                           "--out", str(out / "r.csv"), "--seed", "0", "--repeats", "1"],
+        "decompose --config": _decompose_args(data, out, config=path),
+    }
+    for name, argv in commands.items():
+        assert main(argv) == 1, name
+        flag = name.split()[1]
+        err = capsys.readouterr().err
+        assert f"dgd: error: {flag} {path} must hold a JSON object, found {found}" in err, name
+        assert not out.exists(), name
+
+
 def test_numerical_abort_exits_two(tmp_path, capsys):
     data = _generate(tmp_path)
     adj, _ = load_dgt(data / "adjacency.dgt")
