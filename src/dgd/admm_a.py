@@ -111,8 +111,6 @@ def default_step_a(d, r, fit, h):
     A bound that overflows aborts through :func:`model.step_from_bound`
     without numpy warnings.
     """
-    if h.step_a is not None:
-        return h.step_a
     with np.errstate(over="ignore", invalid="ignore"):
         c2 = d.signatures[:, r] ** 2
         lip = float(c2 @ fit.slice_max) + h.eta + h.lambda_a * d.n_nodes * float(np.sum(c2))

@@ -111,8 +111,6 @@ def default_step_c(ws, latents, fit, h):
     (:func:`priors.dtd_norm`). A bound that overflows aborts
     through :func:`model.step_from_bound` without numpy warnings.
     """
-    if h.step_c is not None:
-        return h.step_c
     with np.errstate(over="ignore", invalid="ignore"):
         stacked = latents.reshape(len(latents), -1)
         gram_norm = float(np.linalg.norm(stacked @ stacked.T, 2))

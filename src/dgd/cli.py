@@ -61,12 +61,24 @@ def _write_history_csv(path, breakdowns):
             fh.write(",".join([str(i), *(repr(float(getattr(b, c))) for c in terms)]) + "\n")
 
 
-def _cmd_generate(args):
+def _read_spec(args):
+    """The SwDynSpec of the --spec file (the defaults without one) seeded by
+    --seed, and the file's observed_frac (None when it holds none).
+
+    A seed in the file is an error naming --seed, the one place that sets it.
+    """
     cfg = _load_json(args.spec, "--spec") if args.spec else {}
-    observed_frac = observed_fraction(cfg.pop("observed_frac", 1.0), "observed_frac")
-    cfg.pop("seed", None)
-    cfg["seed"] = args.seed
-    spec = SwDynSpec.from_dict(cfg)
+    if "seed" in cfg:
+        raise ValueError(f"--spec {args.spec} sets seed; give the seed as --seed")
+    frac = cfg.pop("observed_frac", None)
+    if frac is not None:
+        frac = observed_fraction(frac, "observed_frac")
+    return SwDynSpec.from_dict({**cfg, "seed": args.seed}), frac
+
+
+def _cmd_generate(args):
+    spec, observed_frac = _read_spec(args)
+    observed_frac = 1.0 if observed_frac is None else observed_frac
     adj, signals, truth = swdyn(spec)
     mask = sample_mask(spec.n_nodes, spec.n_steps, observed_frac, mask_seed(args.seed, observed_frac))
     out = Path(args.out_dir)
@@ -147,19 +159,22 @@ def _parse_grid(text, kind):
 
 def _cmd_sweep(args):
     check_number("--seed", args.seed, integer=True, low=0)
-    spec_cfg = _load_json(args.spec, "--spec") if args.spec else {}
-    spec_cfg.pop("observed_frac", None)
-    spec_cfg.pop("seed", None)
-    spec = SwDynSpec.from_dict(spec_cfg)
+    spec, spec_frac = _read_spec(args)
     h = Hyperparams.from_dict(_load_json(args.config, "--config") if args.config else {})
     grid = _parse_grid(args.grid, args.kind)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     frac = {}
-    if args.observed_frac is not None:
+    for given, name in ((spec_frac, f"observed_frac in --spec {args.spec}"),
+                        (args.observed_frac, "--observed-frac")):
+        if given is None:
+            continue
         if args.kind == "observed":
-            raise ValueError("--observed-frac sets the fraction of --kind rank only; "
+            raise ValueError(f"{name} sets the fraction of --kind rank only; "
                              "--kind observed sweeps the fractions in --grid")
-        frac["observed_frac"] = args.observed_frac
+        if frac:
+            raise ValueError(f"observed_frac in --spec {args.spec} and --observed-frac "
+                             "both set the fraction of --kind rank; give one")
+        frac["observed_frac"] = given
     rows = run_sweep(
         args.kind,
         grid,
@@ -211,8 +226,9 @@ def build_parser():
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--methods", default="dgd,nsdgd,unc,cpd")
-    p.add_argument("--observed-frac", type=float, help="fraction for rank sweeps (default 0.9)")
+    p.add_argument("--methods", default=",".join(METHODS))
+    p.add_argument("--observed-frac", type=float,
+                   help="fraction for rank sweeps, unless the spec sets observed_frac (default 0.9)")
     p.add_argument("--timing", action="store_true", help="record wall-clock seconds per cell")
     p.set_defaults(func=_cmd_sweep)
     return parser

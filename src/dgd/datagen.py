@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import Decomposition, check_number
+from .model import Decomposition, check_fields, check_number
 
 
 @dataclass
@@ -39,12 +39,9 @@ class SwDynSpec:
     seed: int = 0
 
     def validate(self):
-        ints = (("n_nodes", 2), ("n_steps", 1), ("n_signals", 1),
-                ("communities_start", 1), ("communities_end", 1), ("seed", 0))
-        for name, low in ints:
-            check_number(name, getattr(self, name), integer=True, low=low)
-        for name in ("p_in", "p_out", "alpha", "noise_sigma"):
-            check_number(name, getattr(self, name), low=0)
+        low = {"n_nodes": 2, "n_steps": 1, "n_signals": 1,
+               "communities_start": 1, "communities_end": 1, "seed": 0}
+        check_fields(self, low)
         for name in ("communities_start", "communities_end"):
             k = getattr(self, name)
             if self.n_nodes % k != 0:
@@ -53,8 +50,6 @@ class SwDynSpec:
             p = getattr(self, name)
             if p > 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
-        if not isinstance(self.clip_negative, bool):
-            raise ValueError(f"clip_negative must be a boolean, got {self.clip_negative!r}")
 
     @classmethod
     def from_dict(cls, cfg):
@@ -65,9 +60,6 @@ class SwDynSpec:
         spec = cls(**cfg)
         spec.validate()
         return spec
-
-    def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # processes of the pool this process works in, all on the same CPUs; only a

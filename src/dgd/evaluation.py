@@ -198,7 +198,8 @@ def component_analysis(d, truth, mask, threshold=None):
     return report
 
 
-SWEEP_HEADER = "method,param,seed,re,f1,precision,recall,seconds"
+SWEEP_COLUMNS = ("method", "param", "seed", "re", "f1", "precision", "recall", "seconds")
+SWEEP_HEADER = ",".join(SWEEP_COLUMNS)
 
 
 def sweep(
@@ -208,7 +209,7 @@ def sweep(
     h,
     seed,
     repeats=5,
-    methods=("dgd", "nsdgd", "unc", "cpd"),
+    methods=tuple(METHODS),
     observed_frac=0.9,
     out_path=None,
     timing=False,
@@ -308,18 +309,8 @@ def _sweep_cell(cell):
             except (NumericalAbort, UndefinedMetricError, np.linalg.LinAlgError):
                 metrics = (float("nan"),) * 4
             elapsed = perf_counter() - t0
-            rows.append(
-                {
-                    "method": name,
-                    "param": param,
-                    "seed": s,
-                    "re": metrics[0],
-                    "f1": metrics[1],
-                    "precision": metrics[2],
-                    "recall": metrics[3],
-                    "seconds": float(elapsed) if timing else 0.0,
-                }
-            )
+            seconds = float(elapsed) if timing else 0.0
+            rows.append(dict(zip(SWEEP_COLUMNS, (name, param, s, *metrics, seconds))))
     return rows, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
@@ -331,8 +322,7 @@ def _fmt_cell(v):
 
 def write_sweep_csv(rows, path):
     """Write sweep rows with a fixed header, UTF-8 and LF line endings."""
-    cols = SWEEP_HEADER.split(",")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(SWEEP_HEADER + "\n")
         for row in rows:
-            fh.write(",".join(_fmt_cell(row[c]) for c in cols) + "\n")
+            fh.write(",".join(_fmt_cell(row[c]) for c in SWEEP_COLUMNS) + "\n")

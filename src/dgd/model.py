@@ -30,16 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from numbers import Real
+from typing import get_type_hints
 
 import numpy as np
 
 from . import priors
 
 GRADIENT_MODES = ("exact_mask", "count_weighted")
-FLOAT_FIELDS = (
-    "gamma", "delta", "beta", "mu", "rho", "zeta", "eta",
-    "lambda_a", "lambda_c", "step_a", "step_c", "tol_outer",
-)
 
 
 def check_number(name, value, integer=False, low=None, strict=False):
@@ -54,6 +51,24 @@ def check_number(name, value, integer=False, low=None, strict=False):
         raise ValueError(f"{name} must be {kind}, got {value!r}")
     if low is not None and (value <= low if strict else value < low):
         raise ValueError(f"{name} must be {'>' if strict else '>='} {low}, got {value}")
+
+
+def check_fields(record, low, strict=()):
+    """check_number on each field of a settings dataclass by its declared type.
+
+    An int field must be an integer >= low[name], a float field a finite
+    number >= 0 (> 0 for the names in strict) and a bool field a bool;
+    ValueError naming the first field that is not. str fields are left to the
+    record's own rules.
+    """
+    for name, kind in get_type_hints(type(record)).items():
+        value = getattr(record, name)
+        if kind is int:
+            check_number(name, value, integer=True, low=low[name])
+        elif kind is float:
+            check_number(name, value, low=0, strict=name in strict)
+        elif kind is bool and not isinstance(value, bool):
+            raise ValueError(f"{name} must be a boolean, got {value!r}")
 
 
 class NumericalAbort(RuntimeError):
@@ -107,7 +122,6 @@ class Hyperparams:
     zeta          : minimum reconstructed degree per node and time
     eta           : optional ridge on each A_r (0 disables)
     lambda_a/c    : ADMM penalty parameters of the two subproblems
-    step_a/c      : gradient step sizes; None selects an inverse-curvature step
     inner_iters   : K, ADMM iterations per subproblem
     outer_iters   : I, alternating passes over all blocks
     gradient_mode : 'exact_mask' or 'count_weighted'
@@ -124,22 +138,14 @@ class Hyperparams:
     eta: float = 0.0
     lambda_a: float = 1.0
     lambda_c: float = 1.0
-    step_a: float | None = None
-    step_c: float | None = None
     inner_iters: int = 20
     outer_iters: int = 50
     gradient_mode: str = "exact_mask"
     tol_outer: float = 1e-5
 
     def validate(self):
-        # every real knob is nonnegative; these must be positive
-        positive = ("zeta", "lambda_a", "lambda_c", "step_a", "step_c")
-        for name in FLOAT_FIELDS:
-            v = getattr(self, name)
-            if v is not None or name not in ("step_a", "step_c"):
-                check_number(name, v, low=0, strict=name in positive)
-        for name, low in (("n_latents", 1), ("inner_iters", 1), ("outer_iters", 0)):
-            check_number(name, getattr(self, name), integer=True, low=low)
+        low = {"n_latents": 1, "inner_iters": 1, "outer_iters": 0}
+        check_fields(self, low, strict=("zeta", "lambda_a", "lambda_c"))
         if self.gradient_mode not in GRADIENT_MODES:
             raise ValueError(
                 f"gradient_mode must be one of {GRADIENT_MODES}, got {self.gradient_mode!r}"
@@ -153,16 +159,10 @@ class Hyperparams:
         unknown = set(cfg) - known
         if unknown:
             raise ValueError(f"unknown config key: {sorted(unknown)[0]}")
-        h = cls(**cfg)
         # json numbers may arrive as ints where floats are meant
-        for name in FLOAT_FIELDS:
-            v = getattr(h, name)
-            if isinstance(v, int) and not isinstance(v, bool):
-                setattr(h, name, float(v))
-        return h.validate()
-
-    def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        floats = {name for name, kind in get_type_hints(cls).items() if kind is float}
+        cfg = {k: float(v) if k in floats and type(v) is int else v for k, v in cfg.items()}
+        return cls(**cfg).validate()
 
     def replace(self, **kw):
         return replace(self, **kw)

@@ -91,7 +91,6 @@ def test_workspace_rejects_bad_index():
 
 def test_default_step_selection():
     _, d, fit, _, h = random_instance(50, "count_weighted")
-    assert default_step_a(d, 0, fit, h.replace(step_a=0.25)) == 0.25
     c0 = d.signatures[:, 0]
     w = fit.slice_max
     want = 1.0 / (c0**2 @ w + h.eta + h.lambda_a * d.n_nodes * np.sum(c0**2))

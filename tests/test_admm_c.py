@@ -112,7 +112,6 @@ def test_default_step_selection():
     ws = build_c_workspace(d.latents, d.n_steps, h)
     dop = np.diff(np.eye(d.n_steps), axis=0)
     dtd = dop.T @ dop
-    assert default_step_c(ws, d.latents, fit, h.replace(step_c=0.125)) == 0.125
     gram = float(np.linalg.norm(np.einsum("rij,sij->rs", d.latents, d.latents), 2))
     lip = (
         gram * float(fit.slice_max.max())

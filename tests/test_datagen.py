@@ -1,5 +1,6 @@
 """Synthetic generator: SBM, smooth signals, masks, the blended dataset."""
 
+import dataclasses
 import itertools
 import sys
 import threading
@@ -59,7 +60,7 @@ def test_spec_from_dict_names_unknown_key():
 
 def test_spec_dict_round_trip():
     spec = SwDynSpec(n_nodes=8, n_steps=6, n_signals=4, p_in=0.5)
-    assert SwDynSpec.from_dict(spec.to_dict()) == spec
+    assert SwDynSpec.from_dict(dataclasses.asdict(spec)) == spec
 
 
 def test_sbm_complete_blocks():

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dgd import admm_a
 from dgd.driver import initialize, outer_iteration, run_dgd
 from dgd.model import Hyperparams, NumericalAbort, in_sa, reconstruct
 from dgd.priors import build_cache
@@ -197,11 +198,12 @@ def test_input_shape_validation():
         run_dgd(np.zeros((2, 3, 3)), np.full((2, 3, 3), 0.5), None, Hyperparams(delta=0.0), 0)
 
 
-def test_diverging_iterate_names_block_step_and_magnitude():
-    # a finite bound but a huge explicit step: the first A step overshoots to
+def test_diverging_iterate_names_block_step_and_magnitude(monkeypatch):
+    # a finite bound but a huge step: the first A step overshoots to
     # negative entries that S_A clips to 0, and the second leaves float64
+    monkeypatch.setattr(admm_a, "default_step_a", lambda *args: 1e308)
     adj, mask = _small_problem(7)
-    h = Hyperparams(delta=0.0, step_a=1e308, outer_iters=3)
+    h = Hyperparams(delta=0.0, outer_iters=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalAbort) as excinfo:

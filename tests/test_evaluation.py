@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from dgd.baselines import METHODS
 from dgd.datagen import SwDynSpec, worker_count
 from dgd.evaluation import (
-    SWEEP_HEADER,
     UndefinedMetricError,
     complement_mask,
     component_analysis,
@@ -30,6 +29,9 @@ from dgd.evaluation import (
 from dgd.model import Decomposition, Hyperparams, reconstruct
 
 from helpers import planted_decomposition, set_cpus, symmetric_binary_mask
+
+# the file format, written out: evaluation derives its header from SWEEP_COLUMNS
+SWEEP_LINE = "method,param,seed,re,f1,precision,recall,seconds"
 
 
 def _toy_truth(seed=0, t=3, n=4):
@@ -365,7 +367,7 @@ def test_sweep_rank_grid_shapes_and_determinism(tmp_path):
     assert len(rows1) == 2 * 2 * 2
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     first = (tmp_path / "a.csv").read_bytes().split(b"\n", 1)[0]
-    assert first == SWEEP_HEADER.encode()
+    assert first == SWEEP_LINE.encode()
     params = sorted({row["param"] for row in rows1})
     assert params == [1, 2]
     assert all(row["seconds"] == 0.0 for row in rows1)
@@ -492,5 +494,5 @@ def test_write_sweep_csv_uses_lf_only(tmp_path):
     data = path.read_bytes()
     assert b"\r" not in data
     lines = data.decode("utf-8").splitlines()
-    assert lines[0] == SWEEP_HEADER
+    assert lines[0] == SWEEP_LINE
     assert lines[1] == "unc,2,5,0.25,1.0,1.0,1.0,0.0"

@@ -955,6 +955,51 @@ def test_sweep_cli_rejects_bad_repeats_and_observed_frac(tmp_path, capsys, flag,
     assert not out.exists()
 
 
+def _rank_sweep_csv(tmp_path, spec, *flags):
+    """The sweep.csv bytes of a one-cell cpd rank sweep of spec."""
+    spec_path, out = _write_json(tmp_path / "s.json", spec), tmp_path / "r.csv"
+    code = main(["sweep", "--kind", "rank", "--grid", "1", "--spec", spec_path, "--out", str(out),
+                 "--seed", "0", "--repeats", "1", "--methods", "cpd", *flags])
+    assert code == 0
+    return out.read_bytes()
+
+
+def test_rank_sweep_observes_the_spec_observed_frac(tmp_path, capsys):
+    spec = {"n_nodes": 8, "n_steps": 6, "n_signals": 4}
+    from_spec = _rank_sweep_csv(tmp_path, {**spec, "observed_frac": 0.3})
+    assert from_spec == _rank_sweep_csv(tmp_path, spec, "--observed-frac", "0.3")
+    assert from_spec != _rank_sweep_csv(tmp_path, spec)
+    assert _rank_sweep_csv(tmp_path, spec) == _rank_sweep_csv(tmp_path, spec, "--observed-frac", "0.9")
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "kind,flags,named",
+    [("rank", ["--observed-frac", "0.5"], "--observed-frac"), ("observed", [], "--kind observed")],
+    ids=["observed_frac_flag", "observed_kind"],
+)
+def test_sweep_cli_spec_observed_frac_with_another_source_exits_one(tmp_path, capsys, kind, flags,
+                                                                   named):
+    spec = _write_json(tmp_path / "s.json", {"n_nodes": 8, "n_steps": 6, "observed_frac": 0.8})
+    out = tmp_path / "r.csv"
+    code = main(["sweep", "--kind", kind, "--grid", "1", "--spec", spec, "--out", str(out),
+                 "--seed", "0", "--methods", "cpd", *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"dgd: error: observed_frac in --spec {spec}" in err and named in err
+    assert not out.exists()
+
+
+def test_spec_seed_exits_one_naming_the_seed_flag(tmp_path, capsys):
+    spec = _write_json(tmp_path / "s.json", {"n_nodes": 8, "n_steps": 6, "seed": 7})
+    out = tmp_path / "out"
+    for argv in (["generate", "--out-dir", str(out)],
+                 ["sweep", "--kind", "rank", "--grid", "1", "--out", str(out), "--methods", "cpd"]):
+        assert main([*argv, "--spec", spec, "--seed", "0"]) == 1
+        assert f"dgd: error: --spec {spec} sets seed; give the seed as --seed" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_sweep_cli_rejects_negative_seed_before_any_cell(tmp_path, capsys, monkeypatch):
     def cell_ran(*args):
         raise AssertionError("a sweep cell ran")

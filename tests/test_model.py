@@ -1,13 +1,17 @@
 """Value types, objective terms, projections."""
 
 import dataclasses
+import re
 import tracemalloc
+import typing
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dgd.datagen import SwDynSpec
 from dgd.model import (
     Decomposition,
     Hyperparams,
@@ -86,8 +90,8 @@ def test_hyperparams_defaults_validate():
         {"zeta": 0.0},
         {"lambda_a": 0.0},
         {"lambda_c": -2.0},
-        {"step_a": 0.0},
-        {"step_c": -1.0},
+        {"eta": -1e-300},
+        {"tol_outer": float("-inf")},
         {"n_latents": 0},
         {"inner_iters": 0},
         {"outer_iters": -1},
@@ -104,9 +108,79 @@ def test_hyperparams_rejects_bad_values(kw):
         Hyperparams(**kw).validate()
 
 
+# the rules each settings field is held to, written out: (floor, strict) of
+# every int and float field; a bool field must hold a bool
+FIELD_RULES = {
+    Hyperparams: {
+        "n_latents": (1, False), "inner_iters": (1, False), "outer_iters": (0, False),
+        "zeta": (0, True), "lambda_a": (0, True), "lambda_c": (0, True),
+        **{name: (0, False) for name in
+           ("gamma", "delta", "beta", "mu", "rho", "eta", "tol_outer")},
+    },
+    SwDynSpec: {
+        "n_nodes": (2, False), "n_steps": (1, False), "n_signals": (1, False),
+        "communities_start": (1, False), "communities_end": (1, False), "seed": (0, False),
+        **{name: (0, False) for name in ("p_in", "p_out", "alpha", "noise_sigma")},
+    },
+}
+
+
+@pytest.mark.parametrize("record", sorted(FIELD_RULES, key=lambda cls: cls.__name__))
+def test_settings_fields_are_plain_types(record):
+    # check_fields validates int, float and bool fields by type and leaves str
+    # fields to the record: a field of any other type would go unchecked
+    hints = typing.get_type_hints(record)
+    assert set(hints.values()) <= {int, float, bool, str}, hints
+    numeric = {name for name, kind in hints.items() if kind in (int, float)}
+    assert numeric == set(FIELD_RULES[record])
+    record().validate()
+
+
+@st.composite
+def _bad_setting(draw):
+    """(record class, field, bad value, the message validate must raise)."""
+    record = draw(st.sampled_from(sorted(FIELD_RULES, key=lambda cls: cls.__name__)))
+    hints = typing.get_type_hints(record)
+    name = draw(st.sampled_from(sorted(n for n, kind in hints.items() if kind is not str)))
+    kind = hints[name]
+    if kind is bool:
+        value = draw(st.sampled_from([0, 1, 1.0, "true", None]))
+        return record, name, value, f"{name} must be a boolean, got {value!r}"
+    low, strict = FIELD_RULES[record][name]
+    what = "an integer" if kind is int else "a finite number"
+    nonfinite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+    if kind is int:
+        below = st.integers(max_value=low - 1)
+    else:
+        below = st.floats(max_value=0.0 if strict else -1e-300, allow_nan=False,
+                          allow_infinity=False)
+    value = draw(st.one_of(nonfinite, st.booleans(), below))
+    if isinstance(value, bool) or not isinstance(value, int) and not np.isfinite(value):
+        return record, name, value, f"{name} must be {what}, got {value!r}"
+    return record, name, value, f"{name} must be {'>' if strict else '>='} {low}, got {value}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bad_setting())
+def test_settings_fields_reject_bad_values_by_type(case):
+    record, name, value, message = case
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        record(**{name: value}).validate()
+
+
+def test_readme_table_names_every_hyperparameter():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Hyperparameters", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    keys = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(Hyperparams))
+
+
 def test_from_dict_names_unknown_key():
-    with pytest.raises(ValueError, match="bogus"):
-        Hyperparams.from_dict({"bogus": 1})
+    # keys that older configs may carry are unknown keys like any other
+    for key in ("bogus", "step_a", "step_c", "penalty_as_step"):
+        with pytest.raises(ValueError, match=f"unknown config key: {key}$"):
+            Hyperparams.from_dict({key: 1})
 
 
 def test_from_dict_coerces_json_ints():
@@ -117,7 +191,7 @@ def test_from_dict_coerces_json_ints():
 
 def test_to_dict_replace_round_trip():
     h = Hyperparams(gamma=0.3, n_latents=4)
-    h2 = Hyperparams.from_dict(h.to_dict())
+    h2 = Hyperparams.from_dict(dataclasses.asdict(h))
     assert h2 == h
     assert h.replace(gamma=0.5).gamma == 0.5
     assert h.gamma == 0.3
