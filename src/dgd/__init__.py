@@ -9,7 +9,7 @@ from .baselines import (
     nsdgd,
     unc_solve,
 )
-from .datagen import SwDynSpec, sample_mask, sbm_graph, smooth_signals, swdyn
+from .datagen import SwDynSpec, sample_mask, sbm_graph, swdyn
 from .driver import RunHistory, initialize, run_dgd
 from .evaluation import (
     EvalReport,
@@ -71,7 +71,6 @@ __all__ = [
     "sample_mask",
     "save_dgt",
     "sbm_graph",
-    "smooth_signals",
     "swdyn",
     "sweep",
     "unc_solve",

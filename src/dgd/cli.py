@@ -53,12 +53,12 @@ def _load_json(path, flag):
 
 
 def _write_history_csv(path, breakdowns):
-    """One row per breakdown: the iteration, then each ObjectiveBreakdown term the header names."""
-    terms = HISTORY_HEADER.split(",")[1:]
+    """One row per breakdown: the iteration, its total, then each of its OBJECTIVE_TERMS."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(HISTORY_HEADER + "\n")
         for i, b in enumerate(breakdowns):
-            fh.write(",".join([str(i), *(repr(float(getattr(b, c))) for c in terms)]) + "\n")
+            values = (b.total, *(getattr(b, term) for term in OBJECTIVE_TERMS))
+            fh.write(",".join([str(i), *(repr(float(v)) for v in values)]) + "\n")
 
 
 def _read_spec(args):
@@ -163,18 +163,15 @@ def _cmd_sweep(args):
     h = Hyperparams.from_dict(_load_json(args.config, "--config") if args.config else {})
     grid = _parse_grid(args.grid, args.kind)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    frac = {}
-    for given, name in ((spec_frac, f"observed_frac in --spec {args.spec}"),
-                        (args.observed_frac, "--observed-frac")):
-        if given is None:
-            continue
-        if args.kind == "observed":
-            raise ValueError(f"{name} sets the fraction of --kind rank only; "
-                             "--kind observed sweeps the fractions in --grid")
-        if frac:
-            raise ValueError(f"observed_frac in --spec {args.spec} and --observed-frac "
-                             "both set the fraction of --kind rank; give one")
-        frac["observed_frac"] = given
+    if args.kind == "observed":
+        for given, name in ((spec_frac, f"observed_frac in --spec {args.spec}"),
+                            (args.observed_frac, "--observed-frac")):
+            if given is not None:
+                raise ValueError(f"{name} sets the fraction of --kind rank only; "
+                                 "--kind observed sweeps the fractions in --grid")
+    elif spec_frac is not None and args.observed_frac is not None:
+        raise ValueError(f"observed_frac in --spec {args.spec} and --observed-frac "
+                         "both set the fraction of --kind rank; give one")
     rows = run_sweep(
         args.kind,
         grid,
@@ -184,8 +181,8 @@ def _cmd_sweep(args):
         repeats=args.repeats,
         methods=methods,
         out_path=args.out,
+        observed_frac=args.observed_frac if spec_frac is None else spec_frac,
         timing=args.timing,
-        **frac,
     )
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0

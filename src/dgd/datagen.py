@@ -35,7 +35,6 @@ class SwDynSpec:
     p_out: float = 0.01
     alpha: float = 10.0
     noise_sigma: float = 0.0
-    clip_negative: bool = False
     seed: int = 0
 
     def validate(self):
@@ -101,18 +100,6 @@ def sbm_graph(block_sizes, p_in, p_out, seed):
     n = labels.size
     upper = np.triu(rng.random((n, n)) < prob, k=1)
     return (upper | upper.T).astype(np.float64)
-
-
-def smooth_signals(adjacency, n_signals, alpha, seed):
-    """Low-pass filter white noise through one graph's Laplacian.
-
-    Returns (N, Q) with X = (I + alpha L)^{-1} W, W ~ N(0, 1) and
-    L = diag(A 1) - A, formed as the inverse times W (:func:`_low_pass`).
-    The system is positive definite for any alpha >= 0.
-    """
-    adjacency = np.asarray(adjacency, dtype=np.float64)
-    white = np.random.default_rng(seed).standard_normal((adjacency.shape[0], n_signals))
-    return _low_pass(adjacency, alpha, white)
 
 
 def _low_pass(adjacency, alpha, white):
@@ -225,13 +212,13 @@ def swdyn(spec):
             for _ in pool.map(filter_step, drawn_steps()):
                 pass
     if spec.noise_sigma > 0:
-        _add_edge_noise(clean, spec, rng)
+        _add_edge_noise(clean, spec.noise_sigma, rng)
     return clean, signals, Decomposition(latents, signatures)
 
 
-def _add_edge_noise(adj, spec, rng):
+def _add_edge_noise(adj, sigma, rng):
     """Add symmetric hollow N(0, sigma^2 / 2) noise to the (T, N, N) stack adj
-    in place, then clip negatives to 0 when spec.clip_negative.
+    in place.
 
     Step t's noise is 0.5 (E + E') for E = sigma times the t-th (N, N) draw
     of the stream, zeroed on the diagonal; the draws are taken one slice at
@@ -242,12 +229,10 @@ def _add_edge_noise(adj, spec, rng):
     noise = np.empty_like(draw)
     for a in adj:
         rng.standard_normal(out=draw)
-        draw *= spec.noise_sigma
+        draw *= sigma
         # E' + E, with no ufunc buffer for the transposed operand
         np.copyto(noise, draw.T)
         noise += draw
         noise *= 0.5
         np.fill_diagonal(noise, 0.0)
         a += noise
-    if spec.clip_negative:
-        np.maximum(adj, 0.0, out=adj)

@@ -210,20 +210,21 @@ def sweep(
     seed,
     repeats=5,
     methods=tuple(METHODS),
-    observed_frac=0.9,
+    observed_frac=None,
     out_path=None,
     timing=False,
 ):
     """Grid evaluation over ranks or observation fractions.
 
-    kind "rank" varies h.n_latents over grid at a fixed observed fraction;
-    kind "observed" varies the observation fraction at fixed h. Each cell, one
-    grid value and one seed (seed, seed+1, ...), regenerates its data, fits
-    every method and scores on the held-out entries. Failed cells keep their
-    row with NaN metrics. When timing is False the seconds column is 0.0 so
-    repeated runs are byte-identical. seed must be an integer >= 0, repeats
-    one >= 1 and every observed fraction lie in (0, 1]; all are checked
-    before any cell runs (ValueError naming the argument).
+    kind "rank" varies h.n_latents over grid at observed fraction
+    observed_frac (0.9 when None); kind "observed" varies the fraction over
+    grid at fixed h, and observed_frac must be None. Each cell, one grid value
+    and one seed (seed, seed+1, ...), regenerates its data, fits every method
+    and scores on the held-out entries. Failed cells keep their row with NaN
+    metrics. When timing is False the seconds column is 0.0 so repeated runs
+    are byte-identical. seed must be an integer >= 0, repeats one >= 1 and
+    every observed fraction lie in (0, 1]; all are checked before any cell
+    runs (ValueError naming the argument).
 
     No cell reads another's output, so the cells run in a pool of forked
     worker processes, one per CPU this process may run on (os.sched_getaffinity),
@@ -243,7 +244,10 @@ def sweep(
     check_number("seed", seed, integer=True, low=0)
     check_number("repeats", repeats, integer=True, low=1)
     if kind == "rank":
-        frac = observed_fraction(observed_frac, "observed_frac")
+        frac = observed_fraction(0.9 if observed_frac is None else observed_frac, "observed_frac")
+    elif observed_frac is not None:
+        raise ValueError(f"observed_frac sets the fraction of a rank sweep only, got "
+                         f"{observed_frac!r}; an observed sweep sweeps the fractions in grid")
     cells = []
     for param in grid:
         if kind == "rank":

@@ -35,8 +35,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import priors
-
-GRADIENT_MODES = ("exact_mask", "count_weighted")
+from .tensors import check_gradient_mode
 
 
 def check_number(name, value, integer=False, low=None, strict=False):
@@ -56,10 +55,9 @@ def check_number(name, value, integer=False, low=None, strict=False):
 def check_fields(record, low, strict=()):
     """check_number on each field of a settings dataclass by its declared type.
 
-    An int field must be an integer >= low[name], a float field a finite
-    number >= 0 (> 0 for the names in strict) and a bool field a bool;
-    ValueError naming the first field that is not. str fields are left to the
-    record's own rules.
+    An int field must be an integer >= low[name] and a float field a finite
+    number >= 0 (> 0 for the names in strict); ValueError naming the first
+    field that is not. str fields are left to the record's own rules.
     """
     for name, kind in get_type_hints(type(record)).items():
         value = getattr(record, name)
@@ -67,8 +65,6 @@ def check_fields(record, low, strict=()):
             check_number(name, value, integer=True, low=low[name])
         elif kind is float:
             check_number(name, value, low=0, strict=name in strict)
-        elif kind is bool and not isinstance(value, bool):
-            raise ValueError(f"{name} must be a boolean, got {value!r}")
 
 
 class NumericalAbort(RuntimeError):
@@ -146,10 +142,7 @@ class Hyperparams:
     def validate(self):
         low = {"n_latents": 1, "inner_iters": 1, "outer_iters": 0}
         check_fields(self, low, strict=("zeta", "lambda_a", "lambda_c"))
-        if self.gradient_mode not in GRADIENT_MODES:
-            raise ValueError(
-                f"gradient_mode must be one of {GRADIENT_MODES}, got {self.gradient_mode!r}"
-            )
+        check_gradient_mode(self.gradient_mode)
         return self
 
     @classmethod
@@ -194,14 +187,9 @@ class ObjectiveBreakdown:
 OBJECTIVE_TERMS = tuple(f.name for f in fields(ObjectiveBreakdown) if f.init)
 
 
-def reconstruct(d, t=None):
-    """Reconstructed tensor sum_r C[t,r] A_r, or a single slice when t is given."""
-    if t is None:
-        return np.einsum("tr,rij->tij", d.signatures, d.latents)
-    n_steps = d.n_steps
-    if not -n_steps <= t < n_steps:
-        raise IndexError(f"time index {t} out of range for T={n_steps}")
-    return np.tensordot(d.signatures[t], d.latents, axes=1)
+def reconstruct(d):
+    """Reconstructed (T, N, N) tensor, slice t being sum_r C[t,r] A_r."""
+    return np.einsum("tr,rij->tij", d.signatures, d.latents)
 
 
 def objective(d, fit, cache, h, stats=None):

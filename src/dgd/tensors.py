@@ -42,6 +42,14 @@ CANCELLATION = 1e-6
 # O(N^2), or RUN_ENTRIES when that is more, so that small fits take one run
 RUN_PLANES = 4
 RUN_ENTRIES = 1 << 14
+# the fit weights FitData.build can form, by Hyperparams.gradient_mode
+GRADIENT_MODES = ("exact_mask", "count_weighted")
+
+
+def check_gradient_mode(mode):
+    """ValueError naming gradient_mode unless mode is one of GRADIENT_MODES."""
+    if mode not in GRADIENT_MODES:
+        raise ValueError(f"gradient_mode must be one of {GRADIENT_MODES}, got {mode!r}")
 
 
 def _flat(stack):
@@ -207,8 +215,7 @@ class FitData:
         observed pair: it carries no edge, and a sampled mask always observes
         it (datagen.sample_mask).
         """
-        if h.gradient_mode not in ("exact_mask", "count_weighted"):
-            raise ValueError(f"unknown gradient_mode {h.gradient_mode!r}")
+        check_gradient_mode(h.gradient_mode)
         adj, mask = _stacks(adj, mask)
         n_steps, n = mask.shape[:2]
         at = triangle(n)[0]

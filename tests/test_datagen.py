@@ -18,7 +18,6 @@ from dgd.datagen import (
     mask_seed,
     sample_mask,
     sbm_graph,
-    smooth_signals,
     swdyn,
 )
 from dgd.model import reconstruct
@@ -45,7 +44,6 @@ def _qv(x, adjacency):
         {"p_out": -0.1},
         {"alpha": -1.0},
         {"noise_sigma": -0.5},
-        {"clip_negative": 1},
     ],
 )
 def test_spec_validation_rejects(kw):
@@ -54,8 +52,10 @@ def test_spec_validation_rejects(kw):
 
 
 def test_spec_from_dict_names_unknown_key():
-    with pytest.raises(ValueError, match="n_bogus"):
-        SwDynSpec.from_dict({"n_bogus": 3})
+    # clip_negative, a setting of older specs, is an unknown key like any other
+    for key in ("n_bogus", "clip_negative"):
+        with pytest.raises(ValueError, match=f"^unknown generator setting {key!r}$"):
+            SwDynSpec.from_dict({key: 3})
 
 
 def test_spec_dict_round_trip():
@@ -101,25 +101,21 @@ def test_sbm_deterministic_and_generator_friendly():
     assert np.array_equal(a, c)
 
 
-def test_smooth_signals_alpha_zero_returns_white_noise():
+def test_low_pass_alpha_zero_returns_white_input():
     g = sbm_graph([4], 1.0, 0.0, seed=0)
-    x = smooth_signals(g, 6, alpha=0.0, seed=3)
-    want = np.random.default_rng(3).standard_normal((4, 6))
-    assert np.allclose(x, want)
+    white = np.random.default_rng(3).standard_normal((4, 6))
+    assert np.allclose(_low_pass(g, 0.0, white), white)
 
 
-def test_smooth_signals_empty_graph_is_identity_filter():
-    x = smooth_signals(np.zeros((5, 5)), 4, alpha=10.0, seed=4)
-    want = np.random.default_rng(4).standard_normal((5, 4))
-    assert np.allclose(x, want)
+def test_low_pass_empty_graph_is_identity_filter():
+    white = np.random.default_rng(4).standard_normal((5, 4))
+    assert np.allclose(_low_pass(np.zeros((5, 5)), 10.0, white), white)
 
 
-def test_smooth_signals_quadratic_variation_decreases_with_alpha():
+def test_low_pass_quadratic_variation_decreases_with_alpha():
     g = sbm_graph([6, 6], 0.8, 0.2, seed=5)
     white = np.random.default_rng(6).standard_normal((12, 40))
-    qvs = [
-        _qv(smooth_signals(g, 40, alpha, seed=6), g) for alpha in (0.0, 1.0, 10.0)
-    ]
+    qvs = [_qv(_low_pass(g, alpha, white), g) for alpha in (0.0, 1.0, 10.0)]
     assert qvs[0] > qvs[1] > qvs[2]
     # the filter never amplifies variation relative to its white input
     assert qvs[2] <= _qv(white, g)
@@ -219,12 +215,8 @@ def test_swdyn_noise_is_symmetric_hollow_and_optionally_clipped():
     noise = adj - reconstruct(truth)
     assert is_symmetric(noise) and is_hollow(noise)
     assert noise.std() > 0.1
+    # the noise is never clipped: negative weights stay
     assert adj.min() < 0.0
-    clipped, _, _ = swdyn(
-        SwDynSpec(n_nodes=12, n_steps=6, n_signals=4, noise_sigma=0.5, clip_negative=True, seed=7)
-    )
-    assert clipped.min() == 0.0
-    assert np.array_equal(clipped, np.maximum(adj, 0.0))
 
 
 def _serial_swdyn(spec):
@@ -253,8 +245,6 @@ def _serial_swdyn(spec):
         noise = 0.5 * (noise + noise.transpose(0, 2, 1))
         noise[:, np.arange(n), np.arange(n)] = 0.0
         adj = clean + noise
-        if spec.clip_negative:
-            adj = np.maximum(adj, 0.0)
     return adj, np.stack(signals), latents
 
 
@@ -264,10 +254,9 @@ def _serial_swdyn(spec):
     [
         {},
         {"noise_sigma": 0.4},
-        {"noise_sigma": 0.4, "clip_negative": True},
         {"n_steps": 1},
     ],
-    ids=["clean", "noisy", "clipped", "one_step"],
+    ids=["clean", "noisy", "one_step"],
 )
 def test_swdyn_matches_the_serial_formula_bytes(monkeypatch, cpus, kw):
     set_cpus(monkeypatch, cpus)
@@ -343,7 +332,7 @@ def test_swdyn_edge_noise_adds_no_stack(monkeypatch, cpus):
     # which becomes the adjacency output: the noisy run keeps the noise-free
     # run's bound of the outputs plus a few slices per worker
     set_cpus(monkeypatch, cpus)
-    spec = SwDynSpec(n_nodes=60, n_steps=30, n_signals=200, noise_sigma=0.3, clip_negative=True)
+    spec = SwDynSpec(n_nodes=60, n_steps=30, n_signals=200, noise_sigma=0.3)
     swdyn(spec)  # first-call allocations stay out of the measurement
     tracemalloc.start()
     try:
@@ -357,14 +346,13 @@ def test_swdyn_edge_noise_adds_no_stack(monkeypatch, cpus):
 
 
 def test_edge_noise_step_holds_two_slices():
-    spec = SwDynSpec(n_nodes=90, n_steps=20, noise_sigma=0.3, clip_negative=True)
-    adj = np.zeros((spec.n_steps, spec.n_nodes, spec.n_nodes))
-    _add_edge_noise(adj, spec, np.random.default_rng(0))  # first-call allocations
+    adj = np.zeros((20, 90, 90))
+    _add_edge_noise(adj, 0.3, np.random.default_rng(0))  # first-call allocations
     tracemalloc.start()
     try:
-        _add_edge_noise(adj, spec, np.random.default_rng(0))
+        _add_edge_noise(adj, 0.3, np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2 * adj[0].nbytes + 16 * 1024
-    assert adj.min() == 0.0 and adj.max() > 0.0
+    assert is_symmetric(adj) and is_hollow(adj) and adj.min() < 0.0 < adj.max()

@@ -404,6 +404,21 @@ def test_sweep_checks_the_seed_before_any_cell(monkeypatch):
             sweep("rank", [1], spec, h, seed=bad, repeats=2, methods=("cpd",))
 
 
+def test_sweep_observed_frac_sets_rank_sweeps_only(monkeypatch):
+    spec, h = _tiny_sweep_args()
+    kw = dict(seed=0, repeats=1, methods=("cpd",))
+    assert sweep("rank", [1], spec, h, **kw) == sweep("rank", [1], spec, h, observed_frac=0.9, **kw)
+
+    def cell_ran(*args):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr("dgd.evaluation.swdyn", cell_ran)
+    # an observed sweep takes its fractions from grid, so observed_frac would be ignored
+    for frac in (0.1, 0.9):
+        with pytest.raises(ValueError, match="^observed_frac sets the fraction of a rank sweep"):
+            sweep("observed", [0.5], spec, h, observed_frac=frac, **kw)
+
+
 def test_sweep_timing_records_wall_clock(monkeypatch):
     spec, h = _tiny_sweep_args()
     for cpus in ({0, 1}, {0}):
@@ -421,7 +436,8 @@ def _sweep_both_kinds(tmp_path, tag):
         warnings.simplefilter("always")
         for kind, grid in (("rank", [1, 2]), ("observed", [0.6, 0.9])):
             path = tmp_path / f"{tag}_{kind}.csv"
-            sweep(kind, grid, spec, h, seed=3, repeats=2, observed_frac=0.8, out_path=path)
+            frac = 0.8 if kind == "rank" else None
+            sweep(kind, grid, spec, h, seed=3, repeats=2, observed_frac=frac, out_path=path)
             csvs.append(path.read_bytes())
     return csvs, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from dgd import tensors
 from dgd.admm_a import a_gradient_terms, build_a_workspace, grad_a_lagrangian
 from dgd.admm_c import build_c_workspace, c_gradient_terms, grad_c_lagrangian
-from dgd.model import GRADIENT_MODES, Decomposition, Hyperparams, degree_margin, reconstruct
+from dgd.model import Decomposition, Hyperparams, degree_margin, reconstruct
 from dgd.priors import build_cache
-from dgd.tensors import FitData, triangle
+from dgd.tensors import GRADIENT_MODES, FitData, triangle
 
 from helpers import pairwise_z
 

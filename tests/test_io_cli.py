@@ -670,6 +670,14 @@ def test_generate_rejects_bad_observed_frac(tmp_path, capsys):
     assert "observed_frac" in capsys.readouterr().err
 
 
+def test_generate_spec_holding_clip_negative_exits_one(tmp_path, capsys):
+    spec = _write_json(tmp_path / "spec.json", {"n_nodes": 8, "clip_negative": False})
+    code = main(["generate", "--spec", spec, "--out-dir", str(tmp_path / "d"), "--seed", "0"])
+    assert code == 1
+    assert "dgd: error: unknown generator setting 'clip_negative'" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize(
     "setting", [{"n_nodes": 40.0}, {"n_signals": True}, {"alpha": "x"}], ids=["float", "bool", "str"]
 )

@@ -1,5 +1,7 @@
 """Fit data and mask validation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -82,9 +84,13 @@ def test_fit_data_shape_errors():
         tensors.FitData.build(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)), Hyperparams())
     with pytest.raises(ValueError):
         tensors.FitData.build(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)), Hyperparams())
-    with pytest.raises(ValueError, match="bogus"):
-        bogus = Hyperparams(gradient_mode="bogus")
-        tensors.FitData.build(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)), bogus)
+    # the message Hyperparams.validate gives
+    message = "gradient_mode must be one of ('exact_mask', 'count_weighted'), got 'bogus'"
+    bogus = Hyperparams(gradient_mode="bogus")
+    for check in (bogus.validate,
+                  lambda: tensors.FitData.build(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)), bogus)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check()
 
 
 def test_symmetry_and_hollow_checks():
