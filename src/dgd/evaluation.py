@@ -222,9 +222,10 @@ def sweep(
     and one seed (seed, seed+1, ...), regenerates its data, fits every method
     and scores on the held-out entries. Failed cells keep their row with NaN
     metrics. When timing is False the seconds column is 0.0 so repeated runs
-    are byte-identical. seed must be an integer >= 0, repeats one >= 1 and
-    every observed fraction lie in (0, 1]; all are checked before any cell
-    runs (ValueError naming the argument).
+    are byte-identical. seed must be an integer >= 0, repeats one >= 1,
+    every rank an integer >= 1 (named n_latents) and every observed fraction
+    lie in (0, 1]; all are checked before any cell runs (ValueError naming
+    the argument).
 
     No cell reads another's output, so the cells run in a pool of forked
     worker processes, one per CPU this process may run on (os.sched_getaffinity),
@@ -251,6 +252,7 @@ def sweep(
     cells = []
     for param in grid:
         if kind == "rank":
+            check_number("n_latents", param, integer=True, low=1)
             h_cell = h.replace(n_latents=int(param))
         else:
             h_cell = h

@@ -16,16 +16,18 @@ Conventions used throughout the package:
 
 The fit is one weighted least-squares loss on that layout,
 1/2 sum_t sum_ij W_t,ij (recon_t,ij - Y_t,ij)^2, whose weight W and target Y
-are held by :class:`FitData`. With one block fixed, the other block's fit
-reduces to a few small statistics of the data (:class:`AStats`,
-:class:`CStats`), built once per outer iteration by matrix products on the
-packed rows of W and of the smoothness slices Z, and by a scatter or a gather
-over the nonzero entries of Y. W and Z are symmetric, so their packed rows
-hold every entry, and each statistic is one product against them; the
-latents need not be symmetric, so their entries at (i, j) and (j, i) are
-gathered apart and summed, the diagonal, gathered twice, halved. Y need not
-be symmetric and is held sparse, since it is zero wherever the mask is 0 or
-the graph has no edge. The statistics stay exact for any latents.
+are held by :class:`FitData`. W_t = scale_t B_t, a per-slice factor times a
+0/1 pattern, so W is held as the packed bool rows of B, one byte per entry.
+With one block fixed, the other block's fit reduces to a few small
+statistics of the data (:class:`AStats`, :class:`CStats`), built once per
+outer iteration by matrix products on the packed rows of B and of the
+smoothness slices Z, and by a scatter or a gather over the nonzero entries
+of Y. B and Z are symmetric, so their packed rows hold every entry, and each
+statistic is one product against them; the latents need not be symmetric,
+so their entries at (i, j) and (j, i) are gathered apart and summed, the
+diagonal gathered once. Y need not be symmetric and is held sparse, since it
+is zero wherever the mask is 0 or the graph has no edge. The statistics stay
+exact for any latents.
 """
 
 from __future__ import annotations
@@ -37,10 +39,11 @@ import numpy as np
 
 # relative size below which the Gram-form fit is recomputed from the residual
 CANCELLATION = 1e-6
-# the statistics visit Y's entries in runs of whole slices holding up to
-# RUN_PLANES N x N planes' worth of entries, so that their temporaries stay
-# O(N^2), or RUN_ENTRIES when that is more, so that small fits take one run
-RUN_PLANES = 4
+# the statistics visit Y's entries in runs of whole slices, and convert B to
+# float64 in blocks of whole packed columns, each holding up to RUN_PLANES
+# N x N planes' worth of entries, so that their temporaries stay O(N^2), or
+# RUN_ENTRIES when that is more, so that small fits take one run
+RUN_PLANES = 1
 RUN_ENTRIES = 1 << 14
 # the fit weights FitData.build can form, by Hyperparams.gradient_mode
 GRADIENT_MODES = ("exact_mask", "count_weighted")
@@ -101,7 +104,7 @@ class AStats:
     """Fit and smoothness statistics of the A block for fixed signatures C.
 
     omega : (P, N, N), Omega_rk = sum_t C[t,r] C[t,k] W_t for the P = R(R+1)/2
-            pairs r <= k
+            pairs r <= k, with W_t = scale_t B_t
     pair  : (R, R) int, the row of omega holding pair (r, k) or (k, r)
     v     : (R, N, N), V_r = sum_t C[t,r] (W o Y)_t = sum_t C[t,r] scale_t Y_t
     xi    : (R, N, N), Xi_r = 1/2 sum_t C[t,r] Z_t, or None without signals
@@ -129,7 +132,7 @@ class AStats:
 class CStats:
     """Fit and smoothness statistics of the C block for fixed latents.
 
-    grams  : (T, R, R), G_t,rk = sum_ij W_t A_r A_k
+    grams  : (T, R, R), G_t,rk = sum_ij W_t A_r A_k = scale_t sum_ij B_t A_r A_k
     b      : (T, R), b_t,r = sum_ij (W o Y)_t A_r = scale_t sum_ij Y_t A_r
     traces : (T, R), <Z_t, A_r>, or None without signals
     """
@@ -148,21 +151,25 @@ class FitData:
                   entries zeroed; int32 when N^2 < 2^31, else int64
     values      : (K,), Y at those positions
     starts      : (T + 1,), slice t holds entries[starts[t]:starts[t + 1]]
-    weight      : (T, M + N), the symmetric weight W_t packed (:func:`triangle`)
-    scale       : (T,), the factor with W_t o Y_t = scale_t Y_t
+    weight      : (T, M + N) bool, the symmetric 0/1 pattern B_t packed (:func:`triangle`)
+    scale       : (T,), the factor of W_t = scale_t B_t; Y_t is zero off B_t,
+                  so W_t o Y_t = scale_t Y_t
     unobserved  : the steps whose mask observes no pair i != j, as an int array
     slice_max   : (T,), w_t = max_ij W_t,ij, which bounds the fit curvature of slice t
     target_norm : 1/2 sum W o Y^2, the fit of a zero reconstruction
 
-    Y costs 12 bytes per nonzero entry against 8 per entry of a dense stack,
-    so it is the smaller while under 2/3 of its entries are nonzero; a
-    dense-valued, fully observed adjacency costs up to 1.5 dense stacks.
+    B costs 1 byte per packed entry. Y costs 12 bytes per nonzero entry
+    against 8 per entry of a dense stack, so it is the smaller while under
+    2/3 of its entries are nonzero; a dense-valued, fully observed adjacency
+    costs up to 1.5 dense stacks.
 
     This is the one place that contracts W, Y and the smoothness slices Z
     against the factors: :meth:`a_stats` and :meth:`c_stats` build, with one
-    matrix product on the packed rows of W or Z, or one scatter or gather
+    matrix product on the packed rows of B or Z, or one scatter or gather
     over Y's entries each, everything either block and the objective read of
-    them. The gradient mode only picks the weight :meth:`build` packs.
+    them. The products read B as float64 one block of columns at a time
+    (:meth:`_pattern_blocks`), so no float copy of the whole W is formed.
+    The gradient mode only picks the pattern and scale :meth:`build` forms.
     """
 
     entries: np.ndarray
@@ -180,6 +187,8 @@ class FitData:
     _source: np.ndarray = field(init=False, repr=False)
     # the slices at which the runs of :meth:`_runs` start, and T
     _cuts: np.ndarray = field(init=False, repr=False)
+    # the packed columns in each block of :meth:`_pattern_blocks`
+    _width: int = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n_nodes
@@ -192,10 +201,12 @@ class FitData:
         held = np.arange(budget, self.values.size, budget)
         inner = np.searchsorted(self.starts, held, side="right") - 1
         self._cuts = np.concatenate(([0], inner, [self.n_steps]))
+        # a block of B holds at most budget entries, or one column of T
+        self._width = max(1, budget // max(1, self.n_steps))
+        self.slice_max = np.where(self.weight.any(axis=1), self.scale, 0.0)
         # data too large for float64 overflows here silently; the step bounds
         # abort on it with a message of their own
         with np.errstate(over="ignore", invalid="ignore"):
-            self.slice_max = self.weight.max(axis=1)
             norms = _slice_sums(np.square(self.values), self.starts)
             self.target_norm = 0.5 * float(self.scale @ norms)
 
@@ -206,20 +217,20 @@ class FitData:
         adj and mask are any slice stacks (:func:`as_stack`), read together
         one slice at a time: each mask slice is checked (:func:`check_mask`),
         its observed entries of adj copied into one zeroed N x N scratch,
-        whose nonzero entries are kept as Y's, and it is packed into W.
-        Adjacency values where the mask is 0 are never read, so they may be
-        NaN; an observed zero, of either sign, is not kept. `exact_mask`
-        keeps W the 0/1 mask; Y is zero off it, so scale is 1.
-        `count_weighted` then fills slice t of W, and scale_t, with the
-        observation count k_t = 1'm_t. The diagonal never counts as an
-        observed pair: it carries no edge, and a sampled mask always observes
-        it (datagen.sample_mask).
+        whose nonzero entries are kept as Y's, and it is packed into the bool
+        rows of B. Adjacency values where the mask is 0 are never read, so
+        they may be NaN; an observed zero, of either sign, is not kept.
+        `exact_mask` keeps B the mask and scale 1, so W is the 0/1 mask.
+        `count_weighted` then sets all of B and takes scale_t the observation
+        count k_t = 1'm_t, so W_t weighs every entry by k_t. The
+        diagonal never counts as an observed pair: it carries no edge, and a
+        sampled mask always observes it (datagen.sample_mask).
         """
         check_gradient_mode(h.gradient_mode)
         adj, mask = _stacks(adj, mask)
         n_steps, n = mask.shape[:2]
         at = triangle(n)[0]
-        weight = np.empty((n_steps, at.size))
+        weight = np.empty((n_steps, at.size), dtype=bool)
         y = np.empty((n, n))
         flat = y.reshape(-1)
         entries, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
@@ -236,9 +247,9 @@ class FitData:
         unobserved = np.flatnonzero(~weight[:, :-n].any(axis=1))
         scale = np.ones(n_steps)
         if h.gradient_mode == "count_weighted":
-            # sums of 0/1 entries, so k_t is exact
+            # counts of entries, so k_t is exact
             scale = 2.0 * weight[:, :-n].sum(axis=1) + weight[:, -n:].sum(axis=1)
-            weight[:] = scale[:, None]
+            weight.fill(True)
         return cls(entries, np.concatenate(values), starts, weight, scale, unobserved)
 
     @property
@@ -268,6 +279,15 @@ class FitData:
             at = self.entries[first:last].astype(np.intp)
             yield t0, t1, at, self.values[first:last], self.starts[t0 : t1 + 1] - first
 
+    def _pattern_blocks(self):
+        """B's packed columns p0 <= p < p1 as a float64 (T, p1 - p0) block:
+        (p0, p1, block), left to right, each holding at most the budget of
+        :meth:`_runs`, or one column when T is more."""
+        size = self.weight.shape[1]
+        for p0 in range(0, size, self._width):
+            p1 = min(p0 + self._width, size)
+            yield p0, p1, self.weight[:, p0:p1].astype(np.float64)
+
     def unpack(self, rows):
         """The (K, N, N) symmetric stack of (K, M + N) packed rows.
 
@@ -280,8 +300,9 @@ class FitData:
     def a_stats(self, signatures, z_rows=None):
         """:class:`AStats` of the (T, R) signatures; Xi needs the packed Z rows.
 
-        Omega and Xi are contracted on the packed rows of W and Z and unpacked
-        once, to the symmetric planes the A solves read. Built under the same
+        Omega and Xi are contracted on the packed rows of B and Z and unpacked
+        once, to the symmetric planes the A solves read; the scale of W goes
+        into the coefficients of Omega. Built under the same
         errstate as the step bounds, so data too large for float64 raises no
         numpy warning before the abort that names it.
         """
@@ -296,7 +317,11 @@ class FitData:
         pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
         with np.errstate(over="ignore", invalid="ignore"):
             prods = c[:, rows] * c[:, cols]
-            omega = self.unpack(prods.T @ self.weight)
+            prods *= self.scale[:, None]
+            omega = np.empty((rows.size, self.weight.shape[1]))
+            for p0, p1, block in self._pattern_blocks():
+                omega[:, p0:p1] = prods.T @ block
+            omega = self.unpack(omega)
             # V_r: one scatter-add of c_r[t] scale_t Y_t over the entries of each run
             coef = c * self.scale[:, None]
             v = np.zeros((c.shape[1], n * n))
@@ -316,28 +341,30 @@ class FitData:
     def c_stats(self, latents, z_rows=None):
         """:class:`CStats` of the (R, N, N) latents; the traces need the packed Z rows.
 
-        For symmetric W and Z and any latents, with P = A_r o A_k and the
-        packed positions p of :func:`triangle`,
-        G_t,rk = sum_p W_t,p (P_at + P_mirror) / m_p and
-        <Z_t, A_r> = sum_p Z_t,p (A_r,at + A_r,mirror), where m_p is 2 on the
-        diagonal, which both gathers hold, and 1 off it; Z_t's diagonal is 0.
-        The Grams take one product per latent r against the pairs r <= k, so
-        no (R, R, M + N) temporary is formed. Built under the same errstate
-        as :meth:`a_stats`.
+        For symmetric B and Z and any latents, with the packed positions p of
+        :func:`triangle`, the mirror gather zeroed on the diagonal, which
+        the first gather holds,
+        G_t,rk = scale_t sum_p B_t,p (A_r,at A_k,at + A_r,mirror A_k,mirror)
+        and <Z_t, A_r> = sum_p Z_t,p (A_r,at + A_r,mirror); Z_t's diagonal is
+        0. The Grams take one product per block of B's columns
+        (:meth:`_pattern_blocks`) against the (R, R) products of the latents'
+        entries in those columns, so no (R, R, M + N) temporary is formed.
+        Built under the same errstate as :meth:`a_stats`.
         """
         lat = _flat(np.asarray(latents, dtype=np.float64))
         n_lat, n = len(lat), self.n_nodes
         # np.take gathers rows several times faster than fancy indexing
         up, low = np.take(lat, self._at, axis=1), np.take(lat, self._mirror, axis=1)
+        low[:, -n:] = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            grams = np.empty((self.n_steps, n_lat, n_lat))
-            for r in range(n_lat):
-                sym = up[r:] * up[r]
-                sym += low[r:] * low[r]
-                sym[:, -n:] *= 0.5
-                g = self.weight @ sym.T
-                grams[:, r, r:] = g
-                grams[:, r:, r] = g
+            grams = np.zeros((self.n_steps, n_lat * n_lat))
+            for p0, p1, block in self._pattern_blocks():
+                u, l = up[:, p0:p1], low[:, p0:p1]
+                sym = u[:, None] * u
+                sym += l[:, None] * l
+                grams += block @ sym.reshape(n_lat * n_lat, -1).T
+            grams *= self.scale[:, None]
+            grams = grams.reshape(-1, n_lat, n_lat)
             # b_t: Y_t's entries times the latents gathered at them, summed per slice
             b = np.empty((self.n_steps, n_lat))
             for t0, t1, at, y, starts in self._runs():
@@ -387,8 +414,8 @@ class FitData:
         runs one slice at a time, so it holds no (T, N, N) buffer: Y_t's
         entries are subtracted from the dense reconstruction of slice t, the
         residual is squared in place, and its squares at the two gathers of
-        :func:`triangle` are weighted together by the packed W_t, the
-        diagonal, gathered twice, halved.
+        :func:`triangle` are weighted together by the packed B_t, the
+        diagonal, gathered twice, halved, and by scale_t.
         """
         c = np.asarray(signatures, dtype=np.float64)
         lat = _flat(np.asarray(latents, dtype=np.float64))
@@ -402,7 +429,7 @@ class FitData:
                 pairs = sq[self._at]
                 pairs += sq[self._mirror]
                 pairs[-n:] *= 0.5
-                total += float(self.weight[t] @ pairs)
+                total += self.scale[t] * float(self.weight[t] @ pairs)
         return 0.5 * total
 
 
@@ -417,13 +444,15 @@ def _stacks(adj, mask):
 
 
 def _observe(adj, mask, t, y):
-    """Check mask slice t, copy the observed entries of adj[t] into y; returns the slice."""
+    """Check mask slice t, copy the observed entries of adj[t] into y; returns
+    the slice's observed entries as a bool N x N slice."""
     m = np.asarray(mask[t], dtype=np.float64)
     _check_mask_slice(m, t)
+    seen = m > 0
     # putmask copies several times faster than copyto(where=)
-    np.putmask(y, m > 0, adj[t])
+    np.putmask(y, seen, adj[t])
     check_finite(y, "observed adjacency", "t, i, j", at=(t,))
-    return m
+    return seen
 
 
 def as_stack(x):

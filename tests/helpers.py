@@ -70,7 +70,7 @@ def dense_fit(mask, target):
     directly; the target is taken as it is, so it may hold what
     FitData.build rejects. Every step counts as observed."""
     t, n = mask.shape[:2]
-    weight = mask.reshape(t, n * n)[:, triangle(n)[0]]
+    weight = mask.reshape(t, n * n)[:, triangle(n)[0]] > 0
     unobserved = np.empty(0, dtype=np.intp)
     return FitData(*sparse_target(target), weight, np.ones(t), unobserved)
 

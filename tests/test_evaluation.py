@@ -419,6 +419,37 @@ def test_sweep_observed_frac_sets_rank_sweeps_only(monkeypatch):
             sweep("observed", [0.5], spec, h, observed_frac=frac, **kw)
 
 
+def test_sweep_checks_every_rank_before_any_cell(monkeypatch):
+    spec, h = _tiny_sweep_args()
+    kw = dict(seed=0, repeats=1, methods=("cpd",))
+    # a rank the grid cannot fit as given is never rounded to one it can
+    assert sweep("rank", [np.int64(1)], spec, h, **kw) == sweep("rank", [1], spec, h, **kw)
+
+    def cell_ran(*args):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr("dgd.evaluation.swdyn", cell_ran)
+    for bad, match in ((1.5, "^n_latents must be an integer, got 1.5$"),
+                       (True, "^n_latents must be an integer, got True$"),
+                       (2.0, "^n_latents must be an integer, got 2.0$"),
+                       (0, "^n_latents must be >= 1, got 0$")):
+        with pytest.raises(ValueError, match=match):
+            sweep("rank", [1, bad], spec, h, **kw)
+
+
+def test_sweep_error_raised_in_a_cell_reaches_the_caller(monkeypatch):
+    # every rank passes the checks, so the error comes from the cell itself
+    def fail(*args):
+        raise ValueError("cell failed")
+
+    monkeypatch.setitem(METHODS, "cpd", fail)
+    spec, h = _tiny_sweep_args()
+    for cpus in ({0, 1}, {0}):
+        set_cpus(monkeypatch, cpus)
+        with pytest.raises(ValueError, match="^cell failed$"):
+            sweep("rank", [1, 2], spec, h, seed=0, repeats=1, methods=("cpd",))
+
+
 def test_sweep_timing_records_wall_clock(monkeypatch):
     spec, h = _tiny_sweep_args()
     for cpus in ({0, 1}, {0}):

@@ -228,7 +228,8 @@ def _dense_loss(fit, y, c, lat):
         pairs = sq[at]
         pairs += sq[mirror]
         pairs[-n:] *= 0.5
-        total += float(fit.weight[t] @ pairs)
+        # W_t = scale_t B_t, B_t the packed bool pattern
+        total += fit.scale[t] * float(fit.weight[t] @ pairs)
     return 0.5 * total
 
 
@@ -251,6 +252,53 @@ def test_target_entries_match_the_dense_formulas(case):
         assert _close(v[r], np.tensordot(c[:, r], scaled, axes=1))
     assert _close(fit.c_stats(lat).b, np.einsum("tij,rij->tr", scaled, lat))
     assert fit.loss(c, lat) == _dense_loss(fit, y, c, lat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_targets())
+def test_bool_pattern_statistics_match_the_dense_weight(case):
+    # W_t = scale_t B_t read from the bool rows, B converted in blocks of a
+    # few columns, against the dense (T, N, N) float weight of each mode
+    adj, mask, mode, run, c, lat = case
+    with mock.patch.multiple(tensors, RUN_PLANES=0, RUN_ENTRIES=run):
+        fit = FitData.build(adj, mask, Hyperparams(gradient_mode=mode))
+    n_steps, n = mask.shape[:2]
+    weight = np.stack([np.broadcast_to(_loop_weight(mask, t, mode), (n, n)) for t in range(n_steps)])
+    assert fit.weight.dtype == bool
+    blocks = list(fit._pattern_blocks())
+    assert all(b.dtype == np.float64 and b.size <= max(run, n_steps) for _, _, b in blocks)
+    assert np.array_equal(np.concatenate([b for _, _, b in blocks], axis=1), fit.weight)
+    assert np.array_equal(fit.slice_max, weight.reshape(n_steps, -1).max(axis=1))
+    a = fit.a_stats(c)
+    for r in range(len(lat)):
+        for k in range(len(lat)):
+            assert _close(a.omega[a.pair[r, k]], np.tensordot(c[:, r] * c[:, k], weight, axes=1))
+    want = np.einsum("tij,rij,kij->trk", weight, lat, lat)
+    assert _close(fit.c_stats(lat).grams, want)
+    recon = np.einsum("tr,rij->tij", c, lat)
+    want = 0.5 * float(np.sum(weight * (recon - np.where(mask > 0, adj, 0.0)) ** 2))
+    assert _close(fit.loss(c, lat), want)
+
+
+def test_statistics_hold_no_float_weight():
+    # numpy allocations are traced: a_stats and c_stats convert B to float64
+    # a block of columns at a time, never the whole (T, M + N) weight
+    rng = np.random.default_rng(12)
+    t, n, r = 200, 64, 2
+    mask = (rng.random((t, n, n)) < 0.3).astype(np.float64)
+    mask = np.maximum(mask, mask.transpose(0, 2, 1))
+    signatures, latents = rng.random((t, r)), rng.random((r, n, n))
+    float_weight = 8 * t * n * (n + 1) // 2
+    for mode in GRADIENT_MODES:
+        fit = FitData.build(rng.random((t, n, n)), mask, Hyperparams(gradient_mode=mode))
+        for stats in (lambda: fit.a_stats(signatures), lambda: fit.c_stats(latents)):
+            tracemalloc.start()
+            try:
+                stats()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < float_weight // 2, mode
 
 
 def test_loss_allocates_one_stack():

@@ -1,6 +1,7 @@
 """Fit data and mask validation."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,21 +26,46 @@ def test_fit_data_matches_slices():
     assert exact.dense_target().shape == (t, n, n)
     for fit in (exact, counted):
         assert fit.weight.shape == (t, n * (n - 1) // 2 + n)
+        assert fit.weight.dtype == bool
     rows, cols = np.triu_indices(n, 1)
     for k in range(t):
         assert np.array_equal(exact.dense_target()[k], mask[k] * adj[k])
         # the strict upper triangle row by row, then the diagonal
         want = np.concatenate((mask[k][rows, cols], np.diag(mask[k])))
-        assert np.array_equal(exact.weight[k], want)
+        assert np.array_equal(exact.weight[k], want > 0)
         assert exact.scale[k] == 1.0
+        # W_t = scale_t B_t is the 0/1 mask
+        assert np.array_equal(exact.scale[k] * exact.weight[k], want)
         # count_weighted weighs every entry of slice k by its count k_t
         count = mask[k].sum()
-        assert np.all(counted.weight[k] == count)
+        assert counted.weight[k].all()
+        assert np.all(counted.scale[k] * counted.weight[k] == count)
         assert counted.scale[k] == count and counted.slice_max[k] == count
     for name in ("entries", "values", "starts"):
         assert np.array_equal(getattr(counted, name), getattr(exact, name))
     assert np.array_equal(exact.unobserved, [1, 3])
     assert np.array_equal(counted.unobserved, exact.unobserved)
+
+
+def test_fit_data_holds_one_byte_per_weight_entry():
+    # what build leaves allocated: B at 1 byte per packed entry, Y at 12 per
+    # nonzero entry, and the O(N^2) index maps of the packed rows; a float64
+    # weight would add 7 T (M + N) bytes, several times the slack allowed
+    rng = np.random.default_rng(5)
+    t, n = 24, 96
+    mask = (rng.random((t, n, n)) < 0.3).astype(np.float64)
+    mask = np.maximum(mask, mask.transpose(0, 2, 1))
+    adj = rng.random((t, n, n))
+    size = n * (n + 1) // 2
+    for mode in tensors.GRADIENT_MODES:
+        tracemalloc.start()
+        try:
+            fit = tensors.FitData.build(adj, mask, Hyperparams(gradient_mode=mode))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert fit.weight.dtype == bool and fit.weight.shape == (t, size)
+        assert held <= t * size + 12 * fit.values.size + 24 * n * n + 2**14, mode
 
 
 def test_triangle_packs_row_by_row_and_unpacks_symmetric():
