@@ -163,15 +163,11 @@ def _cmd_sweep(args):
     h = Hyperparams.from_dict(_load_json(args.config, "--config") if args.config else {})
     grid = _parse_grid(args.grid, args.kind)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    if args.kind == "observed":
-        for given, name in ((spec_frac, f"observed_frac in --spec {args.spec}"),
-                            (args.observed_frac, "--observed-frac")):
-            if given is not None:
-                raise ValueError(f"{name} sets the fraction of --kind rank only; "
-                                 "--kind observed sweeps the fractions in --grid")
-    elif spec_frac is not None and args.observed_frac is not None:
-        raise ValueError(f"observed_frac in --spec {args.spec} and --observed-frac "
-                         "both set the fraction of --kind rank; give one")
+    if not methods:
+        raise ValueError(f"--methods names no method; give some of {','.join(METHODS)}")
+    if args.kind == "observed" and spec_frac is not None:
+        raise ValueError(f"observed_frac in --spec {args.spec} sets the fraction of --kind rank "
+                         "only; --kind observed sweeps the fractions in --grid")
     rows = run_sweep(
         args.kind,
         grid,
@@ -181,7 +177,7 @@ def _cmd_sweep(args):
         repeats=args.repeats,
         methods=methods,
         out_path=args.out,
-        observed_frac=args.observed_frac if spec_frac is None else spec_frac,
+        observed_frac=spec_frac,
         timing=args.timing,
     )
     print(f"wrote {args.out} ({len(rows)} rows)")
@@ -224,8 +220,6 @@ def build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--methods", default=",".join(METHODS))
-    p.add_argument("--observed-frac", type=float,
-                   help="fraction for rank sweeps, unless the spec sets observed_frac (default 0.9)")
     p.add_argument("--timing", action="store_true", help="record wall-clock seconds per cell")
     p.set_defaults(func=_cmd_sweep)
     return parser

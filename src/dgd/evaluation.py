@@ -224,8 +224,8 @@ def sweep(
     metrics. When timing is False the seconds column is 0.0 so repeated runs
     are byte-identical. seed must be an integer >= 0, repeats one >= 1,
     every rank an integer >= 1 (named n_latents) and every observed fraction
-    lie in (0, 1]; all are checked before any cell runs (ValueError naming
-    the argument).
+    lie in (0, 1], and methods and grid must not be empty; all are checked
+    before any cell runs (ValueError naming the argument).
 
     No cell reads another's output, so the cells run in a pool of forked
     worker processes, one per CPU this process may run on (os.sched_getaffinity),
@@ -239,6 +239,8 @@ def sweep(
     """
     if kind not in ("rank", "observed"):
         raise ValueError(f"sweep kind must be 'rank' or 'observed', got {kind!r}")
+    if not methods:
+        raise ValueError(f"methods names no method; give some of {tuple(METHODS)}")
     for name in methods:
         if name not in METHODS:
             raise ValueError(f"unknown method {name!r}")
@@ -259,6 +261,8 @@ def sweep(
             frac = observed_fraction(param, "grid")
         for rep in range(repeats):
             cells.append((spec, h_cell, frac, param, int(seed) + rep, methods, timing))
+    if not cells:
+        raise ValueError("grid holds no value")
     rows = []
     registry = {}
     for cell_rows, caught in _map_cells(cells):
@@ -322,7 +326,8 @@ def _sweep_cell(cell):
 
 def _fmt_cell(v):
     if isinstance(v, float):
-        return repr(v)
+        # float() too: the repr of a numpy float64 grid value names its type
+        return repr(float(v))
     return str(v)
 
 

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .tensors import as_stack, check_finite, pack, triangle
+from .tensors import as_stack, check_finite, triangle
 
 
 def build_cache(x):
@@ -31,7 +31,7 @@ def build_cache(x):
     ||X_t[i, :] - X_t[j, :]||_2^2 off the diagonal and Z_t[i, i] = 0.
     Z_t = sq_t 1' + 1 sq_t' - 2 X_t X_t', sq_t the squared row norms of X_t,
     is formed in one N x N slice with one N x N scratch, its diagonal zeroed,
-    and then packed into its row, so set-up needs no (T, N, N) array at all.
+    and then gathered into its row, so set-up needs no (T, N, N) array at all.
     x is any slice stack (:func:`tensors.as_stack`) and is read one slice at
     a time; each slice must be finite, else ValueError names the entry's
     (t, i, q).
@@ -61,7 +61,7 @@ def build_cache(x):
         scratch *= 0.5
         np.maximum(scratch, 0.0, out=zk)
         np.fill_diagonal(zk, 0.0)
-        pack(zk, at, z[k])
+        z[k] = zk.take(at)
     return z
 
 

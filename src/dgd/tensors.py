@@ -68,13 +68,9 @@ def triangle(n):
     is its entries at `mirror` too. Each holder of packed rows builds these
     once.
     """
-    # the pairs i < j, then (i, i); in place, twice as fast at N = 240
+    # the pairs i < j, then (i, i)
     rows, cols = (np.concatenate((k, np.arange(n))) for k in np.triu_indices(n, 1))
-    at = rows * n
-    at += cols
-    cols *= n
-    cols += rows
-    return at, cols
+    return rows * n + cols, cols * n + rows
 
 
 def _slice_sums(x, starts):
@@ -88,15 +84,6 @@ def _slice_sums(x, starts):
         # a run of full[i] ends where the next nonempty one starts
         sums[..., full] = np.add.reduceat(x, starts[full], axis=-1)
     return sums
-
-
-def pack(m, at, out):
-    """Write the entries of the N x N slice m at the flat indices `at` into out.
-
-    The indices are in range by construction, so take runs in "clip" mode,
-    which fills out directly instead of through a buffer.
-    """
-    return np.take(m, at, out=out, mode="clip")
 
 
 @dataclass
@@ -236,7 +223,7 @@ class FitData:
         entries, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
         for t in range(n_steps):
             y.fill(0.0)
-            pack(_observe(adj, mask, t, y), at, weight[t])
+            weight[t] = _observe(adj, mask, t, y).take(at)
             # a boolean scan runs several times faster than one of the floats
             nonzero = (flat != 0.0).nonzero()[0]
             entries.append(nonzero)
@@ -310,9 +297,7 @@ class FitData:
         n_steps, n = self.n_steps, self.n_nodes
         if c.ndim != 2 or c.shape[0] != n_steps:
             raise ValueError(f"signatures must be ({n_steps}, R), got {c.shape}")
-        # the pairs r <= k row by row, as np.triu_indices orders them, at a
-        # third of its cost
-        rows, cols = np.nonzero(np.tri(c.shape[1], dtype=bool).T)
+        rows, cols = np.triu_indices(c.shape[1])
         pair = np.empty((c.shape[1],) * 2, dtype=np.intp)
         pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -368,10 +353,7 @@ class FitData:
             # b_t: Y_t's entries times the latents gathered at them, summed per slice
             b = np.empty((self.n_steps, n_lat))
             for t0, t1, at, y, starts in self._runs():
-                # one take per latent runs faster than one along the rows
-                g = np.empty((n_lat, at.size))
-                for l_r, g_r in zip(lat, g):
-                    pack(l_r, at, g_r)
+                g = np.take(lat, at, axis=1)
                 g *= y
                 b[t0:t1] = _slice_sums(g, starts).T
             b *= self.scale[:, None]

@@ -393,6 +393,27 @@ def test_sweep_rejects_bad_arguments():
         sweep("observed", [0.0], spec, h, seed=0, repeats=1, methods=("unc",))
 
 
+def test_sweep_without_methods_or_grid_raises_before_any_cell(monkeypatch):
+    def cell_ran(*args):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr("dgd.evaluation.swdyn", cell_ran)
+    spec, h = _tiny_sweep_args()
+    with pytest.raises(ValueError, match="^methods names no method"):
+        sweep("observed", [0.5, 0.9], spec, h, seed=0, repeats=2, methods=())
+    for kind in ("rank", "observed"):
+        with pytest.raises(ValueError, match="^grid holds no value$"):
+            sweep(kind, [], spec, h, seed=0, repeats=2, methods=("cpd",))
+
+
+def test_sweep_csv_writes_a_numpy_grid_as_plain_numbers(tmp_path):
+    spec, h = _tiny_sweep_args()
+    kw = dict(seed=0, repeats=1, methods=("cpd",))
+    sweep("observed", np.array([0.5, 0.9]), spec, h, out_path=tmp_path / "np.csv", **kw)
+    sweep("observed", [0.5, 0.9], spec, h, out_path=tmp_path / "list.csv", **kw)
+    assert (tmp_path / "np.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+
+
 def test_sweep_checks_the_seed_before_any_cell(monkeypatch):
     def cell_ran(*args):
         raise AssertionError("a sweep cell ran")

@@ -1,7 +1,11 @@
 """Container format and command line flows."""
 
+import argparse
+import csv
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -936,23 +940,28 @@ def test_sweep_cli_rejects_fractional_rank(tmp_path, capsys):
         assert not (tmp_path / "r.csv").exists()
 
 
-def test_sweep_cli_rejects_observed_frac_of_observed_sweep(tmp_path, capsys):
-    # an observed sweep takes its fractions from --grid, so the flag would be ignored
+def test_sweep_cli_rejects_the_observed_frac_flag(tmp_path, capsys):
+    # the spec's observed_frac is the one source of a rank sweep's fraction
     out = tmp_path / "r.csv"
-    code = main(["sweep", "--kind", "observed", "--grid", "0.5", "--out", str(out), "--seed", "0",
-                 "--methods", "cpd", "--observed-frac", "0.5"])
-    assert code == 1
-    assert "dgd: error: --observed-frac" in capsys.readouterr().err
-    assert not out.exists()
+    for kind, grid in (("rank", "1"), ("observed", "0.5")):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--kind", kind, "--grid", grid, "--out", str(out), "--seed", "0",
+                  "--methods", "cpd", "--observed-frac", "0.5"])
+        assert excinfo.value.code == 1
+        assert "dgd: error: unrecognized arguments: --observed-frac 0.5" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "flag,value,name",
     [("--repeats", "0", "repeats"), ("--repeats", "-2", "repeats"),
-     ("--observed-frac", "0", "observed_frac")],
+     ("observed_frac", "0", "observed_frac")],
 )
 def test_sweep_cli_rejects_bad_repeats_and_observed_frac(tmp_path, capsys, flag, value, name):
+    # a flag, or a setting of the spec
     out = tmp_path / "r.csv"
+    if not flag.startswith("--"):
+        flag, value = "--spec", _write_json(tmp_path / "s.json", {flag: float(value)})
     code = main(["sweep", "--kind", "rank", "--grid", "1", "--out", str(out), "--seed", "0",
                  "--methods", "cpd", flag, value])
     assert code == 1
@@ -975,27 +984,61 @@ def _rank_sweep_csv(tmp_path, spec, *flags):
 def test_rank_sweep_observes_the_spec_observed_frac(tmp_path, capsys):
     spec = {"n_nodes": 8, "n_steps": 6, "n_signals": 4}
     from_spec = _rank_sweep_csv(tmp_path, {**spec, "observed_frac": 0.3})
-    assert from_spec == _rank_sweep_csv(tmp_path, spec, "--observed-frac", "0.3")
     assert from_spec != _rank_sweep_csv(tmp_path, spec)
-    assert _rank_sweep_csv(tmp_path, spec) == _rank_sweep_csv(tmp_path, spec, "--observed-frac", "0.9")
+    # without one in the spec, a rank sweep observes 0.9
+    assert _rank_sweep_csv(tmp_path, spec) == _rank_sweep_csv(tmp_path, {**spec, "observed_frac": 0.9})
     capsys.readouterr()
 
 
-@pytest.mark.parametrize(
-    "kind,flags,named",
-    [("rank", ["--observed-frac", "0.5"], "--observed-frac"), ("observed", [], "--kind observed")],
-    ids=["observed_frac_flag", "observed_kind"],
-)
-def test_sweep_cli_spec_observed_frac_with_another_source_exits_one(tmp_path, capsys, kind, flags,
-                                                                   named):
+def test_sweep_cli_spec_observed_frac_of_observed_sweep_exits_one(tmp_path, capsys):
     spec = _write_json(tmp_path / "s.json", {"n_nodes": 8, "n_steps": 6, "observed_frac": 0.8})
     out = tmp_path / "r.csv"
-    code = main(["sweep", "--kind", kind, "--grid", "1", "--spec", spec, "--out", str(out),
-                 "--seed", "0", "--methods", "cpd", *flags])
+    code = main(["sweep", "--kind", "observed", "--grid", "1", "--spec", spec, "--out", str(out),
+                 "--seed", "0", "--methods", "cpd"])
     assert code == 1
     err = capsys.readouterr().err
-    assert f"dgd: error: observed_frac in --spec {spec}" in err and named in err
+    assert f"dgd: error: observed_frac in --spec {spec}" in err and "--kind observed" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("methods", ["", ",", " , "])
+def test_sweep_cli_without_methods_exits_one_before_any_cell(tmp_path, capsys, monkeypatch, methods):
+    def cell_ran(*args):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr(evaluation, "swdyn", cell_ran)
+    out = tmp_path / "r.csv"
+    code = main(["sweep", "--kind", "observed", "--grid", "0.5,0.9", "--out", str(out),
+                 "--seed", "0", "--repeats", "2", "--methods", methods])
+    assert code == 1
+    assert "dgd: error: --methods names no method" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_cell_matches_generate_decompose_evaluate(tmp_path, capsys):
+    # the two copies of the mask_seed rule agree: a cell scores as the pipeline does
+    seed, frac = 3, 0.6
+    spec = {"n_nodes": 8, "n_steps": 6, "n_signals": 5}
+    cfg = _write_json(tmp_path / "cfg.json", {"inner_iters": 3, "outer_iters": 4})
+    spec_path = _write_json(tmp_path / "spec.json", spec)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--kind", "observed", "--grid", str(frac), "--spec", spec_path,
+                 "--config", cfg, "--out", str(out), "--seed", str(seed), "--repeats", "1",
+                 "--methods", "cpd,dgd"]) == 0
+    rows = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()))
+    assert [row["method"] for row in rows] == ["cpd", "dgd"]
+    data = _generate(tmp_path, seed=seed, extra={**spec, "observed_frac": frac})
+    for row in rows:
+        fit = tmp_path / row["method"]
+        assert main(["decompose", "--adj", str(data / "adjacency.dgt"), "--mask", str(data / "mask.dgt"),
+                     "--signals", str(data / "signals.dgt"), "--config", cfg,
+                     "--method", row["method"], "--out-dir", str(fit), "--seed", str(seed)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--est-dir", str(fit), "--truth", str(data / "adjacency.dgt"),
+                     "--mask", str(data / "mask.dgt")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        for metric in ("re", "f1", "precision", "recall"):
+            assert float(row[metric]) == report[metric], (row["method"], metric)
 
 
 def test_spec_seed_exits_one_naming_the_seed_flag(tmp_path, capsys):
@@ -1029,3 +1072,24 @@ def test_kinds_registry_is_complete():
         "latents": 3,
         "signatures": 2,
     }
+
+
+def test_readme_flags_exist_on_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (subparsers,) = (a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction))
+    flags = {name: set(p._option_string_actions) for name, p in subparsers.choices.items()}
+    # a dgd command line, in a code block or in backticks, runs to the end of
+    # its line or span; a trailing backslash continues it
+    joined = readme.replace("\\\n", " ")
+    commands = re.findall(rf"\bdgd ({'|'.join(flags)})\b([^`\n]*)", joined)
+    assert commands
+    for sub, rest in commands:
+        for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", rest):
+            assert flag in flags[sub], f"dgd {sub} has no {flag}"
+    # every flag written in backticks in the prose belongs to some subcommand
+    prose = re.sub(r"```.*?```", "", readme, flags=re.DOTALL)
+    known = set().union(*flags.values())
+    for span in re.findall(r"`([^`]+)`", prose):
+        for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", span):
+            assert flag in known, f"no dgd subcommand has {flag}"
