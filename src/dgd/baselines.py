@@ -52,13 +52,9 @@ def unc_solve(adj, mask, n_latents, iters=50, seed=0):
     observed = FitData.build(adj, mask, Hyperparams())
     target = observed.dense_target()
     t, n = target.shape[:2]
-    # the fit and the latent step weigh each entry (i, j) apart, on the dense
-    # 0/1 mask: the caller's array, or rebuilt from the packed bool rows when
-    # the mask came as a slice reader
-    if isinstance(mask, np.ndarray):
-        mask = mask.astype(np.float64, copy=False)
-    else:
-        mask = observed.unpack(observed.weight).astype(np.float64)
+    # the fit and the latent step weigh each entry (i, j) apart, on the bool
+    # pattern unpacked from the checked rows; each product casts it to float
+    mask = observed.unpack(observed.weight)
     rng = np.random.default_rng(seed)
     # the draw's column r is A_r stacked column by column
     latents = rng.random((n * n, n_latents)).reshape(n, n, n_latents).transpose(2, 1, 0)

@@ -137,14 +137,9 @@ def sample_mask(n_nodes, n_steps, observed_frac, seed):
     mask = np.empty((n_steps, n_nodes, n_nodes))
     # one (N, N) draw per slice, in order from the one stream: the same
     # numbers as one (T, N, N) draw, without its stack-sized buffers
-    draw = np.empty((n_nodes, n_nodes))
-    upper = np.empty((n_nodes, n_nodes), dtype=bool)
-    strict = np.triu(np.ones_like(upper), k=1)
     for m in mask:
-        rng.random(out=draw)
-        np.less(draw, observed_frac, out=upper)
-        upper &= strict
-        np.logical_or(upper, upper.T, out=m)
+        upper = np.triu(rng.random((n_nodes, n_nodes)) < observed_frac, k=1)
+        m[...] = upper | upper.T
         np.fill_diagonal(m, 1.0)
     return mask
 

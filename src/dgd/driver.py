@@ -21,7 +21,7 @@ from .admm_a import solve_a_subproblem
 from .admm_c import solve_c_subproblem
 from .model import Decomposition, NumericalAbort, degree_margin, objective, project_sa
 from .priors import build_cache
-from .tensors import FitData, as_stack
+from .tensors import FitData, as_stack, as_stacks
 
 
 @dataclass
@@ -91,7 +91,8 @@ def run_dgd(adj, mask, signals, h, seed):
         no pair i != j is reported in the history's zero_observation_steps;
         a run where no step observes one aborts.
     signals : (T, N, Q) node signals, or None when h.delta == 0; never read
-        when h.delta == 0.
+        when h.delta == 0. When h.delta > 0, missing signals or signals of
+        another (T, N) than the mask raise ValueError before any slice is read.
     adj, mask and signals may be any slice stack (:func:`tensors.as_stack`),
     such as an io_dgt.DgtSlices reader; each is read one slice at a time, once.
     h : Hyperparams.
@@ -103,8 +104,16 @@ def run_dgd(adj, mask, signals, h, seed):
     the partial trace) if an iterate diverges or nothing is observed.
     """
     h.validate()
+    adj, mask = as_stacks(adj, mask)
+    n_steps, n = mask.shape[:2]
+    if h.delta != 0.0:
+        if signals is None:
+            raise ValueError("signals are required when delta > 0")
+        signals = as_stack(signals)
+        shape = signals.shape
+        if len(shape) != 3 or tuple(shape[:2]) != (n_steps, n):
+            raise ValueError(f"expected ({n_steps}, {n}, Q) signals, got {shape}")
     fit = FitData.build(adj, mask, h)
-    n_steps, n = fit.n_steps, fit.n_nodes
 
     history = RunHistory()
     zero_steps = fit.unobserved
@@ -121,15 +130,7 @@ def run_dgd(adj, mask, signals, h, seed):
             file=sys.stderr,
         )
 
-    cache = None
-    if h.delta != 0.0:
-        if signals is None:
-            raise ValueError("signals are required when delta > 0")
-        signals = as_stack(signals)
-        shape = signals.shape
-        if len(shape) != 3 or shape[:2] != (n_steps, n):
-            raise ValueError(f"expected ({n_steps}, {n}, Q) signals, got {shape}")
-        cache = build_cache(signals)
+    cache = None if h.delta == 0.0 else build_cache(signals)
 
     rng = np.random.default_rng(seed)
     d = initialize(rng, n, n_steps, h.n_latents)

@@ -224,8 +224,9 @@ def sweep(
     metrics. When timing is False the seconds column is 0.0 so repeated runs
     are byte-identical. seed must be an integer >= 0, repeats one >= 1,
     every rank an integer >= 1 (named n_latents) and every observed fraction
-    lie in (0, 1], and methods and grid must not be empty; all are checked
-    before any cell runs (ValueError naming the argument).
+    lie in (0, 1], methods must be a sequence of names (not a string), and
+    methods and grid must not be empty; all are checked before any cell runs
+    (ValueError naming the argument).
 
     No cell reads another's output, so the cells run in a pool of forked
     worker processes, one per CPU this process may run on (os.sched_getaffinity),
@@ -239,6 +240,8 @@ def sweep(
     """
     if kind not in ("rank", "observed"):
         raise ValueError(f"sweep kind must be 'rank' or 'observed', got {kind!r}")
+    if isinstance(methods, str):
+        raise ValueError(f"methods must be a sequence of method names, got the string {methods!r}")
     if not methods:
         raise ValueError(f"methods names no method; give some of {tuple(METHODS)}")
     for name in methods:

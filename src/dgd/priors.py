@@ -84,23 +84,12 @@ def temporal_pi(c):
 
 
 def dtd_product(c):
-    """D'D C for the (T-1, T) forward difference D, without forming D.
-
-    D'D is tridiagonal, so D'D C is the negated first difference of d = DC
-    padded with a zero row at each end: -d[0], then d[k] - d[k+1], then d[-1].
-    Each row is formed as that difference and negated, so the signs of zeros
-    match the padded formula; for T < 2 every entry is -0.0.
+    """D'D C for the (T-1, T) forward difference D, without forming D:
+    -diff(DC) with DC padded by a zero row at each end. For T < 2 every
+    entry is -0.0.
     """
     c = np.asarray(c, dtype=np.float64)
-    out = np.empty_like(c)
-    if len(c) < 2:
-        out.fill(-0.0)
-        return out
-    d = c[1:] - c[:-1]
-    out[0] = d[0]
-    np.subtract(d[1:], d[:-1], out=out[1:-1])
-    np.subtract(0.0, d[-1:], out=out[-1:])
-    return np.negative(out, out=out)
+    return -np.diff(np.diff(c, axis=0), axis=0, prepend=0.0, append=0.0)
 
 
 def dtd_norm(n_steps):

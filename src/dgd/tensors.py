@@ -214,7 +214,7 @@ class FitData:
         sampled mask always observes it (datagen.sample_mask).
         """
         check_gradient_mode(h.gradient_mode)
-        adj, mask = _stacks(adj, mask)
+        adj, mask = as_stacks(adj, mask)
         n_steps, n = mask.shape[:2]
         at = triangle(n)[0]
         weight = np.empty((n_steps, at.size), dtype=bool)
@@ -415,7 +415,7 @@ class FitData:
         return 0.5 * total
 
 
-def _stacks(adj, mask):
+def as_stacks(adj, mask):
     """adj and mask as slice stacks (:func:`as_stack`) of one (T, N, N) shape."""
     adj, mask = as_stack(adj), as_stack(mask)
     if len(adj.shape) != 3 or adj.shape[1] != adj.shape[2]:

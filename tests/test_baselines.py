@@ -33,9 +33,11 @@ def test_unc_exact_on_planted_full_mask():
 
 
 def test_unc_reads_an_array_mask_in_place(tmp_path):
-    # an array mask is the dense weight as it is; only a slice reader is
-    # unpacked, to the same fit. Beyond the target, the packed mask and the
-    # fit buffer, unc holds no stack-sized copy of the mask
+    # every mask form is weighed by the one bool pattern unpacked from the
+    # rows FitData.build checked, to the same fit. Beyond the target, the
+    # packed and unpacked pattern and one stack-sized temporary (the fit
+    # buffer, or the pattern cast to float in the latent Grams), unc holds no
+    # copy of the mask
     adj, _, _ = swdyn(SwDynSpec(n_nodes=40, n_steps=30, n_signals=2))
     mask = sample_mask(40, 30, 0.5, 1)
     unc_solve(adj, mask, 2, iters=1)  # first-call allocations stay out of the measurement
@@ -49,9 +51,12 @@ def test_unc_reads_an_array_mask_in_place(tmp_path):
     save_dgt(tmp_path / "a.dgt", adj, "adjacency")
     save_dgt(tmp_path / "m.dgt", mask, "mask")
     with DgtSlices(tmp_path / "a.dgt") as a, DgtSlices(tmp_path / "m.dgt") as m:
-        streamed, streamed_fits = unc_solve(a, m, 2, iters=5)
-    assert streamed_fits == fits
-    assert np.array_equal(streamed.latents, est.latents)
+        forms = {"bool": (adj, mask.astype(bool)), "list": (adj, mask.tolist()), "reader": (a, m)}
+        for name, (adj_form, mask_form) in forms.items():
+            got, got_fits = unc_solve(adj_form, mask_form, 2, iters=5)
+            assert got_fits == fits, name
+            assert got.latents.tobytes() == est.latents.tobytes(), name
+            assert got.signatures.tobytes() == est.signatures.tobytes(), name
 
 
 def test_unc_starts_from_column_major_draw():

@@ -189,6 +189,26 @@ def test_delta_requires_signals():
         run_dgd(adj, mask, np.zeros((2, 2, 2)), Hyperparams(delta=0.1), seed=0)
 
 
+class _CountingStack:
+    """A slice stack that counts the slices read from it."""
+
+    def __init__(self, array):
+        self.array, self.shape, self.reads = array, array.shape, 0
+
+    def __getitem__(self, t):
+        self.reads += 1
+        return self.array[t]
+
+
+@pytest.mark.parametrize("signals", [None, np.zeros((8, 4, 2)), np.zeros((7, 5, 2))])
+def test_signals_are_checked_before_any_slice_is_read(signals):
+    adj, mask = _small_problem(8, t=8, n=5)
+    adj, mask = _CountingStack(adj), _CountingStack(mask)
+    with pytest.raises(ValueError, match="signals"):
+        run_dgd(adj, mask, signals, Hyperparams(delta=0.1), seed=0)
+    assert (adj.reads, mask.reads) == (0, 0)
+
+
 def test_input_shape_validation():
     with pytest.raises(ValueError):
         run_dgd(np.zeros((3, 4, 5)), np.zeros((3, 4, 5)), None, Hyperparams(delta=0.0), 0)

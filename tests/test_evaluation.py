@@ -401,6 +401,8 @@ def test_sweep_without_methods_or_grid_raises_before_any_cell(monkeypatch):
     spec, h = _tiny_sweep_args()
     with pytest.raises(ValueError, match="^methods names no method"):
         sweep("observed", [0.5, 0.9], spec, h, seed=0, repeats=2, methods=())
+    with pytest.raises(ValueError, match="^methods must be a sequence .* 'cpd'$"):
+        sweep("observed", [0.5, 0.9], spec, h, seed=0, repeats=2, methods="cpd")
     for kind in ("rank", "observed"):
         with pytest.raises(ValueError, match="^grid holds no value$"):
             sweep(kind, [], spec, h, seed=0, repeats=2, methods=("cpd",))

@@ -735,6 +735,7 @@ def test_numerical_abort_exits_two(tmp_path, capsys):
             "decompose",
             "--adj", str(data / "adjacency.dgt"),
             "--mask", str(tmp_path / "zero_mask.dgt"),
+            "--signals", str(data / "signals.dgt"),
             "--out-dir", str(tmp_path / "out"),
             "--seed", "0",
         ]

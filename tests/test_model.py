@@ -182,6 +182,17 @@ def test_readme_generator_fields_name_every_spec_field_and_default():
     assert sorted(listed) == sorted(want)
 
 
+def test_readme_python_api_block_runs(capsys):
+    # run as written: a renamed import or call fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Python API", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(.*?)```", section, flags=re.DOTALL).group(1)
+    exec(compile(block, "README.md: Python API", "exec"), {})
+    status, total, re_, f1 = capsys.readouterr().out.split()
+    assert status in ("converged", "max_iters")
+    assert all(np.isfinite(float(v)) for v in (total, re_, f1))
+
+
 def test_from_dict_names_unknown_key():
     # keys that older configs may carry are unknown keys like any other
     for key in ("bogus", "step_a", "step_c", "penalty_as_step"):
