@@ -65,8 +65,10 @@ def _read_spec(args):
     """The SwDynSpec of the --spec file (the defaults without one) seeded by
     --seed, and the file's observed_frac (None when it holds none).
 
-    A seed in the file is an error naming --seed, the one place that sets it.
+    A --seed below 0, or a seed in the file, is an error naming --seed, the
+    one place that sets it.
     """
+    check_number("--seed", args.seed, integer=True, low=0)
     cfg = _load_json(args.spec, "--spec") if args.spec else {}
     if "seed" in cfg:
         raise ValueError(f"--spec {args.spec} sets seed; give the seed as --seed")
@@ -76,12 +78,22 @@ def _read_spec(args):
     return SwDynSpec.from_dict({**cfg, "seed": args.seed}), frac
 
 
+def _out_dir(path):
+    """Path(path); ValueError naming --out-dir, creating nothing, when it or its
+    nearest parent that exists is no directory, so mkdir cannot fail after the work."""
+    out = Path(path)
+    held = next((p for p in (out, *out.parents) if p.exists()), None)
+    if held is not None and not held.is_dir():
+        raise ValueError(f"--out-dir {out}: {held} is not a directory")
+    return out
+
+
 def _cmd_generate(args):
     spec, observed_frac = _read_spec(args)
+    out = _out_dir(args.out_dir)
     observed_frac = 1.0 if observed_frac is None else observed_frac
     adj, signals, truth = swdyn(spec)
     mask = sample_mask(spec.n_nodes, spec.n_steps, observed_frac, mask_seed(args.seed, observed_frac))
-    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, arr, kind in (
         ("adjacency.dgt", adj, "adjacency"),
@@ -97,6 +109,7 @@ def _cmd_generate(args):
 
 def _cmd_decompose(args):
     check_number("--seed", args.seed, integer=True, low=0)
+    out = _out_dir(args.out_dir)
     # every input is read one slice at a time by the method's set-up
     with ExitStack() as files:
         adj = files.enter_context(DgtSlices(args.adj, "adjacency"))
@@ -104,7 +117,6 @@ def _cmd_decompose(args):
         signals = files.enter_context(DgtSlices(args.signals, "signals")) if args.signals else None
         h = Hyperparams.from_dict(_load_json(args.config, "--config") if args.config else {})
         d, breakdowns = METHODS[args.method](adj, mask, signals, h, args.seed)
-    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_dgt(out / "latents.dgt", d.latents, "latents")
     save_dgt(out / "signatures.dgt", d.signatures, "signatures")
@@ -158,7 +170,6 @@ def _parse_grid(text, kind):
 
 
 def _cmd_sweep(args):
-    check_number("--seed", args.seed, integer=True, low=0)
     spec, spec_frac = _read_spec(args)
     h = Hyperparams.from_dict(_load_json(args.config, "--config") if args.config else {})
     grid = _parse_grid(args.grid, args.kind)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace as dc_replace
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -38,13 +39,7 @@ class EvalReport:
 
 def complement_mask(mask):
     """Flip a binary mask: held-out entries are the unobserved ones."""
-    mask = np.asarray(mask, dtype=np.float64)
-    return 1.0 - mask
-
-
-def _unobserved(mask):
-    """Boolean held-out selection, the entries where complement_mask(mask) > 0."""
-    return np.asarray(mask, dtype=np.float64) < 1.0
+    return 1.0 - np.asarray(mask, dtype=np.float64)
 
 
 def relative_error(est, truth, holdout):
@@ -164,11 +159,27 @@ class _HeldOut:
         return EvalReport(re=re, f1=f1, precision=precision, recall=recall, threshold=threshold)
 
 
-def evaluate(est, truth, mask, threshold=None):
-    """Score an estimated tensor against the truth on unobserved entries."""
+def _held_out(truth, mask, threshold):
+    """(_HeldOut of the entries where the mask is 0, threshold or the default
+    one) of a finite (T, N, N) truth and a binary, symmetric mask of its shape;
+    ValueError naming the shape, the slice or the (t, i, j) otherwise."""
+    truth = np.asarray(truth, dtype=np.float64)
+    mask = np.asarray(mask, dtype=np.float64)
+    if truth.ndim != 3 or truth.shape[1] != truth.shape[2]:
+        raise ValueError(f"truth must be (T, N, N), got {truth.shape}")
+    if mask.shape != truth.shape:
+        raise ValueError(f"mask is {mask.shape} but truth is {truth.shape}")
+    check_mask(mask)
+    check_finite(truth, "truth", "t, i, j")
     if threshold is None:
         threshold = default_edge_threshold(truth, mask)
-    held = _HeldOut(truth, _unobserved(mask))
+    return _HeldOut(truth, mask < 1.0), threshold
+
+
+def evaluate(est, truth, mask, threshold=None):
+    """Score an estimated tensor against the truth on unobserved entries, with
+    truth and mask checked as :func:`component_analysis` checks them."""
+    held, threshold = _held_out(truth, mask, threshold)
     return held.report(held.gather(est), threshold)
 
 
@@ -177,19 +188,14 @@ def component_analysis(d, truth, mask, threshold=None):
 
     Component r is scored as the tensor outer(C[:, r], A_r) against the full
     truth, so the per-component errors show how much each latent explains;
-    it is formed at the held-out entries only. The mask must be binary and
-    symmetric, and the truth and the reconstruction finite everywhere
-    (ValueError naming the (t, i, j) otherwise), so every score is a finite
-    number.
+    it is formed at the held-out entries only. The truth and mask are
+    checked as :func:`evaluate` checks them, and the reconstruction must be
+    finite everywhere too (ValueError naming the (t, i, j) otherwise), so
+    every score is a finite number.
     """
-    truth = np.asarray(truth, dtype=np.float64)
-    check_mask(mask)
-    check_finite(truth, "truth", "t, i, j")
+    held, threshold = _held_out(truth, mask, threshold)
     est = reconstruct(d)
     check_finite(est, "estimate", "t, i, j")
-    if threshold is None:
-        threshold = default_edge_threshold(truth, mask)
-    held = _HeldOut(truth, _unobserved(mask))
     report = held.report(held.gather(est), threshold)
     for r in range(d.n_latents):
         part = held.report(held.component(d.signatures[:, r], d.latents[r]), threshold)
@@ -224,8 +230,9 @@ def sweep(
     metrics. When timing is False the seconds column is 0.0 so repeated runs
     are byte-identical. seed must be an integer >= 0, repeats one >= 1,
     every rank an integer >= 1 (named n_latents) and every observed fraction
-    lie in (0, 1], methods must be a sequence of names (not a string), and
-    methods and grid must not be empty; all are checked before any cell runs
+    lie in (0, 1], methods must be a sequence of names (not a string),
+    methods and grid must not be empty, and out_path, when given, must name a
+    file in an existing directory; all are checked before any cell runs
     (ValueError naming the argument).
 
     No cell reads another's output, so the cells run in a pool of forked
@@ -249,6 +256,8 @@ def sweep(
             raise ValueError(f"unknown method {name!r}")
     check_number("seed", seed, integer=True, low=0)
     check_number("repeats", repeats, integer=True, low=1)
+    if out_path is not None and (Path(out_path).is_dir() or not Path(out_path).parent.is_dir()):
+        raise ValueError(f"out_path {out_path} must name a file in an existing directory")
     if kind == "rank":
         frac = observed_fraction(0.9 if observed_frac is None else observed_frac, "observed_frac")
     elif observed_frac is not None:
@@ -300,9 +309,9 @@ def _map_cells(cells):
 def _sweep_cell(cell):
     """The rows of one sweep cell and the warnings raised while computing them.
 
-    Generates the cell's data, mask and edge threshold once, then fits and
-    scores each method in order. Returns (rows, [(message, category, filename,
-    lineno), ...]). Warnings meet the filters in force before they are
+    Generates the cell's data, mask, held-out entries and edge threshold once,
+    then fits and scores each method in order. Returns (rows, [(message,
+    category, filename, lineno), ...]). Warnings meet the filters in force before they are
     recorded, so a warning an "error" filter turns into an exception is
     raised inside the cell, as it would be without the recording.
     """
@@ -310,14 +319,13 @@ def _sweep_cell(cell):
     rows = []
     with warnings.catch_warnings(record=True) as caught:
         adj, signals, truth = swdyn(dc_replace(spec, seed=s))
-        truth_tensor = reconstruct(truth)
         mask = sample_mask(spec.n_nodes, spec.n_steps, frac, mask_seed(s, frac))
-        threshold = default_edge_threshold(truth_tensor, mask)
+        held, threshold = _held_out(reconstruct(truth), mask, None)
         for name in methods:
             t0 = perf_counter()
             try:
                 est = reconstruct(METHODS[name](adj, mask, signals, h, s)[0])
-                report = evaluate(est, truth_tensor, mask, threshold=threshold)
+                report = held.report(held.gather(est), threshold)
                 metrics = (report.re, report.f1, report.precision, report.recall)
             except (NumericalAbort, UndefinedMetricError, np.linalg.LinAlgError):
                 metrics = (float("nan"),) * 4

@@ -36,7 +36,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import priors
-from .tensors import check_gradient_mode
+from .tensors import check_gradient_mode, project_sa  # exported beside project_sc
 
 
 def check_number(name, value, integer=False, low=None, strict=False):
@@ -221,14 +221,6 @@ def objective(d, fit, cache, h, stats=None):
         ridge_c=0.5 * h.rho * float(np.sum(d.signatures**2)),
         ridge_a=0.5 * h.eta * float(np.sum(d.latents**2)) if h.eta else 0.0,
     )
-
-
-def project_sa(x):
-    """Euclidean projection onto S_A: symmetrize, clip negatives, zero the diagonal."""
-    x = np.asarray(x, dtype=np.float64)
-    s = np.maximum(0.5 * (x + x.T), 0.0)
-    np.fill_diagonal(s, 0.0)
-    return s
 
 
 def project_sc(x):

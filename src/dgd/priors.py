@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .tensors import as_stack, check_finite, triangle
+from .tensors import as_stack, check_finite, project_sa, triangle
 
 
 def build_cache(x):
@@ -29,9 +29,9 @@ def build_cache(x):
     Returns (T, M + N) rows, M = N(N-1)/2, row t Z_t packed as
     :func:`tensors.triangle` orders it, where Z_t[i, j] =
     ||X_t[i, :] - X_t[j, :]||_2^2 off the diagonal and Z_t[i, i] = 0.
-    Z_t = sq_t 1' + 1 sq_t' - 2 X_t X_t', sq_t the squared row norms of X_t,
-    is formed in one N x N slice with one N x N scratch, its diagonal zeroed,
-    and then gathered into its row, so set-up needs no (T, N, N) array at all.
+    Each Z_t = project_sa(sq_t 1' + 1 sq_t' - 2 X_t X_t'), sq_t the squared
+    row norms of X_t, is formed as an N x N slice and gathered into its row
+    before the next is formed, so set-up needs no (T, N, N) array at all.
     x is any slice stack (:func:`tensors.as_stack`) and is read one slice at
     a time; each slice must be finite, else ValueError names the entry's
     (t, i, q).
@@ -39,29 +39,14 @@ def build_cache(x):
     x = as_stack(x)
     if len(x.shape) != 3:
         raise ValueError(f"signal tensor must be (T, N, Q), got {x.shape}")
-    t, n, _ = x.shape
-    at = triangle(n)[0]
-    z = np.empty((t, at.size))
-    zk = np.empty((n, n))
-    scratch = np.empty((n, n))
-    for k in range(t):
-        xk = np.asarray(x[k], dtype=np.float64)
-        check_finite(xk, "signal", "t, i, q", at=(k,))
-        sq = np.einsum("nq,nq->n", xk, xk)
-        np.matmul(xk, xk.T, out=zk)
-        zk *= 2.0
-        # sq_j + sq_i, then below Z' + Z: the same sums as the plain formula,
-        # without the ufunc buffers that a broadcast or transposed operand takes
-        np.copyto(scratch, sq[None, :])
-        scratch += sq[:, None]
-        np.subtract(scratch, zk, out=zk)
-        # exact invariants: symmetric, nonnegative, zero on the diagonal
-        np.copyto(scratch, zk.T)
-        scratch += zk
-        scratch *= 0.5
-        np.maximum(scratch, 0.0, out=zk)
-        np.fill_diagonal(zk, 0.0)
-        z[k] = zk.take(at)
+    at = triangle(x.shape[1])[0]
+    z = np.empty((x.shape[0], at.size))
+    for t in range(len(z)):
+        xt = np.asarray(x[t], dtype=np.float64)
+        check_finite(xt, "signal", "t, i, q", at=(t,))
+        sq = np.einsum("nq,nq->n", xt, xt)
+        # project_sa keeps the exact invariants: symmetric, nonnegative, zero diagonal
+        z[t] = project_sa(sq[:, None] + sq[None, :] - 2.0 * (xt @ xt.T)).take(at)
     return z
 
 

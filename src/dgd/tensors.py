@@ -202,11 +202,11 @@ class FitData:
         """Fit data for the gradient mode of Hyperparams h.
 
         adj and mask are any slice stacks (:func:`as_stack`), read together
-        one slice at a time: each mask slice is checked (:func:`check_mask`),
-        its observed entries of adj copied into one zeroed N x N scratch,
-        whose nonzero entries are kept as Y's, and it is packed into the bool
-        rows of B. Adjacency values where the mask is 0 are never read, so
-        they may be NaN; an observed zero, of either sign, is not kept.
+        one slice at a time: each mask slice is checked (:func:`check_mask`)
+        and packed into the bool rows of B, and Y_t = where(mask_t > 0, adj_t,
+        0) keeps its nonzero entries. Adjacency values where the mask is 0
+        never reach Y_t, so they may be NaN; an observed zero, of either sign,
+        is not kept.
         `exact_mask` keeps B the mask and scale 1, so W is the 0/1 mask.
         `count_weighted` then sets all of B and takes scale_t the observation
         count k_t = 1'm_t, so W_t weighs every entry by k_t. The
@@ -218,16 +218,18 @@ class FitData:
         n_steps, n = mask.shape[:2]
         at = triangle(n)[0]
         weight = np.empty((n_steps, at.size), dtype=bool)
-        y = np.empty((n, n))
-        flat = y.reshape(-1)
         entries, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
         for t in range(n_steps):
-            y.fill(0.0)
-            weight[t] = _observe(adj, mask, t, y).take(at)
+            m = np.asarray(mask[t], dtype=np.float64)
+            _check_mask_slice(m, t)
+            seen = m > 0
+            weight[t] = seen.take(at)
+            y = np.where(seen, np.asarray(adj[t], dtype=np.float64), 0.0)
+            check_finite(y, "observed adjacency", "t, i, j", at=(t,))
             # a boolean scan runs several times faster than one of the floats
-            nonzero = (flat != 0.0).nonzero()[0]
+            nonzero = np.flatnonzero(y != 0.0)
             entries.append(nonzero)
-            values.append(flat.take(nonzero))
+            values.append(y.take(nonzero))
         starts = np.cumsum([e.size for e in entries])
         index = np.int32 if n * n < 2**31 else np.int64
         entries = np.concatenate(entries, dtype=index, casting="same_kind")
@@ -425,16 +427,12 @@ def as_stacks(adj, mask):
     return adj, mask
 
 
-def _observe(adj, mask, t, y):
-    """Check mask slice t, copy the observed entries of adj[t] into y; returns
-    the slice's observed entries as a bool N x N slice."""
-    m = np.asarray(mask[t], dtype=np.float64)
-    _check_mask_slice(m, t)
-    seen = m > 0
-    # putmask copies several times faster than copyto(where=)
-    np.putmask(y, seen, adj[t])
-    check_finite(y, "observed adjacency", "t, i, j", at=(t,))
-    return seen
+def project_sa(x):
+    """Euclidean projection onto S_A: symmetrize, clip negatives, zero the diagonal."""
+    x = np.asarray(x, dtype=np.float64)
+    s = np.maximum(0.5 * (x + x.T), 0.0)
+    np.fill_diagonal(s, 0.0)
+    return s
 
 
 def as_stack(x):

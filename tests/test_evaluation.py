@@ -116,8 +116,6 @@ def test_held_out_scores_match_the_plain_formulas(data):
     if norm == 0.0:
         with pytest.raises(UndefinedMetricError, match="zero norm"):
             relative_error(est, truth, holdout)
-        with pytest.raises(UndefinedMetricError, match="zero norm"):
-            evaluate(est, truth, mask, threshold)
     else:
         want = math.fsum((e - t) ** 2 for e, t in pairs) / norm
         assert math.isclose(relative_error(est, truth, holdout), want, rel_tol=1e-12)
@@ -129,10 +127,41 @@ def test_held_out_scores_match_the_plain_formulas(data):
     recall = tp / n_real
     f1 = 2 * precision * recall / (precision + recall) if tp else 0.0
     assert edge_scores(est, truth, holdout, threshold) == (precision, recall, f1)
-    if norm != 0.0:
-        report = evaluate(est, truth, mask, threshold)
-        assert report.re == relative_error(est, truth, holdout)
-        assert (report.precision, report.recall, report.f1) == (precision, recall, f1)
+
+
+def _outcome(score):
+    """score()'s result, or the type and message of the ValueError it raised."""
+    try:
+        return score()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_evaluate_scores_the_complement_of_its_mask(data):
+    # on a binary symmetric mask and a finite truth, evaluate scores what
+    # relative_error and edge_scores score on the complement, undefined
+    # metrics included; the estimate is read at held-out entries only
+    t, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    values = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(-3.0, 3.0)
+    truth = data.draw(hnp.arrays(np.float64, (t, n, n), elements=values))
+    est = data.draw(hnp.arrays(np.float64, (t, n, n), elements=values))
+    upper = np.triu(data.draw(hnp.arrays(np.bool_, (t, n, n))))
+    seen = upper | upper.transpose(0, 2, 1)
+    mask = seen.astype(np.float64)
+    est[seen] = np.nan
+    holdout = complement_mask(mask)
+    threshold = data.draw(st.none() | st.sampled_from([0.5, 1.0]) | st.floats(0.1, 2.0))
+
+    def scores():
+        thr = default_edge_threshold(truth, mask) if threshold is None else threshold
+        re = relative_error(est, truth, holdout)
+        precision, recall, f1 = edge_scores(est, truth, holdout, thr)
+        return re, f1, precision, recall, thr
+
+    got = _outcome(lambda: dataclasses.astuple(evaluate(est, truth, mask, threshold))[:5])
+    assert got == _outcome(scores)
 
 
 def test_estimate_of_another_shape_names_both_shapes():
@@ -160,7 +189,9 @@ def test_holdout_of_another_shape_names_both_shapes(score, truth_shape, holdout_
         "edge_scores": lambda: edge_scores(truth, truth, holdout, 0.5),
         "evaluate": lambda: evaluate(truth, truth, 1.0 - holdout, threshold=0.5),
     }
-    match = rf"^holdout is {re.escape(str(holdout_shape))} but truth is {re.escape(str(truth_shape))}$"
+    # evaluate takes the mask, whose complement is the holdout
+    noun = "mask" if score == "evaluate" else "holdout"
+    match = rf"^{noun} is {re.escape(str(holdout_shape))} but truth is {re.escape(str(truth_shape))}$"
     with pytest.raises(ValueError, match=match):
         calls[score]()
 
@@ -230,21 +261,39 @@ def test_evaluate_combines_metrics():
     assert custom.threshold == 0.123
 
 
-def test_evaluate_selects_like_the_complement_mask_on_any_float():
-    # evaluate does not check its mask: NaN, +inf, -inf and 0.5 entries must
-    # select the same held-out entries as complement_mask(mask) > 0
-    truth, mask = _toy_truth(6, t=4, n=6)
-    rng = np.random.default_rng(12)
-    est = truth + 0.3 * rng.standard_normal(truth.shape)
-    odd = mask.copy()
-    slots = np.flatnonzero(truth > 0)[:8]
-    odd.flat[slots] = [np.nan, np.inf, -np.inf, 0.5, np.nan, np.inf, -np.inf, 0.5]
-    holdout = complement_mask(odd)
-    report = evaluate(est, truth, odd, threshold=0.2)
-    assert report.re == relative_error(est, truth, holdout)
-    assert (report.precision, report.recall, report.f1) == edge_scores(est, truth, holdout, 0.2)
-    # the -inf entries are held out: marking them observed moves RE
-    assert report.re != evaluate(est, truth, np.where(np.isfinite(odd), odd, 1.0), threshold=0.2).re
+@pytest.mark.parametrize(
+    "case,match",
+    [
+        ("half", r"^mask entries must be 0 or 1 \(slice 1\)$"),
+        ("nan", r"^mask entries must be 0 or 1 \(slice 1\)$"),
+        ("asymmetric", r"^mask slices must be symmetric \(slice 1\)$"),
+        ("observed_truth_nan", r"^truth entry \(t, i, j\) = \(0, 0, 1\) is not finite: nan$"),
+        ("flat", r"^truth must be \(T, N, N\), got \(4, 36\)$"),
+    ],
+    ids=["half", "nan", "asymmetric", "observed_truth_nan", "flat"],
+)
+def test_evaluate_checks_mask_and_truth_like_component_analysis(case, match):
+    # a 0.5 entry used to count as observed for the default threshold and as
+    # held out for the scores, and a NaN observed truth ended in "no positive
+    # observed truth entries"; both functions now raise the same ValueError
+    d = planted_decomposition(6, n=6, t=4, r=2)
+    truth = reconstruct(d)
+    mask = np.zeros_like(truth)
+    mask[:, 0, 1] = mask[:, 1, 0] = 1.0
+    if case == "half":
+        mask[1, 2, 3] = mask[1, 3, 2] = 0.5
+    elif case == "nan":
+        mask[1, 2, 3] = mask[1, 3, 2] = np.nan
+    elif case == "asymmetric":
+        mask[1, 2, 3] = 1.0
+    elif case == "observed_truth_nan":
+        truth = np.where(mask > 0, np.nan, truth)
+    else:
+        truth, mask = truth.reshape(4, -1), mask.reshape(4, -1)
+    for score in (lambda: evaluate(truth, truth, mask), lambda: component_analysis(d, truth, mask)):
+        with pytest.raises(ValueError, match=match) as err:
+            score()
+        assert err.type is ValueError
 
 
 def test_component_analysis_single_latent_matches_combined():

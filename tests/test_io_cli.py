@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 from dgd import cli, evaluation, io_dgt
 from dgd.baselines import METHODS
 from dgd.cli import main
+from dgd.datagen import SwDynSpec
 from dgd.io_dgt import KINDS, DgtError, DgtSlices, load_dgt, save_dgt
+from dgd.model import Hyperparams
 
 from helpers import set_cpus
 
@@ -1063,6 +1065,54 @@ def test_sweep_cli_rejects_negative_seed_before_any_cell(tmp_path, capsys, monke
     assert code == 1
     assert "dgd: error: --seed must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
+    # generate reads the seed by the same rule, before any generation
+    monkeypatch.setattr(cli, "swdyn", cell_ran)
+    assert main(["generate", "--out-dir", str(out), "--seed", "-1"]) == 1
+    assert "dgd: error: --seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _never(what):
+    def ran(*args):
+        raise AssertionError(f"{what} ran")
+
+    return ran
+
+
+@pytest.mark.parametrize("where", ["file", "under_file"])
+def test_out_dir_that_is_no_directory_exits_one_before_any_work(tmp_path, capsys, monkeypatch, where):
+    # generate and decompose used to run all their work, then fail on mkdir
+    data = _generate(tmp_path)
+    capsys.readouterr()
+    held = tmp_path / "taken"
+    held.write_text("not a directory", encoding="utf-8")
+    out = held if where == "file" else held / "sub"
+    monkeypatch.setattr(cli, "swdyn", _never("generation"))
+    monkeypatch.setitem(METHODS, "dgd", _never("a fit"))
+    before = sorted(tmp_path.rglob("*"))
+    for argv in (["generate", "--out-dir", str(out), "--seed", "0"], _decompose_args(data, out)):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"dgd: error: --out-dir {out}: {held} is not a directory" in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert held.read_text(encoding="utf-8") == "not a directory"
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "a_dir"])
+def test_sweep_out_path_outside_a_directory_fails_before_any_cell(tmp_path, capsys, monkeypatch, where):
+    # sweep used to run every cell, then fail to open its CSV
+    monkeypatch.setattr(evaluation, "swdyn", _never("a sweep cell"))
+    out = tmp_path / "nodir" / "s.csv" if where == "missing_dir" else tmp_path
+    message = f"out_path {out} must name a file in an existing directory"
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["sweep", "--kind", "rank", "--grid", "1", "--out", str(out), "--seed", "0",
+                 "--repeats", "1", "--methods", "cpd"]) == 1
+    assert f"dgd: error: {message}" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evaluation.sweep("rank", [1], SwDynSpec(), Hyperparams(), 0, repeats=1, methods=("cpd",),
+                         out_path=out)
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_kinds_registry_is_complete():
