@@ -39,7 +39,8 @@ class EvalReport:
 
 def complement_mask(mask):
     """Flip a binary mask: held-out entries are the unobserved ones."""
-    return 1.0 - np.asarray(mask, dtype=np.float64)
+    mask = np.asarray(mask, dtype=np.float64)
+    return 1.0 - mask
 
 
 def relative_error(est, truth, holdout):
@@ -160,9 +161,10 @@ class _HeldOut:
 
 
 def _held_out(truth, mask, threshold):
-    """(_HeldOut of the entries where the mask is 0, threshold or the default
-    one) of a finite (T, N, N) truth and a binary, symmetric mask of its shape;
-    ValueError naming the shape, the slice or the (t, i, j) otherwise."""
+    """The held-out entries of truth, those where the mask is 0, and the edge
+    threshold (the default one for None). ValueError naming the shape, the
+    slice or the (t, i, j) unless truth is a finite (T, N, N) stack and mask a
+    binary, symmetric stack of its shape."""
     truth = np.asarray(truth, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     if truth.ndim != 3 or truth.shape[1] != truth.shape[2]:
@@ -311,9 +313,9 @@ def _sweep_cell(cell):
 
     Generates the cell's data, mask, held-out entries and edge threshold once,
     then fits and scores each method in order. Returns (rows, [(message,
-    category, filename, lineno), ...]). Warnings meet the filters in force before they are
-    recorded, so a warning an "error" filter turns into an exception is
-    raised inside the cell, as it would be without the recording.
+    category, filename, lineno), ...]). Warnings meet the filters in force
+    before they are recorded, so a warning an "error" filter turns into an
+    exception is raised inside the cell, as it would be without the recording.
     """
     spec, h, frac, param, s, methods, timing = cell
     rows = []
