@@ -16,9 +16,10 @@ The fit part of f is the weighted least squares of :class:`FitData`, whose
 gradient in A_r is A_r o Omega_rr + B_r with B_r = sum_{k != r} Omega_rk o A_k
 - V_r. The planes Omega_rk, V_r and the smoothness weights Xi_r depend on C
 alone, which is fixed for the whole A sweep, so they are built once per outer
-iteration (:meth:`FitData.a_stats`). Each solve then forms its (omega, linear)
-pair in O(R N^2) from them and the freshest A_k (:func:`a_gradient_terms`),
-once for its K inner steps.
+iteration (:meth:`FitData.a_stats`) and passed to every solve. Each solve
+forms its (omega, linear) pair in O(R N^2) from them and the freshest A_k
+(:func:`a_gradient_terms`), once for its K inner steps. A zero prior weight
+still adds its (zero) term.
 """
 
 from __future__ import annotations
@@ -63,25 +64,22 @@ def build_a_workspace(d, r, h, rng=None):
     return AWorkspace(r=r, c_r=d.signatures[:, r].copy(), offset=offset, split=split)
 
 
-def a_gradient_terms(d, r, fit, cache, h, stats=None):
+def a_gradient_terms(d, r, h, stats):
     """Parts of the A_r gradient that stay fixed over the K inner steps.
 
     Returns (omega, linear) such that the gradient of everything but the
     ADMM coupling is A_r o omega + linear. omega = Omega_rr + eta;
     linear = B_r + delta Xi_r + gamma + 2 beta sum_{k != r} A_k, with
     B_r = sum_t C[t,r] W_t o (rest_t - Y_t) and rest_t = sum_{k != r} C[t,k] A_k.
-    `stats` is the :class:`tensors.AStats` of d.signatures, built when omitted.
+    `stats` is the :class:`tensors.AStats` of d.signatures. gamma and beta
+    are added even at a zero weight; delta only when nonzero, as Xi_r needs a cache.
     """
-    if stats is None:
-        stats = fit.a_stats(d.signatures, cache)
     omega, linear = stats.fit_terms(r, d.latents)
     omega = omega + h.eta
     if h.delta != 0.0:
         linear += h.delta * stats.xi[r]
-    if h.gamma != 0.0:
-        linear += h.gamma
-    if h.beta != 0.0:
-        linear += 2.0 * h.beta * (d.latents.sum(axis=0) - d.latents[r])
+    linear += h.gamma
+    linear += 2.0 * h.beta * (d.latents.sum(axis=0) - d.latents[r])
     return omega, linear
 
 
@@ -89,12 +87,12 @@ def grad_a_lagrangian(a_r, ws, d, fit, cache, h, terms=None, margin=None):
     """Gradient of the augmented Lagrangian at a_r, other blocks fixed.
 
     `terms` may carry the (omega, linear) pair of :func:`a_gradient_terms`;
-    it is rebuilt from d when omitted. `margin` may carry ws.margin(a_r); it
-    is formed when omitted.
+    when omitted it is formed from fit.a_stats(d.signatures, cache), the only
+    use of fit and cache. `margin` may carry ws.margin(a_r), else it is formed.
     """
     a_r = np.asarray(a_r, dtype=np.float64)
     if terms is None:
-        terms = a_gradient_terms(d, ws.r, fit, cache, h)
+        terms = a_gradient_terms(d, ws.r, h, fit.a_stats(d.signatures, cache))
     if margin is None:
         margin = ws.margin(a_r)
     omega, linear = terms
@@ -117,19 +115,19 @@ def default_step_a(d, r, fit, h):
     return step_from_bound(lip, f"latent {r}")
 
 
-def solve_a_subproblem(d, r, fit, cache, h, rng, stats=None):
+def solve_a_subproblem(d, r, fit, h, rng, stats):
     """Run K ADMM iterations on latent r; returns (new A_r, workspace, residuals).
 
     The update order per iteration is gradient step + projection onto S_A,
     clipped closed-form P update, then dual ascent (:func:`model.run_admm`).
-    `stats` is the :class:`tensors.AStats` of d.signatures that the driver
-    builds once per sweep; it is built here when omitted.
+    `stats` is the :class:`tensors.AStats` of d.signatures, which the driver
+    builds once per sweep; fit supplies the step bound.
     """
     ws = build_a_workspace(d, r, h, rng=rng)
     step = default_step_a(d, r, fit, h)
-    terms = a_gradient_terms(d, r, fit, cache, h, stats)
+    terms = a_gradient_terms(d, r, h, stats)
 
     def grad(a, margin):
-        return grad_a_lagrangian(a, ws, d, fit, cache, h, terms=terms, margin=margin)
+        return grad_a_lagrangian(a, ws, d, fit, None, h, terms=terms, margin=margin)
 
     return run_admm(d.latents[r].copy(), ws, grad, project_sa, step, h.inner_iters, f"latent {r}")

@@ -14,8 +14,9 @@ forward-difference penalty mu ||DC||_F^2 and a ridge. The fit gradient of
 row t is G_t c_t - b_t with per-slice R x R Grams G_t; the Grams, b_t and
 the smoothness traces <Z_t, A_r> depend on the latents alone, so they are
 built once per outer iteration, after the A sweep (:meth:`FitData.c_stats`),
-and :func:`model.objective` reuses them. D'D is applied as a second
-difference (:func:`priors.dtd_product`), never as a (T, T) matrix.
+passed to the solve and reused by :func:`model.objective`. D'D is applied as
+a second difference (:func:`priors.dtd_product`), never as a (T, T) matrix.
+A zero prior weight still adds its (zero) term.
 """
 
 from __future__ import annotations
@@ -64,17 +65,16 @@ def build_c_workspace(latents, n_steps, h, rng=None):
     return CWorkspace(upsilon=ups, zeta=h.zeta, split=split)
 
 
-def c_gradient_terms(latents, fit, cache, h, stats=None):
+def c_gradient_terms(h, stats):
     """Parts of the C gradient that stay fixed over the K inner steps.
 
     Returns (grams, linear) such that row t of the fit plus smoothness
     gradient is G_t c_t + linear_t, with G_t = sum_ij W_t A_r A_s (T, R, R)
     and linear_t = -b_t + delta/2 <Z_t, A_r>, b_t = sum_ij W_t Y_t A_r. The
     smoothness part is the derivative of the objective's 1/2 sum C[t,r] <Z_t, A_r>.
-    `stats` is the :class:`tensors.CStats` of the latents, built when omitted.
+    `stats` is the :class:`tensors.CStats` of the latents; its traces exist
+    only with a cache, so the delta term is added only when delta != 0.
     """
-    if stats is None:
-        stats = fit.c_stats(latents, cache)
     linear = -stats.b
     if h.delta != 0.0:
         linear = linear + 0.5 * h.delta * stats.traces
@@ -85,20 +85,17 @@ def grad_c_lagrangian(c, ws, latents, fit, cache, h, terms=None, margin=None):
     """Gradient of the augmented Lagrangian at c, latents fixed.
 
     `terms` may carry the (grams, linear) pair of :func:`c_gradient_terms`;
-    it is rebuilt when omitted. `margin` may carry ws.margin(c); it is
-    formed when omitted.
+    when omitted it is formed from fit.c_stats(latents, cache), the only use
+    of latents, fit and cache. `margin` may carry ws.margin(c), else it is
+    formed. The mu and rho terms are added even at a zero weight.
     """
     c = np.asarray(c, dtype=np.float64)
     if terms is None:
-        terms = c_gradient_terms(latents, fit, cache, h)
+        terms = c_gradient_terms(h, fit.c_stats(latents, cache))
     if margin is None:
         margin = ws.margin(c)
     grams, linear = terms
-    g = np.einsum("trs,ts->tr", grams, c) + linear
-    if h.mu != 0.0:
-        g = g + 2.0 * h.mu * dtd_product(c)
-    if h.rho != 0.0:
-        g = g + h.rho * c
+    g = np.einsum("trs,ts->tr", grams, c) + linear + 2.0 * h.mu * dtd_product(c) + h.rho * c
     return g + ws.split.weighted_residual(margin) @ ws.upsilon
 
 
@@ -108,36 +105,34 @@ def default_step_c(ws, latents, fit, h):
     The fit Gram G_t is bounded by the unweighted latent Gram times
     w_t = max W_t, so the largest w_t scales its spectral norm. The temporal
     term mu ||DC||_F^2 adds 2 mu ||D'D||_2, in closed form
-    (:func:`priors.dtd_norm`). A bound that overflows aborts
-    through :func:`model.step_from_bound` without numpy warnings.
+    (:func:`priors.dtd_norm`), and the ridge adds rho. A bound that overflows
+    aborts through :func:`model.step_from_bound` without numpy warnings.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         stacked = latents.reshape(len(latents), -1)
         gram_norm = float(np.linalg.norm(stacked @ stacked.T, 2))
-        lip = gram_norm * float(fit.slice_max.max()) + h.rho
-        if h.mu != 0.0:
-            lip += 2.0 * h.mu * dtd_norm(len(fit.slice_max))
+        lip = gram_norm * float(fit.slice_max.max()) + h.rho + 2.0 * h.mu * dtd_norm(fit.n_steps)
         # a numpy scalar, so that an overflowing square gives inf, not OverflowError
         ups_norm = np.linalg.norm(ws.upsilon, 2)
         lip += h.lambda_c * float(ups_norm**2)
     return step_from_bound(lip, "signatures")
 
 
-def solve_c_subproblem(d, fit, cache, h, rng, stats=None):
+def solve_c_subproblem(d, fit, h, rng, stats):
     """Run K ADMM iterations on the signatures; returns (new C, ws, residuals).
 
     Update order per iteration: gradient step + projection onto the
     nonnegative orthant, clipped closed-form P update, dual ascent on Lam
     (:func:`model.run_admm`). `stats` is the :class:`tensors.CStats` of
-    d.latents that the driver builds once per outer iteration; it is built
-    here when omitted. The step bound comes first, so data too large for
-    float64 aborts naming the bound, with the Grams built without warnings.
+    d.latents, which the driver builds once per outer iteration; fit supplies
+    the step bound. The step bound comes first, so data too large for
+    float64 aborts naming the bound.
     """
     ws = build_c_workspace(d.latents, d.n_steps, h, rng=rng)
     step = default_step_c(ws, d.latents, fit, h)
-    terms = c_gradient_terms(d.latents, fit, cache, h, stats)
+    terms = c_gradient_terms(h, stats)
 
     def grad(c, margin):
-        return grad_c_lagrangian(c, ws, d.latents, fit, cache, h, terms=terms, margin=margin)
+        return grad_c_lagrangian(c, ws, d.latents, fit, None, h, terms=terms, margin=margin)
 
     return run_admm(d.signatures.copy(), ws, grad, project_sc, step, h.inner_iters, "signatures")

@@ -71,11 +71,11 @@ def outer_iteration(d, fit, cache, h, rng):
     a_stats = fit.a_stats(d.signatures, cache)
     a_res = []
     for r in range(h.n_latents):
-        a_new, _, res = solve_a_subproblem(d, r, fit, cache, h, rng, stats=a_stats)
+        a_new, _, res = solve_a_subproblem(d, r, fit, h, rng, a_stats)
         d.latents[r] = a_new
         a_res.append(res[-1])
     c_stats = fit.c_stats(d.latents, cache)
-    d.signatures, _, c_res = solve_c_subproblem(d, fit, cache, h, rng, stats=c_stats)
+    d.signatures, _, c_res = solve_c_subproblem(d, fit, h, rng, c_stats)
     return objective(d, fit, cache, h, stats=c_stats), a_res, c_res[-1]
 
 

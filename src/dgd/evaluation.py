@@ -8,6 +8,7 @@ nothing to score and the metrics are reported as undefined rather than 0/0.
 from __future__ import annotations
 
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
 from time import perf_counter
@@ -224,17 +225,18 @@ def sweep(
 ):
     """Grid evaluation over ranks or observation fractions.
 
-    kind "rank" varies h.n_latents over grid at observed fraction
-    observed_frac (0.9 when None); kind "observed" varies the fraction over
-    grid at fixed h, and observed_frac must be None. Each cell, one grid value
-    and one seed (seed, seed+1, ...), regenerates its data, fits every method
-    and scores on the held-out entries. Failed cells keep their row with NaN
-    metrics. When timing is False the seconds column is 0.0 so repeated runs
-    are byte-identical. seed must be an integer >= 0, repeats one >= 1,
-    every rank an integer >= 1 (named n_latents) and every observed fraction
-    lie in (0, 1], methods must be a sequence of names (not a string),
-    methods and grid must not be empty, and out_path, when given, must name a
-    file in an existing directory; all are checked before any cell runs
+    kind "rank" varies h.n_latents over grid at observed fraction observed_frac
+    (0.9 when None); kind "observed" varies the fraction over grid at fixed h,
+    and observed_frac must be None. Each cell, one grid value and one seed
+    (seed, seed+1, ...), regenerates its data, fits every method and scores on
+    the held-out entries. Failed cells keep their row with NaN metrics, and so
+    does every method of a cell whose mask observes no positive truth entry,
+    which leaves no edge threshold. When timing is False the seconds column is
+    0.0 so repeated runs are byte-identical. seed must be an integer >= 0,
+    repeats one >= 1, every rank an integer >= 1 (named n_latents) and every
+    observed fraction lie in (0, 1], methods must be a sequence of names (not a
+    string), methods and grid must not be empty, and out_path, when given, must
+    name a file in an existing directory; all are checked before any cell runs
     (ValueError naming the argument).
 
     No cell reads another's output, so the cells run in a pool of forked
@@ -312,25 +314,29 @@ def _sweep_cell(cell):
     """The rows of one sweep cell and the warnings raised while computing them.
 
     Generates the cell's data, mask, held-out entries and edge threshold once,
-    then fits and scores each method in order. Returns (rows, [(message,
-    category, filename, lineno), ...]). Warnings meet the filters in force
-    before they are recorded, so a warning an "error" filter turns into an
-    exception is raised inside the cell, as it would be without the recording.
+    then fits and scores each method in order; with no threshold (no positive
+    observed truth) it fits none. Returns (rows, [(message, category, filename,
+    lineno), ...]). Warnings meet the filters in force before they are
+    recorded, so a warning an "error" filter turns into an exception is raised
+    inside the cell, as it would be without the recording.
     """
     spec, h, frac, param, s, methods, timing = cell
     rows = []
     with warnings.catch_warnings(record=True) as caught:
         adj, signals, truth = swdyn(dc_replace(spec, seed=s))
         mask = sample_mask(spec.n_nodes, spec.n_steps, frac, mask_seed(s, frac))
-        held, threshold = _held_out(reconstruct(truth), mask, None)
+        try:
+            held, threshold = _held_out(reconstruct(truth), mask, None)
+        except UndefinedMetricError:
+            held = None
         for name in methods:
             t0 = perf_counter()
-            try:
-                est = reconstruct(METHODS[name](adj, mask, signals, h, s)[0])
-                report = held.report(held.gather(est), threshold)
-                metrics = (report.re, report.f1, report.precision, report.recall)
-            except (NumericalAbort, UndefinedMetricError, np.linalg.LinAlgError):
-                metrics = (float("nan"),) * 4
+            metrics = (float("nan"),) * 4
+            if held is not None:
+                with suppress(NumericalAbort, UndefinedMetricError, np.linalg.LinAlgError):
+                    est = reconstruct(METHODS[name](adj, mask, signals, h, s)[0])
+                    report = held.report(held.gather(est), threshold)
+                    metrics = (report.re, report.f1, report.precision, report.recall)
             elapsed = perf_counter() - t0
             seconds = float(elapsed) if timing else 0.0
             rows.append(dict(zip(SWEEP_COLUMNS, (name, param, s, *metrics, seconds))))

@@ -18,18 +18,20 @@ from helpers import a_lagrangian_value, central_diff, dense_fit, random_instance
 
 @pytest.mark.parametrize("mode", ["exact_mask", "count_weighted"])
 def test_gradient_matches_central_differences(mode):
+    # each trial also runs at gamma = beta = mu = rho = 0, whose terms are still added
     for trial in range(6):
-        rng, d, fit, cache, h = random_instance(300 + trial, mode)
+        rng, d, fit, cache, weighted = random_instance(300 + trial, mode)
         r = trial % d.n_latents
-        ws = build_a_workspace(d, r, h, rng=rng)
-        a = rng.standard_normal((d.n_nodes, d.n_nodes))
+        for h in (weighted, weighted.replace(gamma=0.0, beta=0.0, mu=0.0, rho=0.0)):
+            ws = build_a_workspace(d, r, h, rng=rng)
+            a = rng.standard_normal((d.n_nodes, d.n_nodes))
 
-        def f(x):
-            return a_lagrangian_value(x, ws, d, fit, cache, h)
+            def f(x):
+                return a_lagrangian_value(x, ws, d, fit, cache, h)
 
-        g = grad_a_lagrangian(a, ws, d, fit, cache, h)
-        fd = central_diff(f, a)
-        assert rel_grad_error(g, fd) < 1e-6
+            g = grad_a_lagrangian(a, ws, d, fit, cache, h)
+            fd = central_diff(f, a)
+            assert rel_grad_error(g, fd) < 1e-6
 
 
 def test_lagrangian_penalty_vanishes_at_feasible_split():
@@ -128,8 +130,9 @@ def test_count_weighted_gradient_is_affine_identity():
 
 def test_solve_output_feasible_and_deterministic():
     _, d, fit, cache, h = random_instance(81, "exact_mask")
-    a1, _, res1 = solve_a_subproblem(d, 0, fit, cache, h, np.random.default_rng(5))
-    a2, _, res2 = solve_a_subproblem(d, 0, fit, cache, h, np.random.default_rng(5))
+    stats = fit.a_stats(d.signatures, cache)
+    a1, _, res1 = solve_a_subproblem(d, 0, fit, h, np.random.default_rng(5), stats)
+    a2, _, res2 = solve_a_subproblem(d, 0, fit, h, np.random.default_rng(5), stats)
     assert np.array_equal(a1, a2)
     assert res1 == res2
     assert in_sa(a1)
@@ -147,5 +150,5 @@ def test_solve_aborts_on_nonfinite_data():
     fit = dense_fit(mask, adj)
     d = Decomposition(np.zeros((1, n, n)), np.ones((t, 1)))
     with pytest.raises(NumericalAbort):
-        solve_a_subproblem(d, 0, fit, None, h, np.random.default_rng(0))
+        solve_a_subproblem(d, 0, fit, h, np.random.default_rng(0), fit.a_stats(d.signatures))
 

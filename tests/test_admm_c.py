@@ -18,17 +18,19 @@ from helpers import c_lagrangian_value, central_diff, dense_fit, random_instance
 
 @pytest.mark.parametrize("mode", ["exact_mask", "count_weighted"])
 def test_gradient_matches_central_differences(mode):
+    # each trial also runs at gamma = beta = mu = rho = 0, whose terms are still added
     for trial in range(6):
-        rng, d, fit, cache, h = random_instance(400 + trial, mode)
-        ws = build_c_workspace(d.latents, d.n_steps, h, rng=rng)
-        c = rng.standard_normal((d.n_steps, d.n_latents))
+        rng, d, fit, cache, weighted = random_instance(400 + trial, mode)
+        for h in (weighted, weighted.replace(gamma=0.0, beta=0.0, mu=0.0, rho=0.0)):
+            ws = build_c_workspace(d.latents, d.n_steps, h, rng=rng)
+            c = rng.standard_normal((d.n_steps, d.n_latents))
 
-        def f(x):
-            return c_lagrangian_value(x, ws, d.latents, fit, cache, h)
+            def f(x):
+                return c_lagrangian_value(x, ws, d.latents, fit, cache, h)
 
-        g = grad_c_lagrangian(c, ws, d.latents, fit, cache, h)
-        fd = central_diff(f, c)
-        assert rel_grad_error(g, fd) < 1e-6
+            g = grad_c_lagrangian(c, ws, d.latents, fit, cache, h)
+            fd = central_diff(f, c)
+            assert rel_grad_error(g, fd) < 1e-6
 
 
 def test_smoothness_gradient_matches_objective():
@@ -124,8 +126,9 @@ def test_default_step_selection():
 
 def test_solve_output_nonnegative_and_deterministic():
     _, d, fit, cache, h = random_instance(65, "exact_mask")
-    c1, _, res1 = solve_c_subproblem(d, fit, cache, h, np.random.default_rng(3))
-    c2, _, res2 = solve_c_subproblem(d, fit, cache, h, np.random.default_rng(3))
+    stats = fit.c_stats(d.latents, cache)
+    c1, _, res1 = solve_c_subproblem(d, fit, h, np.random.default_rng(3), stats)
+    c2, _, res2 = solve_c_subproblem(d, fit, h, np.random.default_rng(3), stats)
     assert np.array_equal(c1, c2)
     assert res1 == res2
     assert np.all(c1 >= 0.0)
@@ -145,4 +148,4 @@ def test_solve_aborts_on_nonfinite_data():
     latents[0, 0, 1] = latents[0, 1, 0] = 1.0
     d = Decomposition(latents, np.ones((t, 1)))
     with pytest.raises(NumericalAbort):
-        solve_c_subproblem(d, fit, cache=None, h=h, rng=np.random.default_rng(0))
+        solve_c_subproblem(d, fit, h, np.random.default_rng(0), fit.c_stats(d.latents))

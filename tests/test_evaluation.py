@@ -432,6 +432,19 @@ def test_sweep_full_observation_rows_are_nan():
     assert not math.isnan(by_param[0.6]["re"])
 
 
+def test_sweep_cell_without_a_threshold_keeps_nan_rows():
+    # at 0.01 the mask observes no positive truth entry, so the cell has no
+    # default edge threshold; its row is NaN and the sweep goes on
+    spec, h = SwDynSpec(n_nodes=8, n_steps=3, n_signals=4), Hyperparams(outer_iters=2)
+    rows = sweep("observed", [0.01, 0.9], spec, h, 0, repeats=1, methods=("cpd",))
+    assert [row["param"] for row in rows] == [0.01, 0.9]
+    for metric in ("re", "f1", "precision", "recall"):
+        assert math.isnan(rows[0][metric])
+    # a later cell with a threshold is still scored
+    rows = sweep("observed", [0.01, 0.5], spec, h, 0, repeats=1, methods=("cpd",))
+    assert math.isnan(rows[0]["re"]) and not math.isnan(rows[1]["re"])
+
+
 def test_sweep_rejects_bad_arguments():
     spec, h = _tiny_sweep_args()
     with pytest.raises(ValueError):

@@ -56,14 +56,14 @@ def test_cached_fit_gradients_match_slice_loop(case):
     n_steps, n_lat = d.signatures.shape
 
     for r in range(n_lat):
-        omega, linear = a_gradient_terms(d, r, fit, None, FIT_ONLY)
+        omega, linear = a_gradient_terms(d, r, FIT_ONLY, fit.a_stats(d.signatures))
         loop = np.zeros_like(a)
         for t in range(n_steps):
             recon = sum(d.signatures[t, k] * (a if k == r else d.latents[k]) for k in range(n_lat))
             loop += d.signatures[t, r] * _loop_weight(mask, t, mode) * (recon - mask[t] * adj[t])
         assert _close(a * omega + linear, loop)
 
-    grams, linear = c_gradient_terms(d.latents, fit, None, FIT_ONLY)
+    grams, linear = c_gradient_terms(FIT_ONLY, fit.c_stats(d.latents))
     loop = np.zeros_like(d.signatures)
     for t in range(n_steps):
         recon = sum(d.signatures[t, k] * d.latents[k] for k in range(n_lat))

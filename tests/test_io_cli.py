@@ -925,6 +925,21 @@ def test_sweep_cli_cell_error_exits_one(tmp_path, capsys, monkeypatch, cpus):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_sweep_cli_cell_without_a_threshold_exits_zero(tmp_path, capsys):
+    # the 0.01 cell observes no positive truth entry: a NaN row, not an error
+    spec = _write_json(tmp_path / "spec.json", {"n_nodes": 8, "n_steps": 3, "n_signals": 4})
+    cfg = _write_json(tmp_path / "cfg.json", {"outer_iters": 2})
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--kind", "observed", "--grid", "0.01,0.9", "--spec", spec,
+                 "--config", cfg, "--out", str(out), "--seed", "0", "--repeats", "1",
+                 "--methods", "cpd"])
+    assert code == 0
+    rows = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()))
+    assert [row["param"] for row in rows] == ["0.01", "0.9"]
+    assert rows[0]["re"] == "nan"
+    capsys.readouterr()
+
+
 def test_sweep_cli_rejects_fractional_rank(tmp_path, capsys):
     # and every other value that is not an integer, named by its flag
     for grid in ("1.5", "inf", "nan", "abc"):
