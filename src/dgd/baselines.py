@@ -181,14 +181,14 @@ def cpd_als(tensor, rank, iters=60, seed=0):
 
 
 def cpd_to_decomposition(u, v, w):
-    """Symmetrize CP factors into latent graphs plus their signatures over time."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    latents = 0.5 * (
-        np.einsum("if,jf->fij", u, v) + np.einsum("if,jf->fij", v, u)
-    )
-    return Decomposition(latents, w.copy())
+    """Symmetrize CP factors into latent graphs plus their signatures over time.
+
+    Latent f is 0.5 (P_f + P_f') for P_f = u_f v_f', whose transpose is v_f u_f'
+    entry for entry; the signatures are a copy of w.
+    """
+    u, v, w = (np.asarray(x, dtype=np.float64) for x in (u, v, w))
+    outer = np.einsum("if,jf->fij", u, v)
+    return Decomposition(0.5 * (outer + outer.transpose(0, 2, 1)), w.copy())
 
 
 def _dgd(adj, mask, signals, h, seed):

@@ -23,10 +23,8 @@ from .evaluation import (
     component_analysis,
     sweep as run_sweep,
 )
-from .io_dgt import DgtSlices, load_dgt, save_dgt
+from .io_dgt import DgtSlices, load_dgt, save_dgt, write_csv
 from .model import OBJECTIVE_TERMS, Decomposition, Hyperparams, NumericalAbort, check_number
-
-HISTORY_HEADER = ",".join(("iter", "total", *OBJECTIVE_TERMS))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,11 +52,9 @@ def _load_json(path, flag):
 
 def _write_history_csv(path, breakdowns):
     """One row per breakdown: the iteration, its total, then each of its OBJECTIVE_TERMS."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(HISTORY_HEADER + "\n")
-        for i, b in enumerate(breakdowns):
-            values = (b.total, *(getattr(b, term) for term in OBJECTIVE_TERMS))
-            fh.write(",".join([str(i), *(repr(float(v)) for v in values)]) + "\n")
+    columns = ("total", *OBJECTIVE_TERMS)
+    write_csv(path, ("iter", *columns),
+              ((i, *(getattr(b, c) for c in columns)) for i, b in enumerate(breakdowns)))
 
 
 def _read_spec(args):
@@ -152,18 +148,18 @@ def _cmd_evaluate(args):
 
 
 def _parse_grid(text, kind):
-    """The comma-separated --grid values: finite numbers, integers for a rank sweep."""
+    """The comma-separated --grid values: finite numbers, integers >= 1 for a rank sweep."""
     cells = [c for c in (p.strip() for p in text.split(",")) if c]
     if not cells:
         raise ValueError("--grid is empty")
-    want = "integers" if kind == "rank" else "finite numbers"
+    want = "integers >= 1" if kind == "rank" else "finite numbers"
     vals = []
     for c in cells:
         try:
             f = float(c)
         except ValueError:
             f = math.nan
-        if not math.isfinite(f) or (kind == "rank" and f != int(f)):
+        if not math.isfinite(f) or (kind == "rank" and (f != int(f) or f < 1)):
             raise ValueError(f"--grid values of a {kind} sweep must be {want}, got {c!r}")
         vals.append(int(f) if kind == "rank" else f)
     return vals

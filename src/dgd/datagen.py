@@ -10,11 +10,11 @@ per step by low-pass filtering white noise through the blended Laplacian.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Decomposition, check_fields, check_number
+from .model import Decomposition, check_fields, check_number, reconstruct, settings_from_dict
 
 
 @dataclass
@@ -49,16 +49,12 @@ class SwDynSpec:
             p = getattr(self, name)
             if p > 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
+        return self
 
     @classmethod
     def from_dict(cls, cfg):
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(cfg) - known)
-        if unknown:
-            raise ValueError(f"unknown generator setting {unknown[0]!r}")
-        spec = cls(**cfg)
-        spec.validate()
-        return spec
+        """Build and validate from a settings mapping (:func:`model.settings_from_dict`)."""
+        return settings_from_dict(cls, cfg, "unknown generator setting {!r}")
 
 
 # processes of the pool this process works in, all on the same CPUs; only a
@@ -176,13 +172,9 @@ def swdyn(spec):
     ramp = np.linspace(1.0, 0.0, t)
     signatures = np.stack([ramp, 1.0 - ramp], axis=1)
     k1, k2 = spec.communities_start, spec.communities_end
-    latents = np.stack(
-        [
-            sbm_graph([n // k1] * k1, spec.p_in, spec.p_out, rng),
-            sbm_graph([n // k2] * k2, spec.p_in, spec.p_out, rng),
-        ]
-    )
-    clean = np.einsum("tr,rij->tij", signatures, latents)
+    latents = np.stack([sbm_graph([n // k] * k, spec.p_in, spec.p_out, rng) for k in (k1, k2)])
+    truth = Decomposition(latents, signatures)
+    clean = reconstruct(truth)
     signals = np.empty((t, n, spec.n_signals))
 
     def drawn_steps():
@@ -208,7 +200,7 @@ def swdyn(spec):
                 pass
     if spec.noise_sigma > 0:
         _add_edge_noise(clean, spec.noise_sigma, rng)
-    return clean, signals, Decomposition(latents, signatures)
+    return clean, signals, truth
 
 
 def _add_edge_noise(adj, sigma, rng):

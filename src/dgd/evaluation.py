@@ -17,6 +17,7 @@ import numpy as np
 
 from .baselines import METHODS
 from .datagen import join_pool, mask_seed, observed_fraction, sample_mask, swdyn, worker_count
+from .io_dgt import write_csv
 from .model import NumericalAbort, check_number, reconstruct
 from .tensors import check_finite, check_mask
 
@@ -208,7 +209,6 @@ def component_analysis(d, truth, mask, threshold=None):
 
 
 SWEEP_COLUMNS = ("method", "param", "seed", "re", "f1", "precision", "recall", "seconds")
-SWEEP_HEADER = ",".join(SWEEP_COLUMNS)
 
 
 def sweep(
@@ -343,16 +343,7 @@ def _sweep_cell(cell):
     return rows, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
-def _fmt_cell(v):
-    if isinstance(v, float):
-        # float() too: the repr of a numpy float64 grid value names its type
-        return repr(float(v))
-    return str(v)
-
-
 def write_sweep_csv(rows, path):
-    """Write sweep rows with a fixed header, UTF-8 and LF line endings."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(SWEEP_HEADER + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(row[c]) for c in SWEEP_COLUMNS) + "\n")
+    """Write sweep rows (mappings keyed by SWEEP_COLUMNS) to path, one line
+    each under the SWEEP_COLUMNS header, by :func:`io_dgt.write_csv`."""
+    write_csv(path, SWEEP_COLUMNS, ([row[c] for c in SWEEP_COLUMNS] for row in rows))

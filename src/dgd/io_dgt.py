@@ -7,9 +7,10 @@ A file is one JSON header line then raw little-endian float64 payload:
 
 dims are logical [rows, cols, slices] for order-3 kinds and [rows, cols] for
 signatures. In memory, slice stacks put the slice axis first, so adjacency
-dims [N, N, T] load as a (T, N, N) array. Round-trips are bit-exact.
-:func:`load_dgt` reads a whole file; :class:`DgtSlices` reads an order-3 file
-one slice at a time, after the same header and size checks.
+dims [N, N, T] load as a (T, N, N) array (:func:`_file_dims`, :func:`_array_shape`).
+Round-trips are bit-exact. :func:`load_dgt` reads a whole file; :class:`DgtSlices`
+reads an order-3 file one slice at a time, after the same header and size checks.
+:func:`write_csv` writes the tools' CSV tables.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ def save_dgt(path, arr, kind):
     """Write an array under one of the known kinds.
 
     Order-3 kinds take the slice-first in-memory layout ((T, N, N) style) and
-    store dims as [rows, cols, slices]; signatures store [T, R] directly.
+    store dims as [rows, cols, slices]; signatures store [T, R] directly
+    (:func:`_file_dims`).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {sorted(KINDS)}")
@@ -57,12 +59,8 @@ def save_dgt(path, arr, kind):
     order = KINDS[kind]
     if arr.ndim != order:
         raise ValueError(f"kind {kind!r} stores order-{order} data, got shape {arr.shape}")
-    if order == 3:
-        dims = [arr.shape[1], arr.shape[2], arr.shape[0]]
-    else:
-        dims = [arr.shape[0], arr.shape[1]]
     header = json.dumps(
-        {"magic": MAGIC, "kind": kind, "dims": dims, "dtype": DTYPE},
+        {"magic": MAGIC, "kind": kind, "dims": _file_dims(arr.shape), "dtype": DTYPE},
         separators=(",", ":"),
     )
     with open(path, "wb") as fh:
@@ -72,7 +70,8 @@ def save_dgt(path, arr, kind):
 
 
 def load_dgt(path, kind=None):
-    """Read a container back; returns (array, kind) in the in-memory layout.
+    """Read a container back; returns (array, kind) in the in-memory layout
+    (:func:`_array_shape`).
 
     The header is checked and the payload length compared with the file
     size before any payload byte is read (:func:`_open_payload`); the payload
@@ -84,13 +83,8 @@ def load_dgt(path, kind=None):
         found_kind, dims, start = _open_payload(fh, path, kind)
         flat = np.empty(prod(dims), dtype="<f8")
         _read_into(fh, flat, start)
-    # a no-op on little-endian hosts
-    flat = flat.astype(np.float64, copy=False)
-    if KINDS[found_kind] == 3:
-        rows, cols, slices = dims
-        return flat.reshape(slices, rows, cols), found_kind
-    rows, cols = dims
-    return flat.reshape(rows, cols), found_kind
+    # astype is a no-op on little-endian hosts
+    return flat.astype(np.float64, copy=False).reshape(_array_shape(dims)), found_kind
 
 
 class DgtSlices:
@@ -99,8 +93,8 @@ class DgtSlices:
     Opening checks the header, the kind and the payload size exactly as
     :func:`load_dgt` does; ``reader[t]`` then reads slice t alone into a
     fresh (rows, cols) float64 array, bit-identical to ``load_dgt(path)[0][t]``.
-    ``shape`` is the in-memory (slices, rows, cols) shape. The file stays
-    open until :meth:`close` or the end of a ``with`` block.
+    ``shape`` is the in-memory (slices, rows, cols) shape (:func:`_array_shape`).
+    The file stays open until :meth:`close` or the end of a ``with`` block.
     """
 
     def __init__(self, path, kind=None):
@@ -112,8 +106,7 @@ class DgtSlices:
         except BaseException:
             self._fh.close()
             raise
-        rows, cols, slices = dims
-        self.shape = (slices, rows, cols)
+        self.shape = _array_shape(dims)
 
     def __getitem__(self, t):
         t = operator.index(t)
@@ -133,6 +126,26 @@ class DgtSlices:
 
     def __exit__(self, *exc):
         self.close()
+
+
+def _file_dims(shape):
+    """Header dims of an in-memory shape: (slices, rows, cols) -> [rows, cols, slices]."""
+    return [*shape[1:], shape[0]] if len(shape) == 3 else list(shape)
+
+
+def _array_shape(dims):
+    """In-memory shape of header dims: [rows, cols, slices] -> (slices, rows, cols)."""
+    return (dims[-1], *dims[:-1]) if len(dims) == 3 else tuple(dims)
+
+
+def write_csv(path, columns, rows):
+    """Write a header of columns, then one line per row of values, in UTF-8 with LF
+    endings; a float as repr(float(v)), which reads back bit-exact, anything else by str."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+            fh.write(",".join(cells) + "\n")
 
 
 def _open_payload(fh, path, kind):

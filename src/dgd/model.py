@@ -68,6 +68,18 @@ def check_fields(record, low, strict=()):
             check_number(name, value, low=0, strict=name in strict)
 
 
+def settings_from_dict(cls, cfg, unknown):
+    """cls(**cfg).validate() for a settings dataclass cls; a JSON int given for a
+    float field becomes a float, and the first unknown key in sorted order raises
+    ValueError(unknown.format(key))."""
+    extra = sorted(set(cfg) - {f.name for f in fields(cls)})
+    if extra:
+        raise ValueError(unknown.format(extra[0]))
+    floats = {name for name, kind in get_type_hints(cls).items() if kind is float}
+    return cls(**{k: float(v) if k in floats and type(v) is int else v
+                  for k, v in cfg.items()}).validate()
+
+
 class NumericalAbort(RuntimeError):
     """Raised when an iterate goes non-finite (diverging step, bad data)."""
 
@@ -148,15 +160,8 @@ class Hyperparams:
 
     @classmethod
     def from_dict(cls, cfg):
-        """Build from a config mapping; unknown keys are errors."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(cfg) - known
-        if unknown:
-            raise ValueError(f"unknown config key: {sorted(unknown)[0]}")
-        # json numbers may arrive as ints where floats are meant
-        floats = {name for name, kind in get_type_hints(cls).items() if kind is float}
-        cfg = {k: float(v) if k in floats and type(v) is int else v for k, v in cfg.items()}
-        return cls(**cfg).validate()
+        """Build and validate from a config mapping (:func:`settings_from_dict`)."""
+        return settings_from_dict(cls, cfg, "unknown config key: {}")
 
     def replace(self, **kw):
         return replace(self, **kw)

@@ -1,5 +1,6 @@
 """Comparison methods: masked ALS, signal-free solver, CPD."""
 
+import itertools
 import tracemalloc
 from contextlib import nullcontext
 
@@ -161,14 +162,21 @@ def test_cpd_restarts_once_from_the_next_seed(monkeypatch):
 
 def test_cpd_to_decomposition_symmetrizes():
     rng = np.random.default_rng(8)
-    u = rng.random((5, 2))
-    v = rng.random((5, 2))
-    w = rng.random((4, 2))
-    d = cpd_to_decomposition(u, v, w)
-    assert np.array_equal(d.latents, d.latents.transpose(0, 2, 1))
-    raw = np.einsum("if,jf,tf->tij", u, v, w)
-    sym = 0.5 * (raw + raw.transpose(0, 2, 1))
-    assert np.allclose(reconstruct(d), sym)
+    for (n, t, f), as_list in itertools.product(
+        [(5, 4, 2), (1, 1, 1), (7, 3, 1), (4, 6, 5)], (False, True)
+    ):
+        u = rng.random((n, f))
+        v = rng.random((n, f))
+        w = rng.random((t, f))
+        d = cpd_to_decomposition(*([x.tolist() for x in (u, v, w)] if as_list else (u, v, w)))
+        assert np.array_equal(d.latents, d.latents.transpose(0, 2, 1))
+        # the two-product formula, byte for byte: u_f v_f' transposed is v_f u_f'
+        two = 0.5 * (np.einsum("if,jf->fij", u, v) + np.einsum("if,jf->fij", v, u))
+        assert d.latents.tobytes() == two.tobytes(), (n, t, f, as_list)
+        assert d.signatures.tobytes() == w.tobytes()
+        raw = np.einsum("if,jf,tf->tij", u, v, w)
+        sym = 0.5 * (raw + raw.transpose(0, 2, 1))
+        assert np.allclose(reconstruct(d), sym)
 
 
 def test_method_registry_adapters_return_tensors():

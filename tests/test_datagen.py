@@ -61,6 +61,25 @@ def test_spec_from_dict_names_unknown_key():
 def test_spec_dict_round_trip():
     spec = SwDynSpec(n_nodes=8, n_steps=6, n_signals=4, p_in=0.5)
     assert SwDynSpec.from_dict(dataclasses.asdict(spec)) == spec
+    assert spec.validate() is spec
+
+
+def test_spec_from_dict_reads_json_ints_in_float_fields_as_floats():
+    # as Hyperparams.from_dict does: a spec file may write 10 for 10.0
+    given = {"n_nodes": 12, "n_steps": 5, "n_signals": 6, "alpha": 10, "p_in": 1,
+             "p_out": 0, "noise_sigma": 1, "seed": 3}
+    spec = SwDynSpec.from_dict(given)
+    for name in ("alpha", "p_in", "p_out", "noise_sigma"):
+        assert type(getattr(spec, name)) is float, name
+    assert type(spec.n_nodes) is int
+    floats = SwDynSpec.from_dict({**given, "alpha": 10.0, "p_in": 1.0, "p_out": 0.0,
+                                  "noise_sigma": 1.0})
+    adj, signals, truth = swdyn(spec)
+    want_adj, want_signals, want_truth = swdyn(floats)
+    assert adj.tobytes() == want_adj.tobytes()
+    assert signals.tobytes() == want_signals.tobytes()
+    assert truth.latents.tobytes() == want_truth.latents.tobytes()
+    assert truth.signatures.tobytes() == want_truth.signatures.tobytes()
 
 
 def test_sbm_complete_blocks():
@@ -183,7 +202,8 @@ def test_swdyn_blend_endpoints_and_exact_reconstruction():
     assert np.array_equal(adj[0], truth.latents[0])
     assert np.array_equal(adj[-1], truth.latents[1])
     assert np.allclose(truth.signatures.sum(axis=1), 1.0)
-    assert np.allclose(reconstruct(truth), adj, atol=1e-12)
+    # the noise-free adjacency is the truth's reconstruction, byte for byte
+    assert reconstruct(truth).tobytes() == adj.tobytes()
     assert is_symmetric(adj) and is_hollow(adj)
     assert np.all(adj >= 0.0)
 

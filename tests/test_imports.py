@@ -9,9 +9,10 @@ import dgd
 
 
 def test_import_loads_numpy_and_the_standard_library_only():
-    # a fresh interpreter, so that no module a test loaded counts
+    # a fresh interpreter, so that no module a test loaded counts; the command
+    # line's module too, which every dgd process loads
     code = (
-        "import sys; before = set(sys.modules); import dgd; "
+        "import sys; before = set(sys.modules); import dgd, dgd.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
     src = str(Path(dgd.__file__).resolve().parents[1])
@@ -22,3 +23,6 @@ def test_import_loads_numpy_and_the_standard_library_only():
     loaded = {name.partition(".")[0] for name in out.split()}
     assert "dgd" in loaded and "numpy" in loaded
     assert sorted(loaded - set(sys.stdlib_module_names) - {"dgd", "numpy"}) == []
+    # the worker pools import these only when they start (about 0.8 MB of RSS
+    # for concurrent.futures alone), so a process that starts none loads none
+    assert sorted(loaded & {"concurrent", "multiprocessing", "logging"}) == []

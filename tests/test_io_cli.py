@@ -23,6 +23,7 @@ from helpers import set_cpus
 
 # the file format, written out: cli derives its header from ObjectiveBreakdown's fields
 HISTORY_LINE = "iter,total,fit,sparsity,smoothness,temporal,overlap,ridge_c,ridge_a"
+RANK_GRID = "--grid values of a rank sweep"
 
 
 def _header_and_payload(path):
@@ -921,7 +922,8 @@ def test_sweep_cli_cell_error_exits_one(tmp_path, capsys, monkeypatch, cpus):
         ]
     )
     assert code == 1
-    assert "dgd: error: n_latents must be >= 1, got 0" in capsys.readouterr().err
+    # the rank 0 is named by the flag that gave it, before any cell runs
+    assert f"dgd: error: {RANK_GRID} must be integers >= 1, got '0'" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -941,8 +943,9 @@ def test_sweep_cli_cell_without_a_threshold_exits_zero(tmp_path, capsys):
 
 
 def test_sweep_cli_rejects_fractional_rank(tmp_path, capsys):
-    # and every other value that is not an integer, named by its flag
-    for grid in ("1.5", "inf", "nan", "abc"):
+    # and every other value that is not an integer >= 1, named by its flag
+    # before any cell runs, not by the library's n_latents
+    for grid in ("1.5", "inf", "nan", "abc", "0", "-1"):
         code = main(
             [
                 "sweep",
@@ -954,8 +957,13 @@ def test_sweep_cli_rejects_fractional_rank(tmp_path, capsys):
         )
         assert code == 1, grid
         err = capsys.readouterr().err
-        assert f"dgd: error: --grid values of a rank sweep must be integers, got {grid!r}" in err
+        assert f"dgd: error: {RANK_GRID} must be integers >= 1, got {grid!r}" in err
         assert not (tmp_path / "r.csv").exists()
+    # a bad value after good ones is named on its own
+    out = str(tmp_path / "r.csv")
+    assert main(["sweep", "--kind", "rank", "--grid", "2,0", "--out", out, "--seed", "0"]) == 1
+    assert f"dgd: error: {RANK_GRID} must be integers >= 1, got '0'" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_sweep_cli_rejects_the_observed_frac_flag(tmp_path, capsys):
