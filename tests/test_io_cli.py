@@ -959,11 +959,6 @@ def test_sweep_cli_rejects_fractional_rank(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"dgd: error: {RANK_GRID} must be integers >= 1, got {grid!r}" in err
         assert not (tmp_path / "r.csv").exists()
-    # a bad value after good ones is named on its own
-    out = str(tmp_path / "r.csv")
-    assert main(["sweep", "--kind", "rank", "--grid", "2,0", "--out", out, "--seed", "0"]) == 1
-    assert f"dgd: error: {RANK_GRID} must be integers >= 1, got '0'" in capsys.readouterr().err
-    assert not (tmp_path / "r.csv").exists()
 
 
 def test_sweep_cli_rejects_the_observed_frac_flag(tmp_path, capsys):
