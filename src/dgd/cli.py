@@ -148,7 +148,7 @@ def _cmd_evaluate(args):
 
 
 def _parse_grid(text, kind):
-    """The comma-separated --grid values: finite numbers, integers >= 1 for a rank sweep."""
+    """The comma-separated --grid values: rank integers >= 1, or observed fractions in (0, 1]."""
     cells = [c for c in (p.strip() for p in text.split(",")) if c]
     if not cells:
         raise ValueError("--grid is empty")
@@ -161,7 +161,7 @@ def _parse_grid(text, kind):
             f = math.nan
         if not math.isfinite(f) or (kind == "rank" and (f != int(f) or f < 1)):
             raise ValueError(f"--grid values of a {kind} sweep must be {want}, got {c!r}")
-        vals.append(int(f) if kind == "rank" else f)
+        vals.append(int(f) if kind == "rank" else observed_fraction(f, "--grid"))
     return vals
 
 
@@ -169,6 +169,7 @@ def _cmd_sweep(args):
     spec, spec_frac = _read_spec(args)
     h = Hyperparams.from_dict(_load_json(args.config, "--config") if args.config else {})
     grid = _parse_grid(args.grid, args.kind)
+    check_number("--repeats", args.repeats, integer=True, low=1)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     if not methods:
         raise ValueError(f"--methods names no method; give some of {','.join(METHODS)}")

@@ -63,10 +63,10 @@ def initialize(seed, n_nodes, n_steps, n_latents):
 def outer_iteration(d, fit, cache, h, rng):
     """One alternating pass over all blocks, updating d in place.
 
-    The A-block statistics of the signatures are built before the A sweep,
-    the C-block statistics of the latents after it; the C solve and the
-    objective share the latter. Returns (breakdown, final A residual per
-    latent, final C residual).
+    The A-block statistics of the signatures are built before the A sweep
+    and dropped after it; the C-block statistics of the latents, built next,
+    serve the C solve and the objective. Returns (breakdown, final A
+    residual per latent, final C residual).
     """
     a_stats = fit.a_stats(d.signatures, cache)
     a_res = []
@@ -74,6 +74,7 @@ def outer_iteration(d, fit, cache, h, rng):
         a_new, _, res = solve_a_subproblem(d, r, fit, h, rng, a_stats)
         d.latents[r] = a_new
         a_res.append(res[-1])
+    del a_stats
     c_stats = fit.c_stats(d.latents, cache)
     d.signatures, _, c_res = solve_c_subproblem(d, fit, h, rng, c_stats)
     return objective(d, fit, cache, h, stats=c_stats), a_res, c_res[-1]

@@ -19,7 +19,7 @@ from .baselines import METHODS
 from .datagen import join_pool, mask_seed, observed_fraction, sample_mask, swdyn, worker_count
 from .io_dgt import write_csv
 from .model import NumericalAbort, check_number, reconstruct
-from .tensors import check_finite, check_mask
+from .tensors import SliceEntries, check_finite, check_mask
 
 
 class UndefinedMetricError(ValueError):
@@ -83,16 +83,13 @@ def edge_scores(est, truth, holdout, threshold):
 class _HeldOut:
     """The held-out entries of one truth stack, those where holdout > 0.
 
-    The selection is held as FitData holds Y's entries: the flat position
-    within its slice of each held-out entry, slice by slice (int32 when a
-    slice has under 2^31 entries), and the (T + 1,) offsets at which each
-    slice's run starts. The truth is gathered once into a vector, with its
-    squared norm and its edges. An estimate is gathered by the same
-    positions, one slice at a time, and a rank-one component is formed at
-    those positions only (:meth:`component`). Every score reads one such
-    vector, so whatever the other entries hold (NaN included) is never read.
-    Squares are summed by numpy's own summation, so no score depends on the
-    BLAS thread count.
+    The selection is a :class:`tensors.SliceEntries`. The truth is gathered
+    once into a vector, with its squared norm and its edges. An estimate is
+    gathered by the same positions, one slice at a time, and a rank-one
+    component is formed at those positions only (:meth:`component`). Every
+    score reads one such vector, so whatever the other entries hold (NaN
+    included) is never read. Squares are summed by numpy's own summation, so
+    no score depends on the BLAS thread count.
     """
 
     def __init__(self, truth, holdout):
@@ -102,39 +99,30 @@ class _HeldOut:
             raise ValueError(f"holdout is {sel.shape} but truth is {truth.shape}")
         self.shape = truth.shape
         sel = (sel if sel.dtype == np.bool_ else sel > 0).reshape(len(sel), -1)
-        self.starts = np.concatenate([[0], np.cumsum(np.count_nonzero(sel, axis=1))])
-        index = np.int32 if sel.shape[1] < 2**31 else np.int64
-        self.positions = np.empty(self.starts[-1], dtype=index)
-        for t, _, run in self._runs():
-            self.positions[run] = np.flatnonzero(sel[t])
+        self.entries = SliceEntries.build([np.flatnonzero(s) for s in sel], sel.shape[1])
         self.truth = self.gather(truth)
         self.norm = float(np.sum(np.square(self.truth)))
         self.edges = self.truth > 0
         self.n_edges = int(np.count_nonzero(self.edges))
 
-    def _runs(self):
-        """(t, positions of slice t, its run's slice of a gathered vector) per slice."""
-        for t, (lo, hi) in enumerate(zip(self.starts[:-1], self.starts[1:])):
-            yield t, self.positions[lo:hi], slice(lo, hi)
-
     def gather(self, est):
         est = np.asarray(est, dtype=np.float64)
         if est.shape != self.shape:
             raise ValueError(f"estimate is {est.shape} but truth is {self.shape}")
-        x = np.empty(self.positions.size)
-        for t, at, run in self._runs():
+        x = np.empty(self.entries.positions.size)
+        for t, at, span in self.entries.slices():
             # every position lies within its slice, so no bounds check is
             # needed; the checking mode would buffer each run before writing it
-            np.take(est[t], at, out=x[run], mode="clip")
+            np.take(est[t], at, out=x[span], mode="clip")
         return x
 
     def component(self, signature, latent):
         """The held-out entries of the rank-one stack signature[t] latent:
         latent at every held-out position, each slice's run scaled by its
         signature entry."""
-        x = np.take(latent, self.positions)
-        for t, _, run in self._runs():
-            x[run] *= signature[t]
+        x = np.take(latent, self.entries.positions)
+        for t, _, span in self.entries.slices():
+            x[span] *= signature[t]
         return x
 
     def relative_error(self, x):

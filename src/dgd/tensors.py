@@ -10,9 +10,8 @@ Conventions used throughout the package:
 * a stack of symmetric slices may be held packed, as (K, M + N) rows: the
   M = N(N-1)/2 strict-upper entries (i, j), i < j, then the N diagonal
   entries, each at the position :func:`triangle` gives it
-* a sparse stack is held as its nonzero entries slice by slice: their flat
-  positions i N + j within the slice, their values, and the (T + 1,) offsets
-  at which each slice's run starts
+* a selection of a stack's entries, such as a sparse stack's nonzero
+  entries, is held slice by slice as a :class:`SliceEntries`
 
 The fit is one weighted least-squares loss on that layout,
 1/2 sum_t sum_ij W_t,ij (recon_t,ij - Y_t,ij)^2, whose weight W and target Y
@@ -40,10 +39,8 @@ import numpy as np
 # relative size below which the Gram-form fit is recomputed from the residual
 CANCELLATION = 1e-6
 # the statistics visit Y's entries in runs of whole slices, and convert B to
-# float64 in blocks of whole packed columns, each holding up to RUN_PLANES
-# N x N planes' worth of entries, so that their temporaries stay O(N^2), or
-# RUN_ENTRIES when that is more, so that small fits take one run
-RUN_PLANES = 1
+# float64 in blocks of packed columns, both sized by max(N^2, RUN_ENTRIES)
+# entries: their temporaries stay O(N^2), and a small fit takes one run
 RUN_ENTRIES = 1 << 14
 # the fit weights FitData.build can form, by Hyperparams.gradient_mode
 GRADIENT_MODES = ("exact_mask", "count_weighted")
@@ -73,17 +70,54 @@ def triangle(n):
     return rows * n + cols, cols * n + rows
 
 
-def _slice_sums(x, starts):
-    """(..., S) sums of x[..., starts[s]:starts[s + 1]], 0 for an empty run.
+@dataclass
+class SliceEntries:
+    """Selected entries of a (T, N, N) stack, slice by slice.
 
-    x holds the runs end to end, from starts[0] = 0 to starts[-1].
+    positions : (K,), the flat position i N + j of each entry within its
+                slice; int32 when a slice has under 2^31 entries, else int64
+    starts    : (T + 1,), slice t holds positions[starts[t]:starts[t + 1]]
+
+    A vector of one value per entry follows the same order.
     """
-    full = np.flatnonzero(starts[1:] > starts[:-1])
-    sums = np.zeros(x.shape[:-1] + (len(starts) - 1,))
-    if full.size:
-        # a run of full[i] ends where the next nonempty one starts
-        sums[..., full] = np.add.reduceat(x, starts[full], axis=-1)
-    return sums
+
+    positions: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def build(cls, slices, size):
+        """From a sequence of position arrays, one per slice of `size` entries."""
+        index = np.int32 if size < 2**31 else np.int64
+        # the empty head keeps a stack of no slices concatenable
+        positions = np.concatenate([np.empty(0, index), *slices], dtype=index)
+        return cls(positions, np.cumsum([0] + [p.size for p in slices]))
+
+    def slices(self):
+        """(t, positions of slice t, its span of an entry vector) per slice, in order."""
+        for t, (lo, hi) in enumerate(zip(self.starts[:-1], self.starts[1:])):
+            yield t, self.positions[lo:hi], slice(lo, hi)
+
+    def runs(self, budget):
+        """(t0, t1, span, run) per run of whole slices t0 <= t < t1, in order:
+        span is the run's part of an entry vector and run its SliceEntries,
+        positions as intp. A run holds under budget entries plus one slice's."""
+        # cut before the slice holding each budget-th entry
+        held = np.arange(budget, self.positions.size, budget)
+        inner = np.searchsorted(self.starts, held, side="right") - 1
+        cuts = np.concatenate(([0], inner, [len(self.starts) - 1]))
+        for t0, t1 in zip(cuts[:-1], cuts[1:]):
+            span = slice(self.starts[t0], self.starts[t1])
+            offsets = self.starts[t0 : t1 + 1] - span.start
+            yield t0, t1, span, SliceEntries(self.positions[span].astype(np.intp), offsets)
+
+    def sums(self, x):
+        """(..., T) sums of the (..., K) entry vectors x slice by slice, 0 for an empty slice."""
+        full = np.flatnonzero(self.starts[1:] > self.starts[:-1])
+        sums = np.zeros(x.shape[:-1] + (len(self.starts) - 1,))
+        if full.size:
+            # a run of full[i] ends where the next nonempty one starts
+            sums[..., full] = np.add.reduceat(x, self.starts[full], axis=-1)
+        return sums
 
 
 @dataclass
@@ -133,11 +167,9 @@ class CStats:
 class FitData:
     """Weight and target of the weighted least-squares fit.
 
-    entries     : (K,), the flat positions i N + j within their slice of the
-                  nonzero entries of Y = M o A, the adjacency with unobserved
-                  entries zeroed; int32 when N^2 < 2^31, else int64
-    values      : (K,), Y at those positions
-    starts      : (T + 1,), slice t holds entries[starts[t]:starts[t + 1]]
+    entries     : the :class:`SliceEntries` of the K nonzero entries of
+                  Y = M o A, the adjacency with unobserved entries zeroed
+    values      : (K,), Y at those entries, in their order
     weight      : (T, M + N) bool, the symmetric 0/1 pattern B_t packed (:func:`triangle`)
     scale       : (T,), the factor of W_t = scale_t B_t; Y_t is zero off B_t,
                   so W_t o Y_t = scale_t Y_t
@@ -159,9 +191,8 @@ class FitData:
     The gradient mode only picks the pattern and scale :meth:`build` forms.
     """
 
-    entries: np.ndarray
+    entries: SliceEntries
     values: np.ndarray
-    starts: np.ndarray
     weight: np.ndarray
     scale: np.ndarray
     unobserved: np.ndarray
@@ -172,29 +203,20 @@ class FitData:
     _at: np.ndarray = field(init=False, repr=False)
     _mirror: np.ndarray = field(init=False, repr=False)
     _source: np.ndarray = field(init=False, repr=False)
-    # the slices at which the runs of :meth:`_runs` start, and T
-    _cuts: np.ndarray = field(init=False, repr=False)
-    # the packed columns in each block of :meth:`_pattern_blocks`
-    _width: int = field(init=False, repr=False)
+    # the entries in each run of Y's entries and each block of :meth:`_pattern_blocks`
+    _budget: int = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n_nodes
         self._at, self._mirror = triangle(n)
         self._source = np.empty(n * n, dtype=np.intp)
         self._source[self._at] = self._source[self._mirror] = np.arange(self._at.size)
-        # cut before the slice holding each budget-th entry; a slice holds at
-        # most N^2, so every run holds at most budget + N^2
-        budget = max(RUN_PLANES * n * n, RUN_ENTRIES)
-        held = np.arange(budget, self.values.size, budget)
-        inner = np.searchsorted(self.starts, held, side="right") - 1
-        self._cuts = np.concatenate(([0], inner, [self.n_steps]))
-        # a block of B holds at most budget entries, or one column of T
-        self._width = max(1, budget // max(1, self.n_steps))
+        self._budget = max(n * n, RUN_ENTRIES)
         self.slice_max = np.where(self.weight.any(axis=1), self.scale, 0.0)
         # data too large for float64 overflows here silently; the step bounds
         # abort on it with a message of their own
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = _slice_sums(np.square(self.values), self.starts)
+            norms = self.entries.sums(np.square(self.values))
             self.target_norm = 0.5 * float(self.scale @ norms)
 
     @classmethod
@@ -218,7 +240,7 @@ class FitData:
         n_steps, n = mask.shape[:2]
         at = triangle(n)[0]
         weight = np.empty((n_steps, at.size), dtype=bool)
-        entries, values = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+        entries, values = [], [np.empty(0)]
         for t in range(n_steps):
             m = np.asarray(mask[t], dtype=np.float64)
             _check_mask_slice(m, t)
@@ -230,16 +252,14 @@ class FitData:
             nonzero = np.flatnonzero(y != 0.0)
             entries.append(nonzero)
             values.append(y.take(nonzero))
-        starts = np.cumsum([e.size for e in entries])
-        index = np.int32 if n * n < 2**31 else np.int64
-        entries = np.concatenate(entries, dtype=index, casting="same_kind")
         unobserved = np.flatnonzero(~weight[:, :-n].any(axis=1))
         scale = np.ones(n_steps)
         if h.gradient_mode == "count_weighted":
             # counts of entries, so k_t is exact
             scale = 2.0 * weight[:, :-n].sum(axis=1) + weight[:, -n:].sum(axis=1)
             weight.fill(True)
-        return cls(entries, np.concatenate(values), starts, weight, scale, unobserved)
+        entries = SliceEntries.build(entries, n * n)
+        return cls(entries, np.concatenate(values), weight, scale, unobserved)
 
     @property
     def n_steps(self):
@@ -254,27 +274,17 @@ class FitData:
         """Y as the dense (T, N, N) stack, for the methods that fit it whole."""
         n = self.n_nodes
         y = np.zeros((self.n_steps, n * n))
-        for t, y_t in enumerate(y):
-            first, last = self.starts[t], self.starts[t + 1]
-            y_t[self.entries[first:last]] = self.values[first:last]
+        for t, at, span in self.entries.slices():
+            y[t, at] = self.values[span]
         return y.reshape(-1, n, n)
-
-    def _runs(self):
-        """Y's entries in runs of whole slices: (t0, t1, at, values, starts)
-        for the slices t0 <= t < t1, with `at` their flat positions as intp and
-        starts (t1 - t0 + 1,) the offsets of each slice within the run."""
-        for t0, t1 in zip(self._cuts[:-1], self._cuts[1:]):
-            first, last = self.starts[t0], self.starts[t1]
-            at = self.entries[first:last].astype(np.intp)
-            yield t0, t1, at, self.values[first:last], self.starts[t0 : t1 + 1] - first
 
     def _pattern_blocks(self):
         """B's packed columns p0 <= p < p1 as a float64 (T, p1 - p0) block:
-        (p0, p1, block), left to right, each holding at most the budget of
-        :meth:`_runs`, or one column when T is more."""
+        (p0, p1, block), left to right, each of at most _budget entries or one column."""
         size = self.weight.shape[1]
-        for p0 in range(0, size, self._width):
-            p1 = min(p0 + self._width, size)
+        width = max(1, self._budget // max(1, self.n_steps))
+        for p0 in range(0, size, width):
+            p1 = min(p0 + width, size)
             yield p0, p1, self.weight[:, p0:p1].astype(np.float64)
 
     def unpack(self, rows):
@@ -312,11 +322,11 @@ class FitData:
             # V_r: one scatter-add of c_r[t] scale_t Y_t over the entries of each run
             coef = c * self.scale[:, None]
             v = np.zeros((c.shape[1], n * n))
-            for t0, t1, at, y, starts in self._runs():
-                w = np.repeat(coef[t0:t1].T, np.diff(starts), axis=1)
-                w *= y
+            for t0, t1, span, run in self.entries.runs(self._budget):
+                w = np.repeat(coef[t0:t1].T, np.diff(run.starts), axis=1)
+                w *= self.values[span]
                 for v_r, w_r in zip(v, w):
-                    v_r += np.bincount(at, w_r, minlength=n * n)
+                    v_r += np.bincount(run.positions, w_r, minlength=n * n)
             v = v.reshape(-1, n, n)
             xi = None
             if z_rows is not None:
@@ -354,10 +364,10 @@ class FitData:
             grams = grams.reshape(-1, n_lat, n_lat)
             # b_t: Y_t's entries times the latents gathered at them, summed per slice
             b = np.empty((self.n_steps, n_lat))
-            for t0, t1, at, y, starts in self._runs():
-                g = np.take(lat, at, axis=1)
-                g *= y
-                b[t0:t1] = _slice_sums(g, starts).T
+            for t0, t1, span, run in self.entries.runs(self._budget):
+                g = np.take(lat, run.positions, axis=1)
+                g *= self.values[span]
+                b[t0:t1] = run.sums(g).T
             b *= self.scale[:, None]
             traces = None
             if z_rows is not None:
@@ -405,15 +415,14 @@ class FitData:
         lat = _flat(np.asarray(latents, dtype=np.float64))
         n = self.n_nodes
         total = 0.0
-        for t0, t1, at, y, starts in self._runs():
-            for t, first, last in zip(range(t0, t1), starts[:-1], starts[1:]):
-                sq = c[t] @ lat
-                sq[at[first:last]] -= y[first:last]
-                np.square(sq, out=sq)
-                pairs = sq[self._at]
-                pairs += sq[self._mirror]
-                pairs[-n:] *= 0.5
-                total += self.scale[t] * float(self.weight[t] @ pairs)
+        for t, at, span in self.entries.slices():
+            sq = c[t] @ lat
+            sq[at] -= self.values[span]
+            np.square(sq, out=sq)
+            pairs = sq[self._at]
+            pairs += sq[self._mirror]
+            pairs[-n:] *= 0.5
+            total += self.scale[t] * float(self.weight[t] @ pairs)
         return 0.5 * total
 
 

@@ -7,7 +7,7 @@ import numpy as np
 
 from dgd.model import Decomposition, Hyperparams, project_sa
 from dgd.priors import build_cache, temporal_pi
-from dgd.tensors import FitData, triangle
+from dgd.tensors import FitData, SliceEntries, triangle
 
 
 def set_cpus(monkeypatch, cpus):
@@ -55,14 +55,15 @@ def pairwise_z(x):
 
 
 def sparse_target(target):
-    """(entries, values, starts) of a dense (T, N, N) target, as FitData holds
-    it: the flat positions and values of each slice's nonzero entries, by a
-    loop over the slices."""
+    """(entries, values) of a dense (T, N, N) target, as FitData holds it: the
+    SliceEntries of each slice's nonzero entries and their values, by a loop
+    over the slices."""
     flat = target.reshape(len(target), -1)
     entries = [np.flatnonzero(y) for y in flat]
     values = [y[e] for y, e in zip(flat, entries)]
     starts = np.cumsum([0] + [e.size for e in entries])
-    return np.concatenate(entries).astype(np.int32), np.concatenate(values), starts
+    positions = np.concatenate(entries).astype(np.int32)
+    return SliceEntries(positions, starts), np.concatenate(values)
 
 
 def dense_fit(mask, target):

@@ -4,12 +4,10 @@ dense Phi_r formula, the in-place fit value against the plain weighted sum of
 squares, and the Gram-form fit against that value."""
 
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from dgd import tensors
 from dgd.admm_a import a_gradient_terms, build_a_workspace, grad_a_lagrangian
 from dgd.admm_c import build_c_workspace, c_gradient_terms, grad_c_lagrangian
 from dgd.model import Decomposition, Hyperparams, degree_margin, reconstruct
@@ -182,7 +180,8 @@ def test_loss_matches_plain_formula_and_leaves_inputs(case):
     fit = FitData.build(adj, mask, Hyperparams(gradient_mode=mode))
     n_steps, n = mask.shape[:2]
     weight = np.stack([np.broadcast_to(_loop_weight(mask, t, mode), (n, n)) for t in range(n_steps)])
-    inputs = [d.signatures, d.latents, fit.entries, fit.values, fit.weight, fit.scale]
+    inputs = [d.signatures, d.latents, fit.entries.positions, fit.entries.starts, fit.values,
+              fit.weight, fit.scale]
     before = [x.copy() for x in inputs]
     recon = np.einsum("tr,rij->tij", d.signatures, d.latents)
     want = 0.5 * float(np.sum(weight * (recon - mask * adj) ** 2))
@@ -238,11 +237,11 @@ def _dense_loss(fit, y, c, lat):
 def test_target_entries_match_the_dense_formulas(case):
     # runs of a few entries each, so that the slices fall into several runs
     adj, mask, mode, run, c, lat = case
-    with mock.patch.multiple(tensors, RUN_PLANES=0, RUN_ENTRIES=run):
-        fit = FitData.build(adj, mask, Hyperparams(gradient_mode=mode))
+    fit = FitData.build(adj, mask, Hyperparams(gradient_mode=mode))
+    fit._budget = run
     n_steps, n = mask.shape[:2]
     y = np.where(mask > 0, adj, 0.0)
-    assert fit.entries.dtype == np.int32 and len(fit.starts) == n_steps + 1
+    assert fit.entries.positions.dtype == np.int32 and len(fit.entries.starts) == n_steps + 1
     assert fit.values.size == np.count_nonzero(y)
     assert fit.dense_target().tobytes() == y.tobytes()
     scaled = fit.scale[:, None, None] * y
@@ -260,8 +259,8 @@ def test_bool_pattern_statistics_match_the_dense_weight(case):
     # W_t = scale_t B_t read from the bool rows, B converted in blocks of a
     # few columns, against the dense (T, N, N) float weight of each mode
     adj, mask, mode, run, c, lat = case
-    with mock.patch.multiple(tensors, RUN_PLANES=0, RUN_ENTRIES=run):
-        fit = FitData.build(adj, mask, Hyperparams(gradient_mode=mode))
+    fit = FitData.build(adj, mask, Hyperparams(gradient_mode=mode))
+    fit._budget = run
     n_steps, n = mask.shape[:2]
     weight = np.stack([np.broadcast_to(_loop_weight(mask, t, mode), (n, n)) for t in range(n_steps)])
     assert fit.weight.dtype == bool

@@ -1,5 +1,7 @@
-"""The package's run-time dependencies, as pyproject declares them."""
+"""The package's run-time dependencies, as pyproject declares them, and the
+names each of its modules imports."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -26,3 +28,35 @@ def test_import_loads_numpy_and_the_standard_library_only():
     # the worker pools import these only when they start (about 0.8 MB of RSS
     # for concurrent.futures alone), so a process that starts none loads none
     assert sorted(loaded & {"concurrent", "multiprocessing", "logging"}) == []
+
+
+# names a module imports for its importers alone; dgd/__init__.py lists its own in __all__
+RE_EXPORTS = {"model.py": {"project_sa"}}
+
+
+def _imported_names(tree):
+    """{bound name: line} of every import in a module, __future__ aside."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def test_every_imported_name_is_used_or_re_exported():
+    # a deletion that leaves an import behind fails here
+    unused = []
+    for path in sorted(Path(dgd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        listed = set(RE_EXPORTS.get(path.name, ()))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                listed |= set(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree).items()
+                   if name not in read | listed]
+    assert unused == []

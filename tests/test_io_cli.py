@@ -979,18 +979,44 @@ def test_sweep_cli_rejects_the_observed_frac_flag(tmp_path, capsys):
      ("observed_frac", "0", "observed_frac")],
 )
 def test_sweep_cli_rejects_bad_repeats_and_observed_frac(tmp_path, capsys, flag, value, name):
-    # a flag, or a setting of the spec
+    # a flag, named as typed, or a setting of the spec, named by its key
     out = tmp_path / "r.csv"
+    named = flag if flag.startswith("--") else name
     if not flag.startswith("--"):
         flag, value = "--spec", _write_json(tmp_path / "s.json", {flag: float(value)})
     code = main(["sweep", "--kind", "rank", "--grid", "1", "--out", str(out), "--seed", "0",
                  "--methods", "cpd", flag, value])
     assert code == 1
     err = capsys.readouterr().err
-    assert f"dgd: error: {name}" in err
+    assert f"dgd: error: {named}" in err
     if name == "observed_frac":
         assert "observed fraction must lie in (0, 1]" in err
     assert not out.exists()
+
+
+def _observed_sweep_fails_before_any_cell(tmp_path, capsys, monkeypatch, *flags):
+    """The stderr of a `dgd sweep --kind observed` with flags that exits 1,
+    having run no cell and written no CSV."""
+    monkeypatch.setattr(evaluation, "swdyn", _never("a sweep cell"))
+    out = tmp_path / "r.csv"
+    code = main(["sweep", "--kind", "observed", "--out", str(out), "--seed", "0",
+                 "--methods", "cpd", *flags])
+    assert code == 1
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+def test_observed_sweep_names_a_grid_fraction_outside_the_unit_interval(tmp_path, capsys, monkeypatch):
+    for grid, bad in (("0", 0.0), ("0.5,1.5", 1.5), ("-0.2", -0.2)):
+        err = _observed_sweep_fails_before_any_cell(tmp_path, capsys, monkeypatch, "--grid", grid)
+        assert f"dgd: error: --grid: observed fraction must lie in (0, 1], got {bad}" in err
+
+
+def test_observed_sweep_names_repeats_below_one(tmp_path, capsys, monkeypatch):
+    for repeats in ("0", "-3"):
+        err = _observed_sweep_fails_before_any_cell(tmp_path, capsys, monkeypatch,
+                                                    "--grid", "0.5", "--repeats", repeats)
+        assert f"dgd: error: --repeats must be >= 1, got {repeats}" in err
 
 
 def _rank_sweep_csv(tmp_path, spec, *flags):

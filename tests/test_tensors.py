@@ -3,8 +3,10 @@
 import re
 import tracemalloc
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dgd import tensors
 from dgd.io_dgt import DgtSlices, save_dgt
@@ -41,8 +43,9 @@ def test_fit_data_matches_slices():
         assert counted.weight[k].all()
         assert np.all(counted.scale[k] * counted.weight[k] == count)
         assert counted.scale[k] == count and counted.slice_max[k] == count
-    for name in ("entries", "values", "starts"):
-        assert np.array_equal(getattr(counted, name), getattr(exact, name))
+    for name in ("positions", "starts"):
+        assert np.array_equal(getattr(counted.entries, name), getattr(exact.entries, name))
+    assert np.array_equal(counted.values, exact.values)
     assert np.array_equal(exact.unobserved, [1, 3])
     assert np.array_equal(counted.unobserved, exact.unobserved)
 
@@ -66,6 +69,56 @@ def test_fit_data_holds_one_byte_per_weight_entry():
             tracemalloc.stop()
         assert fit.weight.dtype == bool and fit.weight.shape == (t, size)
         assert held <= t * size + 12 * fit.values.size + 24 * n * n + 2**14, mode
+
+
+@st.composite
+def selections(draw):
+    """A bool (T, N, N) selection with some slices emptied, and a run budget."""
+    n = draw(st.integers(1, 5))
+    t = draw(st.integers(1, 8))
+    sel = draw(hnp.arrays(np.bool_, (t, n, n)))
+    sel[np.array(draw(st.lists(st.booleans(), min_size=t, max_size=t)))] = False
+    return sel, draw(st.integers(1, 2 * n * n + 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(selections())
+@example((np.zeros((4, 3, 3), dtype=bool), 1))
+@example((np.ones((1, 3, 3), dtype=bool), 4))
+@example((np.ones((1, 2, 2), dtype=bool), 1))
+def test_slice_entries_match_the_per_slice_formulas(case):
+    sel, budget = case
+    t, n = sel.shape[:2]
+    flat = sel.reshape(t, -1)
+    each = [np.flatnonzero(s) for s in flat]
+    entries = tensors.SliceEntries.build(each, n * n)
+    assert entries.positions.dtype == np.int32
+    assert np.array_equal(entries.positions, np.concatenate([np.empty(0, np.intp), *each]))
+    assert np.array_equal(entries.starts, np.cumsum([0] + [e.size for e in each]))
+    walk = list(entries.slices())
+    assert [step[0] for step in walk] == list(range(t))
+    for (_, at, span), want in zip(walk, each):
+        assert np.array_equal(at, want) and np.array_equal(entries.positions[span], want)
+    covered = []
+    for t0, t1, span, run in entries.runs(budget):
+        first, last = entries.starts[t0], entries.starts[t1]
+        assert (span.start, span.stop) == (first, last) and last - first <= budget + n * n
+        assert run.positions.dtype == np.intp
+        assert np.array_equal(run.positions, entries.positions[first:last])
+        assert np.array_equal(run.starts, entries.starts[t0 : t1 + 1] - first)
+        covered.extend(range(t0, t1))
+    assert covered == list(range(t))
+    x = np.random.default_rng(t * 31 + n).standard_normal((2, entries.positions.size))
+    sums = entries.sums(x)
+    assert sums.shape == (2, t)
+    for k, (_, _, span) in enumerate(walk):
+        if span.start == span.stop:
+            assert np.all(sums[:, k] == 0.0)
+        else:
+            want = np.sum(x[:, span], axis=1)
+            assert np.all(np.abs(sums[:, k] - want) <= 1e-12 * np.abs(want))
+    # the wide index once a slice holds 2^31 entries
+    assert tensors.SliceEntries.build([np.array([3])], 2**31).positions.dtype == np.int64
 
 
 def test_triangle_packs_row_by_row_and_unpacks_symmetric():
@@ -99,8 +152,10 @@ def test_fit_data_reads_slice_stacks(tmp_path):
     want = tensors.FitData.build(adj, mask, Hyperparams())
     with DgtSlices(tmp_path / "a.dgt") as a, DgtSlices(tmp_path / "m.dgt") as m:
         got = tensors.FitData.build(a, m, Hyperparams())
-    for name in ("entries", "values", "starts", "weight", "scale", "unobserved"):
+    for name in ("values", "weight", "scale", "unobserved"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
+    for name in ("positions", "starts"):
+        assert np.array_equal(getattr(got.entries, name), getattr(want.entries, name))
 
 
 def test_fit_data_shape_errors():
