@@ -152,7 +152,8 @@ def _parse_grid(text, kind):
     cells = [c for c in (p.strip() for p in text.split(",")) if c]
     if not cells:
         raise ValueError("--grid is empty")
-    want = "integers >= 1" if kind == "rank" else "finite numbers"
+    sweep, want = (("a rank sweep", "integers >= 1") if kind == "rank"
+                   else ("an observed sweep", "finite numbers"))
     vals = []
     for c in cells:
         try:
@@ -160,7 +161,7 @@ def _parse_grid(text, kind):
         except ValueError:
             f = math.nan
         if not math.isfinite(f) or (kind == "rank" and (f != int(f) or f < 1)):
-            raise ValueError(f"--grid values of a {kind} sweep must be {want}, got {c!r}")
+            raise ValueError(f"--grid values of {sweep} must be {want}, got {c!r}")
         vals.append(int(f) if kind == "rank" else observed_fraction(f, "--grid"))
     return vals
 

@@ -11,7 +11,7 @@ a pure function of (data, hyperparams, seed).
 
 from __future__ import annotations
 
-import sys
+import warnings
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -89,8 +89,8 @@ def run_dgd(adj, mask, signals, h, seed):
         never read and may hold anything, NaN included. Observed entries and
         signals must be finite (ValueError otherwise).
     mask : (T, N, N) binary symmetric observation mask. A step that observes
-        no pair i != j is reported in the history's zero_observation_steps;
-        a run where no step observes one aborts.
+        no pair i != j is listed in the history's zero_observation_steps and
+        named in one UserWarning; a run where no step observes one aborts.
     signals : (T, N, Q) node signals, or None when h.delta == 0; never read
         when h.delta == 0. When h.delta > 0, missing signals or signals of
         another (T, N) than the mask raise ValueError before any slice is read.
@@ -102,7 +102,9 @@ def run_dgd(adj, mask, signals, h, seed):
     Returns
     -------
     (Decomposition, RunHistory). Raises NumericalAbort (with .history set to
-    the partial trace) if an iterate diverges or nothing is observed.
+    the partial trace, status "aborted") if an iterate diverges or nothing is
+    observed. The run prints nothing: the history and Python warnings are its
+    only reports.
     """
     h.validate()
     adj, mask = as_stacks(adj, mask)
@@ -117,52 +119,42 @@ def run_dgd(adj, mask, signals, h, seed):
     fit = FitData.build(adj, mask, h)
 
     history = RunHistory()
-    zero_steps = fit.unobserved
-    history.zero_observation_steps = [int(s) for s in zero_steps]
-    if zero_steps.size == n_steps:
-        err = NumericalAbort("no observed entries off the diagonal in any time step")
+    try:
+        zero_steps = fit.unobserved
+        history.zero_observation_steps = [int(s) for s in zero_steps]
+        if zero_steps.size == n_steps:
+            raise NumericalAbort("no observed entries off the diagonal in any time step")
+        if zero_steps.size:
+            warnings.warn(
+                f"{zero_steps.size} time steps carry no observations off the diagonal: "
+                f"{history.zero_observation_steps}",
+                stacklevel=2,
+            )
+
+        cache = None if h.delta == 0.0 else build_cache(signals)
+
+        rng = np.random.default_rng(seed)
+        d = initialize(rng, n, n_steps, h.n_latents)
+        streak = 0
+        for _ in range(h.outer_iters):
+            t0 = perf_counter()
+            bd, a_res, c_res = outer_iteration(d, fit, cache, h, rng)
+            history.breakdowns.append(bd)
+            history.a_residuals.append(a_res)
+            history.c_residuals.append(c_res)
+            history.min_degree_margin.append(float(degree_margin(d, h.zeta).min()))
+            history.seconds.append(perf_counter() - t0)
+            if len(history.breakdowns) > 1:
+                prev_total = history.breakdowns[-2].total
+                rel = abs(bd.total - prev_total) / max(abs(prev_total), 1e-12)
+                streak = streak + 1 if rel < h.tol_outer else 0
+            if streak >= 3:
+                history.status = "converged"
+                break
+        else:
+            history.status = "max_iters"
+    except NumericalAbort as err:
         history.status = "aborted"
         err.history = history
-        raise err
-    if zero_steps.size:
-        print(
-            f"warning: {zero_steps.size} time steps carry no observations off the diagonal: "
-            f"{history.zero_observation_steps}",
-            file=sys.stderr,
-        )
-
-    cache = None if h.delta == 0.0 else build_cache(signals)
-
-    rng = np.random.default_rng(seed)
-    d = initialize(rng, n, n_steps, h.n_latents)
-    prev_total = None
-    streak = 0
-    for it in range(h.outer_iters):
-        t0 = perf_counter()
-        try:
-            bd, a_res, c_res = outer_iteration(d, fit, cache, h, rng)
-        except NumericalAbort as err:
-            history.status = "aborted"
-            err.history = history
-            raise
-        history.breakdowns.append(bd)
-        history.a_residuals.append(a_res)
-        history.c_residuals.append(c_res)
-        history.min_degree_margin.append(float(degree_margin(d, h.zeta).min()))
-        history.seconds.append(perf_counter() - t0)
-        if prev_total is None:
-            rel = float("inf")
-        else:
-            rel = abs(bd.total - prev_total) / max(abs(prev_total), 1e-12)
-        print(
-            f"iter={it} total={bd.total:.6e} fit={bd.fit:.6e} rel_change={rel:.3e}",
-            file=sys.stderr,
-        )
-        streak = streak + 1 if rel < h.tol_outer else 0
-        prev_total = bd.total
-        if streak >= 3:
-            history.status = "converged"
-            break
-    if history.status == "running":
-        history.status = "max_iters"
+        raise
     return d, history

@@ -8,7 +8,6 @@ nothing to score and the metrics are reported as undefined rather than 0/0.
 from __future__ import annotations
 
 import warnings
-from contextlib import suppress
 from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
 from time import perf_counter
@@ -217,9 +216,11 @@ def sweep(
     (0.9 when None); kind "observed" varies the fraction over grid at fixed h,
     and observed_frac must be None. Each cell, one grid value and one seed
     (seed, seed+1, ...), regenerates its data, fits every method and scores on
-    the held-out entries. Failed cells keep their row with NaN metrics, and so
-    does every method of a cell whose mask observes no positive truth entry,
-    which leaves no edge threshold. When timing is False the seconds column is
+    the held-out entries. A method that fails in a cell (NumericalAbort,
+    UndefinedMetricError or LinAlgError) keeps its row with NaN metrics, and
+    so does every method of a cell whose mask observes no positive truth
+    entry, which leaves no edge threshold; each such cell warns why
+    (UserWarning naming the grid value, seed and method). When timing is False the seconds column is
     0.0 so repeated runs are byte-identical. seed must be an integer >= 0,
     repeats one >= 1, every rank an integer >= 1 (named n_latents) and every
     observed fraction lie in (0, 1], methods must be a sequence of names (not a
@@ -303,7 +304,8 @@ def _sweep_cell(cell):
 
     Generates the cell's data, mask, held-out entries and edge threshold once,
     then fits and scores each method in order; with no threshold (no positive
-    observed truth) it fits none. Returns (rows, [(message, category, filename,
+    observed truth) it fits none. A method that fails, and a cell with no
+    threshold, warn why and keep NaN metrics. Returns (rows, [(message, category, filename,
     lineno), ...]). Warnings meet the filters in force before they are
     recorded, so a warning an "error" filter turns into an exception is raised
     inside the cell, as it would be without the recording.
@@ -315,16 +317,20 @@ def _sweep_cell(cell):
         mask = sample_mask(spec.n_nodes, spec.n_steps, frac, mask_seed(s, frac))
         try:
             held, threshold = _held_out(reconstruct(truth), mask, None)
-        except UndefinedMetricError:
+        except UndefinedMetricError as err:
             held = None
+            warnings.warn(f"sweep cell {param}, seed {s}: no method scored: {err}")
         for name in methods:
             t0 = perf_counter()
             metrics = (float("nan"),) * 4
             if held is not None:
-                with suppress(NumericalAbort, UndefinedMetricError, np.linalg.LinAlgError):
+                try:
                     est = reconstruct(METHODS[name](adj, mask, signals, h, s)[0])
                     report = held.report(held.gather(est), threshold)
                     metrics = (report.re, report.f1, report.precision, report.recall)
+                except (NumericalAbort, UndefinedMetricError, np.linalg.LinAlgError) as err:
+                    warnings.warn(f"sweep cell {param}, seed {s}: {name} failed: "
+                                  f"{type(err).__name__}: {err}")
             elapsed = perf_counter() - t0
             seconds = float(elapsed) if timing else 0.0
             rows.append(dict(zip(SWEEP_COLUMNS, (name, param, s, *metrics, seconds))))

@@ -70,7 +70,7 @@ def test_objective_trace_decreases_on_planted_data():
     assert hist.status in ("converged", "max_iters")
 
 
-def test_history_shapes_and_progress_lines(capfd):
+def test_history_shapes_and_no_progress_lines(capfd):
     adj, mask = _small_problem(3)
     h = Hyperparams(delta=0.0, inner_iters=3, outer_iters=4, tol_outer=0.0)
     _, hist = run_dgd(adj, mask, None, h, seed=1)
@@ -78,16 +78,8 @@ def test_history_shapes_and_progress_lines(capfd):
     assert len(hist.a_residuals) == 4 and all(len(row) == 2 for row in hist.a_residuals)
     assert len(hist.c_residuals) == 4
     assert len(hist.seconds) == 4
-    err = capfd.readouterr().err
-    lines = [ln for ln in err.splitlines() if ln.startswith("iter=")]
-    assert len(lines) == 4
-    assert re.fullmatch(
-        r"iter=0 total=\d\.\d{6}e[+-]\d+ fit=\d\.\d{6}e[+-]\d+ rel_change=inf", lines[0]
-    )
-    assert re.fullmatch(
-        r"iter=1 total=\d\.\d{6}e[+-]\d+ fit=\d\.\d{6}e[+-]\d+ rel_change=\d\.\d{3}e[+-]\d+",
-        lines[1],
-    )
+    # the trace lives in the history alone
+    assert capfd.readouterr().err == ""
 
 
 def test_history_records_the_min_degree_margin_of_each_iteration():
@@ -113,27 +105,30 @@ def test_convergence_needs_three_small_steps():
     assert len(hist.breakdowns) == 4
 
 
-def test_zero_observation_slices_warn_but_run(capfd):
+def test_zero_observation_slices_warn_but_run():
     adj, mask = _small_problem(5)
     mask = mask.copy()
     mask[0] = 0.0
     h = Hyperparams(delta=0.0, inner_iters=2, outer_iters=2)
-    _, hist = run_dgd(adj, mask, None, h, seed=0)
+    with pytest.warns(UserWarning, match="no observations") as record:
+        _, hist = run_dgd(adj, mask, None, h, seed=0)
     assert hist.zero_observation_steps == [0]
-    assert "no observations" in capfd.readouterr().err
+    # the warning points at the caller, not into the driver
+    assert record[0].filename == __file__
 
 
 @pytest.mark.parametrize("mode", ["exact_mask", "count_weighted"])
-def test_diagonal_only_step_counts_as_unobserved(capfd, mode):
+def test_diagonal_only_step_counts_as_unobserved(mode):
     # a sampled mask always observes the diagonal, which carries no edge
     adj, mask = _small_problem(5, n=20)
     mask = mask.copy()
     mask[0] = np.eye(20)
     mask[1] = 0.0
     h = Hyperparams(delta=0.0, inner_iters=2, outer_iters=2, gradient_mode=mode)
-    _, hist = run_dgd(adj, mask, None, h, seed=0)
+    want = "^2 time steps carry no observations off the diagonal: \\[0, 1\\]$"
+    with pytest.warns(UserWarning, match=want):
+        _, hist = run_dgd(adj, mask, None, h, seed=0)
     assert hist.zero_observation_steps == [0, 1]
-    assert "2 time steps carry no observations" in capfd.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["exact_mask", "count_weighted"])

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgd.baselines import METHODS
-from dgd.datagen import SwDynSpec, worker_count
+from dgd.datagen import SwDynSpec, sample_mask, swdyn, worker_count
+from dgd.driver import run_dgd
 from dgd.evaluation import (
     UndefinedMetricError,
     complement_mask,
@@ -26,7 +27,7 @@ from dgd.evaluation import (
     sweep,
     write_sweep_csv,
 )
-from dgd.model import Decomposition, Hyperparams, reconstruct
+from dgd.model import Decomposition, Hyperparams, NumericalAbort, reconstruct
 
 from helpers import planted_decomposition, set_cpus, symmetric_binary_mask
 
@@ -424,7 +425,8 @@ def test_sweep_rank_grid_shapes_and_determinism(tmp_path):
 
 def test_sweep_full_observation_rows_are_nan():
     spec, h = _tiny_sweep_args()
-    with pytest.warns(RuntimeWarning, match="unc: ridged"):
+    with pytest.warns(RuntimeWarning, match="unc: ridged"), \
+            pytest.warns(UserWarning, match="^sweep cell 1.0, seed 1: unc failed: UndefinedMetricError"):
         rows = sweep("observed", [1.0, 0.6], spec, h, seed=1, repeats=1, methods=("unc",))
     by_param = {row["param"]: row for row in rows}
     assert math.isnan(by_param[1.0]["re"])
@@ -434,15 +436,56 @@ def test_sweep_full_observation_rows_are_nan():
 
 def test_sweep_cell_without_a_threshold_keeps_nan_rows():
     # at 0.01 the mask observes no positive truth entry, so the cell has no
-    # default edge threshold; its row is NaN and the sweep goes on
+    # default edge threshold; its row is NaN, it says why, and the sweep goes on
     spec, h = SwDynSpec(n_nodes=8, n_steps=3, n_signals=4), Hyperparams(outer_iters=2)
-    rows = sweep("observed", [0.01, 0.9], spec, h, 0, repeats=1, methods=("cpd",))
+    with pytest.warns(UserWarning) as record:
+        rows = sweep("observed", [0.01, 0.9], spec, h, 0, repeats=1, methods=("cpd",))
+    assert [str(w.message) for w in record] == [
+        "sweep cell 0.01, seed 0: no method scored: "
+        "no positive observed truth entries to set a threshold",
+        # at 0.9 every held-out truth entry is zero
+        "sweep cell 0.9, seed 0: cpd failed: UndefinedMetricError: "
+        "held-out truth has zero norm; RE is undefined",
+    ]
     assert [row["param"] for row in rows] == [0.01, 0.9]
     for metric in ("re", "f1", "precision", "recall"):
         assert math.isnan(rows[0][metric])
     # a later cell with a threshold is still scored
-    rows = sweep("observed", [0.01, 0.5], spec, h, 0, repeats=1, methods=("cpd",))
+    with pytest.warns(UserWarning, match=r"^sweep cell 0\.01, seed 0: no method scored"):
+        rows = sweep("observed", [0.01, 0.5], spec, h, 0, repeats=1, methods=("cpd",))
     assert math.isnan(rows[0]["re"]) and not math.isnan(rows[1]["re"])
+
+
+def test_sweep_cell_whose_method_fails_warns_why(monkeypatch):
+    def boom(*args):
+        raise NumericalAbort("boom")
+
+    monkeypatch.setitem(METHODS, "cpd", boom)
+    spec, h = _tiny_sweep_args()
+    want = [f"sweep cell {frac}, seed {s}: cpd failed: NumericalAbort: boom"
+            for frac in (0.6, 0.9) for s in (0, 1)]
+    for cpus in ({0, 1}, {0}):
+        set_cpus(monkeypatch, cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = sweep("observed", [0.6, 0.9], spec, h, seed=0, repeats=2, methods=("unc", "cpd"))
+        assert [str(w.message) for w in caught if "failed" in str(w.message)] == want, cpus
+        assert all(w.category is UserWarning for w in caught if "failed" in str(w.message))
+        # the row of the failed method is NaN; the other method is still scored
+        assert all(math.isnan(row["re"]) == (row["method"] == "cpd") for row in rows)
+
+
+def test_run_dgd_and_a_one_cpu_sweep_write_nothing_to_the_console(capfd, monkeypatch):
+    # the library reports through return values and warnings, never by printing
+    set_cpus(monkeypatch, {0})
+    spec, h = _tiny_sweep_args()
+    adj, signals, _ = swdyn(spec)
+    mask = sample_mask(spec.n_nodes, spec.n_steps, 0.8, 0)
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        run_dgd(adj, mask, signals, h, seed=0)
+        sweep("observed", [0.6], spec, h, seed=0, repeats=1)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_sweep_rejects_bad_arguments():

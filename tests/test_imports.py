@@ -60,3 +60,29 @@ def test_every_imported_name_is_used_or_re_exported():
         unused += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree).items()
                    if name not in read | listed]
     assert unused == []
+
+
+def _console_writes(tree):
+    """Lines of a module that call print or name sys.stdout or sys.stderr."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "sys" and node.attr in ("stdout", "stderr")):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            if any(alias.name in ("stdout", "stderr") for alias in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_command_line_writes_to_the_console():
+    # the library reports through its return values and Python warnings,
+    # which a caller can filter; the command line alone prints
+    writes = []
+    for path in sorted(Path(dgd.__file__).parent.glob("*.py")):
+        if path.name != "cli.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            writes += [f"{path.name}:{line}" for line in _console_writes(tree)]
+    assert writes == []

@@ -932,10 +932,14 @@ def test_sweep_cli_cell_without_a_threshold_exits_zero(tmp_path, capsys):
     spec = _write_json(tmp_path / "spec.json", {"n_nodes": 8, "n_steps": 3, "n_signals": 4})
     cfg = _write_json(tmp_path / "cfg.json", {"outer_iters": 2})
     out = tmp_path / "s.csv"
-    code = main(["sweep", "--kind", "observed", "--grid", "0.01,0.9", "--spec", spec,
-                 "--config", cfg, "--out", str(out), "--seed", "0", "--repeats", "1",
-                 "--methods", "cpd"])
+    with pytest.warns(UserWarning) as record:
+        code = main(["sweep", "--kind", "observed", "--grid", "0.01,0.9", "--spec", spec,
+                     "--config", cfg, "--out", str(out), "--seed", "0", "--repeats", "1",
+                     "--methods", "cpd"])
     assert code == 0
+    # each NaN row comes with its reason
+    assert [str(w.message).partition(":")[0] for w in record] == [
+        "sweep cell 0.01, seed 0", "sweep cell 0.9, seed 0"]
     rows = list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()))
     assert [row["param"] for row in rows] == ["0.01", "0.9"]
     assert rows[0]["re"] == "nan"
@@ -1010,6 +1014,8 @@ def test_observed_sweep_names_a_grid_fraction_outside_the_unit_interval(tmp_path
     for grid, bad in (("0", 0.0), ("0.5,1.5", 1.5), ("-0.2", -0.2)):
         err = _observed_sweep_fails_before_any_cell(tmp_path, capsys, monkeypatch, "--grid", grid)
         assert f"dgd: error: --grid: observed fraction must lie in (0, 1], got {bad}" in err
+    err = _observed_sweep_fails_before_any_cell(tmp_path, capsys, monkeypatch, "--grid", "abc")
+    assert "dgd: error: --grid values of an observed sweep must be finite numbers, got 'abc'" in err
 
 
 def test_observed_sweep_names_repeats_below_one(tmp_path, capsys, monkeypatch):
