@@ -469,8 +469,9 @@ def test_sweep_cell_whose_method_fails_warns_why(monkeypatch):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rows = sweep("observed", [0.6, 0.9], spec, h, seed=0, repeats=2, methods=("unc", "cpd"))
-        assert [str(w.message) for w in caught if "failed" in str(w.message)] == want, cpus
-        assert all(w.category is UserWarning for w in caught if "failed" in str(w.message))
+        failed = [w for w in caught if "failed" in str(w.message)]
+        assert [str(w.message) for w in failed] == want, cpus
+        assert {w.category for w in failed} == {UserWarning}
         # the row of the failed method is NaN; the other method is still scored
         assert all(math.isnan(row["re"]) == (row["method"] == "cpd") for row in rows)
 
