@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from contextlib import ExitStack
 from pathlib import Path
 
@@ -237,6 +238,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a library warning shows as the command's errors do: no source path or line
+    shown = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"dgd: warning: {message}\n"
     try:
         return args.func(args)
     except NumericalAbort as err:
@@ -248,6 +252,8 @@ def main(argv=None):
     except (ValueError, OSError) as err:
         print(f"dgd: error: {err}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

@@ -17,13 +17,14 @@ import numpy as np
 from .model import Decomposition, check_fields, check_number, reconstruct, settings_from_dict
 
 
-@dataclass
+@dataclass(frozen=True)
 class SwDynSpec:
     """Generator settings.
 
     Defaults give 40 nodes, 50 steps, 1000 signal channels and an average of
     roughly 130 edges per blended slice. Community counts must both divide
-    n_nodes (blocks are equal-sized and contiguous).
+    n_nodes (blocks are equal-sized and contiguous). Checked when built,
+    dataclasses.replace included, and immutable.
     """
 
     n_nodes: int = 40
@@ -37,7 +38,7 @@ class SwDynSpec:
     noise_sigma: float = 0.0
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         low = {"n_nodes": 2, "n_steps": 1, "n_signals": 1,
                "communities_start": 1, "communities_end": 1, "seed": 0}
         check_fields(self, low)
@@ -49,11 +50,10 @@ class SwDynSpec:
             p = getattr(self, name)
             if p > 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
-        return self
 
     @classmethod
     def from_dict(cls, cfg):
-        """Build and validate from a settings mapping (:func:`model.settings_from_dict`)."""
+        """Build from a settings mapping (:func:`model.settings_from_dict`)."""
         return settings_from_dict(cls, cfg, "unknown generator setting {!r}")
 
 
@@ -150,7 +150,7 @@ def mask_seed(seed, observed_frac):
 
 
 def swdyn(spec):
-    """Generate one dataset: (adjacency, signals, truth).
+    """Generate one dataset: (adjacency, signals, truth) of a SwDynSpec.
 
     adjacency : (T, N, N) blended slices, plus symmetric hollow Gaussian
         noise when spec.noise_sigma > 0.
@@ -166,7 +166,6 @@ def swdyn(spec):
     the filters run in the calling thread. Either way the output is the same
     bytes, and no thread outlives the call.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     n, t = spec.n_nodes, spec.n_steps
     ramp = np.linspace(1.0, 0.0, t)

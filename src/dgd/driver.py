@@ -96,7 +96,7 @@ def run_dgd(adj, mask, signals, h, seed):
         another (T, N) than the mask raise ValueError before any slice is read.
     adj, mask and signals may be any slice stack (:func:`tensors.as_stack`),
     such as an io_dgt.DgtSlices reader; each is read one slice at a time, once.
-    h : Hyperparams.
+    h : Hyperparams, checked when built.
     seed : int seed or np.random.Generator.
 
     Returns
@@ -106,7 +106,6 @@ def run_dgd(adj, mask, signals, h, seed):
     observed. The run prints nothing: the history and Python warnings are its
     only reports.
     """
-    h.validate()
     adj, mask = as_stacks(adj, mask)
     n_steps, n = mask.shape[:2]
     if h.delta != 0.0:

@@ -153,7 +153,10 @@ def _held_out(truth, mask, threshold):
     """The held-out entries of truth, those where the mask is 0, and the edge
     threshold (the default one for None). ValueError naming the shape, the
     slice or the (t, i, j) unless truth is a finite (T, N, N) stack and mask a
-    binary, symmetric stack of its shape."""
+    binary, symmetric stack of its shape. UndefinedMetricError when no
+    estimate could be scored: no positive observed truth entry to set the
+    threshold, or held-out truth with zero norm or no edge; the truth is
+    scored against itself, so any later report raises no such error."""
     truth = np.asarray(truth, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     if truth.ndim != 3 or truth.shape[1] != truth.shape[2]:
@@ -164,7 +167,9 @@ def _held_out(truth, mask, threshold):
     check_finite(truth, "truth", "t, i, j")
     if threshold is None:
         threshold = default_edge_threshold(truth, mask)
-    return _HeldOut(truth, mask < 1.0), threshold
+    held = _HeldOut(truth, mask < 1.0)
+    held.report(held.truth, threshold)
+    return held, threshold
 
 
 def evaluate(est, truth, mask, threshold=None):
@@ -216,17 +221,18 @@ def sweep(
     (0.9 when None); kind "observed" varies the fraction over grid at fixed h,
     and observed_frac must be None. Each cell, one grid value and one seed
     (seed, seed+1, ...), regenerates its data, fits every method and scores on
-    the held-out entries. A method that fails in a cell (NumericalAbort,
-    UndefinedMetricError or LinAlgError) keeps its row with NaN metrics, and
-    so does every method of a cell whose mask observes no positive truth
-    entry, which leaves no edge threshold; each such cell warns why
-    (UserWarning naming the grid value, seed and method). When timing is False the seconds column is
+    the held-out entries. A method whose fit fails in a cell (NumericalAbort
+    or LinAlgError) keeps its row with NaN metrics, and so does every method
+    of a cell that cannot be scored, which fits none: its mask observes no
+    positive truth entry (no edge threshold), or its held-out truth has zero
+    norm or no edge. Each such cell warns why (UserWarning naming the grid
+    value, seed and method). When timing is False the seconds column is
     0.0 so repeated runs are byte-identical. seed must be an integer >= 0,
     repeats one >= 1, every rank an integer >= 1 (named n_latents) and every
     observed fraction lie in (0, 1], methods must be a sequence of names (not a
     string), methods and grid must not be empty, and out_path, when given, must
     name a file in an existing directory; all are checked before any cell runs
-    (ValueError naming the argument).
+    (ValueError naming the argument), and spec and h were checked when built.
 
     No cell reads another's output, so the cells run in a pool of forked
     worker processes, one per CPU this process may run on (os.sched_getaffinity),
@@ -303,12 +309,13 @@ def _sweep_cell(cell):
     """The rows of one sweep cell and the warnings raised while computing them.
 
     Generates the cell's data, mask, held-out entries and edge threshold once,
-    then fits and scores each method in order; with no threshold (no positive
-    observed truth) it fits none. A method that fails, and a cell with no
-    threshold, warn why and keep NaN metrics. Returns (rows, [(message, category, filename,
-    lineno), ...]). Warnings meet the filters in force before they are
-    recorded, so a warning an "error" filter turns into an exception is raised
-    inside the cell, as it would be without the recording.
+    then fits and scores each method in order; a cell that cannot be scored
+    (:func:`_held_out` raises UndefinedMetricError) fits none. A method whose
+    fit fails, and a cell that cannot be scored, warn why and keep NaN
+    metrics. Returns (rows, [(message, category, filename, lineno), ...]).
+    Warnings meet the filters in force before they are recorded, so a warning
+    an "error" filter turns into an exception is raised inside the cell, as
+    it would be without the recording.
     """
     spec, h, frac, param, s, methods, timing = cell
     rows = []
@@ -328,7 +335,7 @@ def _sweep_cell(cell):
                     est = reconstruct(METHODS[name](adj, mask, signals, h, s)[0])
                     report = held.report(held.gather(est), threshold)
                     metrics = (report.re, report.f1, report.precision, report.recall)
-                except (NumericalAbort, UndefinedMetricError, np.linalg.LinAlgError) as err:
+                except (NumericalAbort, np.linalg.LinAlgError) as err:
                     warnings.warn(f"sweep cell {param}, seed {s}: {name} failed: "
                                   f"{type(err).__name__}: {err}")
             elapsed = perf_counter() - t0

@@ -36,7 +36,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import priors
-from .tensors import check_gradient_mode, project_sa  # exported beside project_sc
+from .tensors import GRADIENT_MODES, project_sa  # project_sa exported beside project_sc
 
 
 def check_number(name, value, integer=False, low=None, strict=False):
@@ -69,15 +69,15 @@ def check_fields(record, low, strict=()):
 
 
 def settings_from_dict(cls, cfg, unknown):
-    """cls(**cfg).validate() for a settings dataclass cls; a JSON int given for a
-    float field becomes a float, and the first unknown key in sorted order raises
-    ValueError(unknown.format(key))."""
+    """cls(**cfg) for a settings dataclass cls, which checks its fields as it is
+    built; a JSON int given for a float field becomes a float, and the first
+    unknown key in sorted order raises ValueError(unknown.format(key))."""
     extra = sorted(set(cfg) - {f.name for f in fields(cls)})
     if extra:
         raise ValueError(unknown.format(extra[0]))
     floats = {name for name, kind in get_type_hints(cls).items() if kind is float}
     return cls(**{k: float(v) if k in floats and type(v) is int else v
-                  for k, v in cfg.items()}).validate()
+                  for k, v in cfg.items()})
 
 
 class NumericalAbort(RuntimeError):
@@ -118,9 +118,10 @@ class Decomposition:
         return self.signatures.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hyperparams:
-    """All solver knobs. Config files mirror these fields one-to-one.
+    """All solver knobs. Config files mirror these fields one-to-one. Checked when
+    built, replace included (ValueError naming the first bad field), and immutable.
 
     n_latents     : R, number of latent graphs
     gamma         : sparsity weight on sum 1'A_r 1
@@ -152,15 +153,15 @@ class Hyperparams:
     gradient_mode: str = "exact_mask"
     tol_outer: float = 1e-5
 
-    def validate(self):
+    def __post_init__(self):
         low = {"n_latents": 1, "inner_iters": 1, "outer_iters": 0}
         check_fields(self, low, strict=("zeta", "lambda_a", "lambda_c"))
-        check_gradient_mode(self.gradient_mode)
-        return self
+        if self.gradient_mode not in GRADIENT_MODES:
+            raise ValueError(f"gradient_mode must be one of {GRADIENT_MODES}, got {self.gradient_mode!r}")
 
     @classmethod
     def from_dict(cls, cfg):
-        """Build and validate from a config mapping (:func:`settings_from_dict`)."""
+        """Build from a config mapping (:func:`settings_from_dict`)."""
         return settings_from_dict(cls, cfg, "unknown config key: {}")
 
     def replace(self, **kw):
@@ -308,10 +309,8 @@ def run_admm(x, ws, grad, project, step, iters, label):
     the one formed for the split update is reused by the next step's
     gradient, so each step forms one margin. An iterate that leaves float64
     aborts naming the block, the inner step and the last finite iterate's
-    largest entry, with no numpy warning before it.
+    largest entry, with no numpy warning before it. iters is Hyperparams.inner_iters, >= 1.
     """
-    if iters < 1:
-        raise ValueError(f"inner_iters must be >= 1, got {iters}")
     residuals = []
     with np.errstate(over="ignore", invalid="ignore"):
         margin = ws.margin(x)

@@ -46,12 +46,6 @@ RUN_ENTRIES = 1 << 14
 GRADIENT_MODES = ("exact_mask", "count_weighted")
 
 
-def check_gradient_mode(mode):
-    """ValueError naming gradient_mode unless mode is one of GRADIENT_MODES."""
-    if mode not in GRADIENT_MODES:
-        raise ValueError(f"gradient_mode must be one of {GRADIENT_MODES}, got {mode!r}")
-
-
 def _flat(stack):
     """(K, N, N) -> (K, N^2), a view when the stack is contiguous."""
     return stack.reshape(len(stack), -1)
@@ -233,9 +227,9 @@ class FitData:
         `count_weighted` then sets all of B and takes scale_t the observation
         count k_t = 1'm_t, so W_t weighs every entry by k_t. The
         diagonal never counts as an observed pair: it carries no edge, and a
-        sampled mask always observes it (datagen.sample_mask).
+        sampled mask always observes it (datagen.sample_mask). h is checked
+        when built, so its gradient mode is one of GRADIENT_MODES.
         """
-        check_gradient_mode(h.gradient_mode)
         adj, mask = as_stacks(adj, mask)
         n_steps, n = mask.shape[:2]
         at = triangle(n)[0]

@@ -48,7 +48,7 @@ def _qv(x, adjacency):
 )
 def test_spec_validation_rejects(kw):
     with pytest.raises(ValueError):
-        SwDynSpec(**kw).validate()
+        SwDynSpec(**kw)
 
 
 def test_spec_from_dict_names_unknown_key():
@@ -61,7 +61,6 @@ def test_spec_from_dict_names_unknown_key():
 def test_spec_dict_round_trip():
     spec = SwDynSpec(n_nodes=8, n_steps=6, n_signals=4, p_in=0.5)
     assert SwDynSpec.from_dict(dataclasses.asdict(spec)) == spec
-    assert spec.validate() is spec
 
 
 def test_spec_from_dict_reads_json_ints_in_float_fields_as_floats():

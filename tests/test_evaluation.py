@@ -426,12 +426,35 @@ def test_sweep_rank_grid_shapes_and_determinism(tmp_path):
 def test_sweep_full_observation_rows_are_nan():
     spec, h = _tiny_sweep_args()
     with pytest.warns(RuntimeWarning, match="unc: ridged"), \
-            pytest.warns(UserWarning, match="^sweep cell 1.0, seed 1: unc failed: UndefinedMetricError"):
+            pytest.warns(UserWarning, match="^sweep cell 1.0, seed 1: no method scored: "
+                                            "held-out truth has zero norm"):
         rows = sweep("observed", [1.0, 0.6], spec, h, seed=1, repeats=1, methods=("unc",))
     by_param = {row["param"]: row for row in rows}
     assert math.isnan(by_param[1.0]["re"])
     assert math.isnan(by_param[1.0]["f1"])
     assert not math.isnan(by_param[0.6]["re"])
+
+
+def test_sweep_fits_nothing_in_a_cell_that_cannot_be_scored(monkeypatch):
+    # at full observation nothing is held out: the 1.0 cell warns before any
+    # fit, and only the 0.6 cell calls the method
+    set_cpus(monkeypatch, {0})
+    calls, fit = [], METHODS["unc"]
+
+    def counted(*args):
+        calls.append(args[-1])
+        return fit(*args)
+
+    monkeypatch.setitem(METHODS, "unc", counted)
+    spec, h = _tiny_sweep_args()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = sweep("observed", [1.0, 0.6], spec, h, seed=1, repeats=1, methods=("unc",))
+    assert len(calls) == 1
+    assert [str(w.message) for w in caught if w.category is UserWarning] == [
+        "sweep cell 1.0, seed 1: no method scored: held-out truth has zero norm; RE is undefined"
+    ]
+    assert math.isnan(rows[0]["re"]) and not math.isnan(rows[1]["re"])
 
 
 def test_sweep_cell_without_a_threshold_keeps_nan_rows():
@@ -444,7 +467,7 @@ def test_sweep_cell_without_a_threshold_keeps_nan_rows():
         "sweep cell 0.01, seed 0: no method scored: "
         "no positive observed truth entries to set a threshold",
         # at 0.9 every held-out truth entry is zero
-        "sweep cell 0.9, seed 0: cpd failed: UndefinedMetricError: "
+        "sweep cell 0.9, seed 0: no method scored: "
         "held-out truth has zero norm; RE is undefined",
     ]
     assert [row["param"] for row in rows] == [0.01, 0.9]

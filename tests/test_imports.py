@@ -86,3 +86,35 @@ def test_only_the_command_line_writes_to_the_console():
             tree = ast.parse(path.read_text(encoding="utf-8"))
             writes += [f"{path.name}:{line}" for line in _console_writes(tree)]
     assert writes == []
+
+
+def _settings_records(tree):
+    """{class name: frozen} of the classes of a module that call check_fields."""
+    records = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(n, ast.Call) and getattr(n.func, "id", None) == "check_fields"
+                for n in ast.walk(node)):
+            records[node.name] = any(
+                isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+                and any(k.arg == "frozen" and getattr(k.value, "value", None) is True
+                        for k in d.keywords)
+                for d in node.decorator_list)
+    return records
+
+
+def test_settings_records_are_frozen_and_need_no_validate_call():
+    # a settings record checks its fields when built and cannot change after,
+    # so no caller has to remember to check it, and none can skip the check
+    records, faults = {}, []
+    for path in sorted(Path(dgd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = _settings_records(tree)
+        records.update(found)
+        faults += [f"{path.name}: {name} is not frozen" for name, frozen in found.items()
+                   if not frozen]
+        faults += [f"{path.name}:{n.lineno} validate" for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute) and n.attr == "validate"
+                   or isinstance(n, ast.FunctionDef) and n.name == "validate"]
+    assert {"Hyperparams", "SwDynSpec"} <= set(records)
+    assert faults == []

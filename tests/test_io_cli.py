@@ -3,8 +3,12 @@
 import argparse
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
@@ -944,6 +948,27 @@ def test_sweep_cli_cell_without_a_threshold_exits_zero(tmp_path, capsys):
     assert [row["param"] for row in rows] == ["0.01", "0.9"]
     assert rows[0]["re"] == "nan"
     capsys.readouterr()
+
+
+def test_command_shows_a_library_warning_in_its_own_words(tmp_path, capsys):
+    # a one-step unc fit ridges near-singular blocks and warns so; the command
+    # shows that as it words its errors, with no source path or code line
+    spec = _write_json(tmp_path / "spec.json", {"n_nodes": 8, "n_steps": 1, "n_signals": 4})
+    shown = warnings.formatwarning
+    assert main(["generate", "--spec", spec, "--out-dir", str(tmp_path / "data"), "--seed", "0"]) == 0
+    assert warnings.formatwarning is shown
+    capsys.readouterr()
+    # a fresh process, so that Python's own warning display is in force
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "dgd.cli", "decompose", "--adj", str(tmp_path / "data/adjacency.dgt"),
+         "--mask", str(tmp_path / "data/mask.dgt"), "--method", "unc",
+         "--out-dir", str(tmp_path / "est"), "--seed", "0"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ("dgd: warning: unc: ridged 64 near-singular latent blocks\n"
+                          "dgd: warning: unc: ridged 1 near-singular signature blocks\n")
 
 
 def test_sweep_cli_rejects_fractional_rank(tmp_path, capsys):

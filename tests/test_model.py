@@ -79,7 +79,7 @@ def test_decomposition_properties():
 
 
 def test_hyperparams_defaults_validate():
-    Hyperparams().validate()
+    Hyperparams()
 
 
 @pytest.mark.parametrize(
@@ -105,7 +105,7 @@ def test_hyperparams_defaults_validate():
 )
 def test_hyperparams_rejects_bad_values(kw):
     with pytest.raises(ValueError):
-        Hyperparams(**kw).validate()
+        Hyperparams(**kw)
 
 
 # the rules each settings field is held to, written out: (floor, strict) of
@@ -133,12 +133,12 @@ def test_settings_fields_are_plain_types(record):
     assert set(hints.values()) <= {int, float, str}, hints
     numeric = {name for name, kind in hints.items() if kind in (int, float)}
     assert numeric == set(FIELD_RULES[record])
-    record().validate()
+    record()
 
 
 @st.composite
 def _bad_setting(draw):
-    """(record class, field, bad value, the message validate must raise)."""
+    """(record class, field, bad value, the message building the record must raise)."""
     record = draw(st.sampled_from(sorted(FIELD_RULES, key=lambda cls: cls.__name__)))
     hints = typing.get_type_hints(record)
     name = draw(st.sampled_from(sorted(n for n, kind in hints.items() if kind is not str)))
@@ -162,15 +162,33 @@ def _bad_setting(draw):
 def test_settings_fields_reject_bad_values_by_type(case):
     record, name, value, message = case
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        record(**{name: value}).validate()
+        record(**{name: value})
+    # replace builds a new record, so it checks the new value the same way
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(record(), **{name: value})
+
+
+@pytest.mark.parametrize("record", sorted(FIELD_RULES, key=lambda cls: cls.__name__))
+def test_settings_are_immutable(record):
+    # a record is checked once, when built, so no field may change after
+    settings = record()
+    for f in dataclasses.fields(record):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(settings, f.name, f.default)
+    assert settings == record()
 
 
 def test_readme_table_names_every_hyperparameter():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Hyperparameters", 1)[1].split("\n## ", 1)[0]
-    rows = [line for line in section.splitlines() if line.startswith("| `")]
-    keys = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])]
-    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(Hyperparams))
+    rows = [line.split("|") for line in section.splitlines() if line.startswith("| `")]
+    # key -> the text of its default column, backticks dropped
+    listed = {key: row[2].strip().strip("`") for row in rows
+              for key in re.findall(r"`(\w+)`", row[1])}
+    assert sorted(listed) == sorted(f.name for f in dataclasses.fields(Hyperparams))
+    for f in dataclasses.fields(Hyperparams):
+        # read as the field's type, so 1e-5 matches 1e-05
+        assert type(f.default)(listed[f.name]) == f.default, f.name
 
 
 def test_readme_generator_fields_name_every_spec_field_and_default():

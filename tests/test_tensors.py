@@ -163,13 +163,11 @@ def test_fit_data_shape_errors():
         tensors.FitData.build(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)), Hyperparams())
     with pytest.raises(ValueError):
         tensors.FitData.build(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)), Hyperparams())
-    # the message Hyperparams.validate gives
+    # a bogus gradient mode stops where the settings are built, before any fit data
     message = "gradient_mode must be one of ('exact_mask', 'count_weighted'), got 'bogus'"
-    bogus = Hyperparams(gradient_mode="bogus")
-    for check in (bogus.validate,
-                  lambda: tensors.FitData.build(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)), bogus)):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            check()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tensors.FitData.build(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)),
+                              Hyperparams(gradient_mode="bogus"))
 
 
 def test_symmetry_and_hollow_checks():
