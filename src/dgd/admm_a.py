@@ -15,11 +15,12 @@ dual ascent step on Lam.
 The fit part of f is the weighted least squares of :class:`FitData`, whose
 gradient in A_r is A_r o Omega_rr + B_r with B_r = sum_{k != r} Omega_rk o A_k
 - V_r. The planes Omega_rk, V_r and the smoothness weights Xi_r depend on C
-alone, which is fixed for the whole A sweep, so they are built once per outer
-iteration (:meth:`FitData.a_stats`) and passed to every solve. Each solve
-forms its (omega, linear) pair in O(R N^2) from them and the freshest A_k
-(:func:`a_gradient_terms`), once for its K inner steps. A zero prior weight
-still adds its (zero) term.
+alone, which is fixed for the whole A sweep, so their packed rows and
+weights are built once per outer iteration (:meth:`FitData.a_stats`) and
+passed to every solve. Each solve unpacks the planes of latent r, forms V_r,
+and from them and the freshest A_k forms its (omega, linear) pair in
+O(R N^2) (:func:`a_gradient_terms`), once for its K inner steps. A zero
+prior weight still adds its (zero) term.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def a_gradient_terms(d, r, h, stats):
     omega, linear = stats.fit_terms(r, d.latents)
     omega = omega + h.eta
     if h.delta != 0.0:
-        linear += h.delta * stats.xi[r]
+        linear += h.delta * stats.xi_plane(r)
     linear += h.gamma
     linear += 2.0 * h.beta * (d.latents.sum(axis=0) - d.latents[r])
     return omega, linear

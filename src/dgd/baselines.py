@@ -54,7 +54,7 @@ def unc_solve(adj, mask, n_latents, iters=50, seed=0):
     t, n = target.shape[:2]
     # the fit and the latent step weigh each entry (i, j) apart, on the bool
     # pattern unpacked from the checked rows; each product casts it to float
-    mask = observed.unpack(observed.weight)
+    mask = observed.unpack(observed.pattern(slice(None)))
     rng = np.random.default_rng(seed)
     # the draw's column r is A_r stacked column by column
     latents = rng.random((n * n, n_latents)).reshape(n, n, n_latents).transpose(2, 1, 0)

@@ -125,6 +125,8 @@ class _HeldOut:
         return x
 
     def relative_error(self, x):
+        if self.entries.positions.size == 0:
+            raise UndefinedMetricError("nothing is held out; RE is undefined")
         if self.norm == 0.0:
             raise UndefinedMetricError("held-out truth has zero norm; RE is undefined")
         diff = x - self.truth
@@ -155,8 +157,9 @@ def _held_out(truth, mask, threshold):
     slice or the (t, i, j) unless truth is a finite (T, N, N) stack and mask a
     binary, symmetric stack of its shape. UndefinedMetricError when no
     estimate could be scored: no positive observed truth entry to set the
-    threshold, or held-out truth with zero norm or no edge; the truth is
-    scored against itself, so any later report raises no such error."""
+    threshold, nothing held out, or held-out truth with zero norm or no
+    edge; the truth is scored against itself, so any later report raises no
+    such error."""
     truth = np.asarray(truth, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     if truth.ndim != 3 or truth.shape[1] != truth.shape[2]:

@@ -15,10 +15,10 @@ fit = 1/2 sum_t sum_ij W_t,ij (recon_t,ij - Y_t,ij)^2, with target Y = M o A
 (the default) uses W = M and scores exactly the observed entries;
 `count_weighted` uses the per-slice observation count k_t = 1'm_t on every
 entry of slice t. Both are W_t = scale_t B_t, a per-slice factor times a 0/1
-pattern held as packed bool rows, one row per slice holding the strict upper
-triangle and then the diagonal (tensors.triangle), so every fit computation
-is one code path and one product against those rows; FitData.build alone
-tells the modes apart. The
+pattern held as packed rows at one bit per entry, one row per slice holding
+the strict upper triangle and then the diagonal (tensors.triangle), so every
+fit computation is one code path and one product against those rows;
+FitData.build alone tells the modes apart. The
 subproblems in admm_a/admm_c differentiate the same loss and share one split
 of the minimum-degree constraint (DegreeSplit, run_admm).
 The objective's fit and smoothness terms come from the C-block statistics

@@ -6,7 +6,7 @@ signals at i and j are close. Its value is 1/2 sum_t sum_r C[t,r] <Z_t, A_r>.
 The C block and the objective read it through the (T, R) table of inner
 products <Z_t, A_r>, the A block through Xi_r = 1/2 sum_t C[t,r] Z_t; both
 are built by :class:`tensors.FitData` with the fit statistics, from the
-symmetric Z_t packed as float64 rows in the layout of the fit weight's bool
+symmetric Z_t packed as float64 rows in the layout of the fit weight's
 pattern rows, diagonal (zero) included, so the same products and unpack
 serve both. The temporal prior
 penalizes successive differences of the signature matrix C through the

@@ -16,12 +16,14 @@ Conventions used throughout the package:
 The fit is one weighted least-squares loss on that layout,
 1/2 sum_t sum_ij W_t,ij (recon_t,ij - Y_t,ij)^2, whose weight W and target Y
 are held by :class:`FitData`. W_t = scale_t B_t, a per-slice factor times a
-0/1 pattern, so W is held as the packed bool rows of B, one byte per entry.
+0/1 pattern, so W is held as the packed rows of B at one bit per entry.
 With one block fixed, the other block's fit reduces to a few small
 statistics of the data (:class:`AStats`, :class:`CStats`), built once per
 outer iteration by matrix products on the packed rows of B and of the
 smoothness slices Z, and by a scatter or a gather over the nonzero entries
-of Y. B and Z are symmetric, so their packed rows hold every entry, and each
+of Y. The A-block statistics stay packed rows too: each A_r solve unpacks
+only the planes it reads, and forms V_r from Y's entries when it starts.
+B and Z are symmetric, so their packed rows hold every entry, and each
 statistic is one product against them; the latents need not be symmetric,
 so their entries at (i, j) and (j, i) are gathered apart and summed, the
 diagonal gathered once. Y need not be symmetric and is held sparse, since it
@@ -118,17 +120,39 @@ class SliceEntries:
 class AStats:
     """Fit and smoothness statistics of the A block for fixed signatures C.
 
-    omega : (P, N, N), Omega_rk = sum_t C[t,r] C[t,k] W_t for the P = R(R+1)/2
-            pairs r <= k, with W_t = scale_t B_t
+    omega : (P, M + N) packed rows (:func:`triangle`), row pair[r, k] holding
+            Omega_rk = sum_t C[t,r] C[t,k] W_t for the P = R(R+1)/2 pairs
+            r <= k, with W_t = scale_t B_t
     pair  : (R, R) int, the row of omega holding pair (r, k) or (k, r)
-    v     : (R, N, N), V_r = sum_t C[t,r] (W o Y)_t = sum_t C[t,r] scale_t Y_t
-    xi    : (R, N, N), Xi_r = 1/2 sum_t C[t,r] Z_t, or None without signals
+    coef  : (T, R), C[t,r] scale_t, the weights of V_r = sum_t C[t,r] (W o Y)_t
+            = sum_t coef[t,r] Y_t
+    xi    : (R, M + N) packed rows of Xi_r = 1/2 sum_t C[t,r] Z_t, or None
+            without signals
+    data  : the :class:`FitData` they come from, which unpacks the rows and
+            holds Y
+
+    Each plane is unpacked, or V_r formed, when an A_r solve reads it
+    (:meth:`omega_plane`, :meth:`v_plane`, :meth:`xi_plane`), so no (P, N, N)
+    or (R, N, N) stack is held.
     """
 
     omega: np.ndarray
     pair: np.ndarray
-    v: np.ndarray
+    coef: np.ndarray
     xi: np.ndarray | None
+    data: FitData = field(repr=False)
+
+    def omega_plane(self, r, k):
+        """Omega_rk as an (N, N) plane."""
+        return self.data.unpack(self.omega[self.pair[r, k]])
+
+    def v_plane(self, r):
+        """V_r as an (N, N) plane."""
+        return self.data.target_plane(self.coef[:, r])
+
+    def xi_plane(self, r):
+        """Xi_r as an (N, N) plane."""
+        return self.data.unpack(self.xi[r])
 
     def fit_terms(self, r, latents):
         """(Omega_rr, sum_{k != r} Omega_rk o A_k - V_r).
@@ -136,11 +160,12 @@ class AStats:
         With the other latents fixed, the fit gradient in A_r is
         A_r o Omega_rr plus the second entry.
         """
-        linear = -self.v[r]
+        linear = self.v_plane(r)
+        np.negative(linear, out=linear)
         for k in range(len(latents)):
             if k != r:
-                linear += self.omega[self.pair[r, k]] * latents[k]
-        return self.omega[self.pair[r, r]], linear
+                linear += self.omega_plane(r, k) * latents[k]
+        return self.omega_plane(r, r), linear
 
 
 @dataclass
@@ -164,14 +189,17 @@ class FitData:
     entries     : the :class:`SliceEntries` of the K nonzero entries of
                   Y = M o A, the adjacency with unobserved entries zeroed
     values      : (K,), Y at those entries, in their order
-    weight      : (T, M + N) bool, the symmetric 0/1 pattern B_t packed (:func:`triangle`)
+    weight      : the symmetric 0/1 pattern B_t packed (:func:`triangle`), one
+                  bit per entry: given as (T, M + N) bool rows, held as their
+                  (T, ceil((M + N) / 8)) np.packbits rows (:meth:`pattern`)
     scale       : (T,), the factor of W_t = scale_t B_t; Y_t is zero off B_t,
                   so W_t o Y_t = scale_t Y_t
     unobserved  : the steps whose mask observes no pair i != j, as an int array
+    n_nodes     : N
     slice_max   : (T,), w_t = max_ij W_t,ij, which bounds the fit curvature of slice t
     target_norm : 1/2 sum W o Y^2, the fit of a zero reconstruction
 
-    B costs 1 byte per packed entry. Y costs 12 bytes per nonzero entry
+    B costs 1 bit per packed entry. Y costs 12 bytes per nonzero entry
     against 8 per entry of a dense stack, so it is the smaller while under
     2/3 of its entries are nonzero; a dense-valued, fully observed adjacency
     costs up to 1.5 dense stacks.
@@ -182,6 +210,8 @@ class FitData:
     over Y's entries each, everything either block and the objective read of
     them. The products read B as float64 one block of columns at a time
     (:meth:`_pattern_blocks`), so no float copy of the whole W is formed.
+    The A-block statistics are kept as packed rows and the weights of V;
+    :meth:`unpack` and :meth:`target_plane` give one plane at a time.
     The gradient mode only picks the pattern and scale :meth:`build` forms.
     """
 
@@ -190,6 +220,7 @@ class FitData:
     weight: np.ndarray
     scale: np.ndarray
     unobserved: np.ndarray
+    n_nodes: int = field(init=False)
     slice_max: np.ndarray = field(init=False)
     target_norm: float = field(init=False)
     # the packed rows' flat indices (:func:`triangle`), and for each flat
@@ -201,7 +232,9 @@ class FitData:
     _budget: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.n_nodes
+        # a packed row holds N (N + 1) / 2 entries
+        self.n_nodes = n = (math.isqrt(8 * self.weight.shape[1] + 1) - 1) // 2
+        self.weight = np.packbits(self.weight, axis=1)
         self._at, self._mirror = triangle(n)
         self._source = np.empty(n * n, dtype=np.intp)
         self._source[self._at] = self._source[self._mirror] = np.arange(self._at.size)
@@ -219,10 +252,10 @@ class FitData:
 
         adj and mask are any slice stacks (:func:`as_stack`), read together
         one slice at a time: each mask slice is checked (:func:`check_mask`)
-        and packed into the bool rows of B, and Y_t = where(mask_t > 0, adj_t,
-        0) keeps its nonzero entries. Adjacency values where the mask is 0
-        never reach Y_t, so they may be NaN; an observed zero, of either sign,
-        is not kept.
+        and gathered into the packed rows of B, and Y_t = where(mask_t > 0,
+        adj_t, 0) keeps its nonzero entries. Adjacency values where the mask
+        is 0 never reach Y_t, so they may be NaN; an observed zero, of either
+        sign, is not kept.
         `exact_mask` keeps B the mask and scale 1, so W is the 0/1 mask.
         `count_weighted` then sets all of B and takes scale_t the observation
         count k_t = 1'm_t, so W_t weighs every entry by k_t. The
@@ -259,11 +292,6 @@ class FitData:
     def n_steps(self):
         return len(self.weight)
 
-    @property
-    def n_nodes(self):
-        # a packed row holds N (N + 1) / 2 entries
-        return (math.isqrt(8 * self.weight.shape[1] + 1) - 1) // 2
-
     def dense_target(self):
         """Y as the dense (T, N, N) stack, for the methods that fit it whole."""
         n = self.n_nodes
@@ -272,35 +300,62 @@ class FitData:
             y[t, at] = self.values[span]
         return y.reshape(-1, n, n)
 
+    def pattern(self, steps):
+        """B's packed rows at steps, an index or a slice of them, as bool, one
+        byte per entry: (M + N,) for one step, (K, M + N) for K."""
+        return np.unpackbits(self.weight[steps], axis=-1, count=self._at.size).view(bool)
+
     def _pattern_blocks(self):
         """B's packed columns p0 <= p < p1 as a float64 (T, p1 - p0) block:
-        (p0, p1, block), left to right, each of at most _budget entries or one column."""
-        size = self.weight.shape[1]
+        (p0, p1, block), left to right, each of at most _budget entries or one column.
+
+        Each block unpacks the bytes that hold its columns and drops the
+        p0 % 8 bits before them, so a block may start and end mid-byte.
+        """
+        size = self._at.size
         width = max(1, self._budget // max(1, self.n_steps))
         for p0 in range(0, size, width):
             p1 = min(p0 + width, size)
-            yield p0, p1, self.weight[:, p0:p1].astype(np.float64)
+            first = p0 // 8
+            bits = np.unpackbits(self.weight[:, first : -(-p1 // 8)], axis=1)
+            yield p0, p1, bits[:, p0 - 8 * first : p1 - 8 * first].astype(np.float64)
 
     def unpack(self, rows):
-        """The (K, N, N) symmetric stack of (K, M + N) packed rows.
+        """The (..., N, N) symmetric planes of (..., M + N) packed rows.
 
         One gather, which runs several times faster than scattering each row
         to both triangles.
         """
         n = self.n_nodes
-        return np.take(rows, self._source, axis=1).reshape(-1, n, n)
+        return np.take(rows, self._source, axis=-1).reshape(rows.shape[:-1] + (n, n))
+
+    def target_plane(self, coef):
+        """sum_t coef[t] Y_t as an (N, N) plane, for a (T,) vector coef.
+
+        One scatter-add of coef[t] Y_t over the entries of each run, under
+        the errstate of :meth:`a_stats`.
+        """
+        n = self.n_nodes
+        plane = np.zeros(n * n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t0, t1, span, run in self.entries.runs(self._budget):
+                w = np.repeat(coef[t0:t1], np.diff(run.starts))
+                w *= self.values[span]
+                plane += np.bincount(run.positions, w, minlength=n * n)
+        return plane.reshape(n, n)
 
     def a_stats(self, signatures, z_rows=None):
         """:class:`AStats` of the (T, R) signatures; Xi needs the packed Z rows.
 
-        Omega and Xi are contracted on the packed rows of B and Z and unpacked
-        once, to the symmetric planes the A solves read; the scale of W goes
-        into the coefficients of Omega. Built under the same
-        errstate as the step bounds, so data too large for float64 raises no
-        numpy warning before the abort that names it.
+        Omega and Xi are contracted on the packed rows of B and Z and kept
+        packed; the scale of W goes into the coefficients of Omega and of V,
+        which :meth:`target_plane` forms plane by plane when an A solve reads
+        it. Built under the same errstate as the step bounds, so data too
+        large for float64 raises no numpy warning before the abort that names
+        it.
         """
         c = np.asarray(signatures, dtype=np.float64)
-        n_steps, n = self.n_steps, self.n_nodes
+        n_steps = self.n_steps
         if c.ndim != 2 or c.shape[0] != n_steps:
             raise ValueError(f"signatures must be ({n_steps}, R), got {c.shape}")
         rows, cols = np.triu_indices(c.shape[1])
@@ -309,25 +364,15 @@ class FitData:
         with np.errstate(over="ignore", invalid="ignore"):
             prods = c[:, rows] * c[:, cols]
             prods *= self.scale[:, None]
-            omega = np.empty((rows.size, self.weight.shape[1]))
+            omega = np.empty((rows.size, self._at.size))
             for p0, p1, block in self._pattern_blocks():
                 omega[:, p0:p1] = prods.T @ block
-            omega = self.unpack(omega)
-            # V_r: one scatter-add of c_r[t] scale_t Y_t over the entries of each run
             coef = c * self.scale[:, None]
-            v = np.zeros((c.shape[1], n * n))
-            for t0, t1, span, run in self.entries.runs(self._budget):
-                w = np.repeat(coef[t0:t1].T, np.diff(run.starts), axis=1)
-                w *= self.values[span]
-                for v_r, w_r in zip(v, w):
-                    v_r += np.bincount(run.positions, w_r, minlength=n * n)
-            v = v.reshape(-1, n, n)
             xi = None
             if z_rows is not None:
-                half = c.T @ z_rows
-                half *= 0.5
-                xi = self.unpack(half)
-        return AStats(omega=omega, pair=pair, v=v, xi=xi)
+                xi = c.T @ z_rows
+                xi *= 0.5
+        return AStats(omega=omega, pair=pair, coef=coef, xi=xi, data=self)
 
     def c_stats(self, latents, z_rows=None):
         """:class:`CStats` of the (R, N, N) latents; the traces need the packed Z rows.
@@ -416,7 +461,7 @@ class FitData:
             pairs = sq[self._at]
             pairs += sq[self._mirror]
             pairs[-n:] *= 0.5
-            total += self.scale[t] * float(self.weight[t] @ pairs)
+            total += self.scale[t] * float(self.pattern(t) @ pairs)
         return 0.5 * total
 
 

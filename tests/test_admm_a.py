@@ -1,5 +1,6 @@
 """Latent-adjacency subproblem: gradient oracle, workspace, solve loop."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,8 @@ from dgd.admm_a import (
     solve_a_subproblem,
 )
 from dgd.model import Decomposition, Hyperparams, NumericalAbort, in_sa
+from dgd.priors import build_cache
+from dgd.tensors import RUN_ENTRIES, FitData
 
 from helpers import a_lagrangian_value, central_diff, dense_fit, random_instance, rel_grad_error
 
@@ -138,6 +141,33 @@ def test_solve_output_feasible_and_deterministic():
     assert in_sa(a1)
     assert len(res1) == h.inner_iters
     assert all(np.isfinite(res1))
+
+
+def test_a_sweep_holds_the_statistics_packed():
+    # numpy allocations are traced over a_stats and one solve. Omega and Xi
+    # stay (P, M + N) and (R, M + N) packed rows; beside them a float block
+    # of B, or a run's positions and weights while V_r is formed, each of
+    # RUN_ENTRIES plus one slice's entries, and a few (N, N) planes. A
+    # (P, N, N) Omega beside the packed Xi alone would exceed that
+    rng = np.random.default_rng(6)
+    t, n, r = 20, 60, 10
+    mask = (rng.random((t, n, n)) < 0.5).astype(np.float64)
+    mask = np.maximum(mask, mask.transpose(0, 2, 1))
+    h = Hyperparams(n_latents=r, delta=0.5, inner_iters=3)
+    fit = FitData.build(rng.random((t, n, n)), mask, h)
+    cache = build_cache(rng.standard_normal((t, n, 2)))
+    d = Decomposition(rng.random((r, n, n)), rng.random((t, r)))
+    size, pairs = n * (n + 1) // 2, r * (r + 1) // 2
+    tracemalloc.start()
+    try:
+        stats = fit.a_stats(d.signatures, cache)
+        solve_a_subproblem(d, 0, fit, h, np.random.default_rng(0), stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 8 * (pairs + r) * size + 16 * (RUN_ENTRIES + n * n) + 8 * 8 * n * n
+    assert peak <= bound
+    assert 8 * pairs * n * n + 8 * r * size > bound
 
 
 def test_solve_aborts_on_nonfinite_data():

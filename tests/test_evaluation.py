@@ -115,7 +115,8 @@ def test_held_out_scores_match_the_plain_formulas(data):
     n_pred = sum(e > threshold for e, _ in pairs)
     tp = sum(t > 0 and e > threshold for e, t in pairs)
     if norm == 0.0:
-        with pytest.raises(UndefinedMetricError, match="zero norm"):
+        match = "zero norm" if pairs else "nothing is held out"
+        with pytest.raises(UndefinedMetricError, match=match):
             relative_error(est, truth, holdout)
     else:
         want = math.fsum((e - t) ** 2 for e, t in pairs) / norm
@@ -345,6 +346,8 @@ def test_component_analysis_matches_the_plain_formula_bytes(data):
     if np.sum(np.square(y)) == 0.0 or not np.any(y > 0):
         # RE is checked first, then the edges
         match = "zero norm" if np.sum(np.square(y)) == 0.0 else "no truth edges"
+        if y.size == 0:
+            match = "nothing is held out"
         with pytest.raises(UndefinedMetricError, match=match):
             component_analysis(d, truth, mask, threshold)
         return
@@ -427,7 +430,7 @@ def test_sweep_full_observation_rows_are_nan():
     spec, h = _tiny_sweep_args()
     with pytest.warns(RuntimeWarning, match="unc: ridged"), \
             pytest.warns(UserWarning, match="^sweep cell 1.0, seed 1: no method scored: "
-                                            "held-out truth has zero norm"):
+                                            "nothing is held out"):
         rows = sweep("observed", [1.0, 0.6], spec, h, seed=1, repeats=1, methods=("unc",))
     by_param = {row["param"]: row for row in rows}
     assert math.isnan(by_param[1.0]["re"])
@@ -452,7 +455,7 @@ def test_sweep_fits_nothing_in_a_cell_that_cannot_be_scored(monkeypatch):
         rows = sweep("observed", [1.0, 0.6], spec, h, seed=1, repeats=1, methods=("unc",))
     assert len(calls) == 1
     assert [str(w.message) for w in caught if w.category is UserWarning] == [
-        "sweep cell 1.0, seed 1: no method scored: held-out truth has zero norm; RE is undefined"
+        "sweep cell 1.0, seed 1: no method scored: nothing is held out; RE is undefined"
     ]
     assert math.isnan(rows[0]["re"]) and not math.isnan(rows[1]["re"])
 

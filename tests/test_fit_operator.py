@@ -90,10 +90,10 @@ def test_block_stats_match_slice_loops(case, seed):
     for r in range(n_lat):
         for k in range(n_lat):
             want = sum(c[t, r] * c[t, k] * weights[t] for t in range(n_steps))
-            assert _close(np.broadcast_to(a.omega[a.pair[r, k]], (n, n)), want)
+            assert _close(np.broadcast_to(a.omega_plane(r, k), (n, n)), want)
         want = sum(c[t, r] * weights[t] * targets[t] for t in range(n_steps))
-        assert _close(a.v[r], want)
-        assert _close(a.xi[r], 0.5 * sum(c[t, r] * z[t] for t in range(n_steps)))
+        assert _close(a.v_plane(r), want)
+        assert _close(a.xi_plane(r), 0.5 * sum(c[t, r] * z[t] for t in range(n_steps)))
 
     s = fit.c_stats(lat, cache)
     for t in range(n_steps):
@@ -227,8 +227,8 @@ def _dense_loss(fit, y, c, lat):
         pairs = sq[at]
         pairs += sq[mirror]
         pairs[-n:] *= 0.5
-        # W_t = scale_t B_t, B_t the packed bool pattern
-        total += fit.scale[t] * float(fit.weight[t] @ pairs)
+        # W_t = scale_t B_t, B_t the packed pattern unpacked to bool
+        total += fit.scale[t] * float(fit.pattern(t) @ pairs)
     return 0.5 * total
 
 
@@ -246,9 +246,9 @@ def test_target_entries_match_the_dense_formulas(case):
     assert fit.dense_target().tobytes() == y.tobytes()
     scaled = fit.scale[:, None, None] * y
     assert _close(fit.target_norm, 0.5 * float(np.sum(scaled * y)))
-    v = fit.a_stats(c).v
+    a = fit.a_stats(c)
     for r in range(len(lat)):
-        assert _close(v[r], np.tensordot(c[:, r], scaled, axes=1))
+        assert _close(a.v_plane(r), np.tensordot(c[:, r], scaled, axes=1))
     assert _close(fit.c_stats(lat).b, np.einsum("tij,rij->tr", scaled, lat))
     assert fit.loss(c, lat) == _dense_loss(fit, y, c, lat)
 
@@ -256,27 +256,88 @@ def test_target_entries_match_the_dense_formulas(case):
 @settings(max_examples=200, deadline=None)
 @given(sparse_targets())
 def test_bool_pattern_statistics_match_the_dense_weight(case):
-    # W_t = scale_t B_t read from the bool rows, B converted in blocks of a
+    # W_t = scale_t B_t read from the bit rows, B converted in blocks of a
     # few columns, against the dense (T, N, N) float weight of each mode
     adj, mask, mode, run, c, lat = case
     fit = FitData.build(adj, mask, Hyperparams(gradient_mode=mode))
     fit._budget = run
     n_steps, n = mask.shape[:2]
     weight = np.stack([np.broadcast_to(_loop_weight(mask, t, mode), (n, n)) for t in range(n_steps)])
-    assert fit.weight.dtype == bool
+    rows = fit.pattern(slice(None))
+    assert fit.weight.dtype == np.uint8 and rows.dtype == bool
     blocks = list(fit._pattern_blocks())
     assert all(b.dtype == np.float64 and b.size <= max(run, n_steps) for _, _, b in blocks)
-    assert np.array_equal(np.concatenate([b for _, _, b in blocks], axis=1), fit.weight)
+    assert np.array_equal(np.concatenate([b for _, _, b in blocks], axis=1), rows)
     assert np.array_equal(fit.slice_max, weight.reshape(n_steps, -1).max(axis=1))
     a = fit.a_stats(c)
     for r in range(len(lat)):
         for k in range(len(lat)):
-            assert _close(a.omega[a.pair[r, k]], np.tensordot(c[:, r] * c[:, k], weight, axes=1))
+            assert _close(a.omega_plane(r, k), np.tensordot(c[:, r] * c[:, k], weight, axes=1))
     want = np.einsum("tij,rij,kij->trk", weight, lat, lat)
     assert _close(fit.c_stats(lat).grams, want)
     recon = np.einsum("tr,rij->tij", c, lat)
     want = 0.5 * float(np.sum(weight * (recon - np.where(mask > 0, adj, 0.0)) ** 2))
     assert _close(fit.loss(c, lat), want)
+
+
+@st.composite
+def mid_byte_layouts(draw):
+    """Packed rows whose length M + N is no multiple of 8, cut into blocks of
+    a width that is none either, so that blocks start and end mid-byte."""
+    n = draw(st.integers(2, 12).filter(lambda n: n * (n + 1) // 2 % 8))
+    t = draw(st.integers(1, 6))
+    r = draw(st.integers(1, 3))
+    width = draw(st.integers(1, n * (n + 1) // 2).filter(lambda w: w % 8))
+    mode = draw(st.sampled_from(GRADIENT_MODES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = (rng.random((t, n, n)) < rng.random()).astype(np.float64)
+    mask = np.maximum(mask, mask.transpose(0, 2, 1))
+    signals = rng.standard_normal((t, n, 2))
+    c, lat = rng.random((t, r)), rng.random((r, n, n))
+    return mask, rng.random((t, n, n)), mode, width, signals, c, lat
+
+
+@settings(max_examples=200, deadline=None)
+@given(mid_byte_layouts())
+def test_bit_rows_give_the_bool_row_results_bit_for_bit(case):
+    # the same statistics from the bool rows of B, cut at the same columns
+    mask, adj, mode, width, signals, c, lat = case
+    n_steps, n = mask.shape[:2]
+    size = n * (n + 1) // 2
+    fits = [FitData.build(adj, mask, Hyperparams(gradient_mode=mode)) for _ in range(2)]
+    fit, ref = fits
+    for f in fits:
+        f._budget = width * n_steps
+    # C-ordered, as the bool rows of B were held: the layout of a block
+    # picks the BLAS kernel, and so the rounding of the products
+    rows = mask.reshape(n_steps, -1).take(triangle(n)[0], axis=1) > 0
+    if mode == "count_weighted":
+        rows[:] = True
+    assert np.array_equal(fit.pattern(slice(None)), rows)
+    assert all(np.array_equal(fit.pattern(t), rows[t]) for t in range(n_steps))
+
+    def bool_blocks():
+        for p0 in range(0, size, width):
+            p1 = min(p0 + width, size)
+            yield p0, p1, rows[:, p0:p1].astype(np.float64)
+
+    ref._pattern_blocks = bool_blocks
+    for (p0, p1, got), (q0, q1, want) in zip(fit._pattern_blocks(), bool_blocks(), strict=True):
+        assert (p0, p1) == (q0, q1) and got.tobytes() == want.tobytes()
+    cache = build_cache(signals)
+    a, b = fit.a_stats(c, cache), ref.a_stats(c, cache)
+    at, mirror = triangle(n)
+    for r in range(c.shape[1]):
+        for k in range(c.shape[1]):
+            plane = a.omega_plane(r, k)
+            assert plane.tobytes() == b.omega_plane(r, k).tobytes()
+            # the plane is its packed row at both gathers of the triangle
+            row = a.omega[a.pair[r, k]]
+            assert np.array_equal(plane.reshape(-1)[at], row)
+            assert np.array_equal(plane.reshape(-1)[mirror], row)
+        assert a.xi_plane(r).tobytes() == b.xi_plane(r).tobytes()
+        assert a.v_plane(r).tobytes() == b.v_plane(r).tobytes()
+    assert fit.c_stats(lat, cache).grams.tobytes() == ref.c_stats(lat, cache).grams.tobytes()
 
 
 def test_statistics_hold_no_float_weight():

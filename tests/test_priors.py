@@ -157,11 +157,11 @@ def test_xi_is_weighted_sum_of_slices():
     c = np.array([[0.5], [2.0], [0.0]])
     z = pairwise_z(x)
     want = 0.5 * (0.5 * z[0] + 2.0 * z[1])
-    assert np.allclose(_blank_fit(3, 4).a_stats(c, cache).xi[0], want)
+    assert np.allclose(_blank_fit(3, 4).a_stats(c, cache).xi_plane(0), want)
     # equal unit weights over identical slices give back the slice itself
     x_rep = np.stack([x[0], x[0]])
     cache_rep = build_cache(x_rep)
-    xi = _blank_fit(2, 4).a_stats(np.ones((2, 1)), cache_rep).xi[0]
+    xi = _blank_fit(2, 4).a_stats(np.ones((2, 1)), cache_rep).xi_plane(0)
     assert np.allclose(xi, z[0])
 
 

@@ -26,22 +26,25 @@ def test_fit_data_matches_slices():
     exact = tensors.FitData.build(adj, mask, Hyperparams())
     counted = tensors.FitData.build(adj, mask, Hyperparams(gradient_mode="count_weighted"))
     assert exact.dense_target().shape == (t, n, n)
+    size = n * (n - 1) // 2 + n
     for fit in (exact, counted):
-        assert fit.weight.shape == (t, n * (n - 1) // 2 + n)
-        assert fit.weight.dtype == bool
+        # one bit per packed entry, read back as bool rows
+        assert fit.weight.shape == (t, -(-size // 8)) and fit.weight.dtype == np.uint8
+        rows = fit.pattern(slice(None))
+        assert rows.shape == (t, size) and rows.dtype == bool
     rows, cols = np.triu_indices(n, 1)
     for k in range(t):
         assert np.array_equal(exact.dense_target()[k], mask[k] * adj[k])
         # the strict upper triangle row by row, then the diagonal
         want = np.concatenate((mask[k][rows, cols], np.diag(mask[k])))
-        assert np.array_equal(exact.weight[k], want > 0)
+        assert np.array_equal(exact.pattern(k), want > 0)
         assert exact.scale[k] == 1.0
         # W_t = scale_t B_t is the 0/1 mask
-        assert np.array_equal(exact.scale[k] * exact.weight[k], want)
+        assert np.array_equal(exact.scale[k] * exact.pattern(k), want)
         # count_weighted weighs every entry of slice k by its count k_t
         count = mask[k].sum()
-        assert counted.weight[k].all()
-        assert np.all(counted.scale[k] * counted.weight[k] == count)
+        assert counted.pattern(k).all()
+        assert np.all(counted.scale[k] * counted.pattern(k) == count)
         assert counted.scale[k] == count and counted.slice_max[k] == count
     for name in ("positions", "starts"):
         assert np.array_equal(getattr(counted.entries, name), getattr(exact.entries, name))
@@ -50,12 +53,12 @@ def test_fit_data_matches_slices():
     assert np.array_equal(counted.unobserved, exact.unobserved)
 
 
-def test_fit_data_holds_one_byte_per_weight_entry():
-    # what build leaves allocated: B at 1 byte per packed entry, Y at 12 per
-    # nonzero entry, and the O(N^2) index maps of the packed rows; a float64
-    # weight would add 7 T (M + N) bytes, several times the slack allowed
+def test_fit_data_holds_one_bit_per_weight_entry():
+    # what build leaves allocated: B at 1 bit per packed entry, Y at 12 per
+    # nonzero entry, and the O(N^2) index maps of the packed rows; bool rows
+    # of B would add 7/8 T (M + N) bytes, about twice the slack allowed
     rng = np.random.default_rng(5)
-    t, n = 24, 96
+    t, n = 120, 96
     mask = (rng.random((t, n, n)) < 0.3).astype(np.float64)
     mask = np.maximum(mask, mask.transpose(0, 2, 1))
     adj = rng.random((t, n, n))
@@ -67,8 +70,8 @@ def test_fit_data_holds_one_byte_per_weight_entry():
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert fit.weight.dtype == bool and fit.weight.shape == (t, size)
-        assert held <= t * size + 12 * fit.values.size + 24 * n * n + 2**14, mode
+        assert fit.weight.dtype == np.uint8 and fit.weight.shape == (t, -(-size // 8))
+        assert held <= t * -(-size // 8) + 12 * fit.values.size + 24 * n * n + 2**14, mode
 
 
 @st.composite
