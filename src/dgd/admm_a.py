@@ -19,8 +19,8 @@ alone, which is fixed for the whole A sweep, so their packed rows and
 weights are built once per outer iteration (:meth:`FitData.a_stats`) and
 passed to every solve. Each solve unpacks the planes of latent r, forms V_r,
 and from them and the freshest A_k forms its (omega, linear) pair in
-O(R N^2) (:func:`a_gradient_terms`), once for its K inner steps. A zero
-prior weight still adds its (zero) term.
+O(R N^2) (:func:`a_gradient_terms`), once for its K inner steps. Every
+prior weight but delta is applied even at zero.
 """
 
 from __future__ import annotations
@@ -71,12 +71,16 @@ def a_gradient_terms(d, r, h, stats):
     Returns (omega, linear) such that the gradient of everything but the
     ADMM coupling is A_r o omega + linear. omega = Omega_rr + eta;
     linear = B_r + delta Xi_r + gamma + 2 beta sum_{k != r} A_k, with
-    B_r = sum_t C[t,r] W_t o (rest_t - Y_t) and rest_t = sum_{k != r} C[t,k] A_k.
-    `stats` is the :class:`tensors.AStats` of d.signatures. gamma and beta
-    are added even at a zero weight; delta only when nonzero, as Xi_r needs a cache.
+    the fit part B_r = sum_{k != r} Omega_rk o A_k - V_r formed from `stats`,
+    the :class:`tensors.AStats` of d.signatures. Every weight but delta is
+    applied even at zero; Xi_r needs the Z rows, so delta only when nonzero.
     """
-    omega, linear = stats.fit_terms(r, d.latents)
-    omega = omega + h.eta
+    linear = stats.v_plane(r)
+    np.negative(linear, out=linear)
+    for k in range(d.n_latents):
+        if k != r:
+            linear += stats.omega_plane(r, k) * d.latents[k]
+    omega = stats.omega_plane(r, r) + h.eta
     if h.delta != 0.0:
         linear += h.delta * stats.xi_plane(r)
     linear += h.gamma

@@ -16,7 +16,7 @@ the smoothness traces <Z_t, A_r> depend on the latents alone, so they are
 built once per outer iteration, after the A sweep (:meth:`FitData.c_stats`),
 passed to the solve and reused by :func:`model.objective`. D'D is applied as
 a second difference (:func:`priors.dtd_product`), never as a (T, T) matrix.
-A zero prior weight still adds its (zero) term.
+Every prior weight but delta is applied even at zero.
 """
 
 from __future__ import annotations
@@ -72,8 +72,9 @@ def c_gradient_terms(h, stats):
     gradient is G_t c_t + linear_t, with G_t = sum_ij W_t A_r A_s (T, R, R)
     and linear_t = -b_t + delta/2 <Z_t, A_r>, b_t = sum_ij W_t Y_t A_r. The
     smoothness part is the derivative of the objective's 1/2 sum C[t,r] <Z_t, A_r>.
-    `stats` is the :class:`tensors.CStats` of the latents; its traces exist
-    only with a cache, so the delta term is added only when delta != 0.
+    `stats` is the :class:`tensors.CStats` of the latents. delta is the one
+    conditional weight: the traces need the Z rows, so its term is added only
+    when delta != 0.
     """
     linear = -stats.b
     if h.delta != 0.0:
@@ -87,7 +88,7 @@ def grad_c_lagrangian(c, ws, latents, fit, cache, h, terms=None, margin=None):
     `terms` may carry the (grams, linear) pair of :func:`c_gradient_terms`;
     when omitted it is formed from fit.c_stats(latents, cache), the only use
     of latents, fit and cache. `margin` may carry ws.margin(c), else it is
-    formed. The mu and rho terms are added even at a zero weight.
+    formed. Every weight but delta (:func:`c_gradient_terms`) is applied even at zero.
     """
     c = np.asarray(c, dtype=np.float64)
     if terms is None:

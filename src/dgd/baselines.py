@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .driver import run_dgd
-from .model import Decomposition, Hyperparams, NumericalAbort, ObjectiveBreakdown
+from .model import Decomposition, Hyperparams, NumericalAbort, ObjectiveBreakdown, check_number
 from .tensors import FitData
 
 RIDGE = 1e-8
@@ -47,8 +47,11 @@ def unc_solve(adj, mask, n_latents, iters=50, seed=0):
     solves with the masked Grams and right-hand sides of
     :meth:`FitData.c_stats`.
     Adjacency entries where the mask is 0 are never read; adj and mask are
-    any slice stacks (:func:`tensors.as_stack`).
+    any slice stacks (:func:`tensors.as_stack`). n_latents must be an integer
+    >= 1 and iters one >= 0, else ValueError names it.
     """
+    check_number("n_latents", n_latents, integer=True, low=1)
+    check_number("iters", iters, integer=True, low=0)
     observed = FitData.build(adj, mask, Hyperparams())
     target = observed.dense_target()
     t, n = target.shape[:2]
@@ -135,8 +138,11 @@ def cpd_als(tensor, rank, iters=60, seed=0):
     Factor columns of the two node modes are renormalized each iteration with
     the scale pushed into the time mode. A non-finite iterate triggers one
     restart from seed + 1, then NumericalAbort. Returns ((u, v, w), fit
-    history) with fit = 0.5 ||X - recon||_F^2 per iteration.
+    history) with fit = 0.5 ||X - recon||_F^2 per iteration. rank must be an
+    integer >= 1 and iters one >= 0, else ValueError names it.
     """
+    check_number("rank", rank, integer=True, low=1)
+    check_number("iters", iters, integer=True, low=0)
     x = np.asarray(tensor, dtype=np.float64)
     t, n = x.shape[0], x.shape[1]
     def _solve(g, rhs, like):

@@ -29,7 +29,7 @@ A sweep, so evaluating it costs O(T R^2) beyond them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from numbers import Real
 from typing import get_type_hints
 
@@ -172,10 +172,10 @@ class Hyperparams:
 class ObjectiveBreakdown:
     """Objective value split by term, hyperparameter weights applied.
 
-    The one list of the objective's terms (OBJECTIVE_TERMS, the history.csv
-    columns); a fit-only method leaves all but `fit` at 0. `total` is no
-    parameter: construction, dataclasses.replace included, sets it to the sum
-    of the terms in declaration order.
+    Its fields are the one list of the objective's terms (OBJECTIVE_TERMS,
+    the history.csv columns); a fit-only method leaves all but `fit` at 0.
+    `total` is no field: it is the sum of the terms in declaration order,
+    computed when read, so it always agrees with them.
     """
 
     fit: float
@@ -185,13 +185,13 @@ class ObjectiveBreakdown:
     overlap: float = 0.0
     ridge_c: float = 0.0
     ridge_a: float = 0.0
-    total: float = field(init=False)
 
-    def __post_init__(self):
-        self.total = sum((getattr(self, name) for name in OBJECTIVE_TERMS[1:]), self.fit)
+    @property
+    def total(self):
+        return sum((getattr(self, name) for name in OBJECTIVE_TERMS[1:]), self.fit)
 
 
-OBJECTIVE_TERMS = tuple(f.name for f in fields(ObjectiveBreakdown) if f.init)
+OBJECTIVE_TERMS = tuple(f.name for f in fields(ObjectiveBreakdown))
 
 
 def reconstruct(d):
@@ -203,10 +203,11 @@ def objective(d, fit, cache, h, stats=None):
     """Evaluate the full objective, split by term.
 
     `fit` is the tensors.FitData of the observed stack, so the fit term sees
-    only observed entries. `cache`, the packed Z rows of priors.build_cache,
-    may be None when h.delta == 0. `stats` is the tensors.CStats of
-    d.latents; it is built here when omitted, so there is one formula for the
-    fit, :meth:`FitData.value`.
+    only observed entries. `cache` is the packed Z rows of priors.build_cache,
+    or None without signals; missing `stats`, the tensors.CStats of d.latents,
+    are built from it, so there is one formula for the fit, :meth:`FitData.value`.
+    Every weight is applied even at zero but delta, whose term needs the Z
+    rows: a nonzero delta without them raises ValueError naming delta.
     """
     if (fit.n_steps, fit.n_nodes) != (d.n_steps, d.n_nodes):
         raise ValueError(
@@ -214,9 +215,11 @@ def objective(d, fit, cache, h, stats=None):
             f"{(fit.n_steps, fit.n_nodes, fit.n_nodes)}"
         )
     if stats is None:
-        stats = fit.c_stats(d.latents, cache if h.delta != 0.0 else None)
+        stats = fit.c_stats(d.latents, cache)
     smoothness = 0.0
     if h.delta != 0.0:
+        if stats.traces is None:
+            raise ValueError(f"delta = {h.delta} needs the signals' smoothness rows (cache)")
         smoothness = h.delta * (0.5 * float(np.sum(d.signatures * stats.traces)))
     return ObjectiveBreakdown(
         fit=fit.value(d.signatures, d.latents, stats),
@@ -225,7 +228,7 @@ def objective(d, fit, cache, h, stats=None):
         temporal=h.mu * priors.temporal_pi(d.signatures),
         overlap=h.beta * priors.overlap_h(d.latents),
         ridge_c=0.5 * h.rho * float(np.sum(d.signatures**2)),
-        ridge_a=0.5 * h.eta * float(np.sum(d.latents**2)) if h.eta else 0.0,
+        ridge_a=0.5 * h.eta * float(np.sum(d.latents**2)),
     )
 
 

@@ -34,7 +34,8 @@ def build_cache(x):
     before the next is formed, so set-up needs no (T, N, N) array at all.
     x is any slice stack (:func:`tensors.as_stack`) and is read one slice at
     a time; each slice must be finite, else ValueError names the entry's
-    (t, i, q).
+    (t, i, q), and so must its Z_t, else ValueError names the step t whose
+    signals are too large for float64, with no numpy warning before it.
     """
     x = as_stack(x)
     if len(x.shape) != 3:
@@ -44,9 +45,15 @@ def build_cache(x):
     for t in range(len(z)):
         xt = np.asarray(x[t], dtype=np.float64)
         check_finite(xt, "signal", "t, i, q", at=(t,))
-        sq = np.einsum("nq,nq->n", xt, xt)
-        # project_sa keeps the exact invariants: symmetric, nonnegative, zero diagonal
-        z[t] = project_sa(sq[:, None] + sq[None, :] - 2.0 * (xt @ xt.T)).take(at)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = np.einsum("nq,nq->n", xt, xt)
+            # project_sa keeps the exact invariants: symmetric, nonnegative, zero diagonal
+            z[t] = project_sa(sq[:, None] + sq[None, :] - 2.0 * (xt @ xt.T)).take(at)
+        if not np.isfinite(z[t]).all():
+            raise ValueError(
+                f"signal step {t}: squared distances overflow float64 "
+                f"(max |x| = {float(np.max(np.abs(xt))):.3e})"
+            )
     return z
 
 
@@ -58,14 +65,9 @@ def overlap_h(latents):
 
 
 def temporal_pi(c):
-    """||D C||_F^2, the squared temporal variation of the signatures.
-
-    Returns 0 for T < 2 (no differences to take).
-    """
-    c = np.asarray(c, dtype=np.float64)
-    if c.shape[0] < 2:
-        return 0.0
-    return float(np.sum(np.diff(c, axis=0) ** 2))
+    """||D C||_F^2, the squared temporal variation of the signatures; 0.0 for
+    T < 2, which has no differences to sum."""
+    return float(np.sum(np.diff(np.asarray(c, dtype=np.float64), axis=0) ** 2))
 
 
 def dtd_product(c):

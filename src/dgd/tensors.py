@@ -131,9 +131,9 @@ class AStats:
     data  : the :class:`FitData` they come from, which unpacks the rows and
             holds Y
 
-    Each plane is unpacked, or V_r formed, when an A_r solve reads it
-    (:meth:`omega_plane`, :meth:`v_plane`, :meth:`xi_plane`), so no (P, N, N)
-    or (R, N, N) stack is held.
+    Each plane is unpacked, or V_r formed, when the gradient terms of an A_r
+    solve (admm_a.a_gradient_terms) read it (:meth:`omega_plane`,
+    :meth:`v_plane`, :meth:`xi_plane`), so no (P, N, N) or (R, N, N) stack is held.
     """
 
     omega: np.ndarray
@@ -153,19 +153,6 @@ class AStats:
     def xi_plane(self, r):
         """Xi_r as an (N, N) plane."""
         return self.data.unpack(self.xi[r])
-
-    def fit_terms(self, r, latents):
-        """(Omega_rr, sum_{k != r} Omega_rk o A_k - V_r).
-
-        With the other latents fixed, the fit gradient in A_r is
-        A_r o Omega_rr plus the second entry.
-        """
-        linear = self.v_plane(r)
-        np.negative(linear, out=linear)
-        for k in range(len(latents)):
-            if k != r:
-                linear += self.omega_plane(r, k) * latents[k]
-        return self.omega_plane(r, r), linear
 
 
 @dataclass

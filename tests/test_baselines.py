@@ -137,6 +137,22 @@ def test_cpd_fit_non_increasing():
     assert np.all(diffs <= 1e-9 * np.maximum(np.abs(fits[:-1]), 1.0))
 
 
+@pytest.mark.parametrize("kw,name", [({"n_latents": 0}, "n_latents"), ({"n_latents": 1.5}, "n_latents"),
+                                     ({"iters": -1}, "iters")])
+def test_unc_names_a_bad_count(kw, name):
+    adj = reconstruct(planted_decomposition(0, n=4, t=3, r=1))
+    args = {"n_latents": 1, **kw}
+    with pytest.raises(ValueError, match=name):
+        unc_solve(adj, np.ones_like(adj), **args)
+
+
+@pytest.mark.parametrize("kw,name", [({"rank": 0}, "rank"), ({"rank": True}, "rank"),
+                                     ({"iters": -1}, "iters"), ({"iters": 2.0}, "iters")])
+def test_cpd_names_a_bad_count(kw, name):
+    with pytest.raises(ValueError, match=name):
+        cpd_als(np.ones((3, 4, 4)), **{"rank": 1, **kw})
+
+
 def test_cpd_aborts_after_one_restart_on_overflow():
     tensor = np.full((3, 4, 4), 1e300)
     with pytest.raises(NumericalAbort):

@@ -118,3 +118,22 @@ def test_settings_records_are_frozen_and_need_no_validate_call():
                    or isinstance(n, ast.FunctionDef) and n.name == "validate"]
     assert {"Hyperparams", "SwDynSpec"} <= set(records)
     assert faults == []
+
+
+# the prior weights applied even at zero; delta alone may be tested, as its
+# term needs the signals' smoothness rows
+UNCONDITIONAL_WEIGHTS = {"gamma", "beta", "mu", "rho", "eta"}
+
+
+def test_no_branch_tests_an_unconditional_weight():
+    # a zero weight adds its zero term, so no if or conditional expression
+    # decides on one: a special case there is a second code path per term
+    tested = []
+    for path in sorted(Path(dgd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.If, ast.IfExp)):
+                tested += [f"{path.name}:{n.lineno} h.{n.attr}" for n in ast.walk(node.test)
+                           if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                           and n.value.id == "h" and n.attr in UNCONDITIONAL_WEIGHTS]
+    assert tested == []

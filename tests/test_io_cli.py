@@ -527,6 +527,24 @@ def test_nonfinite_signal_exits_one_naming_the_entry(tmp_path, capsys):
         assert main(args) == 0, method
 
 
+def test_huge_finite_signals_exit_one_naming_the_step(tmp_path, capsys):
+    # squared distances of |x| ~ 1e160 overflow float64: set-up names the
+    # step on one line, with no numpy warning and no solver step before it
+    data = _generate(tmp_path, extra={"n_nodes": 12})
+    signals, _ = load_dgt(data / "signals.dgt")
+    save_dgt(tmp_path / "huge.dgt", signals * (2.3e160 / np.max(np.abs(signals))), "signals")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(_decompose_args(data, tmp_path / "out", signals=tmp_path / "huge.dgt"))
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("dgd: error: signal step 0: squared distances overflow")
+    assert err.count("\n") == 1
+    # nsdgd never reads the signals
+    assert main(_decompose_args(data, tmp_path / "ns", "nsdgd", tmp_path / "huge.dgt")) == 0
+
+
 def test_decompose_holds_packed_rows_and_target_entries(tmp_path):
     # streamed set-up: the run holds the packed rows (upper triangle and
     # diagonal) of the fit weight W and the smoothness slices Z, about half a

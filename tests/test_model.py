@@ -327,6 +327,14 @@ def test_objective_shape_mismatch_errors():
         objective(d, FitData.build(np.zeros((2, 4, 4)), np.zeros((2, 4, 4)), h), None, h)
 
 
+def test_objective_names_delta_without_smoothness_rows():
+    d = planted_decomposition(1, n=3, t=2, r=1)
+    fit = FitData.build(np.zeros((2, 3, 3)), np.ones((2, 3, 3)), Hyperparams())
+    with pytest.raises(ValueError, match="delta"):
+        objective(d, fit, None, Hyperparams(delta=0.001))
+    assert objective(d, fit, None, Hyperparams(delta=0.0)).smoothness == 0.0
+
+
 def test_project_sa_clips_symmetrizes_and_zeroes_diagonal():
     out = project_sa(np.array([[1.0, -2.0], [4.0, 3.0]]))
     assert np.array_equal(out, np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -411,3 +419,12 @@ def test_breakdown_total_is_the_sum_of_its_terms():
     assert ObjectiveBreakdown(fit=2.5).total == 2.5
     with pytest.raises(TypeError):
         ObjectiveBreakdown(fit=1.0, total=9.0)
+
+
+def test_breakdown_total_follows_a_reassigned_term():
+    # the total is derived from the terms when read, never a stale copy
+    bd = ObjectiveBreakdown(fit=1.0, sparsity=0.5)
+    bd.fit = 5.0
+    assert bd.total == 5.5
+    bd.ridge_a = 0.25
+    assert bd.total == 5.75

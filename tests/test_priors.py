@@ -1,6 +1,7 @@
 """Smoothness cache, difference operator and the standalone prior values."""
 
 import tracemalloc
+import warnings
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -83,6 +84,19 @@ def test_cache_scratch_is_one_slice():
         tracemalloc.stop()
     assert cache.nbytes == t * n * (n + 1) // 2 * 8
     assert peak <= cache.nbytes + 4 * 8 * n * max(n, q)
+
+
+@pytest.mark.parametrize("step,rows", [(1, {0: 2.3e160, 1: 2.3e160}), (2, {0: 1.2e154, 1: -1.2e154})])
+def test_cache_names_the_step_whose_distances_overflow(step, rows):
+    # finite signals whose squared distances leave float64 (the second case
+    # has finite squared norms) stop at set-up, with no numpy warning first
+    x = np.ones((3, 4, 2))
+    for i, value in rows.items():
+        x[step, i, 0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"signal step {step}: squared distances overflow"):
+            build_cache(x)
 
 
 def test_cache_rejects_non_tensor_input():
