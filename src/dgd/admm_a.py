@@ -29,7 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DegreeSplit, normal_or_zeros, project_sa, run_admm, step_from_bound
+from .model import (
+    DegreeSplit,
+    check_smoothness,
+    normal_or_zeros,
+    project_sa,
+    run_admm,
+    step_from_bound,
+)
 
 
 @dataclass
@@ -73,8 +80,11 @@ def a_gradient_terms(d, r, h, stats):
     linear = B_r + delta Xi_r + gamma + 2 beta sum_{k != r} A_k, with
     the fit part B_r = sum_{k != r} Omega_rk o A_k - V_r formed from `stats`,
     the :class:`tensors.AStats` of d.signatures. Every weight but delta is
-    applied even at zero; Xi_r needs the Z rows, so delta only when nonzero.
+    applied even at zero; Xi_r needs the Z rows, so delta only when nonzero,
+    and stats built without them raise ValueError naming delta
+    (:func:`model.check_smoothness`).
     """
+    check_smoothness(h, stats.xi)
     linear = stats.v_plane(r)
     np.negative(linear, out=linear)
     for k in range(d.n_latents):

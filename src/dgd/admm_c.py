@@ -25,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DegreeSplit, normal_or_zeros, project_sc, run_admm, step_from_bound
+from .model import (
+    DegreeSplit,
+    check_smoothness,
+    normal_or_zeros,
+    project_sc,
+    run_admm,
+    step_from_bound,
+)
 from .priors import dtd_norm, dtd_product
 
 
@@ -74,8 +81,10 @@ def c_gradient_terms(h, stats):
     smoothness part is the derivative of the objective's 1/2 sum C[t,r] <Z_t, A_r>.
     `stats` is the :class:`tensors.CStats` of the latents. delta is the one
     conditional weight: the traces need the Z rows, so its term is added only
-    when delta != 0.
+    when delta != 0, and stats built without them raise ValueError naming
+    delta (:func:`model.check_smoothness`).
     """
+    check_smoothness(h, stats.traces)
     linear = -stats.b
     if h.delta != 0.0:
         linear = linear + 0.5 * h.delta * stats.traces

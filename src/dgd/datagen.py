@@ -10,6 +10,7 @@ per step by low-pass filtering white noise through the blended Laplacian.
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,21 +150,28 @@ def mask_seed(seed, observed_frac):
     return np.random.SeedSequence([int(seed), 0x6D61736B, round(observed_frac * 10**9)])
 
 
-def swdyn(spec):
+def swdyn(spec, reduce=None):
     """Generate one dataset: (adjacency, signals, truth) of a SwDynSpec.
 
     adjacency : (T, N, N) blended slices, plus symmetric hollow Gaussian
         noise when spec.noise_sigma > 0.
-    signals : (T, N, Q) smooth node signals filtered through the clean slices.
+    signals : (T, N, Q) smooth node signals filtered through the clean
+        slices; with `reduce`, row k is instead reduce(k, X_k) of step k's
+        (N, Q) signals X_k, an array of one shape at every step (for
+        example :func:`priors.distance_row` with its `at` bound).
     truth : Decomposition holding the two planted graphs and their ramps.
 
     Every step's white noise is drawn in the calling thread, from the one
-    seeded stream in step order, straight into the signal stack. The
-    per-step filters (:func:`_low_pass`) run on a thread pool, one thread
-    per CPU left to this process and at most T (worker_count), each
-    overwriting its own step. The filters and the draws release the GIL, so
-    drawing one step overlaps the filters of earlier ones. With one worker
-    the filters run in the calling thread. Either way the output is the same
+    seeded stream in step order: latents, steps 0..T-1, then the edge noise.
+    The per-step filters (:func:`_low_pass`), and reduce, run on a thread
+    pool, one thread per CPU left to this process and at most T
+    (worker_count). The filters and the draws release the GIL, so drawing
+    one step overlaps the filters of earlier ones. Without reduce each step
+    is drawn straight into the signal stack and overwritten by its filter;
+    with it, each step is a fresh (N, Q) draw, and at most one more step
+    than there are workers is drawn ahead of the oldest unfinished one, so
+    no stack of signals is formed. With one worker the steps run in the
+    calling thread, one after another. Either way the output is the same
     bytes, and no thread outlives the call.
     """
     rng = np.random.default_rng(spec.seed)
@@ -174,32 +182,63 @@ def swdyn(spec):
     latents = np.stack([sbm_graph([n // k] * k, spec.p_in, spec.p_out, rng) for k in (k1, k2)])
     truth = Decomposition(latents, signatures)
     clean = reconstruct(truth)
-    signals = np.empty((t, n, spec.n_signals))
-
-    def drawn_steps():
-        for k in range(t):
-            rng.standard_normal(out=signals[k])
-            yield k
-
-    def filter_step(k):
-        signals[k] = _low_pass(clean[k], spec.alpha, signals[k])
-
     workers = worker_count(t)
+
+    if reduce is None:
+        out = np.empty((t, n, spec.n_signals))
+        ahead = t
+
+        def draw(k):
+            return rng.standard_normal(out=out[k])
+
+        def step(k, white):
+            white[...] = _low_pass(clean[k], spec.alpha, white)
+
+        def keep(k, _):
+            pass
+
+    else:
+        out = None
+        ahead = workers + 1
+
+        def draw(k):
+            return rng.standard_normal((n, spec.n_signals))
+
+        def step(k, white):
+            return reduce(k, _low_pass(clean[k], spec.alpha, white))
+
+        def keep(k, row):
+            nonlocal out
+            if out is None:
+                out = np.empty((t,) + row.shape, row.dtype)
+            out[k] = row
+
     if workers <= 1:
-        for k in drawn_steps():
-            filter_step(k)
+        for k in range(t):
+            keep(k, step(k, draw(k)))
     else:
         # imported here, as in evaluation._map_cells: the processes that never
         # generate data do not load concurrent.futures (~0.8 MB RSS)
         from concurrent.futures import ThreadPoolExecutor
 
-        # map submits each step as soon as the generator has drawn it
+        # each step is submitted as soon as it is drawn, and kept in step order;
+        # the oldest unfinished step is kept before a step beyond `ahead` is drawn
+        pending = deque()
         with ThreadPoolExecutor(workers) as pool:
-            for _ in pool.map(filter_step, drawn_steps()):
-                pass
+            try:
+                for k in range(t):
+                    if len(pending) == ahead:
+                        keep(k - ahead, pending.popleft().result())
+                    pending.append(pool.submit(step, k, draw(k)))
+                for k in range(t - len(pending), t):
+                    keep(k, pending.popleft().result())
+            finally:
+                # after a failed step, the steps not yet started never start
+                for future in pending:
+                    future.cancel()
     if spec.noise_sigma > 0:
         _add_edge_noise(clean, spec.noise_sigma, rng)
-    return clean, signals, truth
+    return clean, out, truth
 
 
 def _add_edge_noise(adj, sigma, rng):

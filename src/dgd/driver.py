@@ -21,7 +21,7 @@ from .admm_a import solve_a_subproblem
 from .admm_c import solve_c_subproblem
 from .model import Decomposition, NumericalAbort, degree_margin, objective, project_sa
 from .priors import build_cache
-from .tensors import FitData, as_stack, as_stacks
+from .tensors import FitData, as_stack, as_stacks, check_finite
 
 
 @dataclass
@@ -91,11 +91,17 @@ def run_dgd(adj, mask, signals, h, seed):
     mask : (T, N, N) binary symmetric observation mask. A step that observes
         no pair i != j is listed in the history's zero_observation_steps and
         named in one UserWarning; a run where no step observes one aborts.
-    signals : (T, N, Q) node signals, or None when h.delta == 0; never read
-        when h.delta == 0. When h.delta > 0, missing signals or signals of
-        another (T, N) than the mask raise ValueError before any slice is read.
-    adj, mask and signals may be any slice stack (:func:`tensors.as_stack`),
-    such as an io_dgt.DgtSlices reader; each is read one slice at a time, once.
+    signals : (T, N, Q) node signals, or their (T, N(N+1)/2) packed distance
+        rows (:func:`priors.build_cache`), or None when h.delta == 0; never
+        read when h.delta == 0. Rows are the smoothness cache itself, as a
+        sweep cell's generator forms them step by step, so no (T, N, Q)
+        stack need exist. When h.delta > 0, missing signals, signals of
+        another (T, N) than the mask, and rows of another shape or holding
+        a non-finite or negative entry raise ValueError naming the signals
+        before any slice of adj or mask is read.
+    adj, mask and (T, N, Q) signals may be any slice stack
+    (:func:`tensors.as_stack`), such as an io_dgt.DgtSlices reader; each is
+    read one slice at a time, once.
     h : Hyperparams, checked when built.
     seed : int seed or np.random.Generator.
 
@@ -108,13 +114,24 @@ def run_dgd(adj, mask, signals, h, seed):
     """
     adj, mask = as_stacks(adj, mask)
     n_steps, n = mask.shape[:2]
+    cache = None
     if h.delta != 0.0:
         if signals is None:
             raise ValueError("signals are required when delta > 0")
         signals = as_stack(signals)
-        shape = signals.shape
-        if len(shape) != 3 or tuple(shape[:2]) != (n_steps, n):
-            raise ValueError(f"expected ({n_steps}, {n}, Q) signals, got {shape}")
+        shape = tuple(signals.shape)
+        width = n * (n + 1) // 2
+        if shape == (n_steps, width):
+            cache = np.asarray(signals, dtype=np.float64)
+            check_finite(cache, "signal distance row", "t, k")
+            negative = cache < 0.0
+            if negative.any():
+                t, k = (int(i) for i in np.unravel_index(np.argmax(negative), shape))
+                raise ValueError(f"signal distance row entry (t, k) = ({t}, {k}) is negative: "
+                                 f"{cache[t, k]}")
+        elif len(shape) != 3 or shape[:2] != (n_steps, n):
+            raise ValueError(f"expected ({n_steps}, {n}, Q) signals or ({n_steps}, {width}) "
+                             f"distance rows, got {shape}")
     fit = FitData.build(adj, mask, h)
 
     history = RunHistory()
@@ -130,7 +147,8 @@ def run_dgd(adj, mask, signals, h, seed):
                 stacklevel=2,
             )
 
-        cache = None if h.delta == 0.0 else build_cache(signals)
+        if h.delta != 0.0 and cache is None:
+            cache = build_cache(signals)
 
         rng = np.random.default_rng(seed)
         d = initialize(rng, n, n_steps, h.n_latents)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace as dc_replace
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -18,7 +19,8 @@ from .baselines import METHODS
 from .datagen import join_pool, mask_seed, observed_fraction, sample_mask, swdyn, worker_count
 from .io_dgt import write_csv
 from .model import NumericalAbort, check_number, reconstruct
-from .tensors import SliceEntries, check_finite, check_mask
+from .priors import distance_row
+from .tensors import SliceEntries, check_finite, check_mask, triangle
 
 
 class UndefinedMetricError(ValueError):
@@ -244,8 +246,10 @@ def sweep(
     the CSV does not depend on the worker count. An error a cell does not turn
     into NaN reaches the caller with its type and message, and the warnings a
     cell raised are emitted again here, in cell order. Peak memory is about
-    the worker count times that of one cell. The workers split the CPUs
-    evenly, so the generator of a cell filters on its worker's share of them.
+    the worker count times that of one cell, which holds no (T, N, Q) signal
+    stack (:func:`_sweep_cell`) and so does not grow with the signal count.
+    The workers split the CPUs evenly, so the generator of a cell filters on
+    its worker's share of them.
     """
     if kind not in ("rank", "observed"):
         raise ValueError(f"sweep kind must be 'rank' or 'observed', got {kind!r}")
@@ -312,7 +316,13 @@ def _sweep_cell(cell):
     """The rows of one sweep cell and the warnings raised while computing them.
 
     Generates the cell's data, mask, held-out entries and edge threshold once,
-    then fits and scores each method in order; a cell that cannot be scored
+    then fits and scores each method in order. Of the signals the cell keeps
+    only what dgd reads, the packed distance row of each step, which the
+    generator forms as soon as the step is filtered (datagen.swdyn's
+    reduce); it keeps nothing of them when no method reads them (no dgd, or
+    delta 0: nsdgd runs at delta 0, and unc and cpd never read them). So no
+    (T, N, Q) stack is formed, and the rows go to every method in place of
+    the signals (driver.run_dgd takes either). A cell that cannot be scored
     (:func:`_held_out` raises UndefinedMetricError) fits none. A method whose
     fit fails, and a cell that cannot be scored, warn why and keep NaN
     metrics. Returns (rows, [(message, category, filename, lineno), ...]).
@@ -323,7 +333,10 @@ def _sweep_cell(cell):
     spec, h, frac, param, s, methods, timing = cell
     rows = []
     with warnings.catch_warnings(record=True) as caught:
-        adj, signals, truth = swdyn(dc_replace(spec, seed=s))
+        smooth = h.delta != 0.0 and "dgd" in methods
+        reduce = partial(distance_row, at=triangle(spec.n_nodes)[0]) if smooth else _nothing
+        adj, signals, truth = swdyn(dc_replace(spec, seed=s), reduce)
+        signals = signals if smooth else None
         mask = sample_mask(spec.n_nodes, spec.n_steps, frac, mask_seed(s, frac))
         try:
             held, threshold = _held_out(reconstruct(truth), mask, None)
@@ -345,6 +358,11 @@ def _sweep_cell(cell):
             seconds = float(elapsed) if timing else 0.0
             rows.append(dict(zip(SWEEP_COLUMNS, (name, param, s, *metrics, seconds))))
     return rows, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _nothing(k, x):
+    """A sweep cell's reducer when no method reads the signals: an empty row."""
+    return np.empty(0)
 
 
 def write_sweep_csv(rows, path):

@@ -199,6 +199,14 @@ def reconstruct(d):
     return np.einsum("tr,rij->tij", d.signatures, d.latents)
 
 
+def check_smoothness(h, rows):
+    """ValueError naming delta when it is nonzero but `rows`, the smoothness
+    statistics its term reads, are None: they were built without the
+    signals' smoothness rows (cache)."""
+    if h.delta != 0.0 and rows is None:
+        raise ValueError(f"delta = {h.delta} needs the signals' smoothness rows (cache)")
+
+
 def objective(d, fit, cache, h, stats=None):
     """Evaluate the full objective, split by term.
 
@@ -216,10 +224,9 @@ def objective(d, fit, cache, h, stats=None):
         )
     if stats is None:
         stats = fit.c_stats(d.latents, cache)
+    check_smoothness(h, stats.traces)
     smoothness = 0.0
     if h.delta != 0.0:
-        if stats.traces is None:
-            raise ValueError(f"delta = {h.delta} needs the signals' smoothness rows (cache)")
         smoothness = h.delta * (0.5 * float(np.sum(d.signatures * stats.traces)))
     return ObjectiveBreakdown(
         fit=fit.value(d.signatures, d.latents, stats),

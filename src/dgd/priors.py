@@ -26,16 +26,10 @@ from .tensors import as_stack, check_finite, project_sa, triangle
 def build_cache(x):
     """The packed pairwise squared-distance slices of a (T, N, Q) signal stack.
 
-    Returns (T, M + N) rows, M = N(N-1)/2, row t Z_t packed as
-    :func:`tensors.triangle` orders it, where Z_t[i, j] =
-    ||X_t[i, :] - X_t[j, :]||_2^2 off the diagonal and Z_t[i, i] = 0.
-    Each Z_t = project_sa(sq_t 1' + 1 sq_t' - 2 X_t X_t'), sq_t the squared
-    row norms of X_t, is formed as an N x N slice and gathered into its row
-    before the next is formed, so set-up needs no (T, N, N) array at all.
-    x is any slice stack (:func:`tensors.as_stack`) and is read one slice at
-    a time; each slice must be finite, else ValueError names the entry's
-    (t, i, q), and so must its Z_t, else ValueError names the step t whose
-    signals are too large for float64, with no numpy warning before it.
+    Returns (T, M + N) rows, M = N(N-1)/2, row t the :func:`distance_row`
+    of X_t, so set-up needs no (T, N, N) array at all. x is any slice stack
+    (:func:`tensors.as_stack`) and is read one slice at a time, with the
+    checks of :func:`distance_row`.
     """
     x = as_stack(x)
     if len(x.shape) != 3:
@@ -43,18 +37,33 @@ def build_cache(x):
     at = triangle(x.shape[1])[0]
     z = np.empty((x.shape[0], at.size))
     for t in range(len(z)):
-        xt = np.asarray(x[t], dtype=np.float64)
-        check_finite(xt, "signal", "t, i, q", at=(t,))
-        with np.errstate(over="ignore", invalid="ignore"):
-            sq = np.einsum("nq,nq->n", xt, xt)
-            # project_sa keeps the exact invariants: symmetric, nonnegative, zero diagonal
-            z[t] = project_sa(sq[:, None] + sq[None, :] - 2.0 * (xt @ xt.T)).take(at)
-        if not np.isfinite(z[t]).all():
-            raise ValueError(
-                f"signal step {t}: squared distances overflow float64 "
-                f"(max |x| = {float(np.max(np.abs(xt))):.3e})"
-            )
+        z[t] = distance_row(t, np.asarray(x[t], dtype=np.float64), at)
     return z
+
+
+def distance_row(t, xt, at):
+    """Z_t of the (N, Q) float64 signals xt of step t, packed at `at`.
+
+    at is :func:`tensors.triangle`'s first index array for N, so the row has
+    M + N entries, where Z_t[i, j] = ||X_t[i, :] - X_t[j, :]||_2^2 off the
+    diagonal and Z_t[i, i] = 0. Z_t = project_sa(sq 1' + 1 sq' - 2 X_t X_t'),
+    sq the squared row norms of X_t, is formed as one N x N slice. xt must be
+    finite, else ValueError names the entry's (t, i, q), and so must Z_t,
+    else ValueError names the step t whose signals are too large for
+    float64, with no numpy warning before it. :func:`build_cache` and a sweep
+    cell's generator (:func:`datagen.swdyn`) both form their rows here.
+    """
+    check_finite(xt, "signal", "t, i, q", at=(t,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("nq,nq->n", xt, xt)
+        # project_sa keeps the exact invariants: symmetric, nonnegative, zero diagonal
+        row = project_sa(sq[:, None] + sq[None, :] - 2.0 * (xt @ xt.T)).take(at)
+    if not np.isfinite(row).all():
+        raise ValueError(
+            f"signal step {t}: squared distances overflow float64 "
+            f"(max |x| = {float(np.max(np.abs(xt))):.3e})"
+        )
+    return row
 
 
 def overlap_h(latents):

@@ -182,3 +182,18 @@ def test_solve_aborts_on_nonfinite_data():
     with pytest.raises(NumericalAbort):
         solve_a_subproblem(d, 0, fit, h, np.random.default_rng(0), fit.a_stats(d.signatures))
 
+
+
+def test_gradient_names_delta_without_smoothness_rows():
+    # the default delta = 0.001 reads Xi, which statistics built without the
+    # Z rows (cache None) lack: ValueError naming delta, as objective raises
+    t, n = 3, 4
+    rng = np.random.default_rng(5)
+    fit = FitData.build(rng.random((t, n, n)), np.ones((t, n, n)), Hyperparams())
+    d = Decomposition(rng.random((2, n, n)), rng.random((t, 2)))
+    h = Hyperparams()
+    ws = build_a_workspace(d, 0, h, rng=rng)
+    with pytest.raises(ValueError, match=r"^delta = 0\.001 needs the signals' smoothness rows"):
+        grad_a_lagrangian(d.latents[0], ws, d, fit, None, h)
+    # at delta = 0 no row is read
+    assert np.isfinite(grad_a_lagrangian(d.latents[0], ws, d, fit, None, h.replace(delta=0.0))).all()

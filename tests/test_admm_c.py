@@ -149,3 +149,20 @@ def test_solve_aborts_on_nonfinite_data():
     d = Decomposition(latents, np.ones((t, 1)))
     with pytest.raises(NumericalAbort):
         solve_c_subproblem(d, fit, h, np.random.default_rng(0), fit.c_stats(d.latents))
+
+
+def test_gradient_names_delta_without_smoothness_rows():
+    # the default delta = 0.001 reads the traces <Z_t, A_r>, which statistics
+    # built without the Z rows (cache None) lack: ValueError naming delta, as
+    # objective raises
+    t, n = 3, 4
+    rng = np.random.default_rng(5)
+    fit = FitData.build(rng.random((t, n, n)), np.ones((t, n, n)), Hyperparams())
+    d = Decomposition(rng.random((2, n, n)), rng.random((t, 2)))
+    h = Hyperparams()
+    ws = build_c_workspace(d.latents, t, h, rng=rng)
+    with pytest.raises(ValueError, match=r"^delta = 0\.001 needs the signals' smoothness rows"):
+        grad_c_lagrangian(d.signatures, ws, d.latents, fit, None, h)
+    # at delta = 0 no row is read
+    g = grad_c_lagrangian(d.signatures, ws, d.latents, fit, None, h.replace(delta=0.0))
+    assert np.isfinite(g).all()

@@ -1,6 +1,7 @@
 """Synthetic generator: SBM, smooth signals, masks, the blended dataset."""
 
 import dataclasses
+import functools
 import itertools
 import sys
 import threading
@@ -21,6 +22,8 @@ from dgd.datagen import (
     swdyn,
 )
 from dgd.model import reconstruct
+from dgd.priors import build_cache, distance_row
+from dgd.tensors import triangle
 
 from helpers import is_hollow, is_symmetric, set_cpus
 
@@ -238,6 +241,11 @@ def test_swdyn_noise_is_symmetric_hollow_and_optionally_clipped():
     assert adj.min() < 0.0
 
 
+def _rows(spec):
+    """The reducer a sweep cell hands swdyn: each step's packed distance row."""
+    return functools.partial(distance_row, at=triangle(spec.n_nodes)[0])
+
+
 def _serial_swdyn(spec):
     """swdyn by the plain formula: one stream, latents, then per step a
     (N, Q) white-noise draw and its filter, the inverse of I + alpha L times
@@ -285,6 +293,14 @@ def test_swdyn_matches_the_serial_formula_bytes(monkeypatch, cpus, kw):
     assert signals.tobytes() == want_signals.tobytes()
     assert adj.tobytes() == want_adj.tobytes()
     assert truth.latents.tobytes() == want_latents.tobytes()
+    # reduced step by step: the rows build_cache forms of the whole stack,
+    # and the stream, so the adjacency and the truth, unchanged
+    adj, rows, truth = swdyn(spec, _rows(spec))
+    assert rows.dtype == np.float64 and rows.shape == (spec.n_steps, 78)
+    assert rows.tobytes() == build_cache(want_signals).tobytes()
+    assert adj.tobytes() == want_adj.tobytes()
+    assert truth.latents.tobytes() == want_latents.tobytes()
+    assert truth.signatures.tobytes() == swdyn(spec)[2].signatures.tobytes()
 
 
 def test_swdyn_bytes_hold_with_more_threads_than_cores(monkeypatch):
@@ -296,16 +312,22 @@ def test_swdyn_bytes_hold_with_more_threads_than_cores(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         _, signals, _ = swdyn(spec)
+        _, rows, _ = swdyn(spec, _rows(spec))
     finally:
         sys.setswitchinterval(interval)
-    assert signals.tobytes() == _serial_swdyn(spec)[1].tobytes()
+    want = _serial_swdyn(spec)[1]
+    assert signals.tobytes() == want.tobytes()
+    assert rows.tobytes() == build_cache(want).tobytes()
 
 
 @CPUS
 def test_swdyn_leaves_no_thread_behind(monkeypatch, cpus):
     set_cpus(monkeypatch, cpus)
     before = threading.active_count()
-    swdyn(SwDynSpec(n_nodes=8, n_steps=6, n_signals=4))
+    spec = SwDynSpec(n_nodes=8, n_steps=6, n_signals=4)
+    swdyn(spec)
+    assert threading.active_count() == before
+    swdyn(spec, _rows(spec))
     assert threading.active_count() == before
 
 
@@ -313,36 +335,42 @@ def test_swdyn_leaves_no_thread_behind(monkeypatch, cpus):
 def test_swdyn_step_error_reaches_the_caller(monkeypatch, cpus):
     set_cpus(monkeypatch, cpus)
     inv = np.linalg.inv
-    calls = itertools.count()
-
-    def failing_inv(a):
-        if next(calls) == 2:
-            raise np.linalg.LinAlgError("step 2 is singular")
-        return inv(a)
-
-    monkeypatch.setattr(np.linalg, "inv", failing_inv)
+    spec = SwDynSpec(n_nodes=8, n_steps=6, n_signals=4)
     before = threading.active_count()
-    with pytest.raises(np.linalg.LinAlgError, match="^step 2 is singular$"):
-        swdyn(SwDynSpec(n_nodes=8, n_steps=6, n_signals=4))
-    assert threading.active_count() == before
+    for reduce in (None, _rows(spec)):
+        calls = itertools.count()
+
+        def failing_inv(a):
+            if next(calls) == 2:
+                raise np.linalg.LinAlgError("step 2 is singular")
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", failing_inv)
+        with pytest.raises(np.linalg.LinAlgError, match="^step 2 is singular$"):
+            swdyn(spec, reduce)
+        assert threading.active_count() == before
 
 
 @CPUS
 def test_swdyn_peak_memory_is_the_outputs_plus_a_few_slices_per_worker(monkeypatch, cpus):
     # the signal stack is built in place: beyond the outputs, each worker
-    # holds only its filter's few N x N temporaries and one (N, Q) product
+    # holds only its filter's few N x N temporaries and one (N, Q) product.
+    # Reduced step by step, no stack is formed at all: on top of that, at
+    # most one step more than the workers is drawn ahead
     set_cpus(monkeypatch, cpus)
     spec = SwDynSpec(n_nodes=60, n_steps=30, n_signals=200)
-    swdyn(spec)  # first-call allocations stay out of the measurement
-    tracemalloc.start()
-    try:
-        adj, signals, truth = swdyn(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    outputs = adj.nbytes + signals.nbytes + truth.latents.nbytes + truth.signatures.nbytes
-    per_worker = 2 * signals[0].nbytes + 4 * adj[0].nbytes
-    assert peak - outputs <= len(cpus) * per_worker + 64 * 1024
+    step = spec.n_nodes * spec.n_signals * 8
+    for reduce, drawn in ((None, 0), (_rows(spec), len(cpus) + 1)):
+        swdyn(spec, reduce)  # first-call allocations stay out of the measurement
+        tracemalloc.start()
+        try:
+            adj, signals, truth = swdyn(spec, reduce)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = adj.nbytes + signals.nbytes + truth.latents.nbytes + truth.signatures.nbytes
+        per_worker = 2 * step + 4 * adj[0].nbytes
+        assert peak - outputs <= drawn * step + len(cpus) * per_worker + 64 * 1024
 
 
 @CPUS

@@ -204,6 +204,46 @@ def test_signals_are_checked_before_any_slice_is_read(signals):
     assert (adj.reads, mask.reads) == (0, 0)
 
 
+_SHAPES = r"^expected \(8, 5, Q\) signals or \(8, 15\) distance rows, got "
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda z: z[:, :-1], _SHAPES + r"\(8, 14\)$"),
+        (lambda z: z[:-1], _SHAPES + r"\(7, 15\)$"),
+        (lambda z: np.where(np.arange(15) == 4, np.nan, z),
+         r"^signal distance row entry \(t, k\) = \(0, 4\) is not finite: nan$"),
+        (lambda z: np.where((np.arange(8) == 6)[:, None] & (np.arange(15) == 2), -1e-300, z),
+         r"^signal distance row entry \(t, k\) = \(6, 2\) is negative: -1e-300$"),
+    ],
+    ids=["narrow", "short", "nan", "negative"],
+)
+def test_distance_rows_are_checked_before_any_slice_is_read(edit, match):
+    adj, mask = _small_problem(8, t=8, n=5)
+    rows = edit(build_cache(np.random.default_rng(2).standard_normal((8, 5, 3))))
+    adj, mask = _CountingStack(adj), _CountingStack(mask)
+    with pytest.raises(ValueError, match=match):
+        run_dgd(adj, mask, rows, Hyperparams(delta=0.1), seed=0)
+    assert (adj.reads, mask.reads) == (0, 0)
+
+
+def test_distance_rows_give_the_run_of_their_signals():
+    # the rows are the cache the run builds of the signals, so the run is the
+    # same bytes; the rows themselves are read, never written
+    adj, mask = _small_problem(9, t=6, n=6)
+    signals = np.random.default_rng(3).standard_normal((6, 6, 4))
+    rows = build_cache(signals)
+    kept = rows.copy()
+    h = Hyperparams(delta=0.3, outer_iters=3)
+    d, hist = run_dgd(adj, mask, signals, h, seed=1)
+    d_rows, hist_rows = run_dgd(adj, mask, rows, h, seed=1)
+    assert d_rows.latents.tobytes() == d.latents.tobytes()
+    assert d_rows.signatures.tobytes() == d.signatures.tobytes()
+    assert hist_rows.totals == hist.totals
+    assert rows.tobytes() == kept.tobytes()
+
+
 def test_input_shape_validation():
     with pytest.raises(ValueError):
         run_dgd(np.zeros((3, 4, 5)), np.zeros((3, 4, 5)), None, Hyperparams(delta=0.0), 0)

@@ -678,6 +678,37 @@ def test_sweep_workers_split_the_cpus(monkeypatch, cpus, share):
     assert worker_count(100) == len(cpus)
 
 
+@pytest.mark.parametrize(
+    "cpus, methods",
+    [({0}, tuple(METHODS)), ({0, 1}, tuple(METHODS)), ({0}, ("nsdgd", "unc", "cpd"))],
+    ids=["one_cpu", "threaded_generator", "no_dgd"],
+)
+def test_sweep_cell_holds_no_signal_stack(monkeypatch, cpus, methods):
+    # Q >> N: a cell keeps each step's signals only as its distance row, so it
+    # peaks far below the (T, N, Q) stack; with two CPUs and one cell, the cell
+    # runs here and its generator filters on two threads
+    set_cpus(monkeypatch, cpus)
+    spec = SwDynSpec(n_nodes=8, n_steps=30, n_signals=2000)
+    h = Hyperparams(inner_iters=2, outer_iters=2)
+
+    def run():
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            return sweep("observed", [0.7], spec, h, seed=0, repeats=1, methods=methods)
+
+    run()  # first-call allocations stay out of the measurement
+    tracemalloc.start()
+    try:
+        rows = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = spec.n_steps * spec.n_nodes * spec.n_signals * 8
+    assert peak < stack / 2, (peak, stack)
+    assert [row["method"] for row in rows] == list(methods)
+    assert all(math.isfinite(row["re"]) for row in rows)
+
+
 def test_write_sweep_csv_uses_lf_only(tmp_path):
     rows = [
         {
