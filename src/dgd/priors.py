@@ -37,7 +37,8 @@ def build_cache(x):
     at = triangle(x.shape[1])[0]
     z = np.empty((x.shape[0], at.size))
     for t in range(len(z)):
-        z[t] = distance_row(t, np.asarray(x[t], dtype=np.float64), at)
+        xt = np.asarray(x[t], dtype=np.float64)
+        z[t] = distance_row(t, xt, at)
     return z
 
 
