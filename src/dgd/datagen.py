@@ -10,7 +10,6 @@ per step by low-pass filtering white noise through the blended Laplacian.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,30 +57,15 @@ class SwDynSpec:
         return settings_from_dict(cls, cfg, "unknown generator setting {!r}")
 
 
-# processes of the pool this process works in, all on the same CPUs; only a
-# pool worker sets it (join_pool), so elsewhere it stays 1
-_pool_size = 1
-
-
-def join_pool(size):
-    """Pool initializer: this worker shares its CPUs with size - 1 others."""
-    global _pool_size
-    _pool_size = size
-
-
 def worker_count(n_tasks):
-    """Workers for n_tasks independent tasks: one per CPU left to this process,
-    at least 1 and at most n_tasks.
-
-    The CPUs are those this process may run on (os.sched_getaffinity, one
-    where the platform has no CPU affinity), split evenly between the
-    processes of the pool it works in, if any (join_pool).
-    """
+    """Workers for n_tasks independent tasks: one per CPU this process may run
+    on (os.sched_getaffinity, one where the platform has no CPU affinity), and
+    at most n_tasks."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         cpus = 1
-    return min(max(1, cpus // _pool_size), n_tasks)
+    return min(cpus, n_tasks)
 
 
 def sbm_graph(block_sizes, p_in, p_out, seed):
@@ -126,8 +110,10 @@ def sample_mask(n_nodes, n_steps, observed_frac, seed):
     """Observe each unordered node pair independently per step.
 
     The mask is symmetric with an all-ones diagonal (the diagonal carries no
-    edges either way). observed_frac = 1 gives the full mask.
+    edges either way). observed_frac = 1 gives the full mask; it must be a
+    finite number in [0, 1], else ValueError naming observed_frac.
     """
+    check_number("observed_frac", observed_frac)
     if not 0.0 <= observed_frac <= 1.0:
         raise ValueError(f"observed_frac must lie in [0, 1], got {observed_frac}")
     rng = np.random.default_rng(seed)
@@ -163,79 +149,56 @@ def swdyn(spec, reduce=None):
 
     Every step's white noise is drawn in the calling thread, from the one
     seeded stream in step order: latents, steps 0..T-1, then the edge noise.
-    The per-step filters (:func:`_low_pass`), and reduce, run on a thread
-    pool, one thread per CPU left to this process and at most T
-    (worker_count). The filters and the draws release the GIL, so drawing
-    one step overlaps the filters of earlier ones. Without reduce each step
-    is drawn straight into the signal stack and overwritten by its filter;
-    with it, each step is a fresh (N, Q) draw, and at most one more step
-    than there are workers is drawn ahead of the oldest unfinished one, so
-    no stack of signals is formed. With one worker the steps run in the
-    calling thread, one after another. Either way the output is the same
-    bytes, and no thread outlives the call.
+    With reduce, the steps run one after another in the calling thread: each
+    is a fresh (N, Q) draw, filtered (:func:`_low_pass`) and reduced before the
+    next is drawn, so no stack of signals is formed. Without it, each step is
+    drawn straight into the signal stack and overwritten by its filter, the
+    filters running on a thread pool, one thread per CPU this process may run
+    on and at most T (worker_count). The filters and the draws release the
+    GIL, so drawing one step overlaps the filters of earlier ones; with one
+    worker the filters run in the calling thread. Either way the output is the
+    same bytes, and no thread outlives the call.
     """
     rng = np.random.default_rng(spec.seed)
-    n, t = spec.n_nodes, spec.n_steps
+    n, t, q = spec.n_nodes, spec.n_steps, spec.n_signals
     ramp = np.linspace(1.0, 0.0, t)
     signatures = np.stack([ramp, 1.0 - ramp], axis=1)
     k1, k2 = spec.communities_start, spec.communities_end
     latents = np.stack([sbm_graph([n // k] * k, spec.p_in, spec.p_out, rng) for k in (k1, k2)])
     truth = Decomposition(latents, signatures)
     clean = reconstruct(truth)
-    workers = worker_count(t)
 
-    if reduce is None:
-        out = np.empty((t, n, spec.n_signals))
-        ahead = t
-
-        def draw(k):
-            return rng.standard_normal(out=out[k])
-
-        def step(k, white):
-            white[...] = _low_pass(clean[k], spec.alpha, white)
-
-        def keep(k, _):
-            pass
-
-    else:
+    if reduce is not None:
         out = None
-        ahead = workers + 1
-
-        def draw(k):
-            return rng.standard_normal((n, spec.n_signals))
-
-        def step(k, white):
-            return reduce(k, _low_pass(clean[k], spec.alpha, white))
-
-        def keep(k, row):
-            nonlocal out
+        for k in range(t):
+            row = reduce(k, _low_pass(clean[k], spec.alpha, rng.standard_normal((n, q))))
             if out is None:
                 out = np.empty((t,) + row.shape, row.dtype)
             out[k] = row
-
-    if workers <= 1:
-        for k in range(t):
-            keep(k, step(k, draw(k)))
     else:
-        # imported here, as in evaluation._map_cells: the processes that never
-        # generate data do not load concurrent.futures (~0.8 MB RSS)
-        from concurrent.futures import ThreadPoolExecutor
+        out = np.empty((t, n, q))
 
-        # each step is submitted as soon as it is drawn, and kept in step order;
-        # the oldest unfinished step is kept before a step beyond `ahead` is drawn
-        pending = deque()
-        with ThreadPoolExecutor(workers) as pool:
-            try:
-                for k in range(t):
-                    if len(pending) == ahead:
-                        keep(k - ahead, pending.popleft().result())
-                    pending.append(pool.submit(step, k, draw(k)))
-                for k in range(t - len(pending), t):
-                    keep(k, pending.popleft().result())
-            finally:
-                # after a failed step, the steps not yet started never start
-                for future in pending:
-                    future.cancel()
+        def drawn_steps():
+            for k in range(t):
+                rng.standard_normal(out=out[k])
+                yield k
+
+        def filter_step(k):
+            out[k] = _low_pass(clean[k], spec.alpha, out[k])
+
+        workers = worker_count(t)
+        if workers <= 1:
+            for k in drawn_steps():
+                filter_step(k)
+        else:
+            # imported here, as in evaluation._map_cells: the processes that never
+            # generate a signal stack do not load concurrent.futures (~0.8 MB RSS)
+            from concurrent.futures import ThreadPoolExecutor
+
+            # map submits each step as soon as the generator has drawn it
+            with ThreadPoolExecutor(workers) as pool:
+                for _ in pool.map(filter_step, drawn_steps()):
+                    pass
     if spec.noise_sigma > 0:
         _add_edge_noise(clean, spec.noise_sigma, rng)
     return clean, out, truth

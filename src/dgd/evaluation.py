@@ -16,7 +16,7 @@ from time import perf_counter
 import numpy as np
 
 from .baselines import METHODS
-from .datagen import join_pool, mask_seed, observed_fraction, sample_mask, swdyn, worker_count
+from .datagen import mask_seed, observed_fraction, sample_mask, swdyn, worker_count
 from .io_dgt import write_csv
 from .model import NumericalAbort, check_number, reconstruct
 from .priors import distance_row
@@ -248,8 +248,8 @@ def sweep(
     cell raised are emitted again here, in cell order. Peak memory is about
     the worker count times that of one cell, which holds no (T, N, Q) signal
     stack (:func:`_sweep_cell`) and so does not grow with the signal count.
-    The workers split the CPUs evenly, so the generator of a cell filters on
-    its worker's share of them.
+    A cell generates its data serially, on its process's main thread, so the
+    cells are the one level of parallelism.
     """
     if kind not in ("rank", "observed"):
         raise ValueError(f"sweep kind must be 'rank' or 'observed', got {kind!r}")
@@ -293,7 +293,9 @@ def sweep(
 
 
 def _map_cells(cells):
-    """_sweep_cell over cells, in order; a fork pool when more than one CPU and cell."""
+    """_sweep_cell over cells, in order; a fork pool when more than one CPU and
+    cell, one worker process per CPU and at most one per cell (worker_count),
+    each running its cells on its main thread."""
     workers = worker_count(len(cells))
     if workers <= 1:
         return list(map(_sweep_cell, cells))
@@ -302,13 +304,7 @@ def _map_cells(cells):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # join_pool: a cell's swdyn runs its filter threads on its worker's share of the CPUs
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=join_pool,
-        initargs=(workers,),
-    ) as pool:
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         return list(pool.map(_sweep_cell, cells))
 
 
@@ -318,17 +314,18 @@ def _sweep_cell(cell):
     Generates the cell's data, mask, held-out entries and edge threshold once,
     then fits and scores each method in order. Of the signals the cell keeps
     only what dgd reads, the packed distance row of each step, which the
-    generator forms as soon as the step is filtered (datagen.swdyn's
-    reduce); it keeps nothing of them when no method reads them (no dgd, or
-    delta 0: nsdgd runs at delta 0, and unc and cpd never read them). So no
-    (T, N, Q) stack is formed, and the rows go to every method in place of
-    the signals (driver.run_dgd takes either). A cell that cannot be scored
-    (:func:`_held_out` raises UndefinedMetricError) fits none. A method whose
-    fit fails, and a cell that cannot be scored, warn why and keep NaN
-    metrics. Returns (rows, [(message, category, filename, lineno), ...]).
-    Warnings meet the filters in force before they are recorded, so a warning
-    an "error" filter turns into an exception is raised inside the cell, as
-    it would be without the recording.
+    generator forms as soon as the step is filtered, one step after another
+    on the calling thread (datagen.swdyn's reduce); it keeps nothing of them
+    when no method reads them (no dgd, or delta 0: nsdgd runs at delta 0, and
+    unc and cpd never read them). So no (T, N, Q) stack is formed, and the
+    rows go to every method in place of the signals (driver.run_dgd takes
+    either). A cell that cannot be scored (:func:`_held_out` raises
+    UndefinedMetricError) fits none. A method whose fit fails, and a cell
+    that cannot be scored, warn why and keep NaN metrics. Returns (rows,
+    [(message, category, filename, lineno), ...]). Warnings meet the filters
+    in force before they are recorded, so a warning an "error" filter turns
+    into an exception is raised inside the cell, as it would be without the
+    recording.
     """
     spec, h, frac, param, s, methods, timing = cell
     rows = []

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import re
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures.process import BrokenProcessPool
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgd.baselines import METHODS
-from dgd.datagen import SwDynSpec, sample_mask, swdyn, worker_count
+from dgd import datagen
+from dgd.datagen import SwDynSpec, sample_mask, swdyn
 from dgd.driver import run_dgd
 from dgd.evaluation import (
     UndefinedMetricError,
@@ -663,30 +665,40 @@ def test_sweep_worker_that_dies_raises_instead_of_hanging(monkeypatch):
         sweep("observed", [0.6, 0.9], spec, h, seed=0, repeats=1, methods=("cpd",))
 
 
-@pytest.mark.parametrize("cpus,share", [({0, 1}, 1), (range(4), 2)], ids=["two_cpus", "four_cpus"])
-def test_sweep_workers_split_the_cpus(monkeypatch, cpus, share):
-    # two cells, two workers: each may run swdyn on its share of the CPUs only
+@pytest.mark.parametrize(
+    "cpus, grid", [(range(4), [0.6, 0.9]), ({0, 1}, [0.6])], ids=["four_cpus", "two_cpus_one_cell"]
+)
+def test_sweep_cell_filters_on_its_main_thread(monkeypatch, cpus, grid):
+    # one level of parallelism: the cells run in forked worker processes, or
+    # here when there is one cell, and each generates its data on its
+    # process's main thread, with no filter threads of its own
     set_cpus(monkeypatch, cpus)
+    low_pass = datagen._low_pass
+    calls = []
 
-    def report_share(*args):
-        raise RuntimeError(f"filter threads {worker_count(100)}")
+    def main_thread_only(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError(f"_low_pass ran on thread {threading.current_thread().name}")
+        calls.append(os.getpid())
+        return low_pass(*args)
 
-    monkeypatch.setitem(METHODS, "cpd", report_share)
+    monkeypatch.setattr(datagen, "_low_pass", main_thread_only)
     spec, h = _tiny_sweep_args()
-    with pytest.raises(RuntimeError, match=f"^filter threads {share}$"):
-        sweep("observed", [0.6, 0.9], spec, h, seed=0, repeats=1, methods=("cpd",))
-    assert worker_count(100) == len(cpus)
+    rows = sweep("observed", grid, spec, h, seed=0, repeats=1, methods=("cpd",))
+    assert [row["param"] for row in rows] == grid
+    if len(grid) == 1:
+        assert calls == [os.getpid()] * spec.n_steps
 
 
 @pytest.mark.parametrize(
     "cpus, methods",
     [({0}, tuple(METHODS)), ({0, 1}, tuple(METHODS)), ({0}, ("nsdgd", "unc", "cpd"))],
-    ids=["one_cpu", "threaded_generator", "no_dgd"],
+    ids=["one_cpu", "two_cpus", "no_dgd"],
 )
 def test_sweep_cell_holds_no_signal_stack(monkeypatch, cpus, methods):
     # Q >> N: a cell keeps each step's signals only as its distance row, so it
     # peaks far below the (T, N, Q) stack; with two CPUs and one cell, the cell
-    # runs here and its generator filters on two threads
+    # runs here and generates its data one step after another
     set_cpus(monkeypatch, cpus)
     spec = SwDynSpec(n_nodes=8, n_steps=30, n_signals=2000)
     h = Hyperparams(inner_iters=2, outer_iters=2)

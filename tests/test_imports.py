@@ -137,3 +137,13 @@ def test_no_branch_tests_an_unconditional_weight():
                            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
                            and n.value.id == "h" and n.attr in UNCONDITIONAL_WEIGHTS]
     assert tested == []
+
+
+def test_no_module_holds_a_global_statement():
+    # per-process state kept in a module global reaches every caller of the
+    # module, forked pool workers included; a value a call needs is passed in
+    found = []
+    for path in sorted(Path(dgd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Global)]
+    assert found == []
