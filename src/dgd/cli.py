@@ -113,6 +113,9 @@ def _cmd_decompose(args):
         mask = files.enter_context(DgtSlices(args.mask, "mask"))
         signals = files.enter_context(DgtSlices(args.signals, "signals")) if args.signals else None
         h = Hyperparams.from_dict(_load_json(args.config, "--config") if args.config else {})
+        if args.method == "dgd" and signals is None and h.delta != 0.0:
+            raise ValueError(f"--method dgd needs --signals at delta = {h.delta}; "
+                             "give --signals, or set delta to 0 in --config")
         d, breakdowns = METHODS[args.method](adj, mask, signals, h, args.seed)
     out.mkdir(parents=True, exist_ok=True)
     save_dgt(out / "latents.dgt", d.latents, "latents")
@@ -207,7 +210,7 @@ def build_parser():
     p = sub.add_parser("decompose", help="fit a method to observed data")
     p.add_argument("--adj", required=True, help="adjacency .dgt file")
     p.add_argument("--mask", required=True, help="mask .dgt file")
-    p.add_argument("--signals", help="signals .dgt file (needed when delta > 0)")
+    p.add_argument("--signals", help="signals .dgt file (read by --method dgd when delta > 0)")
     p.add_argument("--config", help="hyperparameter JSON (optional)")
     p.add_argument("--method", choices=sorted(METHODS), default="dgd")
     p.add_argument("--out-dir", required=True)
@@ -241,6 +244,12 @@ def main(argv=None):
     # a library warning shows as the command's errors do: no source path or line
     shown = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"dgd: warning: {message}\n"
+    # numpy.random imports hashlib and hmac only to seed from OS entropy, which
+    # maps OpenSSL (about 3.4 MB of RSS); dgd seeds every Generator and hashes
+    # nothing, so the command and its forked workers take CPython's own digests
+    blocked = "_hashlib" not in sys.modules
+    if blocked:
+        sys.modules["_hashlib"] = None
     try:
         return args.func(args)
     except NumericalAbort as err:
@@ -254,6 +263,8 @@ def main(argv=None):
         return 1
     finally:
         warnings.formatwarning = shown
+        if blocked:
+            sys.modules.pop("_hashlib", None)
 
 
 if __name__ == "__main__":
