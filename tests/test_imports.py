@@ -2,10 +2,13 @@
 names each of its modules imports."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import dgd
 
@@ -28,6 +31,115 @@ def test_import_loads_numpy_and_the_standard_library_only():
     # the worker pools import these only when they start (about 0.8 MB of RSS
     # for concurrent.futures alone), so a process that starts none loads none
     assert sorted(loaded & {"concurrent", "multiprocessing", "logging"}) == []
+
+
+# runs one dgd command, given as its arguments, in a fresh interpreter with
+# two CPUs, and prints what the command's process loaded and, for a sweep,
+# what each cell's forked worker loaded, which the cell reports as a warning
+# that the sweep emits again in the command's process
+_COMMAND_PROCESS = """
+import json, os, sys, warnings
+from dgd import cli, evaluation
+
+def loaded():
+    return {"pid": os.getpid(), "numpy.random": "numpy.random" in sys.modules,
+            "_hashlib": sys.modules.get("_hashlib") is not None}
+
+cell = evaluation._sweep_cell
+
+def reporting_cell(args):
+    rows, caught = cell(args)
+    return rows, [*caught, (json.dumps(loaded()), UserWarning, "cell", 0)]
+
+evaluation._sweep_cell = reporting_cell
+os.sched_getaffinity = lambda pid: {0, 1}
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "command": loaded(),
+                  "workers": [json.loads(str(w.message)) for w in caught if w.filename == "cell"]}))
+"""
+
+
+def _run_command(*args):
+    src = str(Path(dgd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", _COMMAND_PROCESS, *args], env=env,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_commands_and_sweep_workers_load_no_openssl(tmp_path):
+    # numpy.random imports hashlib and hmac, whose OpenSSL backend (_hashlib)
+    # maps libcrypto, about 3.4 MB of RSS; main blocks it, so hashlib falls
+    # back to CPython's own digests in the command and in its forked workers
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_nodes": 8, "n_steps": 6, "n_signals": 4, "observed_frac": 0.7}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"inner_iters": 2, "outer_iters": 1}))
+    data = tmp_path / "data"
+    commands = [["generate", "--spec", str(spec), "--out-dir", str(data), "--seed", "0"]]
+    commands += [["decompose", "--adj", str(data / "adjacency.dgt"), "--mask", str(data / "mask.dgt"),
+                  "--signals", str(data / "signals.dgt"), "--config", str(cfg), "--method", method,
+                  "--out-dir", str(tmp_path / method), "--seed", "0"]
+                 for method in ("dgd", "nsdgd", "unc", "cpd")]
+    for args in commands:
+        run = _run_command(*args)
+        assert run["code"] == 0, args[:1]
+        assert run["command"]["numpy.random"] and not run["command"]["_hashlib"], args[:1]
+        assert run["workers"] == []
+    run = _run_command("sweep", "--kind", "rank", "--grid", "1,2", "--repeats", "1",
+                       "--spec", str(spec), "--config", str(cfg), "--seed", "0",
+                       "--out", str(tmp_path / "sweep.csv"))
+    assert run["code"] == 0
+    assert not run["command"]["_hashlib"]
+    workers = run["workers"]
+    assert len(workers) == 2 and all(w["pid"] != run["command"]["pid"] for w in workers)
+    assert all(w["numpy.random"] and not w["_hashlib"] for w in workers)
+
+
+def test_main_leaves_the_openssl_module_entry_as_it_found_it(tmp_path, monkeypatch, capsys):
+    # main blocks _hashlib only while it runs and only when nothing loaded it:
+    # an absent entry stays absent, after a success and after an input error,
+    # and a loaded one stays the same module
+    from dgd.cli import main
+
+    openssl = pytest.importorskip("_hashlib")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_nodes": 8, "n_steps": 3, "n_signals": 2}))
+    generate = ["generate", "--spec", str(spec), "--out-dir", str(tmp_path / "data"), "--seed", "0"]
+    failing = ["generate", "--spec", str(tmp_path / "absent.json"), "--out-dir",
+               str(tmp_path / "none"), "--seed", "0"]
+    assert sys.modules["_hashlib"] is openssl
+    assert main(generate) == 0
+    assert sys.modules["_hashlib"] is openssl
+    monkeypatch.delitem(sys.modules, "_hashlib")
+    assert main(generate) == 0
+    assert "_hashlib" not in sys.modules
+    assert main(failing) == 1
+    assert "_hashlib" not in sys.modules
+    capsys.readouterr()
+
+
+# modules that reach OpenSSL: no dgd module may import one, so the command
+# line can block OpenSSL without losing anything dgd computes
+OPENSSL_MODULES = {"hashlib", "hmac", "secrets", "ssl", "_hashlib"}
+
+
+def test_no_module_imports_a_hash_or_ssl_module():
+    found = []
+    for path in sorted(Path(dgd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] in OPENSSL_MODULES]
+    assert found == []
 
 
 # names a module imports for its importers alone; dgd/__init__.py lists its own in __all__

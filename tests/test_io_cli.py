@@ -411,6 +411,30 @@ def test_decompose_runs_every_method(tmp_path, method):
     load_dgt(out / "signatures.dgt")
 
 
+def test_decompose_dgd_without_signals_names_the_flag(tmp_path, capsys):
+    # the message names the flag to give and the delta in force, not the
+    # library argument, and the run stops before the output directory exists
+    data = _generate(tmp_path)
+    capsys.readouterr()
+
+    def decompose(out, *extra):
+        return main(["decompose", "--adj", str(data / "adjacency.dgt"), "--mask",
+                     str(data / "mask.dgt"), "--out-dir", str(tmp_path / out), "--seed", "0", *extra])
+
+    assert decompose("out") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("dgd: error: --method dgd needs --signals at delta = 0.001; "
+                   "give --signals, or set delta to 0 in --config\n")
+    assert decompose("out", "--config", _write_json(tmp_path / "cfg.json", {"delta": 0.25})) == 1
+    assert "needs --signals at delta = 0.25;" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # at delta 0 dgd reads no signals (test_decompose_runs_every_method runs
+    # the other methods without them)
+    cfg = _write_json(tmp_path / "cfg.json", {"delta": 0, "inner_iters": 2, "outer_iters": 1})
+    assert decompose("dgd", "--config", cfg) == 0
+
+
 def test_decompose_negative_delta_names_the_key(tmp_path, capsys):
     data = _generate(tmp_path)
     cfg = _write_json(tmp_path / "bad.json", {"delta": -1.0})
