@@ -17,6 +17,8 @@ import warnings
 from contextlib import ExitStack
 from pathlib import Path
 
+import numpy as np
+
 from .baselines import METHODS
 from .datagen import SwDynSpec, mask_seed, observed_fraction, sample_mask, swdyn
 from .evaluation import (
@@ -24,7 +26,7 @@ from .evaluation import (
     component_analysis,
     sweep as run_sweep,
 )
-from .io_dgt import DgtSlices, load_dgt, save_dgt, write_csv
+from .io_dgt import DgtSlices, dgt_header, dgt_payload, load_dgt, save_dgt, write_csv
 from .model import OBJECTIVE_TERMS, Decomposition, Hyperparams, NumericalAbort, check_number
 
 
@@ -89,17 +91,27 @@ def _cmd_generate(args):
     spec, observed_frac = _read_spec(args)
     out = _out_dir(args.out_dir)
     observed_frac = 1.0 if observed_frac is None else observed_frac
-    adj, signals, truth = swdyn(spec)
-    mask = sample_mask(spec.n_nodes, spec.n_steps, observed_frac, mask_seed(args.seed, observed_frac))
     out.mkdir(parents=True, exist_ok=True)
+    # each step's signals go to the file as soon as they are filtered, so no
+    # (T, N, Q) stack is held; a failed step leaves a file that reads as truncated
+    with open(out / "signals.dgt", "wb") as fh:
+        fh.write(dgt_header("signals", (spec.n_steps, spec.n_nodes, spec.n_signals)))
+
+        def append(k, x):
+            fh.write(dgt_payload(x))
+            return np.empty(0)
+
+        adj, _, truth = swdyn(spec, append)
+    mask = sample_mask(spec.n_nodes, spec.n_steps, observed_frac, mask_seed(args.seed, observed_frac))
     for name, arr, kind in (
         ("adjacency.dgt", adj, "adjacency"),
         ("mask.dgt", mask, "mask"),
-        ("signals.dgt", signals, "signals"),
+        ("signals.dgt", None, "signals"),
         ("truth_latents.dgt", truth.latents, "latents"),
         ("truth_signatures.dgt", truth.signatures, "signatures"),
     ):
-        save_dgt(out / name, arr, kind)
+        if arr is not None:
+            save_dgt(out / name, arr, kind)
         print(f"wrote {out / name}")
     return 0
 

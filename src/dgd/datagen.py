@@ -9,7 +9,6 @@ per step by low-pass filtering white noise through the blended Laplacian.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,17 +54,6 @@ class SwDynSpec:
     def from_dict(cls, cfg):
         """Build from a settings mapping (:func:`model.settings_from_dict`)."""
         return settings_from_dict(cls, cfg, "unknown generator setting {!r}")
-
-
-def worker_count(n_tasks):
-    """Workers for n_tasks independent tasks: one per CPU this process may run
-    on (os.sched_getaffinity, one where the platform has no CPU affinity), and
-    at most n_tasks."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = 1
-    return min(cpus, n_tasks)
 
 
 def sbm_graph(block_sizes, p_in, p_out, seed):
@@ -147,17 +135,12 @@ def swdyn(spec, reduce=None):
         example :func:`priors.distance_row` with its `at` bound).
     truth : Decomposition holding the two planted graphs and their ramps.
 
-    Every step's white noise is drawn in the calling thread, from the one
-    seeded stream in step order: latents, steps 0..T-1, then the edge noise.
-    With reduce, the steps run one after another in the calling thread: each
-    is a fresh (N, Q) draw, filtered (:func:`_low_pass`) and reduced before the
-    next is drawn, so no stack of signals is formed. Without it, each step is
-    drawn straight into the signal stack and overwritten by its filter, the
-    filters running on a thread pool, one thread per CPU this process may run
-    on and at most T (worker_count). The filters and the draws release the
-    GIL, so drawing one step overlaps the filters of earlier ones; with one
-    worker the filters run in the calling thread. Either way the output is the
-    same bytes, and no thread outlives the call.
+    The white noise comes from the one seeded stream in step order: latents,
+    steps 0..T-1, then the edge noise. The steps run one after another in the
+    calling thread: each is drawn into one reused (N, Q) buffer, filtered
+    (:func:`_low_pass`) and kept, or reduced, before the next is drawn, so a
+    reducer that keeps nothing (the command line's, which writes each step to
+    its file) holds no stack of signals.
     """
     rng = np.random.default_rng(spec.seed)
     n, t, q = spec.n_nodes, spec.n_steps, spec.n_signals
@@ -168,37 +151,16 @@ def swdyn(spec, reduce=None):
     truth = Decomposition(latents, signatures)
     clean = reconstruct(truth)
 
-    if reduce is not None:
-        out = None
-        for k in range(t):
-            row = reduce(k, _low_pass(clean[k], spec.alpha, rng.standard_normal((n, q))))
-            if out is None:
-                out = np.empty((t,) + row.shape, row.dtype)
-            out[k] = row
-    else:
-        out = np.empty((t, n, q))
-
-        def drawn_steps():
-            for k in range(t):
-                rng.standard_normal(out=out[k])
-                yield k
-
-        def filter_step(k):
-            out[k] = _low_pass(clean[k], spec.alpha, out[k])
-
-        workers = worker_count(t)
-        if workers <= 1:
-            for k in drawn_steps():
-                filter_step(k)
-        else:
-            # imported here, as in evaluation._map_cells: the processes that never
-            # generate a signal stack do not load concurrent.futures (~0.8 MB RSS)
-            from concurrent.futures import ThreadPoolExecutor
-
-            # map submits each step as soon as the generator has drawn it
-            with ThreadPoolExecutor(workers) as pool:
-                for _ in pool.map(filter_step, drawn_steps()):
-                    pass
+    white = np.empty((n, q))
+    out = None
+    for k in range(t):
+        rng.standard_normal(out=white)
+        row = _low_pass(clean[k], spec.alpha, white)
+        if reduce is not None:
+            row = reduce(k, row)
+        if out is None:
+            out = np.empty((t,) + row.shape, row.dtype)
+        out[k] = row
     if spec.noise_sigma > 0:
         _add_edge_noise(clean, spec.noise_sigma, rng)
     return clean, out, truth

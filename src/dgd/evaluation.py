@@ -7,6 +7,7 @@ nothing to score and the metrics are reported as undefined rather than 0/0.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field, replace as dc_replace
 from functools import partial
@@ -16,7 +17,7 @@ from time import perf_counter
 import numpy as np
 
 from .baselines import METHODS
-from .datagen import mask_seed, observed_fraction, sample_mask, swdyn, worker_count
+from .datagen import mask_seed, observed_fraction, sample_mask, swdyn
 from .io_dgt import write_csv
 from .model import NumericalAbort, check_number, reconstruct
 from .priors import distance_row
@@ -290,6 +291,17 @@ def sweep(
     if out_path is not None:
         write_sweep_csv(rows, out_path)
     return rows
+
+
+def worker_count(n_tasks):
+    """Worker processes for n_tasks sweep cells: one per CPU this process may
+    run on (os.sched_getaffinity, one where the platform has no CPU affinity),
+    and at most n_tasks."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = 1
+    return min(cpus, n_tasks)
 
 
 def _map_cells(cells):

@@ -10,6 +10,8 @@ signatures. In memory, slice stacks put the slice axis first, so adjacency
 dims [N, N, T] load as a (T, N, N) array (:func:`_file_dims`, :func:`_array_shape`).
 Round-trips are bit-exact. :func:`load_dgt` reads a whole file; :class:`DgtSlices`
 reads an order-3 file one slice at a time, after the same header and size checks.
+:func:`save_dgt` writes a whole array; a writer that appends one slice at a time
+writes :func:`dgt_header`, then each slice's :func:`dgt_payload`.
 :func:`write_csv` writes the tools' CSV tables.
 """
 
@@ -53,20 +55,30 @@ def save_dgt(path, arr, kind):
     store dims as [rows, cols, slices]; signatures store [T, R] directly
     (:func:`_file_dims`).
     """
+    arr = np.asarray(arr, dtype=np.float64)
+    header = dgt_header(kind, arr.shape)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(dgt_payload(arr))
+
+
+def dgt_header(kind, shape):
+    """The header line, newline included, of an array of in-memory `shape`
+    stored as `kind`; ValueError for an unknown kind or a shape of another
+    order."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {sorted(KINDS)}")
-    arr = np.asarray(arr, dtype=np.float64)
     order = KINDS[kind]
-    if arr.ndim != order:
-        raise ValueError(f"kind {kind!r} stores order-{order} data, got shape {arr.shape}")
-    header = json.dumps(
-        {"magic": MAGIC, "kind": kind, "dims": _file_dims(arr.shape), "dtype": DTYPE},
-        separators=(",", ":"),
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
+    if len(shape) != order:
+        raise ValueError(f"kind {kind!r} stores order-{order} data, got shape {shape}")
+    header = {"magic": MAGIC, "kind": kind, "dims": _file_dims(shape), "dtype": DTYPE}
+    return json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n"
+
+
+def dgt_payload(arr):
+    """The payload bytes of arr: little-endian float64, row-major, with no
+    copy of a C-contiguous native float64 array on a little-endian host."""
+    return memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B")
 
 
 def load_dgt(path, kind=None):

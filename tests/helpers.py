@@ -12,8 +12,8 @@ from dgd.tensors import FitData, SliceEntries, triangle
 
 def set_cpus(monkeypatch, cpus):
     """Make os.sched_getaffinity report the given CPUs: {0} runs sweep cells
-    and the generator's per-step filters one after another in the caller,
-    {0, 1} through a pool of two workers."""
+    one after another in the caller, {0, 1} through a pool of two worker
+    processes. The generator's steps run in the caller at any CPU count."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
 
 

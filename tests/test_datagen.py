@@ -306,8 +306,9 @@ def test_swdyn_matches_the_serial_formula_bytes(monkeypatch, cpus, kw):
 
 
 def test_swdyn_bytes_hold_with_more_threads_than_cores(monkeypatch):
-    # eight filter threads switching every microsecond: a step written into
-    # another's slice, or drawn out of order, changes the bytes
+    # eight CPUs and a switch every microsecond: the steps still run one after
+    # another in the calling thread, so a step drawn out of order, or written
+    # into another's slice, would change the bytes
     set_cpus(monkeypatch, range(8))
     spec = SwDynSpec(n_nodes=12, n_steps=40, n_signals=6, seed=4)
     interval = sys.getswitchinterval()
@@ -355,11 +356,9 @@ def test_swdyn_step_error_reaches_the_caller(monkeypatch, cpus):
 
 @CPUS
 def test_swdyn_peak_memory_is_the_outputs_plus_a_few_slices_per_worker(monkeypatch, cpus):
-    # the signal stack is built in place: beyond the outputs, each worker
-    # holds only its filter's few N x N temporaries and one (N, Q) product.
-    # Reduced step by step, no stack is formed at all: the steps run one after
-    # another, so one step is drawn and one filter's temporaries are held at
-    # any CPU count
+    # the steps run one after another at any CPU count: beyond the outputs,
+    # one step's draw buffer, its filter's few N x N temporaries and (N, Q)
+    # products are held. Reduced step by step, no stack is formed at all
     set_cpus(monkeypatch, cpus)
     spec = SwDynSpec(n_nodes=60, n_steps=30, n_signals=200)
     step = spec.n_nodes * spec.n_signals * 8
@@ -380,7 +379,7 @@ def test_swdyn_peak_memory_is_the_outputs_plus_a_few_slices_per_worker(monkeypat
 def test_swdyn_edge_noise_adds_no_stack(monkeypatch, cpus):
     # the noise is drawn and added one slice at a time into the clean stack,
     # which becomes the adjacency output: the noisy run keeps the noise-free
-    # run's bound of the outputs plus a few slices per worker
+    # run's bound of the outputs plus a few slices
     set_cpus(monkeypatch, cpus)
     spec = SwDynSpec(n_nodes=60, n_steps=30, n_signals=200, noise_sigma=0.3)
     swdyn(spec)  # first-call allocations stay out of the measurement

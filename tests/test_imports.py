@@ -142,6 +142,28 @@ def test_no_module_imports_a_hash_or_ssl_module():
     assert found == []
 
 
+
+def test_parallelism_lives_in_evaluation_alone():
+    # the sweep's process pool is the package's one pool: no other module
+    # starts workers, and none starts threads, which would compete with a
+    # threaded BLAS for the same cores
+    found = []
+    for path in sorted(Path(dgd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top == "threading" or (top in ("concurrent", "multiprocessing")
+                                           and path.name != "evaluation.py"):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
 # names a module imports for its importers alone; dgd/__init__.py lists its own in __all__
 RE_EXPORTS = {"model.py": {"project_sa"}}
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgd import cli, evaluation, io_dgt
+from dgd import cli, datagen, evaluation, io_dgt
 from dgd.baselines import METHODS
 from dgd.cli import main
 from dgd.datagen import SwDynSpec
@@ -923,6 +923,65 @@ def test_generate_writes_the_same_bytes_pooled_and_serial(tmp_path, monkeypatch)
         written.append([(data / name).read_bytes() for name in files])
     assert written[0] == written[1]
 
+
+
+def test_generate_streams_the_signals_save_dgt_writes(tmp_path, capsys):
+    # each filtered step is appended to signals.dgt as it is made: the file
+    # is the one save_dgt writes of the whole stack
+    data = _generate(tmp_path, seed=4, extra={"noise_sigma": 0.2})
+    spec = SwDynSpec(n_nodes=8, n_steps=6, n_signals=5, noise_sigma=0.2, seed=4)
+    save_dgt(tmp_path / "stack.dgt", datagen.swdyn(spec)[1], "signals")
+    assert (data / "signals.dgt").read_bytes() == (tmp_path / "stack.dgt").read_bytes()
+    capsys.readouterr()
+
+
+def test_generate_step_error_leaves_a_truncated_signals_file(tmp_path, capsys, monkeypatch):
+    low_pass = datagen._low_pass
+    calls = []
+
+    def failing_low_pass(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("step 2 is singular")
+        return low_pass(*args)
+
+    monkeypatch.setattr(datagen, "_low_pass", failing_low_pass)
+    spec = _write_json(tmp_path / "spec.json", {"n_nodes": 8, "n_steps": 6, "n_signals": 5})
+    data = tmp_path / "data"
+    assert main(["generate", "--spec", spec, "--out-dir", str(data), "--seed", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "dgd: error: step 2 is singular\n"
+    path = data / "signals.dgt"
+    size = path.stat().st_size
+    # the header and steps 0 and 1, which both readers reject at open
+    assert size == len(_header_bytes(kind="signals", dims=[8, 5, 6])) + 1 + 2 * 8 * 5 * 8
+    for opener in (load_dgt, DgtSlices):
+        with pytest.raises(DgtError, match="payload truncated") as excinfo:
+            opener(path, "signals")
+        assert excinfo.value.byte_offset == size
+
+
+def test_generate_holds_no_signal_stack(tmp_path, capsys):
+    # Q >> N: the command writes each step's signals as they are filtered, so
+    # it peaks far below the (T, N, Q) stack
+    spec = {"n_nodes": 8, "n_steps": 30, "n_signals": 2000}
+    spec_path = _write_json(tmp_path / "spec.json", spec)
+
+    def run():
+        assert main(["generate", "--spec", spec_path, "--out-dir", str(tmp_path / "data"),
+                     "--seed", "0"]) == 0
+
+    run()  # first-call allocations stay out of the measurement
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = spec["n_steps"] * spec["n_nodes"] * spec["n_signals"] * 8
+    assert peak < stack / 2, (peak, stack)
+    assert load_dgt(tmp_path / "data" / "signals.dgt")[0].shape == (30, 8, 2000)
+    capsys.readouterr()
 
 def test_sweep_cli_rank_rows(tmp_path, capsys):
     spec = _write_json(
