@@ -161,6 +161,7 @@ def swdyn(spec, reduce=None):
         if out is None:
             out = np.empty((t,) + row.shape, row.dtype)
         out[k] = row
+        del row  # frees this step's signals before the next step is filtered
     if spec.noise_sigma > 0:
         _add_edge_noise(clean, spec.noise_sigma, rng)
     return clean, out, truth
